@@ -33,7 +33,6 @@ class BackendDescriptor:
     version: str
     deterministic: bool
     max_tokens: int
-    thread_safe: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +132,6 @@ class MockBackend(Backend):
             version="1",
             deterministic=True,
             max_tokens=max_tokens,
-            thread_safe=True,
         )
 
     @property

@@ -160,6 +160,10 @@ def _load_generated(path: str | Path) -> dict[str, str]:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(f"bad generated-summary row: {exc}",
                                  path=str(p), line=lineno) from exc
+            for name, value in (("id", pair_id), ("summary", summary)):
+                if not isinstance(value, str):
+                    raise ParseError(f"field {name!r} must be a string",
+                                     path=str(p), line=lineno)
             if pair_id in generated:
                 raise IntegrityError(f"duplicate generated summary for id {pair_id!r}")
             generated[pair_id] = summary
@@ -184,16 +188,12 @@ def _cmd_score(args: argparse.Namespace) -> None:
     unknown = [s for s in scorer_names if s not in SCORERS]
     if unknown:
         raise ConfigurationError(f"unknown scorers {unknown}; available: {sorted(SCORERS)}")
-    parallelism = int(args.parallelism or 1)
-    if parallelism < 1:
-        raise ConfigurationError("--parallelism must be >= 1")
     corpus = load_corpus(args.in_path, name=args.corpus_name) if args.corpus_name \
         else load_corpus(args.in_path)
     _write_config_echo(args.out, "score", args)
     backend = _make_backend(args)
     try:
-        added = score_corpus_to_file(corpus, scorer_names, backend, args.out,
-                                     parallelism=parallelism)
+        added = score_corpus_to_file(corpus, scorer_names, backend, args.out)
     finally:
         _close_backend(backend)
     logger.info("wrote %d new score rows to %s", added, args.out)
@@ -379,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="scores JSONL (appended on resume)")
     p.add_argument("--scorers", default=None, help="comma list: greedy,condll,dae")
     p.add_argument("--corpus-name", dest="corpus_name", default=None)
-    p.add_argument("--parallelism", default=None, type=int,
-                   help="worker threads (default 1; bit-stable either way)")
     _add_backend_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_score)

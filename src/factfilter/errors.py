@@ -76,3 +76,13 @@ class SequenceLengthError(BackendError):
     def __init__(self, message: str, limit: int):
         self.limit = limit
         super().__init__(f"{message} (limit: {limit} tokens)")
+
+
+# Errors recorded against a single pair (a score sentinel, an evaluation
+# failure row, a pair left out of a sweep mean) instead of aborting the run.
+PER_PAIR_ERRORS = (ScoringError, BackendError, DomainError)
+
+
+def failure_reason(exc: BaseException) -> str:
+    """The ``"<Type>: <message>"`` string recorded for a per-pair failure."""
+    return f"{type(exc).__name__}: {exc}"

@@ -19,15 +19,16 @@ import numpy as np
 
 from .backend import Backend
 from .corpus import Corpus
-from .errors import CoverageError, DegenerateInputError, DomainError
-from .filtration import intersect_filter, percentile_keep_set, random_selection
-from .metrics import EvalReport, blanc_help
-from .scorers import (
-    ScoreTable,
-    arc_entailment_value,
-    conditional_likelihood_value,
-    greedy_precision_value,
+from .errors import (
+    PER_PAIR_ERRORS,
+    CoverageError,
+    DegenerateInputError,
+    DomainError,
+    failure_reason,
 )
+from .filtration import intersect_filter, percentile_keep_set, random_selection
+from .metrics import REFERENCE_FREE_METRICS, EvalReport, reference_free_value
+from .scorers import ScoreTable
 from .stats import WilcoxonResult, wilcoxon_signed_rank
 
 logger = logging.getLogger(__name__)
@@ -132,15 +133,10 @@ def mock_train_eval_hook(backend: Backend,
     """No-learning proxy: metric means over the selection's reference summaries.
 
     Stands in for a fine-tune-then-evaluate harness so sweeps run without a
-    GPU; pairs that fail a metric are excluded from that metric's mean.
+    GPU; a pair that fails a metric with a per-pair error is excluded from that
+    metric's mean (and logged at debug level); any other error propagates.
     """
-    cores: dict[str, Callable[[str, str], float]] = {
-        "greedy": lambda d, s: greedy_precision_value(d, s, backend)[0],
-        "condll": lambda d, s: conditional_likelihood_value(d, s, backend)[0],
-        "dae": lambda d, s: arc_entailment_value(d, s, backend)[0],
-        "blanc": lambda d, s: blanc_help(d, s, backend).value,
-    }
-    unknown = [m for m in metrics if m not in cores]
+    unknown = [m for m in metrics if m not in REFERENCE_FREE_METRICS]
     if unknown:
         raise DomainError(f"mock-train hook cannot compute {unknown}")
 
@@ -150,9 +146,11 @@ def mock_train_eval_hook(backend: Backend,
             values = []
             for pair in selection:
                 try:
-                    values.append(cores[metric](pair.document, pair.summary))
-                except Exception:
-                    continue
+                    values.append(reference_free_value(metric, pair.document,
+                                                       pair.summary, backend))
+                except PER_PAIR_ERRORS as exc:
+                    logger.debug("pair %s excluded from the %s mean: %s",
+                                 pair.id, metric, failure_reason(exc))
             if values:
                 out[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
         return out

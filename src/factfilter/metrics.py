@@ -14,26 +14,22 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .backend import Backend
 from .corpus import Corpus
 from .errors import (
-    BackendError,
+    PER_PAIR_ERRORS,
     CoverageError,
     DomainError,
     IntegrityError,
     ParseError,
-    ScoringError,
+    failure_reason,
 )
 from .filtration import FilterManifest
-from .scorers import (
-    arc_entailment_value,
-    conditional_likelihood_value,
-    greedy_precision_value,
-)
+from .scorers import SCORERS
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
 # content; the filler is shorter than any maskable token, so it can never
@@ -44,7 +40,9 @@ FILLER_TOKEN = "the"
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 
-REFERENCE_FREE_METRICS = ("greedy", "condll", "dae", "blanc")
+_REPORT_COLUMNS = ("record", "pair_id", "metric", "value", "n", "headline", "note")
+
+REFERENCE_FREE_METRICS = (*SCORERS, "blanc")
 REFERENCE_BASED_METRICS = ("rouge2",)
 ALL_METRICS = REFERENCE_BASED_METRICS + REFERENCE_FREE_METRICS
 
@@ -175,7 +173,7 @@ class EvalReport:
     def to_csv(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["record", "pair_id", "metric", "value", "n", "headline", "note"])
+            writer.writerow(_REPORT_COLUMNS)
             writer.writerow(["meta", "", "corpus_name", "", "", "", self.corpus_name])
             for metric in self.metrics:
                 for pair_id in sorted(self.per_pair[metric]):
@@ -204,18 +202,25 @@ class EvalReport:
         with p.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            if header is None or header[0] != "record":
+            if not header or header[0] != "record":
                 raise ParseError("not an evaluation report CSV", path=str(p))
             for row in reader:
-                record, pair_id, metric = row[0], row[1], row[2]
+                if len(row) != len(_REPORT_COLUMNS):
+                    raise ParseError(f"expected {len(_REPORT_COLUMNS)} fields, got {len(row)}",
+                                     path=str(p), line=reader.line_num)
+                record, pair_id, metric, value, _, _, note = row
                 if record == "meta" and metric == "corpus_name":
-                    corpus_name = row[6]
+                    corpus_name = note
                 elif record in ("pair", "failure") and metric not in metric_order:
                     metric_order.append(metric)
                 if record == "pair":
-                    per_pair.setdefault(metric, {})[pair_id] = float(row[3])
+                    try:
+                        per_pair.setdefault(metric, {})[pair_id] = float(value)
+                    except ValueError:
+                        raise ParseError(f"non-numeric value {value!r}",
+                                         path=str(p), line=reader.line_num) from None
                 elif record == "failure":
-                    failures.setdefault(metric, {})[pair_id] = row[6]
+                    failures.setdefault(metric, {})[pair_id] = note
                 elif record == "aggregate" and metric not in metric_order:
                     metric_order.append(metric)
         report = cls(corpus_name, metric_order)
@@ -225,19 +230,17 @@ class EvalReport:
         return report
 
 
-def _scorer_metric(metric: str, backend: Backend) -> Callable[[str, str], float]:
-    cores = {
-        "greedy": greedy_precision_value,
-        "condll": conditional_likelihood_value,
-        "dae": arc_entailment_value,
-    }
-    core = cores[metric]
+def reference_free_value(metric: str, document: str, summary: str,
+                         backend: Backend) -> float:
+    """One reference-free metric's value for a summary of `document`.
 
-    def run(document: str, summary: str) -> float:
-        value, _ = core(document, summary, backend)
-        return value
-
-    return run
+    Errors propagate; callers apply the per-pair failure policy
+    (`errors.PER_PAIR_ERRORS`).
+    """
+    if metric == "blanc":
+        return blanc_help(document, summary, backend).value
+    value, _ = SCORERS[metric](document, summary, backend)
+    return value
 
 
 def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
@@ -281,20 +284,11 @@ def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
         if metric == "rouge2":
             for pair in rouge_pairs:
                 report.add(metric, pair.id, rouge2(generated[pair.id], pair.summary).f1)
-        elif metric == "blanc":
-            assert backend is not None
-            for pair in test_pairs:
-                try:
-                    report.add(metric, pair.id,
-                               blanc_help(pair.document, generated[pair.id], backend).value)
-                except (DomainError, ScoringError, BackendError) as exc:
-                    report.add_failure(metric, pair.id, f"{type(exc).__name__}: {exc}")
-        else:
-            assert backend is not None
-            run = _scorer_metric(metric, backend)
-            for pair in test_pairs:
-                try:
-                    report.add(metric, pair.id, run(pair.document, generated[pair.id]))
-                except (DomainError, ScoringError, BackendError) as exc:
-                    report.add_failure(metric, pair.id, f"{type(exc).__name__}: {exc}")
+            continue
+        for pair in test_pairs:
+            try:
+                report.add(metric, pair.id, reference_free_value(
+                    metric, pair.document, generated[pair.id], backend))
+            except PER_PAIR_ERRORS as exc:
+                report.add_failure(metric, pair.id, failure_reason(exc))
     return report

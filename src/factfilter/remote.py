@@ -67,7 +67,7 @@ def _handle_request(backend: Backend, request: dict[str, Any]) -> dict[str, Any]
     if op == "descriptor":
         d = backend.descriptor
         return {"name": d.name, "version": d.version, "deterministic": d.deterministic,
-                "max_tokens": d.max_tokens, "thread_safe": d.thread_safe}
+                "max_tokens": d.max_tokens}
     if op == "tokenize":
         return {"tokens": backend.tokenize(args["text"])}
     if op == "embed_tokens":
@@ -126,8 +126,6 @@ class RemoteBackend(Backend):
             version=info["version"],
             deterministic=bool(info["deterministic"]),
             max_tokens=int(info["max_tokens"]),
-            # one request/response pipe; client serializes access
-            thread_safe=False,
         )
 
     @property

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -27,6 +26,7 @@ import numpy as np
 from .backend import Backend
 from .corpus import Corpus, Pair
 from .errors import (
+    PER_PAIR_ERRORS,
     BackendError,
     ConfigurationError,
     DomainError,
@@ -34,7 +34,7 @@ from .errors import (
     IntegrityError,
     NoArcsError,
     ParseError,
-    ScoringError,
+    failure_reason,
 )
 
 logger = logging.getLogger(__name__)
@@ -152,33 +152,31 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms
 
 
-def _make_score(pair_id: str, scorer: str, backend: Backend,
-                value: float, truncated: bool) -> FactualityScore:
+# The one name -> scorer map: (document, summary, backend) -> (value, truncated).
+SCORERS: dict[str, Callable[[str, str, Backend], tuple[float, bool]]] = {
+    "greedy": greedy_precision_value,
+    "condll": conditional_likelihood_value,
+    "dae": arc_entailment_value,
+}
+
+
+def _score(scorer: str, pair: Pair, backend: Backend) -> FactualityScore:
+    value, truncated = SCORERS[scorer](pair.document, pair.summary, backend)
     d = backend.descriptor
-    return FactualityScore(pair_id=pair_id, scorer=scorer, backend_name=d.name,
+    return FactualityScore(pair_id=pair.id, scorer=scorer, backend_name=d.name,
                            backend_version=d.version, value=value, truncated=truncated)
 
 
 def score_greedy_precision(pair: Pair, backend: Backend) -> FactualityScore:
-    value, truncated = greedy_precision_value(pair.document, pair.summary, backend)
-    return _make_score(pair.id, "greedy", backend, value, truncated)
+    return _score("greedy", pair, backend)
 
 
 def score_conditional_likelihood(pair: Pair, backend: Backend) -> FactualityScore:
-    value, truncated = conditional_likelihood_value(pair.document, pair.summary, backend)
-    return _make_score(pair.id, "condll", backend, value, truncated)
+    return _score("condll", pair, backend)
 
 
 def score_arc_entailment(pair: Pair, backend: Backend) -> FactualityScore:
-    value, truncated = arc_entailment_value(pair.document, pair.summary, backend)
-    return _make_score(pair.id, "dae", backend, value, truncated)
-
-
-SCORERS: dict[str, Callable[[Pair, Backend], FactualityScore]] = {
-    "greedy": score_greedy_precision,
-    "condll": score_conditional_likelihood,
-    "dae": score_arc_entailment,
-}
+    return _score("dae", pair, backend)
 
 
 class ScoreTable:
@@ -328,24 +326,21 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
 
 
 def _score_one(scorer: str, pair: Pair, backend: Backend) -> ScoreCell:
-    d = backend.descriptor
     try:
-        return SCORERS[scorer](pair, backend)
-    except (ScoringError, BackendError, DomainError) as exc:
+        return _score(scorer, pair, backend)
+    except PER_PAIR_ERRORS as exc:
+        d = backend.descriptor
         return ScoreFailure(pair_id=pair.id, scorer=scorer, backend_name=d.name,
-                            backend_version=d.version,
-                            reason=f"{type(exc).__name__}: {exc}")
+                            backend_version=d.version, reason=failure_reason(exc))
 
 
 def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
-                 parallelism: int = 1,
                  skip: Callable[[str, str], bool] | None = None) -> list[ScoreCell]:
     """Score every (pair, scorer) cell; failures become sentinel rows.
 
-    Results come back in canonical order (scorer-major, corpus pair order)
-    regardless of execution schedule, so parallel runs are byte-identical to
-    serial ones. `skip(pair_id, scorer)` filters out already-scored cells for
-    resumable runs.
+    Results come back in canonical order (scorer-major, corpus pair order).
+    `skip(pair_id, scorer)` filters out already-scored cells for resumable
+    runs.
     """
     if len(corpus) == 0:
         raise DomainError(f"corpus {corpus.name!r} is empty")
@@ -354,24 +349,12 @@ def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
         raise ConfigurationError(
             f"unknown scorers {unknown}; available: {sorted(SCORERS)}"
         )
-    jobs = [(scorer, pair) for scorer in scorer_names for pair in corpus
+    return [_score_one(scorer, pair, backend) for scorer in scorer_names for pair in corpus
             if skip is None or not skip(pair.id, scorer)]
-    if not jobs:
-        return []
-    use_threads = parallelism > 1 and backend.descriptor.thread_safe
-    if parallelism > 1 and not backend.descriptor.thread_safe:
-        logger.info("backend %s is not thread-safe; scoring serially",
-                    backend.descriptor.name)
-    if use_threads:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            cells = list(pool.map(lambda job: _score_one(job[0], job[1], backend), jobs))
-    else:
-        cells = [_score_one(scorer, pair, backend) for scorer, pair in jobs]
-    return cells
 
 
 def score_corpus_to_file(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
-                         path: str | Path, parallelism: int = 1) -> int:
+                         path: str | Path) -> int:
     """Resumable scoring: skip (pair, scorer) keys already present in `path`.
 
     Returns the number of newly scored cells appended.
@@ -382,8 +365,7 @@ def score_corpus_to_file(corpus: Corpus, scorer_names: Sequence[str], backend: B
         existing = load_scores(p, corpus.name)
         done = sum(len(existing.column(s)) for s in existing.scorers)
         logger.info("resuming: %d cells already scored in %s", done, p)
-    cells = score_corpus(corpus, scorer_names, backend, parallelism=parallelism,
-                         skip=existing.has)
+    cells = score_corpus(corpus, scorer_names, backend, skip=existing.has)
     for cell in cells:  # refuses duplicates and mixed backend provenance
         existing.add(cell)
     write_scores(cells, p, append=p.exists())

@@ -21,10 +21,10 @@ def toy(tmp_path):
     return corpus_file
 
 
-def _score(tmp_path, toy, extra=()):
+def _score(tmp_path, toy):
     scores = tmp_path / "scores.jsonl"
     code = main(["score", "--in", str(toy), "--out", str(scores),
-                 "--scorers", "greedy,condll,dae", "--backend", "mock", *extra])
+                 "--scorers", "greedy,condll,dae", "--backend", "mock"])
     assert code == 0
     return scores
 
@@ -87,13 +87,6 @@ class TestScore:
         assert main(["score", "--in", str(toy), "--out", str(scores),
                      "--scorers", "greedy,condll,dae", "--backend", "mock"]) == 0
         assert scores.read_bytes() == before
-
-    def test_parallel_matches_serial_bytes(self, tmp_path, toy):
-        serial = _score(tmp_path, toy)
-        parallel_dir = tmp_path / "par"
-        parallel_dir.mkdir()
-        parallel = _score(parallel_dir, toy, extra=("--parallelism", "4"))
-        assert parallel.read_bytes() == serial.read_bytes()
 
     def test_remote_backend_matches_local(self, tmp_path, toy):
         local = _score(tmp_path, toy)
@@ -193,6 +186,24 @@ class TestEvaluateAndCompare:
         gen.write_text(json.dumps({"id": "toy-0041", "summary": "only one"}) + "\n")
         assert main(["evaluate", "--in", str(toy), "--generated", str(gen),
                      "--out", str(tmp_path / "r.csv"), "--backend", "mock"]) == 2
+
+    @pytest.mark.parametrize("row", [{"id": 41, "summary": "a summary"},
+                                     {"id": "toy-0041", "summary": 7}])
+    def test_non_string_generated_field_exits_two(self, tmp_path, toy, capsys, row):
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text(json.dumps(row) + "\n")
+        assert main(["evaluate", "--in", str(toy), "--generated", str(gen),
+                     "--out", str(tmp_path / "r.csv"), "--backend", "mock"]) == 2
+        assert f"{gen}:1: field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row", ["pair,t1,rouge2", "pair,t1,rouge2,high,,,"])
+    def test_malformed_report_row_exits_two(self, tmp_path, capsys, bad_row):
+        report = tmp_path / "report.csv"
+        report.write_text("record,pair_id,metric,value,n,headline,note\n"
+                          "meta,,corpus_name,,,,toy\n" + bad_row + "\n")
+        assert main(["compare", "--report-a", str(report), "--report-b", str(report),
+                     "--out", str(tmp_path / "comparison.csv")]) == 2
+        assert f"{report}:3: " in capsys.readouterr().err
 
 
 class TestAnnotationCommands:

@@ -1,0 +1,110 @@
+"""The per-pair failure policy, shared by every consumer of the scorer registry."""
+
+from __future__ import annotations
+
+import ast
+import logging
+from pathlib import Path
+
+import pytest
+
+from factfilter import MockBackend, evaluate_outputs, score_corpus
+from factfilter.errors import PER_PAIR_ERRORS
+from factfilter.experiments import mock_train_eval_hook
+from factfilter.scorers import ScoreFailure
+
+from conftest import make_corpus, make_pair
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "factfilter"
+
+
+class _FailingBackend(MockBackend):
+    """Mock backend that raises `error("boom")` on any text containing BOOM."""
+
+    def __init__(self, error: type[Exception]):
+        super().__init__()
+        self._error = error
+
+    def tokenize(self, text: str) -> list[str]:
+        if "BOOM" in text:
+            raise self._error("boom")
+        return super().tokenize(text)
+
+
+def _corpus():
+    return make_corpus(
+        "c",
+        make_pair("good", "the mayor opened the bridge", "mayor opened the bridge",
+                  split="test"),
+        make_pair("bad", "BOOM the storm hit the harbor", "storm hit the harbor",
+                  split="test"),
+    )
+
+
+def _score_corpus_reasons(corpus, backend, caplog):
+    cells = score_corpus(corpus, ["greedy"], backend)
+    assert [c.pair_id for c in cells] == ["good", "bad"]
+    return [c.reason for c in cells if isinstance(c, ScoreFailure)]
+
+
+def _evaluate_reasons(corpus, backend, caplog):
+    generated = {pair.id: pair.summary for pair in corpus}
+    report = evaluate_outputs(generated, corpus, backend, metrics=["greedy"])
+    assert report.per_pair["greedy"] == {"good": 1.0}
+    return list(report.failures["greedy"].values())
+
+
+def _sweep_hook_reasons(corpus, backend, caplog):
+    with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
+        means = mock_train_eval_hook(backend, ["greedy"])(corpus)
+    assert means == {"greedy": 1.0}
+    prefix = "pair bad excluded from the greedy mean: "
+    assert all(message.startswith(prefix) for message in caplog.messages)
+    return [message[len(prefix):] for message in caplog.messages]
+
+
+@pytest.mark.parametrize("consumer", [_score_corpus_reasons, _evaluate_reasons,
+                                      _sweep_hook_reasons],
+                         ids=["score_corpus", "evaluate_outputs", "sweep_hook"])
+@pytest.mark.parametrize("error", [*PER_PAIR_ERRORS, RuntimeError],
+                         ids=lambda error: error.__name__)
+def test_one_failure_policy(consumer, error, caplog):
+    backend = _FailingBackend(error)
+    if error not in PER_PAIR_ERRORS:
+        with pytest.raises(error, match="boom"):
+            consumer(_corpus(), backend, caplog)
+        return
+    assert consumer(_corpus(), backend, caplog) == [f"{error.__name__}: boom"]
+
+
+def _broad_handlers() -> tuple[list[str], list[str]]:
+    """(`except Exception`/`BaseException` sites, bare `except:` sites) in src."""
+    broad: list[str] = []
+    bare: list[str] = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing: dict[ast.AST, str] = {}
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef)) \
+                else enclosing.get(node, "<module>")
+            for child in ast.iter_child_nodes(node):
+                enclosing[child] = name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            site = f"{path.stem}.{enclosing[node]}"
+            if node.type is None:
+                bare.append(site)
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+                   for t in caught):
+                broad.append(site)
+    return broad, bare
+
+
+def test_only_the_remote_keep_alive_guard_catches_everything():
+    broad, bare = _broad_handlers()
+    assert broad == ["remote.serve"]
+    assert bare == []

@@ -129,28 +129,6 @@ class TestScoreCorpus:
                     score_corpus(reversed_corpus, ["greedy", "condll"], mock_backend)}
         assert forward == backward
 
-    def test_parallel_equals_serial(self, mock_backend):
-        corpus = self._corpus()
-        serial = score_corpus(corpus, ["greedy", "condll", "dae"], mock_backend)
-        parallel = score_corpus(corpus, ["greedy", "condll", "dae"], mock_backend,
-                                parallelism=4)
-        assert serial == parallel
-
-    def test_non_thread_safe_backend_is_serialized(self, mock_backend):
-        from dataclasses import replace
-
-        class SingleThreaded(MockBackend):
-            @property
-            def descriptor(self):
-                return replace(super().descriptor, thread_safe=False)
-
-        corpus = self._corpus()
-        cells = score_corpus(corpus, ["greedy", "condll", "dae"], SingleThreaded(),
-                             parallelism=8)
-        reference = score_corpus(corpus, ["greedy", "condll", "dae"], mock_backend)
-        assert [(c.scorer, c.pair_id, c.value) for c in cells] == \
-            [(c.scorer, c.pair_id, c.value) for c in reference]
-
     def test_single_token_summary_gets_sentinel_for_dae_only(self, mock_backend):
         corpus = make_corpus("c", make_pair("p1", "the mayor opened the bridge", "mayor"))
         cells = score_corpus(corpus, ["greedy", "condll", "dae"], mock_backend)
