@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -43,6 +42,9 @@ class TokenEmbeddings:
     vectors: np.ndarray  # shape (n_tokens, dim)
 
     def __post_init__(self) -> None:
+        if self.vectors.ndim != 2:
+            raise DomainError(f"embedding vectors must be 2-D (n_tokens, dim), "
+                              f"got shape {self.vectors.shape}")
         if len(self.tokens) != self.vectors.shape[0]:
             raise DomainError(
                 f"token/vector mismatch: {len(self.tokens)} tokens, "
@@ -111,6 +113,8 @@ class MockBackend(Backend):
       * tokens are whitespace-split, case-sensitive;
       * each token embeds to a unit vector derived from a seeded hash of the
         token string (context-free), so identical tokens embed identically;
+        each `embed_tokens` call embeds its tokens in one batch and keeps no
+        state across calls;
       * a target token gets log(0.9) if its string occurs among the source
         tokens, else log(0.1);
       * an arc is entailed (prob 1.0) iff both its head and child token
@@ -145,26 +149,16 @@ class MockBackend(Backend):
         if len(tokens) > self._max_tokens:
             raise SequenceLengthError(f"{what} has {len(tokens)} tokens", self._max_tokens)
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        # blake2b with a fixed person tag: stable across runs, platforms and
-        # Python versions; little-endian unpack keeps the byte order fixed.
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=4 * self._dim,
-                                 person=b"tokvec").digest()
-        raw = struct.unpack(f"<{self._dim}I", digest)
-        vec = np.array([(u / 2147483648.0) - 1.0 for u in raw], dtype=np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:  # vanishing hash vector; pin a basis direction
-            vec[0] = 1.0
-            norm = 1.0
-        return vec / norm
-
     def embed_tokens(self, text: str) -> TokenEmbeddings:
         tokens = self.tokenize(text)
         if not tokens:
             raise DomainError("cannot embed empty text")
         self._check_length(tokens, "text")
-        vectors = np.stack([self._token_vector(t) for t in tokens])
-        return TokenEmbeddings(tokens=tuple(tokens), vectors=vectors)
+        # blake2b with a fixed person tag: stable across runs, platforms and
+        # Python versions.
+        digest = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=4 * self._dim,
+                                          person=b"tokvec").digest() for t in tokens)
+        return TokenEmbeddings(tokens=tuple(tokens), vectors=_digest_rows(digest, self._dim))
 
     def conditional_token_logprobs(self, source: str, target: str) -> list[float]:
         source_tokens = self.tokenize(source)
@@ -218,6 +212,20 @@ class MockBackend(Backend):
             for i in range(len(tokens))
             if i != head
         ]
+
+
+def _digest_rows(digest: bytes, dim: int) -> np.ndarray:
+    """Unit rows from `dim` little-endian uint32 per row, each mapped to u / 2^31 - 1.
+
+    `row.dot(row)` is the BLAS dot `np.linalg.norm` takes on one vector, so each
+    row is bit-equal to normalising it alone; a vanishing row is pinned to e_0.
+    """
+    vecs = np.frombuffer(digest, dtype="<u4").reshape(-1, dim) / 2147483648.0 - 1.0
+    norms = np.sqrt([row.dot(row) for row in vecs])
+    vanishing = norms == 0.0
+    vecs[vanishing, 0] = 1.0
+    norms[vanishing] = 1.0
+    return vecs / norms[:, None]
 
 
 _BACKENDS: dict[str, Callable[..., Backend]] = {}

@@ -72,12 +72,6 @@ class Corpus:
     def ids(self) -> tuple[str, ...]:
         return tuple(pair.id for pair in self.pairs)
 
-    def get(self, pair_id: str) -> Pair:
-        for pair in self.pairs:
-            if pair.id == pair_id:
-                return pair
-        raise KeyError(pair_id)
-
     def subset(self, ids: Iterable[str], name: str | None = None) -> "Corpus":
         """Sub-corpus restricted to `ids`, preserving original relative order."""
         wanted = set(ids)

@@ -90,6 +90,9 @@ def truncate_document(backend: Backend, document: str) -> tuple[str, bool]:
     return " ".join(tokens[:limit]), True
 
 
+_GREEDY_BLOCK_ELEMENTS = 2 ** 15
+
+
 def greedy_precision_value(document: str, summary: str, backend: Backend) -> tuple[float, bool]:
     """Mean over summary tokens of max similarity to any document token.
 
@@ -104,10 +107,15 @@ def greedy_precision_value(document: str, summary: str, backend: Backend) -> tup
     sum_emb = backend.embed_tokens(summary)
     doc_vecs = _unit_rows(doc_emb.vectors)
     sum_vecs = _unit_rows(sum_emb.vectors)
+    if doc_vecs.shape[1] != sum_vecs.shape[1]:
+        raise BackendError(f"document embeddings are {doc_vecs.shape[1]}-wide, "
+                           f"summary embeddings {sum_vecs.shape[1]}-wide")
+    # Blocks of summary rows bound the (rows, n_doc, dim) difference array.
+    rows = max(1, _GREEDY_BLOCK_ELEMENTS // max(1, doc_vecs.size))
     best = np.empty(sum_vecs.shape[0], dtype=np.float64)
-    for i in range(sum_vecs.shape[0]):
-        d2 = np.sum((doc_vecs - sum_vecs[i]) ** 2, axis=1)
-        best[i] = np.max(1.0 - d2 / 2.0)
+    for i in range(0, sum_vecs.shape[0], rows):
+        d2 = np.sum((doc_vecs - sum_vecs[i:i + rows, None]) ** 2, axis=2)
+        best[i:i + rows] = np.max(1.0 - d2 / 2.0, axis=1)
     value = float(np.mean(np.clip(best, -1.0, 1.0)))
     return value, truncated
 

@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import random
+import struct
 import sys
 
 import numpy as np
 import pytest
 
-from factfilter import DependencyArc, MockBackend, available_backends, create_backend
+from factfilter import (
+    DependencyArc,
+    MockBackend,
+    TokenEmbeddings,
+    available_backends,
+    create_backend,
+    load_corpus,
+    toy_corpus_path,
+)
+from factfilter.backend import _digest_rows
 from factfilter.errors import ConfigurationError, DomainError, SequenceLengthError
 from factfilter.remote import RemoteBackend
 
@@ -47,6 +59,70 @@ class TestMockEmbeddings:
         with pytest.raises(SequenceLengthError) as excinfo:
             backend.embed_tokens("a b c d e")
         assert excinfo.value.limit == 4
+
+
+def _reference_row(digest: bytes, dim: int) -> np.ndarray:
+    """The mock's embedding formula for one token, written out per token."""
+    raw = struct.unpack(f"<{dim}I", digest)
+    vec = np.array([(u / 2147483648.0) - 1.0 for u in raw], dtype=np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:  # vanishing hash vector; pin a basis direction
+        vec[0] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+def _token_digest(token: str, dim: int) -> bytes:
+    return hashlib.blake2b(token.encode("utf-8"), digest_size=4 * dim,
+                           person=b"tokvec").digest()
+
+
+def _toy_vocabulary() -> list[str]:
+    corpus = load_corpus(toy_corpus_path())
+    return sorted({tok for pair in corpus for tok in (pair.document + " " + pair.summary).split()})
+
+
+def _generated_vocabulary(n: int = 30_000) -> list[str]:
+    rng = random.Random(7)
+    letters = "abcdefghijklmnopqrstuvwxyz0123456789-'éüßøλж"
+    return sorted({"".join(rng.choice(letters) for _ in range(rng.randint(1, 14)))
+                   for _ in range(n)})
+
+
+def _bits(vectors: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(vectors, dtype=np.float64).view(np.uint64)
+
+
+class TestMockEmbeddingReference:
+    """The batched embedder equals the per-token formula bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16])
+    @pytest.mark.parametrize("vocabulary", [_toy_vocabulary, _generated_vocabulary])
+    def test_batch_equals_per_token_formula(self, vocabulary, dim):
+        words = vocabulary()
+        emb = MockBackend(dim=dim, max_tokens=len(words)).embed_tokens(" ".join(words))
+        expected = np.stack([_reference_row(_token_digest(w, dim), dim) for w in words])
+        assert emb.tokens == tuple(words)
+        assert np.array_equal(_bits(emb.vectors), _bits(expected))
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16])
+    def test_vanishing_digest_pinned_to_first_axis(self, dim):
+        vanishing = struct.pack("<I", 0x80000000) * dim  # every entry maps to 0.0
+        digests = [_token_digest("storm", dim), vanishing, _token_digest("harbor", dim)]
+        rows = _digest_rows(b"".join(digests), dim)
+        expected = np.stack([_reference_row(d, dim) for d in digests])
+        assert np.array_equal(_bits(rows), _bits(expected))
+        assert rows[1].tolist() == [1.0] + [0.0] * (dim - 1)
+
+
+class TestTokenEmbeddingsShape:
+    def test_one_dimensional_vectors_rejected(self):
+        with pytest.raises(DomainError, match="2-D"):
+            TokenEmbeddings(tokens=("a", "b", "c"), vectors=np.ones(3))
+
+    def test_three_dimensional_vectors_rejected(self):
+        with pytest.raises(DomainError, match="2-D"):
+            TokenEmbeddings(tokens=("a", "b"), vectors=np.ones((2, 3, 4)))
 
 
 class TestMockConditional:

@@ -37,7 +37,7 @@ class TestLoadCorpus:
         assert len(corpus) == 3
         assert corpus.ids() == ("a", "b", "c")
         assert corpus.name == "corpus"
-        assert corpus.get("a").meta == {"url": "http://x"}
+        assert {pair.id: pair for pair in corpus}["a"].meta == {"url": "http://x"}
 
     def test_duplicate_id_names_offender(self, tmp_path):
         path = tmp_path / "dup.jsonl"

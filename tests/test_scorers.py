@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from factfilter import Corpus, MockBackend, ScoreTable, load_scores, score_corpus, write_scores
-from factfilter.errors import ConfigurationError, DomainError, IntegrityError
+from factfilter.backend import TokenEmbeddings
+from factfilter.errors import BackendError, ConfigurationError, DomainError, IntegrityError
 from factfilter.scorers import (
+    _GREEDY_BLOCK_ELEMENTS,
     FactualityScore,
     ScoreFailure,
+    _unit_rows,
+    greedy_precision_value,
     score_arc_entailment,
     score_conditional_likelihood,
     score_corpus_to_file,
@@ -63,6 +68,69 @@ class TestGreedyPrecision:
         score = score_greedy_precision(pair, backend)
         assert score.truncated
         assert score.value == 1.0  # kept prefix still contains the summary tokens
+
+
+def loop_greedy(document: str, summary: str, backend) -> float:
+    """Greedy precision with the per-summary-row loop the blocked matcher replaced."""
+    doc_vecs = _unit_rows(backend.embed_tokens(document).vectors)
+    sum_vecs = _unit_rows(backend.embed_tokens(summary).vectors)
+    best = np.empty(sum_vecs.shape[0], dtype=np.float64)
+    for i in range(sum_vecs.shape[0]):
+        d2 = np.sum((doc_vecs - sum_vecs[i]) ** 2, axis=1)
+        best[i] = np.max(1.0 - d2 / 2.0)
+    return float(np.mean(np.clip(best, -1.0, 1.0)))
+
+
+class ScaledMock(MockBackend):
+    """Mock embeddings scaled off the unit sphere, so `_unit_rows` does real work."""
+
+    def embed_tokens(self, text: str) -> TokenEmbeddings:
+        emb = super().embed_tokens(text)
+        scales = 0.3 + 0.7 * np.arange(1, len(emb.tokens) + 1)[:, None] / 3.0
+        return TokenEmbeddings(tokens=emb.tokens, vectors=emb.vectors * scales)
+
+
+class SplitWidthMock(MockBackend):
+    """Embeds texts of up to two tokens 8-wide and longer texts 16-wide."""
+
+    def __init__(self):
+        super().__init__(dim=16)
+        self._narrow = MockBackend(dim=8)
+
+    def embed_tokens(self, text: str) -> TokenEmbeddings:
+        if len(text.split()) <= 2:
+            return self._narrow.embed_tokens(text)
+        return super().embed_tokens(text)
+
+
+class TestGreedyBlocks:
+    SUMMARY_LEN = 8
+    DIM = 16
+
+    @pytest.mark.parametrize("block_rows", [1, SUMMARY_LEN, SUMMARY_LEN - 1])
+    def test_blocked_equals_row_loop(self, block_rows):
+        n_doc = _GREEDY_BLOCK_ELEMENTS // (block_rows * self.DIM)
+        assert _GREEDY_BLOCK_ELEMENTS // (n_doc * self.DIM) == block_rows
+        backend = ScaledMock(dim=self.DIM, max_tokens=n_doc)
+        document = " ".join(f"d{i}" for i in range(n_doc))
+        # The last summary row, alone in its block when block_rows is
+        # SUMMARY_LEN - 1, is a token absent from the document.
+        summary = " ".join(f"novel{i}" if i % 2 else f"d{i * 37 % n_doc}"
+                           for i in range(self.SUMMARY_LEN))
+        value, truncated = greedy_precision_value(document, summary, backend)
+        assert not truncated
+        assert value == loop_greedy(document, summary, backend)
+
+    def test_width_mismatch_names_both_widths(self):
+        with pytest.raises(BackendError, match=r"16-wide.*8-wide"):
+            greedy_precision_value("alpha beta gamma delta", "alpha beta", SplitWidthMock())
+
+    def test_width_mismatch_becomes_sentinel(self):
+        corpus = make_corpus("c", make_pair("p1", "alpha beta gamma delta", "alpha beta"))
+        (cell,) = score_corpus(corpus, ["greedy"], SplitWidthMock())
+        assert isinstance(cell, ScoreFailure)
+        assert cell.reason.startswith("BackendError:")
+        assert "16-wide" in cell.reason and "8-wide" in cell.reason
 
 
 class TestConditionalLikelihood:
