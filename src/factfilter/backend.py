@@ -45,6 +45,8 @@ class TokenEmbeddings:
         if self.vectors.ndim != 2:
             raise DomainError(f"embedding vectors must be 2-D (n_tokens, dim), "
                               f"got shape {self.vectors.shape}")
+        if self.vectors.shape[0] == 0:
+            raise DomainError("embedding has no token rows")
         if len(self.tokens) != self.vectors.shape[0]:
             raise DomainError(
                 f"token/vector mismatch: {len(self.tokens)} tokens, "

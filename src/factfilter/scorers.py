@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -40,7 +41,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactualityScore:
     """One scorer's value for one pair, qualified by backend provenance."""
 
@@ -52,7 +53,7 @@ class FactualityScore:
     truncated: bool
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise DomainError(f"score for pair {self.pair_id!r} is not finite")
         check = _VALUE_RANGES.get(self.scorer)
         if check is not None and not check(self.value):
@@ -61,7 +62,7 @@ class FactualityScore:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreFailure:
     """Sentinel row recording that a pair could not be scored."""
 
@@ -197,6 +198,8 @@ class ScoreTable:
     def __init__(self, corpus_name: str):
         self.corpus_name = corpus_name
         self._columns: dict[str, dict[str, ScoreCell]] = {}
+        # (backend_name, backend_version) of each column's first cell.
+        self._provenance: dict[str, tuple[str, str]] = {}
 
     @property
     def scorers(self) -> list[str]:
@@ -208,15 +211,13 @@ class ScoreTable:
             raise IntegrityError(
                 f"duplicate score for pair {cell.pair_id!r}, scorer {cell.scorer!r}"
             )
-        if column:
-            existing = next(iter(column.values()))
-            if (existing.backend_name, existing.backend_version) != (
-                    cell.backend_name, cell.backend_version):
-                raise IntegrityError(
-                    f"column {cell.scorer!r} mixes backends "
-                    f"{existing.backend_name}:{existing.backend_version} and "
-                    f"{cell.backend_name}:{cell.backend_version}"
-                )
+        provenance = (cell.backend_name, cell.backend_version)
+        existing = self._provenance.setdefault(cell.scorer, provenance)
+        if existing != provenance:
+            raise IntegrityError(
+                f"column {cell.scorer!r} mixes backends "
+                f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}"
+            )
         column[cell.pair_id] = cell
 
     def has(self, pair_id: str, scorer: str) -> bool:
@@ -244,12 +245,8 @@ class ScoreTable:
         return out
 
     def backend_descriptors(self) -> dict[str, dict[str, str]]:
-        out: dict[str, dict[str, str]] = {}
-        for scorer, column in self._columns.items():
-            if column:
-                cell = next(iter(column.values()))
-                out[scorer] = {"name": cell.backend_name, "version": cell.backend_version}
-        return out
+        return {scorer: {"name": name, "version": version}
+                for scorer, (name, version) in self._provenance.items()}
 
     def ensure_aligned(self) -> None:
         """Check that every column covers the same pair id set."""
@@ -296,16 +293,21 @@ def _cell_to_row(cell: ScoreCell) -> dict:
 
 
 def _cell_from_row(row: Mapping) -> ScoreCell:
-    common = dict(
-        pair_id=row["pair_id"],
-        scorer=row["scorer"],
-        backend_name=row["backend_name"],
-        backend_version=row["backend_version"],
-    )
-    if row.get("value") is None:
-        return ScoreFailure(reason=str(row.get("error", "unknown failure")), **common)
-    return FactualityScore(value=float(row["value"]),
-                           truncated=bool(row.get("truncated", False)), **common)
+    pair_id = row["pair_id"]
+    scorer = row["scorer"]
+    backend_name = row["backend_name"]
+    backend_version = row["backend_version"]
+    value = row.get("value")
+    truncated = row.get("truncated", False)
+    if not isinstance(truncated, bool):
+        raise TypeError(f"'truncated' must be true or false, got {truncated!r}")
+    if value is None:
+        return ScoreFailure(pair_id, scorer, backend_name, backend_version,
+                            str(row.get("error", "unknown failure")))
+    if isinstance(value, bool):
+        raise TypeError(f"'value' must be a number or null, got {value!r}")
+    return FactualityScore(pair_id, scorer, backend_name, backend_version,
+                           float(value), truncated)
 
 
 def write_scores(cells: Iterable[ScoreCell], path: str | Path, append: bool = False) -> None:
@@ -316,7 +318,20 @@ def write_scores(cells: Iterable[ScoreCell], path: str | Path, append: bool = Fa
             handle.write(json.dumps(_cell_to_row(cell), ensure_ascii=False) + "\n")
 
 
+# On a stripped line, raw_decode plus an end-of-line check accepts and rejects
+# exactly what json.loads does, without its per-call wrapper.
+_decode_json = json.JSONDecoder().raw_decode
+
+
 def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
+    """Read a scores file into a ScoreTable, streaming it one row at a time.
+
+    Only the current line is decoded; the file is never held in memory. Every
+    row is checked as it is read: its JSON and field types (`ParseError`),
+    the value's finiteness and scorer range (`DomainError`), and duplicate
+    cells and mixed backend provenance within a column (`IntegrityError`).
+    Each error names the offending `path:line`.
+    """
     table = ScoreTable(corpus_name)
     p = Path(path)
     with p.open("r", encoding="utf-8") as handle:
@@ -325,11 +340,18 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                row, end = _decode_json(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
                 cell = _cell_from_row(row)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad score row: {exc}", path=str(p), line=lineno) from exc
-            table.add(cell)
+            except DomainError as exc:
+                raise DomainError(f"{p}:{lineno}: {exc}") from exc
+            try:
+                table.add(cell)
+            except IntegrityError as exc:
+                raise IntegrityError(f"{p}:{lineno}: {exc}") from exc
     return table
 
 

@@ -124,12 +124,12 @@ def load_annotations(path: str | Path,
 def _system_indicators(annotations: Sequence[FactualityAnnotation]) -> np.ndarray:
     """One indicator column per generating system, first level dropped."""
     systems = sorted({a.system_id for a in annotations})
-    levels = systems[1:]
-    z = np.zeros((len(annotations), len(levels)), dtype=np.float64)
+    columns = {system: col for col, system in enumerate(systems[1:])}
+    z = np.zeros((len(annotations), len(columns)), dtype=np.float64)
     for row, annotation in enumerate(annotations):
-        for col, system in enumerate(levels):
-            if annotation.system_id == system:
-                z[row, col] = 1.0
+        col = columns.get(annotation.system_id)
+        if col is not None:
+            z[row, col] = 1.0
     return z
 
 
@@ -236,15 +236,22 @@ def flip_analysis(scores_by_scorer: Mapping[str, Mapping[str, float]],
     if datasets is None:
         present = sorted({a.source_dataset for a in annotations})
         datasets = present
+    # The flipped labels depend on the category alone, not the scorer or slice.
+    ids = [a.summary_id for a in annotations]
+    flipped_by_category: dict[str, list[FactualityAnnotation]] = {}
+    for category in CATEGORIES:
+        flipped = flip_labels(annotations, category)
+        if [a.summary_id for a in flipped] != ids:
+            raise IntegrityError(f"flipping {category!r} changed the annotation id order")
+        flipped_by_category[category] = flipped
     rows: list[FlipRow] = []
     for scorer in sorted(scores_by_scorer):
         scores = scores_by_scorer[scorer]
         for dataset in datasets:
             r_original = validate_scorer(scores, annotations, dataset, covariates).r
             for category in CATEGORIES:
-                flipped = flip_labels(list(annotations), category)
-                assert [a.summary_id for a in flipped] == [a.summary_id for a in annotations]
-                r_flipped = validate_scorer(scores, flipped, dataset, covariates).r
+                r_flipped = validate_scorer(scores, flipped_by_category[category],
+                                            dataset, covariates).r
                 rows.append(FlipRow(scorer=scorer, dataset=dataset, category=category,
                                     r_original=r_original, r_flipped=r_flipped))
     return FlipReport(rows)

@@ -124,6 +124,10 @@ class TestTokenEmbeddingsShape:
         with pytest.raises(DomainError, match="2-D"):
             TokenEmbeddings(tokens=("a", "b"), vectors=np.ones((2, 3, 4)))
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(DomainError, match="no token rows"):
+            TokenEmbeddings(tokens=(), vectors=np.zeros((0, 16)))
+
 
 class TestMockConditional:
     def test_present_and_absent_rules(self, mock_backend):

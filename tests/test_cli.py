@@ -137,6 +137,19 @@ class TestFilterCommand:
                      "--corpus-name", "toy"]) == 0
         assert FilterManifest.load(manifest_path).q == 0.25
 
+    @pytest.mark.parametrize("change", [
+        {}, {"backend_version": "2", "pair_id": "b"}, {"value": -1.5, "pair_id": "b"},
+        {"value": float("inf"), "pair_id": "b"}, {"truncated": "false", "pair_id": "b"},
+    ], ids=["duplicate", "mixed-provenance", "out-of-range", "non-finite", "string-flag"])
+    def test_bad_score_row_exits_two_naming_its_line(self, tmp_path, capsys, change):
+        row = {"pair_id": "a", "scorer": "greedy", "backend_name": "mock",
+               "backend_version": "1", "value": 0.5, "truncated": False}
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps(row) + "\n" + json.dumps({**row, **change}) + "\n")
+        assert main(["filter", "--scores", str(scores), "--out", str(tmp_path / "m.json"),
+                     "--corpus-name", "c"]) == 2
+        assert f"{scores}:2: " in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_full_and_selection_rows(self, tmp_path, toy):

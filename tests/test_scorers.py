@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from factfilter import Corpus, MockBackend, ScoreTable, load_scores, score_corpus, write_scores
 from factfilter.backend import TokenEmbeddings
-from factfilter.errors import BackendError, ConfigurationError, DomainError, IntegrityError
+from factfilter.corpus import load_corpus, toy_corpus_path
+from factfilter.errors import (
+    BackendError,
+    ConfigurationError,
+    DomainError,
+    IntegrityError,
+    ParseError,
+)
 from factfilter.scorers import (
     _GREEDY_BLOCK_ELEMENTS,
     FactualityScore,
@@ -175,6 +185,25 @@ class TestArcEntailment:
         assert not issubclass(EmptySummaryError, NoArcsError)
 
 
+class RowlessMock(MockBackend):
+    """Returns zero embedding rows for any text that mentions 'void'."""
+
+    def embed_tokens(self, text: str) -> TokenEmbeddings:
+        if "void" in text.split():
+            return TokenEmbeddings(tokens=(), vectors=np.zeros((0, 16)))
+        return super().embed_tokens(text)
+
+
+class TestZeroRowEmbeddings:
+    def test_zero_rows_become_sentinel(self):
+        corpus = make_corpus("c", make_pair("p1", "void of stars", "stars"),
+                             make_pair("p2", "alpha beta gamma", "alpha beta"))
+        cells = score_corpus(corpus, ["greedy"], RowlessMock())
+        assert isinstance(cells[0], ScoreFailure)
+        assert cells[0].reason.startswith("DomainError:")
+        assert isinstance(cells[1], FactualityScore) and cells[1].value == 1.0
+
+
 class TestScoreCorpus:
     def _corpus(self) -> Corpus:
         return make_corpus(
@@ -314,3 +343,168 @@ class TestScoresFile:
         with pytest.raises(IntegrityError):
             score_corpus_to_file(bigger, ["greedy"], OtherVersion(), path)
         assert path.read_bytes() == before
+
+
+def reference_cell_from_row(row):
+    """The per-row cell builder as it was before the positional rewrite."""
+    common = dict(
+        pair_id=row["pair_id"],
+        scorer=row["scorer"],
+        backend_name=row["backend_name"],
+        backend_version=row["backend_version"],
+    )
+    if row.get("value") is None:
+        return ScoreFailure(reason=str(row.get("error", "unknown failure")), **common)
+    return FactualityScore(value=float(row["value"]),
+                           truncated=bool(row.get("truncated", False)), **common)
+
+
+def reference_load_scores(path, corpus_name):
+    """The json.loads-per-line loader as it was before the raw_decode rewrite."""
+    table = ScoreTable(corpus_name)
+    p = Path(path)
+    with p.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+                cell = reference_cell_from_row(row)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"bad score row: {exc}", path=str(p), line=lineno) from exc
+            table.add(cell)
+    return table
+
+
+def _table_cells(table):
+    """Every cell, column by column, in load order, with exact value bits."""
+    out = []
+    for scorer in table.scorers:
+        for pair_id, cell in table.column(scorer).items():
+            bits = cell.value.hex() if isinstance(cell, FactualityScore) else None
+            out.append((scorer, pair_id, type(cell), cell, bits))
+    return out
+
+
+def _generated_cells(seed: int, n_pairs: int):
+    rng = random.Random(seed)
+    ranges = {"greedy": (-1.0, 1.0), "condll": (-30.0, 0.0), "dae": (0.0, 1.0)}
+    edges = {"greedy": [-1.0, 1.0, 0.0, -0.0, 5e-324], "condll": [0.0, -0.0, -1e300],
+             "dae": [0.0, 1.0, 1e-310]}
+    cells = []
+    for scorer, (low, high) in ranges.items():
+        for i in range(n_pairs):
+            pair_id = f"p{i:04d}-\u00e9\u4e2d" if i % 7 == 0 else f"p{i:04d}"
+            if rng.random() < 0.1:
+                reason = rng.choice(['NoArcsError: summary yields "no" arcs',
+                                     "DomainError: r\u00e9sum\u00e9 \\ tab\t"])
+                cells.append(ScoreFailure(pair_id, scorer, "mock", "1", reason))
+                continue
+            value = edges[scorer][i] if i < len(edges[scorer]) else rng.uniform(low, high)
+            cells.append(FactualityScore(pair_id, scorer, "mock", "1", value,
+                                         rng.random() < 0.2))
+    return cells
+
+
+class TestLoaderMatchesReference:
+    def _assert_same(self, path):
+        assert _table_cells(load_scores(path, "c")) == _table_cells(
+            reference_load_scores(path, "c"))
+
+    def test_toy_scores_file(self, tmp_path):
+        corpus = load_corpus(toy_corpus_path(), name="toy")
+        path = tmp_path / "toy_scores.jsonl"
+        # A 40-token limit truncates the longer toy documents.
+        write_scores(score_corpus(corpus, ["greedy", "condll", "dae"],
+                                  MockBackend(max_tokens=40)), path)
+        table = load_scores(path, "toy")
+        cells = [c for s in table.scorers for c in table.column(s).values()]
+        assert len(cells) == 3 * len(corpus)
+        assert any(isinstance(c, FactualityScore) and c.truncated for c in cells)
+        self._assert_same(path)
+
+    def test_generated_file_with_sentinels_and_truncation(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_scores(_generated_cells(seed=5, n_pairs=400), path)
+        # Rows write_scores never produces but the schema allows: padding,
+        # blank lines, a missing 'truncated' or 'error', an integer value.
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("\n   \n")
+            handle.write(' {"pair_id": "x1", "scorer": "greedy", "backend_name": "mock", '
+                         '"backend_version": "1", "value": 1} \t\n')
+            handle.write('{"pair_id": "x1", "scorer": "dae", "backend_name": "mock", '
+                         '"backend_version": "1", "value": null}\n')
+            handle.write('{"pair_id": "x1", "scorer": "condll", "backend_name": "mock", '
+                         '"backend_version": "1", "value": -2.5e-3, "truncated": true, '
+                         '"extra": [1, {"k": null}]}')
+        self._assert_same(path)
+
+    def test_round_trip_equals_written_cells(self, tmp_path):
+        cells = _generated_cells(seed=6, n_pairs=200)
+        path = tmp_path / "scores.jsonl"
+        write_scores(cells, path)
+        table = load_scores(path, "c")
+        loaded = [c for s in table.scorers for c in table.column(s).values()]
+        assert loaded == cells
+        assert [c.value.hex() for c in loaded if isinstance(c, FactualityScore)] == [
+            c.value.hex() for c in cells if isinstance(c, FactualityScore)]
+
+    @pytest.mark.parametrize("second", ['{"a": 1}', "{}", "1", "null"])
+    def test_two_json_values_on_one_line_rejected(self, tmp_path, second):
+        path = tmp_path / "scores.jsonl"
+        write_scores(_generated_cells(seed=7, n_pairs=2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = f"{lines[1]} {second}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="Extra data") as excinfo:
+            load_scores(path, "c")
+        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith(f"{path}:2: ")
+        with pytest.raises(ParseError, match="Extra data"):
+            reference_load_scores(path, "c")
+
+
+_GOOD_ROW = {"pair_id": "a", "scorer": "greedy", "backend_name": "mock",
+             "backend_version": "1", "value": 0.5, "truncated": False}
+
+
+def _write_rows(path, *rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestScoreRowErrors:
+    @pytest.mark.parametrize("bad_row, error, message", [
+        (_GOOD_ROW, IntegrityError, "duplicate score for pair 'a'"),
+        ({**_GOOD_ROW, "pair_id": "b", "backend_version": "2"}, IntegrityError,
+         "mixes backends mock:1 and mock:2"),
+        ({**_GOOD_ROW, "pair_id": "b", "scorer": "dae", "value": 1.5}, DomainError,
+         "outside the valid range"),
+        ({**_GOOD_ROW, "pair_id": "b", "value": float("nan")}, DomainError, "not finite"),
+        ({**_GOOD_ROW, "pair_id": "b", "value": float("inf")}, DomainError, "not finite"),
+    ], ids=["duplicate", "mixed-provenance", "out-of-range", "nan", "infinite"])
+    def test_error_names_its_line(self, tmp_path, bad_row, error, message):
+        path = tmp_path / "scores.jsonl"
+        _write_rows(path, _GOOD_ROW, {**_GOOD_ROW, "pair_id": "c"}, bad_row)
+        with pytest.raises(error, match=message) as excinfo:
+            load_scores(path, "c")
+        assert type(excinfo.value) is error
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("truncated", "false"), ("truncated", "true"), ("truncated", 0),
+        ("truncated", 1), ("truncated", None), ("value", True), ("value", False),
+    ])
+    def test_wrongly_typed_field_is_parse_error(self, tmp_path, field, value):
+        path = tmp_path / "scores.jsonl"
+        _write_rows(path, {**_GOOD_ROW, "pair_id": "c"}, {**_GOOD_ROW, field: value})
+        with pytest.raises(ParseError, match=repr(field)) as excinfo:
+            load_scores(path, "c")
+        assert excinfo.value.line == 2
+
+    def test_wrongly_typed_truncated_on_sentinel_is_parse_error(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        _write_rows(path, {**_GOOD_ROW, "value": None, "truncated": "false", "error": "x"})
+        with pytest.raises(ParseError, match="'truncated'") as excinfo:
+            load_scores(path, "c")
+        assert excinfo.value.line == 1

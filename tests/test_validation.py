@@ -13,7 +13,9 @@ from factfilter import (
     load_annotations,
     validate_scorer,
 )
+from factfilter import validation
 from factfilter.errors import CoverageError, DomainError, IntegrityError, ParseError
+from factfilter.validation import FlipRow, _system_indicators
 
 
 def synth_annotations(seed: int, n: int, flag_rate: float = 0.3,
@@ -209,3 +211,100 @@ class TestFlipAnalysis:
         # header + (1 scorer x 2 datasets x 3 categories)
         assert len(lines) == 1 + 6
         assert lines[0] == "scorer,dataset,category,r_original,r_flipped,delta"
+
+
+def reference_flip_rows(scores_by_scorer, annotations, covariates="system", datasets=None):
+    """flip_analysis as it was: one flip_labels call per scorer x dataset x category."""
+    if datasets is None:
+        datasets = sorted({a.source_dataset for a in annotations})
+    rows = []
+    for scorer in sorted(scores_by_scorer):
+        scores = scores_by_scorer[scorer]
+        for dataset in datasets:
+            r_original = validate_scorer(scores, annotations, dataset, covariates).r
+            for category in CATEGORIES:
+                flipped = flip_labels(list(annotations), category)
+                r_flipped = validate_scorer(scores, flipped, dataset, covariates).r
+                rows.append(FlipRow(scorer=scorer, dataset=dataset, category=category,
+                                    r_original=r_original, r_flipped=r_flipped))
+    return rows
+
+
+def reference_system_indicators(annotations):
+    """_system_indicators as it was: every level scanned for every row."""
+    systems = sorted({a.system_id for a in annotations})
+    levels = systems[1:]
+    z = np.zeros((len(annotations), len(levels)), dtype=np.float64)
+    for row, annotation in enumerate(annotations):
+        for col, system in enumerate(levels):
+            if annotation.system_id == system:
+                z[row, col] = 1.0
+    return z
+
+
+def _row_bits(rows):
+    return [(r.scorer, r.dataset, r.category, float(r.r_original).hex(),
+             float(r.r_flipped).hex()) for r in rows]
+
+
+class TestFlipAnalysisMatchesReference:
+    SYSTEMS = ("sysD", "sysA", "sysC", "sysB")
+
+    def _inputs(self):
+        annotations = synth_annotations(21, 600, systems=self.SYSTEMS)
+        rng = np.random.default_rng(22)
+        scores = {
+            "noise": {a.summary_id: float(rng.normal()) for a in annotations},
+            "probe": {a.summary_id: 0.0 if a.category_flags["discourse"] else 1.0
+                      for a in annotations},
+            # 2% of the annotations unscored: excluded pairwise above the floor.
+            "partial": {a.summary_id: a.factuality + float(rng.normal(0, 0.1))
+                        for i, a in enumerate(annotations) if i % 50},
+        }
+        return scores, annotations
+
+    @pytest.mark.parametrize("covariates, datasets", [
+        ("system", None), ("none", None), ("system", ("xsum",)),
+        ("system", ("xsum", "cnndm")),
+    ])
+    def test_rows_bit_equal(self, covariates, datasets):
+        scores, annotations = self._inputs()
+        report = flip_analysis(scores, annotations, covariates, datasets)
+        expected = reference_flip_rows(scores, annotations, covariates, datasets)
+        assert report.rows == expected
+        assert _row_bits(report.rows) == _row_bits(expected)
+
+    def test_flips_once_per_category(self, monkeypatch):
+        scores, annotations = self._inputs()
+        calls = []
+
+        def counting_flip(items, category):
+            calls.append(category)
+            return flip_labels(items, category)
+
+        monkeypatch.setattr(validation, "flip_labels", counting_flip)
+        report = flip_analysis(scores, annotations)
+        assert len(report.rows) == 3 * 2 * len(CATEGORIES)
+        assert calls == list(CATEGORIES)
+
+    def test_reordering_flip_is_integrity_error(self, monkeypatch):
+        scores, annotations = self._inputs()
+        monkeypatch.setattr(validation, "flip_labels",
+                            lambda items, category: flip_labels(items, category)[::-1])
+        with pytest.raises(IntegrityError, match="id order"):
+            flip_analysis(scores, annotations)
+
+
+class TestSystemIndicatorsMatchReference:
+    @pytest.mark.parametrize("systems", [("sysA",), ("sysB", "sysA"),
+                                         ("s9", "s1", "s5", "s3", "s7")])
+    def test_equal_to_double_loop(self, systems):
+        annotations = synth_annotations(23, 97, systems=systems)
+        z = _system_indicators(annotations)
+        expected = reference_system_indicators(annotations)
+        assert z.shape == (97, len(systems) - 1)
+        assert z.dtype == expected.dtype
+        assert np.array_equal(z, expected)
+
+    def test_empty(self):
+        assert _system_indicators([]).shape == reference_system_indicators([]).shape == (0, 0)
