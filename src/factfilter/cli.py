@@ -17,7 +17,7 @@ import os
 import shlex
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import remote  # noqa: F401  (registers the remote backend)
 from .backend import Backend, create_backend
@@ -32,6 +32,7 @@ from .errors import (
     IntegrityError,
     ParseError,
     ScoringError,
+    TransportError,
 )
 from .experiments import (
     DEFAULT_THRESHOLDS,
@@ -45,6 +46,7 @@ from .experiments import (
 )
 from .filtration import FilterManifest, apply_manifest, intersect_filter
 from .metrics import ALL_METRICS, EvalReport, evaluate_outputs
+from .records import read_jsonl, write_csv
 from .scorers import SCORERS, load_scores, score_corpus_to_file
 from .validation import flip_analysis, load_annotations, validate_scorer
 
@@ -147,26 +149,18 @@ def _split_csv(value: str) -> list[str]:
 
 
 def _load_generated(path: str | Path) -> dict[str, str]:
-    p = Path(path)
     generated: dict[str, str] = {}
-    with p.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                pair_id, summary = row["id"], row["summary"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(f"bad generated-summary row: {exc}",
-                                 path=str(p), line=lineno) from exc
-            for name, value in (("id", pair_id), ("summary", summary)):
-                if not isinstance(value, str):
-                    raise ParseError(f"field {name!r} must be a string",
-                                     path=str(p), line=lineno)
-            if pair_id in generated:
-                raise IntegrityError(f"duplicate generated summary for id {pair_id!r}")
-            generated[pair_id] = summary
+
+    def consume(row: dict[str, Any]) -> None:
+        pair_id, summary = row["id"], row["summary"]
+        for name, value in (("id", pair_id), ("summary", summary)):
+            if not isinstance(value, str):
+                raise TypeError(f"field {name!r} must be a string")
+        if pair_id in generated:
+            raise IntegrityError(f"duplicate generated summary for id {pair_id!r}")
+        generated[pair_id] = summary
+
+    read_jsonl(path, consume)
     return generated
 
 
@@ -175,8 +169,7 @@ def _load_generated(path: str | Path) -> dict[str, str]:
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
     _require(args, "in_path", "out")
-    corpus = load_corpus(args.in_path, name=args.name) if args.name \
-        else load_corpus(args.in_path)
+    corpus = load_corpus(args.in_path, name=args.name or None)
     _write_config_echo(args.out, "ingest", args)
     save_corpus(corpus, args.out)
     logger.info("ingested %d pairs into %s", len(corpus), args.out)
@@ -188,8 +181,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
     unknown = [s for s in scorer_names if s not in SCORERS]
     if unknown:
         raise ConfigurationError(f"unknown scorers {unknown}; available: {sorted(SCORERS)}")
-    corpus = load_corpus(args.in_path, name=args.corpus_name) if args.corpus_name \
-        else load_corpus(args.in_path)
+    corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     _write_config_echo(args.out, "score", args)
     backend = _make_backend(args)
     try:
@@ -230,22 +222,16 @@ def _stats_row(label: str, corpus: Corpus, ratio: float | None) -> list[str]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
-    import csv as _csv
-
     _require(args, "in_path", "out")
-    corpus = load_corpus(args.in_path, name=args.corpus_name) if args.corpus_name \
-        else load_corpus(args.in_path)
+    corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     _write_config_echo(args.out, "stats", args)
     rows = [_stats_row("full", corpus, None)]
     if args.manifest:
         manifest = FilterManifest.load(args.manifest)
         filtered = apply_manifest(corpus, manifest)
         rows.append(_stats_row("selection", filtered, manifest.selection_ratio))
-    with Path(args.out).open("w", encoding="utf-8", newline="") as handle:
-        writer = _csv.writer(handle, lineterminator="\n")
-        writer.writerow(["record", "corpus", "n_pairs", "n_train", "n_validation",
-                         "n_test", "mean_doc_words", "mean_sum_words", "selection_ratio"])
-        writer.writerows(rows)
+    write_csv(args.out, ["record", "corpus", "n_pairs", "n_train", "n_validation", "n_test",
+                         "mean_doc_words", "mean_sum_words", "selection_ratio"], rows)
     logger.info("wrote corpus stats to %s", args.out)
     if args.scores:
         table = load_scores(args.scores, corpus.name)
@@ -257,8 +243,6 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_validate_frank(args: argparse.Namespace) -> None:
-    import csv as _csv
-
     _require(args, "annotations", "scores", "out")
     annotations = load_annotations(args.annotations)
     table = load_scores(args.scores, "annotations")
@@ -267,16 +251,17 @@ def _cmd_validate_frank(args: argparse.Namespace) -> None:
     slices: list[str | None] = list(present)
     if len(present) > 1:
         slices.append(None)  # pooled
-    _write_config_echo(args.out, "validate-frank", args)
-    with Path(args.out).open("w", encoding="utf-8", newline="") as handle:
-        writer = _csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scorer", "dataset", "r", "n", "n_covariates"])
+
+    def rows() -> Iterator[list[str]]:
         for scorer in scorer_names:
             scores = table.values(scorer)
             for dataset in slices:
                 result = validate_scorer(scores, annotations, dataset)
-                writer.writerow([scorer, dataset or "all", repr(float(result.r)),
-                                 str(result.n), str(result.n_covariates)])
+                yield [scorer, dataset or "all", repr(float(result.r)),
+                       str(result.n), str(result.n_covariates)]
+
+    _write_config_echo(args.out, "validate-frank", args)
+    write_csv(args.out, ["scorer", "dataset", "r", "n", "n_covariates"], rows())
     logger.info("wrote scorer validation to %s", args.out)
 
 
@@ -294,8 +279,7 @@ def _cmd_flip_analysis(args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     _require(args, "in_path", "scores", "out")
-    corpus = load_corpus(args.in_path, name=args.corpus_name) if args.corpus_name \
-        else load_corpus(args.in_path)
+    corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     table = load_scores(args.scores, corpus.name)
     thresholds = tuple(float(t) for t in _split_csv(args.thresholds)) \
         if args.thresholds else DEFAULT_THRESHOLDS
@@ -316,8 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     _require(args, "in_path", "generated", "out")
-    corpus = load_corpus(args.in_path, name=args.corpus_name) if args.corpus_name \
-        else load_corpus(args.in_path)
+    corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     generated = _load_generated(args.generated)
     metrics = _split_csv(args.metrics) if args.metrics else list(ALL_METRICS)
     manifest = FilterManifest.load(args.manifest) if args.manifest else None
@@ -475,7 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BackendError as exc:
+    except (BackendError, TransportError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (ParseError, IntegrityError, CoverageError, ScoringError,

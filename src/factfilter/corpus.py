@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .errors import DomainError, IntegrityError, ParseError
+from .errors import DomainError, IntegrityError
+from .records import read_jsonl
 
 SPLITS = ("train", "validation", "test")
 
@@ -54,7 +55,6 @@ class Corpus:
 
     name: str
     pairs: tuple[Pair, ...]
-    schema_version: int = 1
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -81,8 +81,7 @@ class Corpus:
                 f"ids not in corpus {self.name!r}: {sorted(unknown)[:10]}"
             )
         kept = tuple(pair for pair in self.pairs if pair.id in wanted)
-        return Corpus(name=name if name is not None else self.name,
-                      pairs=kept, schema_version=self.schema_version)
+        return Corpus(name=name if name is not None else self.name, pairs=kept)
 
     def split_pairs(self, split: str) -> tuple[Pair, ...]:
         if split not in SPLITS:
@@ -99,14 +98,6 @@ class CorpusStats:
     mean_sum_words: float
     per_split_counts: Mapping[str, int]
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "n_pairs": self.n_pairs,
-            "mean_doc_words": self.mean_doc_words,
-            "mean_sum_words": self.mean_sum_words,
-            "per_split_counts": dict(self.per_split_counts),
-        }
-
 
 def word_count(text: str) -> int:
     """Number of maximal non-whitespace runs (Unicode whitespace splitting)."""
@@ -119,57 +110,38 @@ def toy_corpus_path() -> Path:
 
 
 def _pair_from_record(record: Mapping[str, Any]) -> Pair:
-    missing = [f for f in _REQUIRED_FIELDS if f not in record]
-    if missing:
-        raise DomainError(f"missing fields: {', '.join(missing)}")
-    meta = record.get("meta", {})
-    if not isinstance(meta, dict):
-        raise DomainError("meta must be an object")
     for f in _REQUIRED_FIELDS:
         if not isinstance(record[f], str):
-            raise DomainError(f"field {f!r} must be a string")
-    return Pair(
-        id=record["id"],
-        document=record["document"],
-        summary=record["summary"],
-        split=record["split"],
-        meta=meta,
-    )
+            raise TypeError(f"field {f!r} must be a string")
+    meta = record.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TypeError("meta must be an object")
+    try:
+        return Pair(id=record["id"], document=record["document"], summary=record["summary"],
+                    split=record["split"], meta=meta)
+    except DomainError as exc:  # a bad record, so a parse error, not a bad argument
+        raise ValueError(str(exc)) from exc
 
 
-def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None) -> Corpus:
-    """Load a corpus from disk, preserving file order.
+def load_corpus(path: str | Path, name: str | None = None) -> Corpus:
+    """Load a corpus from JSONL, preserving file order.
 
-    Raises ParseError with the line number on malformed records and
-    IntegrityError on duplicate ids.
+    Raises ParseError naming `path:line` on a malformed record (bad JSON, a
+    missing or mistyped field, an empty text or unknown split) and
+    IntegrityError naming it on a duplicate id.
     """
-    if format != "jsonl":
-        raise DomainError(f"unsupported corpus format {format!r}")
-    p = Path(path)
     pairs: list[Pair] = []
-    seen: dict[str, int] = {}
-    with p.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", path=str(p), line=lineno) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record is not an object", path=str(p), line=lineno)
-            try:
-                pair = _pair_from_record(record)
-            except DomainError as exc:
-                raise ParseError(str(exc), path=str(p), line=lineno) from exc
-            if pair.id in seen:
-                raise IntegrityError(
-                    f"duplicate id {pair.id!r} on lines {seen[pair.id]} and {lineno} of {p}"
-                )
-            seen[pair.id] = lineno
-            pairs.append(pair)
-    return Corpus(name=name if name is not None else p.stem, pairs=tuple(pairs))
+    seen: set[str] = set()
+
+    def consume(record: Mapping[str, Any]) -> None:
+        pair = _pair_from_record(record)
+        if pair.id in seen:
+            raise IntegrityError(f"duplicate id {pair.id!r}")
+        seen.add(pair.id)
+        pairs.append(pair)
+
+    read_jsonl(path, consume)
+    return Corpus(name=name if name is not None else Path(path).stem, pairs=tuple(pairs))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -78,6 +78,11 @@ class SequenceLengthError(BackendError):
         super().__init__(f"{message} (limit: {limit} tokens)")
 
 
+class TransportError(FactFilterError):
+    """The link to an out-of-process backend broke: the process exited, a stream
+    closed, or a reply was unreadable. Never per-pair data: it aborts the run."""
+
+
 # Errors recorded against a single pair (a score sentinel, an evaluation
 # failure row, a pair left out of a sweep mean) instead of aborting the run.
 PER_PAIR_ERRORS = (ScoringError, BackendError, DomainError)

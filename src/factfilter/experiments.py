@@ -8,12 +8,11 @@ the same callable signature.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .filtration import intersect_filter, percentile_keep_set, random_selection
 from .metrics import REFERENCE_FREE_METRICS, EvalReport, reference_free_value
+from .records import write_csv
 from .scorers import ScoreTable
 from .stats import WilcoxonResult, wilcoxon_signed_rank
 
@@ -103,17 +103,16 @@ def distribution_report(table: ScoreTable,
 
 def write_distribution_csv(summaries: Sequence[DistributionSummary],
                            path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["scorer", "stat", "bin_left", "bin_right", "value"])
+    def rows() -> Iterator[list[str]]:
         for summary in summaries:
             for stat, value in (("min", summary.minimum), ("q1", summary.q1),
                                 ("median", summary.median), ("q3", summary.q3),
                                 ("max", summary.maximum)):
-                writer.writerow([summary.scorer, stat, "", "", repr(float(value))])
+                yield [summary.scorer, stat, "", "", repr(float(value))]
             for left, right, count in summary.bins:
-                writer.writerow([summary.scorer, "bin", repr(float(left)),
-                                 repr(float(right)), str(count)])
+                yield [summary.scorer, "bin", repr(float(left)), repr(float(right)), str(count)]
+
+    write_csv(path, ["scorer", "stat", "bin_left", "bin_right", "value"], rows())
 
 
 @dataclass(frozen=True)
@@ -199,16 +198,15 @@ def run_sweep(corpus: Corpus, table: ScoreTable, spec: SweepSpec,
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     metric_names = sorted({name for row in rows for name in row.metrics})
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["strategy", "threshold", "n_selected", "ratio", "status"]
-                        + metric_names + ["note"])
-        for row in rows:
-            values = [repr(float(row.metrics[name])) if name in row.metrics else ""
-                      for name in metric_names]
-            writer.writerow([row.strategy, repr(float(row.threshold)),
-                             str(row.n_selected), repr(float(row.ratio)), row.status]
-                            + values + [row.note])
+
+    def cells(row: SweepRow) -> list[str]:
+        values = [repr(float(row.metrics[name])) if name in row.metrics else ""
+                  for name in metric_names]
+        return ([row.strategy, repr(float(row.threshold)), str(row.n_selected),
+                 repr(float(row.ratio)), row.status] + values + [row.note])
+
+    write_csv(path, ["strategy", "threshold", "n_selected", "ratio", "status"]
+              + metric_names + ["note"], map(cells, rows))
 
 
 @dataclass(frozen=True)
@@ -235,16 +233,14 @@ class ComparisonReport:
         raise KeyError(metric)
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["metric", "mean_a", "mean_b", "n",
-                             "w_statistic", "p_value", "winner", "note"])
-            for row in self.rows:
-                w = repr(float(row.wilcoxon.w_statistic)) if row.wilcoxon else ""
-                p = repr(float(row.wilcoxon.p_value)) if row.wilcoxon else ""
-                writer.writerow([row.metric, repr(float(row.mean_a)),
-                                 repr(float(row.mean_b)), str(row.n), w, p,
-                                 row.winner, row.note])
+        def cells(row: ComparisonRow) -> list[str]:
+            w = repr(float(row.wilcoxon.w_statistic)) if row.wilcoxon else ""
+            p = repr(float(row.wilcoxon.p_value)) if row.wilcoxon else ""
+            return [row.metric, repr(float(row.mean_a)), repr(float(row.mean_b)),
+                    str(row.n), w, p, row.winner, row.note]
+
+        write_csv(path, ["metric", "mean_a", "mean_b", "n", "w_statistic", "p_value",
+                         "winner", "note"], map(cells, self.rows))
 
 
 def compare_selections(report_a: EvalReport, report_b: EvalReport,

@@ -217,4 +217,4 @@ def apply_manifest(corpus: Corpus, manifest: FilterManifest) -> Corpus:
     kept = manifest.kept_id_set()
     pairs = tuple(pair.with_meta(filter_manifest=reference)
                   for pair in corpus if pair.id in kept)
-    return Corpus(name=corpus.name, pairs=pairs, schema_version=corpus.schema_version)
+    return Corpus(name=corpus.name, pairs=pairs)

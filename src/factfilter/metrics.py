@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     failure_reason,
 )
 from .filtration import FilterManifest
+from .records import write_csv
 from .scorers import SCORERS
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
@@ -171,26 +172,23 @@ class EvalReport:
         return mean * 100.0 if metric == "rouge2" else mean
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_REPORT_COLUMNS)
-            writer.writerow(["meta", "", "corpus_name", "", "", "", self.corpus_name])
+        def rows() -> Iterator[list[str]]:
+            yield ["meta", "", "corpus_name", "", "", "", self.corpus_name]
             for metric in self.metrics:
                 for pair_id in sorted(self.per_pair[metric]):
-                    writer.writerow(["pair", pair_id, metric,
-                                     repr(float(self.per_pair[metric][pair_id])),
-                                     "", "", ""])
+                    yield ["pair", pair_id, metric,
+                           repr(float(self.per_pair[metric][pair_id])), "", "", ""]
                 for pair_id in sorted(self.failures[metric]):
-                    writer.writerow(["failure", pair_id, metric, "", "", "",
-                                     self.failures[metric][pair_id]])
+                    yield ["failure", pair_id, metric, "", "", "",
+                           self.failures[metric][pair_id]]
             for metric in self.metrics:
                 if self.per_pair[metric]:
-                    writer.writerow(["aggregate", "", metric,
-                                     repr(float(self.mean(metric))),
-                                     str(self.n(metric)),
-                                     repr(float(self.headline(metric))), ""])
+                    yield ["aggregate", "", metric, repr(float(self.mean(metric))),
+                           str(self.n(metric)), repr(float(self.headline(metric))), ""]
                 else:
-                    writer.writerow(["aggregate", "", metric, "", "0", "", "no values"])
+                    yield ["aggregate", "", metric, "", "0", "", "no values"]
+
+        write_csv(path, _REPORT_COLUMNS, rows())
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EvalReport":

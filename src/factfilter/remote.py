@@ -134,20 +134,29 @@ class RemoteBackend(Backend):
 
     def _request(self, op: str, args: dict[str, Any]) -> dict[str, Any]:
         if self._proc.poll() is not None:
-            raise errors.BackendError(f"backend process exited with {self._proc.returncode}")
+            raise errors.TransportError(f"backend process exited with {self._proc.returncode}")
         assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(json.dumps({"op": op, "args": args}, ensure_ascii=False) + "\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
+        try:
+            self._proc.stdin.write(json.dumps({"op": op, "args": args},
+                                              ensure_ascii=False) + "\n")
+            self._proc.stdin.flush()
+            line = self._proc.stdout.readline()
+        except (OSError, ValueError) as exc:  # broken pipe, undecodable bytes
+            raise errors.TransportError(f"backend stream failed during {op!r}: {exc}") from exc
         if not line:
-            raise errors.BackendError("backend process closed its output stream")
-        response = json.loads(line)
-        if "error" in response:
-            err = response["error"]
+            raise errors.TransportError("backend process closed its output stream")
+        try:
+            response = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise errors.TransportError(f"unparseable reply to {op!r}: {exc}") from exc
+        err = response.get("error") if isinstance(response, dict) else None
+        if isinstance(err, dict):
             exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)
             if exc_type is errors.SequenceLengthError:
                 raise errors.SequenceLengthError(err["message"], int(err.get("limit", 0)))
             raise exc_type(err.get("message", "remote backend error"))
+        if not isinstance(response, dict) or "result" not in response:
+            raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
         return response["result"]
 
     def close(self) -> None:

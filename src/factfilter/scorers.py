@@ -34,9 +34,9 @@ from .errors import (
     EmptySummaryError,
     IntegrityError,
     NoArcsError,
-    ParseError,
     failure_reason,
 )
+from .records import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -304,7 +304,7 @@ def _cell_from_row(row: Mapping) -> ScoreCell:
     if value is None:
         return ScoreFailure(pair_id, scorer, backend_name, backend_version,
                             str(row.get("error", "unknown failure")))
-    if isinstance(value, bool):
+    if type(value) not in (float, int):  # rejects bool, an int subclass
         raise TypeError(f"'value' must be a number or null, got {value!r}")
     return FactualityScore(pair_id, scorer, backend_name, backend_version,
                            float(value), truncated)
@@ -318,40 +318,16 @@ def write_scores(cells: Iterable[ScoreCell], path: str | Path, append: bool = Fa
             handle.write(json.dumps(_cell_to_row(cell), ensure_ascii=False) + "\n")
 
 
-# On a stripped line, raw_decode plus an end-of-line check accepts and rejects
-# exactly what json.loads does, without its per-call wrapper.
-_decode_json = json.JSONDecoder().raw_decode
-
-
 def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
     """Read a scores file into a ScoreTable, streaming it one row at a time.
 
-    Only the current line is decoded; the file is never held in memory. Every
-    row is checked as it is read: its JSON and field types (`ParseError`),
+    Every row is checked as it is read: its JSON and field types (`ParseError`),
     the value's finiteness and scorer range (`DomainError`), and duplicate
     cells and mixed backend provenance within a column (`IntegrityError`).
     Each error names the offending `path:line`.
     """
     table = ScoreTable(corpus_name)
-    p = Path(path)
-    with p.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row, end = _decode_json(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                cell = _cell_from_row(row)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad score row: {exc}", path=str(p), line=lineno) from exc
-            except DomainError as exc:
-                raise DomainError(f"{p}:{lineno}: {exc}") from exc
-            try:
-                table.add(cell)
-            except IntegrityError as exc:
-                raise IntegrityError(f"{p}:{lineno}: {exc}") from exc
+    read_jsonl(path, lambda row: table.add(_cell_from_row(row)))
     return table
 
 

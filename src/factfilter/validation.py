@@ -17,15 +17,14 @@ Annotation JSONL schema (field names remappable via a column map):
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, IntegrityError, ParseError
+from .errors import CoverageError, DomainError, IntegrityError
+from .records import read_jsonl, write_csv
 from .stats import PartialCorrelationResult, partial_pearson
 
 CATEGORIES = ("semantic_frame", "discourse", "content_verifiability")
@@ -79,40 +78,43 @@ def load_annotations(path: str | Path,
 
     `column_map` remaps our canonical field names onto the file's column
     names, so externally published annotation releases can be adapted
-    without rewriting them.
+    without rewriting them. Flags must be JSON booleans and factuality a JSON
+    number. Each malformed record, out-of-domain value or duplicate summary
+    id names its `path:line`; records violating no-flags-implies-factual are
+    collected and reported together.
     """
     columns = dict(_DEFAULT_COLUMNS)
     if column_map:
         columns.update(column_map)
-    p = Path(path)
     annotations: list[FactualityAnnotation] = []
+    seen: set[str] = set()
     bad_ids: list[str] = []
-    with p.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", path=str(p), line=lineno) from exc
-            try:
-                flags_raw = record[columns["errors"]]
-                flags = {cat: bool(flags_raw[cat]) for cat in CATEGORIES}
-                annotation = FactualityAnnotation(
-                    summary_id=str(record[columns["summary_id"]]),
-                    source_dataset=str(record[columns["dataset"]]),
-                    system_id=str(record[columns["system"]]),
-                    factuality=float(record[columns["factuality"]]),
-                    category_flags=flags,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad annotation record: {exc}",
-                                 path=str(p), line=lineno) from exc
-            except IntegrityError:
-                bad_ids.append(str(record[columns["summary_id"]]))
-                continue
-            annotations.append(annotation)
+
+    def consume(record: Mapping[str, Any]) -> None:
+        flags_raw = record[columns["errors"]]
+        flags = {cat: flags_raw[cat] for cat in CATEGORIES}
+        for cat, flag in flags.items():
+            if not isinstance(flag, bool):
+                raise TypeError(f"flag {cat!r} must be true or false, got {flag!r}")
+        factuality = record[columns["factuality"]]
+        if type(factuality) not in (float, int):  # rejects bool, an int subclass
+            raise TypeError(f"factuality must be a number, got {factuality!r}")
+        summary_id = str(record[columns["summary_id"]])
+        if summary_id in seen:
+            raise IntegrityError(f"duplicate annotation for summary {summary_id!r}")
+        seen.add(summary_id)
+        try:
+            annotations.append(FactualityAnnotation(
+                summary_id=summary_id,
+                source_dataset=str(record[columns["dataset"]]),
+                system_id=str(record[columns["system"]]),
+                factuality=float(factuality),
+                category_flags=flags,
+            ))
+        except IntegrityError:
+            bad_ids.append(summary_id)
+
+    read_jsonl(path, consume)
     if bad_ids:
         raise IntegrityError(
             f"{len(bad_ids)} annotations violate no-flags-implies-factual: "
@@ -213,14 +215,10 @@ class FlipReport:
         raise KeyError((scorer, dataset, category))
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["scorer", "dataset", "category",
-                             "r_original", "r_flipped", "delta"])
-            for row in self.rows:
-                writer.writerow([row.scorer, row.dataset, row.category,
-                                 repr(float(row.r_original)), repr(float(row.r_flipped)),
-                                 repr(float(row.delta))])
+        write_csv(path, ["scorer", "dataset", "category", "r_original", "r_flipped", "delta"],
+                  ([row.scorer, row.dataset, row.category, repr(float(row.r_original)),
+                    repr(float(row.r_flipped)), repr(float(row.delta))]
+                   for row in self.rows))
 
 
 def flip_analysis(scores_by_scorer: Mapping[str, Mapping[str, float]],

@@ -315,3 +315,76 @@ def test_console_entry_point_runs():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "factfilter" in result.stdout
+
+
+_FAULTY_SERVER = """
+import itertools, sys
+sys.path.insert(0, {src!r})
+from factfilter.backend import MockBackend
+from factfilter.remote import serve
+
+k, reply = int(sys.argv[1]), sys.argv[2]
+serve(MockBackend(), itertools.islice(sys.stdin, k), sys.stdout)
+if reply != "exit":
+    sys.stdin.readline()
+    sys.stdout.buffer.write(b"\\xff\\xfe\\n" if reply == "invalid-utf8"
+                            else reply.encode() + b"\\n")
+    sys.stdout.flush()
+    serve(MockBackend(), sys.stdin, sys.stdout)
+"""
+
+
+class TestTransportFailures:
+    """A dead or garbled server aborts `score` and leaves the scores file as it was."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        path = tmp_path / "server.py"
+        path.write_text(_FAULTY_SERVER.format(src=str(toy_corpus_path().parents[2])),
+                        encoding="utf-8")
+        return path
+
+    @pytest.fixture()
+    def partial(self, tmp_path, toy):
+        full = _score(tmp_path, toy)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_bytes(b"".join(full.read_bytes().splitlines(keepends=True)[:25]))
+        return full, partial
+
+    @pytest.mark.parametrize("k, reply", [
+        (1, "exit"), (60, "exit"), (60, "not json"), (60, "{}"), (60, '{"error": "boom"}'),
+        (60, "[1]"), (60, "invalid-utf8"),
+    ], ids=["exit-after-handshake", "exit-after-60", "not-json", "no-result",
+            "non-object-error", "non-object-reply", "invalid-utf8"])
+    def test_score_exits_three_and_keeps_the_scores_file(self, toy, capsys, server,
+                                                         partial, k, reply):
+        full, partial = partial
+        before = partial.read_bytes()
+        command = f"{sys.executable} {server} {k} '{reply}'"
+        code = main(["score", "--in", str(toy), "--out", str(partial), "--scorers",
+                     "greedy,condll,dae", "--backend", "remote", "--remote-command", command])
+        assert code == 3
+        assert "backend error: " in capsys.readouterr().err
+        assert partial.read_bytes() == before
+        # The run resumes from the untouched file to the uninterrupted bytes.
+        healthy = f"{sys.executable} -m factfilter.remote --backend mock"
+        assert main(["score", "--in", str(toy), "--out", str(partial), "--scorers",
+                     "greedy,condll,dae", "--backend", "remote",
+                     "--remote-command", healthy]) == 0
+        assert partial.read_bytes() == full.read_bytes()
+
+    def test_request_to_an_exited_server_is_a_transport_error(self, server):
+        from factfilter.errors import TransportError
+        from factfilter.remote import RemoteBackend
+
+        backend = RemoteBackend([sys.executable, str(server), "1", "exit"])
+        assert backend._proc.wait(timeout=30) == 0
+        with pytest.raises(TransportError, match="exited with 0"):
+            backend.tokenize("a b")
+        backend.close()
+
+
+def test_transport_error_is_never_per_pair():
+    from factfilter.errors import PER_PAIR_ERRORS, TransportError
+
+    assert not issubclass(TransportError, PER_PAIR_ERRORS)

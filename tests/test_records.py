@@ -1,0 +1,241 @@
+"""One JSONL reader and one CSV writer (`factfilter.records`) behind every stage.
+
+Each JSONL loader reports each kind of bad record with one exception class,
+names its `path:line`, and maps to exit code 2 on the command line.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+from factfilter import load_annotations, load_corpus, load_scores
+from factfilter.cli import _load_generated, main
+from factfilter.corpus import toy_corpus_path
+from factfilter.errors import DomainError, IntegrityError, ParseError
+from factfilter.records import read_jsonl, write_csv
+from factfilter.validation import CATEGORIES
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "factfilter"
+
+GOOD = {
+    "corpus": lambda i: {"id": i, "document": "the mayor opened the bridge",
+                         "summary": "the mayor opened it", "split": "test", "meta": {}},
+    "scores": lambda i: {"pair_id": i, "scorer": "dae", "backend_name": "mock",
+                         "backend_version": "1", "value": 0.5, "truncated": False},
+    "annotations": lambda i: {"summary_id": i, "dataset": "cnndm", "system": "sysA",
+                              "factuality": 1.0, "errors": dict.fromkeys(CATEGORIES, False)},
+    "generated": lambda i: {"id": i, "summary": "the mayor opened it"},
+}
+
+LOADERS = {
+    "corpus": load_corpus,
+    "scores": lambda path: load_scores(path, "c"),
+    "annotations": load_annotations,
+    "generated": _load_generated,
+}
+
+
+def _cli_argv(loader: str, path: Path, tmp_path: Path) -> list[str]:
+    """A command whose first file read is `path`, loaded by `loader`."""
+    if loader == "corpus":
+        return ["ingest", "--in", str(path), "--out", str(tmp_path / "out.jsonl")]
+    if loader == "scores":
+        return ["filter", "--scores", str(path), "--out", str(tmp_path / "m.json"),
+                "--corpus-name", "c"]
+    scores = tmp_path / "good_scores.jsonl"
+    scores.write_text(json.dumps(GOOD["scores"]("a")) + "\n", encoding="utf-8")
+    if loader == "annotations":
+        return ["validate-frank", "--annotations", str(path), "--scores", str(scores),
+                "--out", str(tmp_path / "v.csv")]
+    return ["evaluate", "--in", str(toy_corpus_path()), "--generated", str(path),
+            "--out", str(tmp_path / "r.csv"), "--backend", "mock"]
+
+
+def _without(field):
+    return lambda record: json.dumps({k: v for k, v in record.items() if k != field})
+
+
+def _with(**change):
+    return lambda record: json.dumps({**record, **change})
+
+
+def _flag(category, value):
+    return lambda record: json.dumps({**record, "errors": {**record["errors"],
+                                                           category: value}})
+
+
+def _same_as_first(loader):
+    return lambda record: json.dumps(GOOD[loader]("a"))
+
+
+# (loader, kind, bad line from a good record with id "b", error class, message part)
+CASES = [
+    *[(loader, kind, make, ParseError, part)
+      for loader in GOOD
+      for kind, make, part in (
+          ("bad-json", lambda record: "{not json", "invalid JSON"),
+          ("two-values", lambda record: json.dumps(record) + " {}", "Extra data"),
+          ("non-object", lambda record: json.dumps([record]), "not an object"))],
+    ("corpus", "missing-field", _without("summary"), ParseError, "'summary'"),
+    ("corpus", "mistyped-field", _with(document=5), ParseError, "'document'"),
+    ("corpus", "empty-document", _with(document="  "), ParseError, "document is empty"),
+    ("corpus", "unknown-split", _with(split="dev"), ParseError, "split 'dev'"),
+    ("corpus", "duplicate", _same_as_first("corpus"), IntegrityError, "duplicate id 'a'"),
+    ("scores", "missing-field", _without("scorer"), ParseError, "'scorer'"),
+    ("scores", "mistyped-field", _with(value="0.5"), ParseError, "'value'"),
+    ("scores", "out-of-range", _with(value=1.5), DomainError, "outside the valid range"),
+    ("scores", "duplicate", _same_as_first("scores"), IntegrityError,
+     "duplicate score for pair 'a'"),
+    ("annotations", "missing-field", _without("system"), ParseError, "'system'"),
+    ("annotations", "mistyped-field", _flag("discourse", "false"), ParseError,
+     "'discourse'"),
+    ("annotations", "unknown-dataset", _with(dataset="nyt"), DomainError, "'nyt'"),
+    ("annotations", "duplicate", _same_as_first("annotations"), IntegrityError,
+     "duplicate annotation for summary 'a'"),
+    ("generated", "missing-field", _without("summary"), ParseError, "'summary'"),
+    ("generated", "mistyped-field", _with(summary=7), ParseError, "'summary'"),
+    ("generated", "duplicate", _same_as_first("generated"), IntegrityError,
+     "duplicate generated summary for id 'a'"),
+]
+# A generated summary has no domain of its own: an empty one or an id outside
+# the corpus is judged later, by `evaluate`, so that loader has no such case.
+
+
+def _bad_file(tmp_path: Path, loader: str, make_bad) -> Path:
+    """Line 1 a good record, line 2 blank, line 3 the bad record."""
+    path = tmp_path / f"{loader}.jsonl"
+    path.write_text(json.dumps(GOOD[loader]("a")) + "\n\n" + make_bad(GOOD[loader]("b"))
+                    + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("loader, kind, make_bad, error, part", CASES,
+                         ids=[f"{case[0]}-{case[1]}" for case in CASES])
+class TestLoaderMatrix:
+    def test_library_error_names_path_and_line(self, tmp_path, loader, kind, make_bad,
+                                               error, part):
+        path = _bad_file(tmp_path, loader, make_bad)
+        with pytest.raises(error) as excinfo:
+            LOADERS[loader](path)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+        assert part in str(excinfo.value)
+        if error is ParseError:
+            assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
+
+    def test_cli_exits_two_naming_path_and_line(self, tmp_path, capsys, loader, kind,
+                                                make_bad, error, part):
+        path = _bad_file(tmp_path, loader, make_bad)
+        assert main(_cli_argv(loader, path, tmp_path)) == 2
+        assert f"data error: {path}:3: " in capsys.readouterr().err
+
+
+class TestAnnotationTypes:
+    @pytest.mark.parametrize("make_bad, field", [
+        (_flag("semantic_frame", "false"), "'semantic_frame'"),
+        (_flag("semantic_frame", 0), "'semantic_frame'"),
+        (_flag("content_verifiability", None), "'content_verifiability'"),
+        (_with(factuality=True), "factuality"),
+        (_with(factuality="0.5"), "factuality"),
+        (_with(factuality=None), "factuality"),
+    ], ids=["flag-string", "flag-int", "flag-null", "factuality-bool",
+            "factuality-string", "factuality-null"])
+    def test_wrong_json_type_is_parse_error(self, tmp_path, make_bad, field):
+        path = _bad_file(tmp_path, "annotations", make_bad)
+        with pytest.raises(ParseError, match=field) as excinfo:
+            load_annotations(path)
+        assert excinfo.value.line == 3
+
+    def test_integer_factuality_loads_as_float(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({**GOOD["annotations"]("a"), "factuality": 1}) + "\n",
+                        encoding="utf-8")
+        (annotation,) = load_annotations(path)
+        assert annotation.factuality == 1.0 and type(annotation.factuality) is float
+
+    def test_no_flags_implies_factual_stays_aggregated(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        rows = [{**GOOD["annotations"](i), "factuality": 0.5} for i in ("s2", "s1")]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(IntegrityError) as excinfo:
+            load_annotations(path)
+        assert str(excinfo.value) == ("2 annotations violate no-flags-implies-factual: "
+                                      "['s1', 's2']")
+
+
+class TestScoreValueType:
+    @pytest.mark.parametrize("value", ["0.5", "nan", [0.5], {"v": 0.5}])
+    def test_non_number_value_is_parse_error(self, tmp_path, value):
+        path = _bad_file(tmp_path, "scores", _with(value=value))
+        with pytest.raises(ParseError, match="'value'") as excinfo:
+            load_scores(path, "c")
+        assert excinfo.value.line == 3
+
+    def test_integer_value_loads_as_float(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({**GOOD["scores"]("a"), "value": 1}) + "\n",
+                        encoding="utf-8")
+        assert load_scores(path, "c").values("dae") == {"a": 1.0}
+
+
+class TestReadJsonl:
+    def test_streams_objects_in_order_skipping_blank_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"n": 1}\n\n  \n {"n": 2} \n{"n": 3}', encoding="utf-8")
+        seen = []
+        read_jsonl(path, seen.append)
+        assert seen == [{"n": 1}, {"n": 2}, {"n": 3}]
+
+    @pytest.mark.parametrize("error", [DomainError, IntegrityError])
+    def test_domain_and_integrity_errors_keep_their_class(self, tmp_path, error):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"n": 1}\n{"n": 2}\n', encoding="utf-8")
+
+        def consume(record):
+            if record["n"] == 2:
+                raise error("boom")
+
+        with pytest.raises(error) as excinfo:
+            read_jsonl(path, consume)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == f"{path}:2: boom"
+
+    def test_other_errors_propagate_unchanged(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"n": 1}\n', encoding="utf-8")
+
+        def consume(record):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="^boom$"):
+            read_jsonl(path, consume)
+
+
+def test_write_csv_is_utf8_with_lf_line_ends(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [["x,y", "é"], ["line\nbreak", ""]])
+    assert path.read_bytes() == 'a,b\n"x,y",é\n"line\nbreak",\n'.encode("utf-8")
+
+
+def _format_sites() -> dict[str, set[str]]:
+    """Modules of src/factfilter that name each JSONL-decoding or CSV-writing API."""
+    sites: dict[str, set[str]] = {api: set() for api in
+                                  ("writer", "DictWriter", "JSONDecoder", "raw_decode")}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+                sites.setdefault(f"from {node.module} import", set()).add(path.stem)
+            name = node.attr if isinstance(node, ast.Attribute) \
+                else node.id if isinstance(node, ast.Name) else None
+            if name in sites:
+                sites[name].add(path.stem)
+    return sites
+
+
+def test_one_jsonl_decoder_and_one_csv_writer():
+    assert _format_sites() == {"writer": {"records"}, "DictWriter": set(),
+                               "JSONDecoder": {"records"}, "raw_decode": {"records"}}
