@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .backend import Backend
-from .corpus import Corpus
+from .corpus import Corpus, Pair
 from .errors import (
     PER_PAIR_ERRORS,
     CoverageError,
@@ -134,22 +134,45 @@ def mock_train_eval_hook(backend: Backend,
     Stands in for a fine-tune-then-evaluate harness so sweeps run without a
     GPU; a pair that fails a metric with a per-pair error is excluded from that
     metric's mean (and logged at debug level); any other error propagates.
+
+    For a backend whose descriptor is deterministic, the returned hook keeps
+    each (metric, pair) outcome, a value or a per-pair failure, for its own
+    lifetime, keyed on the pair's document and summary text, so the cells of a
+    sweep compute a shared pair once and log its exclusion once. The means
+    are taken over the same floats in the same order as without reuse. A
+    non-deterministic backend is asked again on every call.
     """
     unknown = [m for m in metrics if m not in REFERENCE_FREE_METRICS]
     if unknown:
         raise DomainError(f"mock-train hook cannot compute {unknown}")
+    # metric -> (document, summary) -> value, or the failure reason of a pair
+    # left out of the mean.
+    memo: dict[str, dict[tuple[str, str], float | str]] | None = (
+        {metric: {} for metric in metrics} if backend.descriptor.deterministic else None)
+
+    def outcome(metric: str, pair: Pair) -> float | str:
+        try:
+            return reference_free_value(metric, pair.document, pair.summary, backend)
+        except PER_PAIR_ERRORS as exc:
+            reason = failure_reason(exc)
+            logger.debug("pair %s excluded from the %s mean: %s", pair.id, metric, reason)
+            return reason
 
     def hook(selection: Corpus) -> dict[str, float]:
         out: dict[str, float] = {}
         for metric in metrics:
+            seen = memo[metric] if memo is not None else None
             values = []
             for pair in selection:
-                try:
-                    values.append(reference_free_value(metric, pair.document,
-                                                       pair.summary, backend))
-                except PER_PAIR_ERRORS as exc:
-                    logger.debug("pair %s excluded from the %s mean: %s",
-                                 pair.id, metric, failure_reason(exc))
+                if seen is None:
+                    result = outcome(metric, pair)
+                else:
+                    key = (pair.document, pair.summary)
+                    result = seen.get(key)
+                    if result is None:
+                        result = seen[key] = outcome(metric, pair)
+                if not isinstance(result, str):
+                    values.append(result)
             if values:
                 out[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
         return out

@@ -23,18 +23,29 @@ _decode_json = json.JSONDecoder().raw_decode
 def read_jsonl(path: str | Path, consume: Callable[[dict[str, Any]], None]) -> None:
     """Pass each record of a JSONL file, in file order, to `consume`.
 
-    Only the current line is held in memory. Invalid JSON, a second value on
-    a line, a record that is not an object, and a `KeyError`, `TypeError` or
-    `ValueError` raised by `consume` become a `ParseError` naming the line. A
-    `DomainError` or `IntegrityError` raised by `consume` keeps its class and
-    gains a `path:line: ` prefix.
+    Only the current line is held in memory. A line that is not valid UTF-8,
+    invalid JSON, a second value on a line, a record that is not an object,
+    and a `KeyError`, `TypeError`, `ValueError` or `OverflowError` (a JSON
+    integer beyond float range) raised by `consume` become a `ParseError`
+    naming the line. A `DomainError` or `IntegrityError` raised by `consume`
+    keeps its class and gains a `path:line: ` prefix.
     """
     p = Path(path)
-    with p.open("r", encoding="utf-8") as handle:
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+    # which no valid UTF-8 decodes to, instead of failing mid-file with no
+    # line number; such a line then fails to encode back.
+    with p.open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(f"not valid UTF-8: byte 0x{byte:02x}", path=str(p),
+                                     line=lineno) from exc
             try:
                 record, end = _decode_json(line)
                 if end != len(line):
@@ -46,7 +57,7 @@ def read_jsonl(path: str | Path, consume: Callable[[dict[str, Any]], None]) -> N
                 raise ParseError(f"invalid JSON: {exc.msg}", path=str(p), line=lineno) from exc
             except KeyError as exc:
                 raise ParseError(f"missing field {exc}", path=str(p), line=lineno) from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), path=str(p), line=lineno) from exc
             except (DomainError, IntegrityError) as exc:
                 raise type(exc)(f"{p}:{lineno}: {exc}") from exc

@@ -108,6 +108,21 @@ def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
         out_stream.flush()
 
 
+_DESCRIPTOR_FIELDS = {"name": str, "version": str, "deterministic": bool, "max_tokens": int}
+
+
+def _descriptor_from_reply(info: Any) -> BackendDescriptor:
+    """The handshake reply as a descriptor; a malformed one is a `TransportError`."""
+    if not isinstance(info, dict):
+        raise errors.TransportError(f"descriptor reply is not an object: {info!r}")
+    for name, kind in _DESCRIPTOR_FIELDS.items():
+        if type(info.get(name)) is not kind:  # a bool is no max_tokens
+            raise errors.TransportError(
+                f"descriptor reply needs {name!r} of type {kind.__name__}, "
+                f"got {info.get(name)!r}")
+    return BackendDescriptor(**{name: info[name] for name in _DESCRIPTOR_FIELDS})
+
+
 class RemoteBackend(Backend):
     """Client half of the protocol; runs the server as a subprocess."""
 
@@ -120,13 +135,12 @@ class RemoteBackend(Backend):
             text=True,
             encoding="utf-8",
         )
-        info = self._request("descriptor", {})
-        self._descriptor = BackendDescriptor(
-            name=info["name"],
-            version=info["version"],
-            deterministic=bool(info["deterministic"]),
-            max_tokens=int(info["max_tokens"]),
-        )
+        try:
+            self._descriptor = _descriptor_from_reply(self._request("descriptor", {}))
+        except errors.FactFilterError:  # a failed handshake leaves no server behind
+            self._proc.kill()
+            self._proc.wait()
+            raise
 
     @property
     def descriptor(self) -> BackendDescriptor:

@@ -373,6 +373,38 @@ class TestTransportFailures:
                      "--remote-command", healthy]) == 0
         assert partial.read_bytes() == full.read_bytes()
 
+    @pytest.mark.parametrize("reply", [
+        '{"result": {}}',
+        '{"result": [1]}',
+        '{"result": {"version": "1", "deterministic": true, "max_tokens": 512}}',
+        '{"result": {"name": "mock", "version": 1, "deterministic": true, "max_tokens": 512}}',
+        '{"result": {"name": "mock", "version": "1", "deterministic": 1, "max_tokens": 512}}',
+        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": "512"}}',
+        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": true}}',
+    ], ids=["empty", "non-object", "no-name", "int-version", "int-deterministic",
+            "string-max-tokens", "bool-max-tokens"])
+    def test_malformed_handshake_exits_three(self, toy, tmp_path, capsys, monkeypatch,
+                                             server, reply):
+        from factfilter import remote
+        from factfilter.errors import TransportError
+
+        spawned = []
+        popen = subprocess.Popen
+        monkeypatch.setattr(remote.subprocess, "Popen",
+                            lambda *args, **kwargs: spawned.append(popen(*args, **kwargs))
+                            or spawned[-1])
+        with pytest.raises(TransportError, match="descriptor reply"):
+            remote.RemoteBackend([sys.executable, str(server), "0", reply])
+        assert spawned[0].poll() is not None  # the server was stopped
+        monkeypatch.undo()
+        out = tmp_path / "scores.jsonl"
+        code = main(["score", "--in", str(toy), "--out", str(out), "--scorers", "greedy",
+                     "--backend", "remote", "--remote-command",
+                     f"{sys.executable} {server} 0 '{reply}'"])
+        assert code == 3
+        assert "backend error: descriptor reply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_request_to_an_exited_server_is_a_transport_error(self, server):
         from factfilter.errors import TransportError
         from factfilter.remote import RemoteBackend

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from factfilter.errors import CoverageError, DomainError
+from factfilter.backend import MockBackend
+from factfilter.errors import PER_PAIR_ERRORS, CoverageError, DomainError
 from factfilter.experiments import (
     ComparisonReport,
     SweepSpec,
@@ -15,7 +18,7 @@ from factfilter.experiments import (
     run_sweep,
     write_sweep_csv,
 )
-from factfilter.metrics import EvalReport
+from factfilter.metrics import EvalReport, reference_free_value
 from factfilter.scorers import conditional_likelihood_value, greedy_precision_value
 
 from conftest import make_corpus, make_pair
@@ -164,6 +167,160 @@ class TestMockTrainHook:
     def test_unknown_metric_rejected(self, mock_backend):
         with pytest.raises(DomainError):
             mock_train_eval_hook(mock_backend, ["rouge2"])
+
+
+class CountingMock(MockBackend):
+    """Mock backend that counts every op call. Its descriptor may claim to be
+    non-deterministic, and a summary containing BROKEN makes the parser raise
+    a `RuntimeError`, which is no per-pair error."""
+
+    def __init__(self, deterministic: bool = True):
+        super().__init__()
+        self._descriptor = dataclasses.replace(self._descriptor,
+                                               deterministic=deterministic)
+        self.calls = 0
+
+    def tokenize(self, text):
+        self.calls += 1
+        return super().tokenize(text)
+
+    def embed_tokens(self, text):
+        self.calls += 1
+        return super().embed_tokens(text)
+
+    def conditional_token_logprobs(self, source, target):
+        self.calls += 1
+        return super().conditional_token_logprobs(source, target)
+
+    def arc_entailment_probs(self, document, arcs):
+        self.calls += 1
+        return super().arc_entailment_probs(document, arcs)
+
+    def masked_fill_accuracy(self, prefix, sentence, mask_positions):
+        self.calls += 1
+        return super().masked_fill_accuracy(prefix, sentence, mask_positions)
+
+    def parse_dependencies(self, summary):
+        self.calls += 1
+        if "BROKEN" in summary:
+            raise RuntimeError("parser crashed")
+        return super().parse_dependencies(summary)
+
+
+HOOK_METRICS = ("greedy", "condll", "dae", "blanc")
+FOUR_THRESHOLDS = SweepSpec(thresholds=(0.1, 0.25, 0.4, 0.55),
+                            strategies=("combined", "random", "single:s1"), seed=3)
+
+
+def _memo_fixture():
+    """30 pairs; every fifth summary is one token, so dae fails on it."""
+    words = ["storm", "harbor", "mayor", "bridge", "festival", "comet", "river", "town"]
+    pairs = []
+    for i in range(30):
+        document = " ".join(words[(i + k) % len(words)] for k in range(6)) + f" w{i} ."
+        summary = words[i % len(words)] if i % 5 == 0 else \
+            f"{words[i % len(words)]} {words[(i + 3) % len(words)]} w{i}"
+        pairs.append(make_pair(f"p{i:02d}", document, summary))
+    corpus = make_corpus("c", *pairs)
+    rng = np.random.default_rng(11)
+    columns = {s: {p.id: float(rng.uniform()) for p in corpus} for s in ("s1", "s2", "s3")}
+    return corpus, build_table("c", columns)
+
+
+def _direct_calls(pairs, metrics=HOOK_METRICS) -> int:
+    """Backend calls made by computing each (metric, pair) in `pairs` once."""
+    backend = CountingMock()
+    for metric in metrics:
+        for pair in pairs:
+            try:
+                reference_free_value(metric, pair.document, pair.summary, backend)
+            except PER_PAIR_ERRORS:
+                pass
+    return backend.calls
+
+
+def _recording_sweep(corpus, table, backend):
+    hook = mock_train_eval_hook(backend, HOOK_METRICS)
+    selections = []
+
+    def recording(selection):
+        selections.append(selection)
+        return hook(selection)
+
+    rows = run_sweep(corpus, table, FOUR_THRESHOLDS, recording)
+    return rows, selections
+
+
+class TestHookMemo:
+    def test_each_metric_pair_is_computed_once_across_the_sweep(self):
+        corpus, table = _memo_fixture()
+        backend = CountingMock()
+        rows, selections = _recording_sweep(corpus, table, backend)
+        assert len(rows) == 12 and len(selections) >= 9
+        union = {pair.id: pair for selection in selections for pair in selection}
+        assert sum(map(len, selections)) > len(union)  # the cells share pairs
+        assert backend.calls == _direct_calls(union.values())
+
+    def test_non_deterministic_backend_recomputes_in_every_cell(self):
+        corpus, table = _memo_fixture()
+        backend = CountingMock(deterministic=False)
+        _, selections = _recording_sweep(corpus, table, backend)
+        assert backend.calls == sum(_direct_calls(selection) for selection in selections)
+
+    def test_sweep_csv_matches_a_fresh_hook_per_cell(self, tmp_path, mock_backend):
+        corpus, table = _memo_fixture()
+        memoised = run_sweep(corpus, table, FOUR_THRESHOLDS,
+                             mock_train_eval_hook(mock_backend, HOOK_METRICS))
+        fresh = run_sweep(corpus, table, FOUR_THRESHOLDS, lambda selection:
+                          mock_train_eval_hook(MockBackend(), HOOK_METRICS)(selection))
+        write_sweep_csv(memoised, tmp_path / "memoised.csv")
+        write_sweep_csv(fresh, tmp_path / "fresh.csv")
+        assert (tmp_path / "memoised.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert {row.status for row in memoised} == {"ok"}
+
+    def test_memoised_failure_stays_excluded_and_is_logged_once(self, caplog):
+        corpus = make_corpus(
+            "c",
+            make_pair("a", "storm flooded harbor town .", "storm harbor"),
+            make_pair("b", "mayor opened bridge festival .", "mayor"))
+        backend = CountingMock()
+        hook = mock_train_eval_hook(backend, ["dae"])
+        only_a = mock_train_eval_hook(MockBackend(), ["dae"])(corpus.subset(["a"]))
+        with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
+            assert hook(corpus) == only_a
+            calls = backend.calls
+            assert hook(corpus) == only_a
+            assert hook(corpus.subset(["b"])) == {}
+        assert backend.calls == calls
+        excluded = [r for r in caplog.records if "excluded from the dae mean" in r.message]
+        assert len(excluded) == 1 and "pair b" in excluded[0].message
+
+    def test_other_errors_propagate_on_every_call(self):
+        corpus = make_corpus(
+            "c",
+            make_pair("a", "storm flooded harbor town .", "storm harbor"),
+            make_pair("b", "mayor opened bridge festival .", "mayor BROKEN bridge"))
+        backend = CountingMock()
+        hook = mock_train_eval_hook(backend, ["dae"])
+        for _ in range(2):
+            calls = backend.calls
+            with pytest.raises(RuntimeError, match="parser crashed"):
+                hook(corpus)
+            assert backend.calls > calls
+
+    def test_shared_ids_with_other_text_get_their_own_values(self):
+        first = make_corpus(
+            "c",
+            make_pair("a", "storm flooded harbor town .", "storm harbor"),
+            make_pair("b", "mayor opened bridge festival .", "mayor bridge"))
+        second = make_corpus(
+            "c",
+            make_pair("a", "storm flooded harbor town .", "comet harbor"),
+            make_pair("b", "mayor opened bridge festival .", "river town"))
+        hook = mock_train_eval_hook(CountingMock(), HOOK_METRICS)
+        for corpus in (first, second, first):
+            assert hook(corpus) == mock_train_eval_hook(MockBackend(), HOOK_METRICS)(corpus)
+        assert hook(first) != hook(second)
 
 
 def _report(name: str, values: dict[str, dict[str, float]]) -> EvalReport:

@@ -182,6 +182,47 @@ class TestScoreValueType:
         assert load_scores(path, "c").values("dae") == {"a": 1.0}
 
 
+@pytest.mark.parametrize("loader", sorted(GOOD))
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is a `ParseError` naming its line, as any bad record."""
+
+    @staticmethod
+    def _file(tmp_path, loader, bad_line: bytes) -> Path:
+        path = tmp_path / f"{loader}.jsonl"
+        path.write_bytes(json.dumps(GOOD[loader]("a")).encode() + b"\n\n" + bad_line + b"\n")
+        return path
+
+    def test_library_error_names_path_and_line(self, tmp_path, loader):
+        path = self._file(tmp_path, loader, b"\xff")
+        with pytest.raises(ParseError, match="not valid UTF-8: byte 0xff") as excinfo:
+            LOADERS[loader](path)
+        assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
+
+    def test_bad_byte_inside_a_string_is_caught(self, tmp_path, loader):
+        good = json.dumps(GOOD[loader]("b")).encode()
+        path = self._file(tmp_path, loader, good.replace(b'"b"', b'"b\xc3"'))
+        with pytest.raises(ParseError, match="byte 0xc3") as excinfo:
+            LOADERS[loader](path)
+        assert excinfo.value.line == 3
+
+    def test_cli_exits_two_naming_path_and_line(self, tmp_path, capsys, loader):
+        path = self._file(tmp_path, loader, b"\xff")
+        assert main(_cli_argv(loader, path, tmp_path)) == 2
+        assert f"data error: {path}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+class TestIntegerBeyondFloatRange:
+    @pytest.mark.parametrize("loader, field", [("scores", "value"),
+                                               ("annotations", "factuality")])
+    def test_is_parse_error_naming_the_line(self, tmp_path, capsys, loader, field):
+        path = _bad_file(tmp_path, loader, _with(**{field: 10 ** 400}))
+        with pytest.raises(ParseError, match="too large") as excinfo:
+            LOADERS[loader](path)
+        assert excinfo.value.line == 3
+        assert main(_cli_argv(loader, path, tmp_path)) == 2
+        assert f"data error: {path}:3: " in capsys.readouterr().err
+
+
 class TestReadJsonl:
     def test_streams_objects_in_order_skipping_blank_lines(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -189,6 +230,15 @@ class TestReadJsonl:
         seen = []
         read_jsonl(path, seen.append)
         assert seen == [{"n": 1}, {"n": 2}, {"n": 3}]
+
+    def test_crlf_and_lone_cr_end_lines_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes('{"n": 1}\r\n\r\n{"s": "é"}\r{"n": 3}\r\n{bad\r\n'.encode())
+        seen = []
+        with pytest.raises(ParseError) as excinfo:
+            read_jsonl(path, seen.append)
+        assert seen == [{"n": 1}, {"s": "é"}, {"n": 3}]
+        assert excinfo.value.line == 5
 
     @pytest.mark.parametrize("error", [DomainError, IntegrityError])
     def test_domain_and_integrity_errors_keep_their_class(self, tmp_path, error):
