@@ -29,7 +29,7 @@ from .errors import (
     failure_reason,
 )
 from .filtration import FilterManifest
-from .records import write_csv
+from .records import utf8_lines, write_csv
 from .scorers import SCORERS
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
@@ -197,30 +197,29 @@ class EvalReport:
         per_pair: dict[str, dict[str, float]] = {}
         failures: dict[str, dict[str, str]] = {}
         metric_order: list[str] = []
-        with p.open("r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header or header[0] != "record":
-                raise ParseError("not an evaluation report CSV", path=str(p))
-            for row in reader:
-                if len(row) != len(_REPORT_COLUMNS):
-                    raise ParseError(f"expected {len(_REPORT_COLUMNS)} fields, got {len(row)}",
-                                     path=str(p), line=reader.line_num)
-                record, pair_id, metric, value, _, _, note = row
-                if record == "meta" and metric == "corpus_name":
-                    corpus_name = note
-                elif record in ("pair", "failure") and metric not in metric_order:
-                    metric_order.append(metric)
-                if record == "pair":
-                    try:
-                        per_pair.setdefault(metric, {})[pair_id] = float(value)
-                    except ValueError:
-                        raise ParseError(f"non-numeric value {value!r}",
-                                         path=str(p), line=reader.line_num) from None
-                elif record == "failure":
-                    failures.setdefault(metric, {})[pair_id] = note
-                elif record == "aggregate" and metric not in metric_order:
-                    metric_order.append(metric)
+        reader = csv.reader(utf8_lines(p, newline=""))
+        header = next(reader, None)
+        if not header or header[0] != "record":
+            raise ParseError("not an evaluation report CSV", path=str(p))
+        for row in reader:
+            if len(row) != len(_REPORT_COLUMNS):
+                raise ParseError(f"expected {len(_REPORT_COLUMNS)} fields, got {len(row)}",
+                                 path=str(p), line=reader.line_num)
+            record, pair_id, metric, value, _, _, note = row
+            if record == "meta" and metric == "corpus_name":
+                corpus_name = note
+            elif record in ("pair", "failure") and metric not in metric_order:
+                metric_order.append(metric)
+            if record == "pair":
+                try:
+                    per_pair.setdefault(metric, {})[pair_id] = float(value)
+                except ValueError:
+                    raise ParseError(f"non-numeric value {value!r}",
+                                     path=str(p), line=reader.line_num) from None
+            elif record == "failure":
+                failures.setdefault(metric, {})[pair_id] = note
+            elif record == "aggregate" and metric not in metric_order:
+                metric_order.append(metric)
         report = cls(corpus_name, metric_order)
         for metric in metric_order:
             report.per_pair[metric] = per_pair.get(metric, {})

@@ -11,13 +11,30 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, IntegrityError, ParseError
 
 # On a stripped line, raw_decode plus an end-of-line check accepts and rejects
 # exactly what json.loads does, without its per-call wrapper.
 _decode_json = json.JSONDecoder().raw_decode
+
+
+def utf8_lines(path: Path, newline: str | None = None) -> Iterator[str]:
+    """Yield a UTF-8 text file's lines; a byte that is not UTF-8 is a `ParseError`
+    naming its line. The file closes when the generator finishes or is discarded."""
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+    # which no valid UTF-8 decodes to, so such a line fails to encode back.
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(f"not valid UTF-8: byte 0x{byte:02x}", path=str(path),
+                                     line=lineno) from exc
+            yield line
 
 
 def read_jsonl(path: str | Path, consume: Callable[[dict[str, Any]], None]) -> None:
@@ -31,36 +48,25 @@ def read_jsonl(path: str | Path, consume: Callable[[dict[str, Any]], None]) -> N
     keeps its class and gains a `path:line: ` prefix.
     """
     p = Path(path)
-    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
-    # which no valid UTF-8 decodes to, instead of failing mid-file with no
-    # line number; such a line then fails to encode back.
-    with p.open("r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00
-                    raise ParseError(f"not valid UTF-8: byte 0x{byte:02x}", path=str(p),
-                                     line=lineno) from exc
-            try:
-                record, end = _decode_json(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                if not isinstance(record, dict):
-                    raise TypeError("record is not an object")
-                consume(record)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", path=str(p), line=lineno) from exc
-            except KeyError as exc:
-                raise ParseError(f"missing field {exc}", path=str(p), line=lineno) from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(str(exc), path=str(p), line=lineno) from exc
-            except (DomainError, IntegrityError) as exc:
-                raise type(exc)(f"{p}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(utf8_lines(p), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record, end = _decode_json(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            if not isinstance(record, dict):
+                raise TypeError("record is not an object")
+            consume(record)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", path=str(p), line=lineno) from exc
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc}", path=str(p), line=lineno) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(str(exc), path=str(p), line=lineno) from exc
+        except (DomainError, IntegrityError) as exc:
+            raise type(exc)(f"{p}:{lineno}: {exc}") from exc
 
 
 def write_csv(path: str | Path, header: Sequence[str],

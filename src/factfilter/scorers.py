@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, slots=True)
 class FactualityScore:
-    """One scorer's value for one pair, qualified by backend provenance."""
+    """One scorer's value for one pair, as `score_corpus` yields and `write_scores` takes it."""
 
     pair_id: str
     scorer: str
@@ -53,18 +53,12 @@ class FactualityScore:
     truncated: bool
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"score for pair {self.pair_id!r} is not finite")
-        check = _VALUE_RANGES.get(self.scorer)
-        if check is not None and not check(self.value):
-            raise DomainError(
-                f"score {self.value} outside the valid range for scorer {self.scorer!r}"
-            )
+        _check_value(self.scorer, self.pair_id, self.value)
 
 
 @dataclass(frozen=True, slots=True)
 class ScoreFailure:
-    """Sentinel row recording that a pair could not be scored."""
+    """Sentinel cell recording that a pair could not be scored."""
 
     pair_id: str
     scorer: str
@@ -74,12 +68,23 @@ class ScoreFailure:
 
 
 ScoreCell = Union[FactualityScore, ScoreFailure]
+_TEXT_FIELDS = ("pair_id", "scorer", "backend_name", "backend_version", "error")
 
-_VALUE_RANGES: dict[str, Callable[[float], bool]] = {
-    "greedy": lambda v: -1.0 <= v <= 1.0,
-    "condll": lambda v: v <= 0.0,
-    "dae": lambda v: 0.0 <= v <= 1.0,
+# The closed value range of each built-in scorer; other scorers take any finite value.
+_VALUE_RANGES: dict[str, tuple[float, float]] = {
+    "greedy": (-1.0, 1.0),
+    "condll": (-math.inf, 0.0),
+    "dae": (0.0, 1.0),
 }
+
+
+def _check_value(scorer: str, pair_id: str, value: float) -> None:
+    """Raise `DomainError` unless `value` is finite and in `scorer`'s range."""
+    if not math.isfinite(value):
+        raise DomainError(f"score for pair {pair_id!r} is not finite")
+    low, high = _VALUE_RANGES.get(scorer, (-math.inf, math.inf))
+    if not low <= value <= high:
+        raise DomainError(f"score {value} outside the valid range for scorer {scorer!r}")
 
 
 def truncate_document(backend: Backend, document: str) -> tuple[str, bool]:
@@ -169,61 +174,70 @@ SCORERS: dict[str, Callable[[str, str, Backend], tuple[float, bool]]] = {
 }
 
 
-def _score(scorer: str, pair: Pair, backend: Backend) -> FactualityScore:
-    value, truncated = SCORERS[scorer](pair.document, pair.summary, backend)
-    d = backend.descriptor
-    return FactualityScore(pair_id=pair.id, scorer=scorer, backend_name=d.name,
-                           backend_version=d.version, value=value, truncated=truncated)
-
-
-def score_greedy_precision(pair: Pair, backend: Backend) -> FactualityScore:
-    return _score("greedy", pair, backend)
-
-
-def score_conditional_likelihood(pair: Pair, backend: Backend) -> FactualityScore:
-    return _score("condll", pair, backend)
-
-
-def score_arc_entailment(pair: Pair, backend: Backend) -> FactualityScore:
-    return _score("dae", pair, backend)
-
-
 class ScoreTable:
-    """Per-pair, per-scorer scores with provenance checks.
+    """Per-pair, per-scorer score columns with provenance checks.
 
-    Every column covers one value (score or failure sentinel) per pair and
-    refuses to mix values produced under different backend descriptors.
+    A column maps each pair id to a float, its score, or to a str, the failure
+    reason of a sentinel row. Next to each column the table keeps the
+    column's backend provenance `(name, version)` and the ids of the scores
+    computed on a truncated document. Every cell enters through `add_row`.
     """
 
     def __init__(self, corpus_name: str):
         self.corpus_name = corpus_name
-        self._columns: dict[str, dict[str, ScoreCell]] = {}
-        # (backend_name, backend_version) of each column's first cell.
+        self._columns: dict[str, dict[str, float | str]] = {}
         self._provenance: dict[str, tuple[str, str]] = {}
+        self._truncated: dict[str, set[str]] = {}
 
     @property
     def scorers(self) -> list[str]:
         return list(self._columns)
 
-    def add(self, cell: ScoreCell) -> None:
-        column = self._columns.setdefault(cell.scorer, {})
-        if cell.pair_id in column:
-            raise IntegrityError(
-                f"duplicate score for pair {cell.pair_id!r}, scorer {cell.scorer!r}"
-            )
-        provenance = (cell.backend_name, cell.backend_version)
-        existing = self._provenance.setdefault(cell.scorer, provenance)
+    def add_row(self, row: Mapping[str, Any]) -> None:
+        """Check one scores-file row (see the README schema) and add its cell.
+
+        A missing or mistyped field raises `KeyError` or `TypeError`, which
+        `read_jsonl` reports as a `ParseError`; a non-finite or out-of-range
+        value raises `DomainError`; a duplicate cell or a second provenance in
+        a column raises `IntegrityError`.
+        """
+        pair_id = row["pair_id"]
+        scorer = row["scorer"]
+        provenance = (row["backend_name"], row["backend_version"])
+        reason = row.get("error", "unknown failure")
+        if not (type(pair_id) is type(scorer) is type(provenance[0])
+                is type(provenance[1]) is type(reason) is str):
+            key = next(k for k in _TEXT_FIELDS if not isinstance(row.get(k, ""), str))
+            raise TypeError(f"{key!r} must be a string, got {row[key]!r}")
+        value = row.get("value")
+        truncated = row.get("truncated", False)
+        if not isinstance(truncated, bool):
+            raise TypeError(f"'truncated' must be true or false, got {truncated!r}")
+        if value is not None:
+            if type(value) not in (float, int):  # rejects bool, an int subclass
+                raise TypeError(f"'value' must be a number or null, got {value!r}")
+            value = float(value)
+            _check_value(scorer, pair_id, value)
+        column = self._columns.setdefault(scorer, {})
+        if pair_id in column:
+            raise IntegrityError(f"duplicate score for pair {pair_id!r}, scorer {scorer!r}")
+        existing = self._provenance.setdefault(scorer, provenance)
         if existing != provenance:
             raise IntegrityError(
-                f"column {cell.scorer!r} mixes backends "
+                f"column {scorer!r} mixes backends "
                 f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}"
             )
-        column[cell.pair_id] = cell
+        column[pair_id] = reason if value is None else value
+        if truncated and value is not None:
+            self._truncated.setdefault(scorer, set()).add(pair_id)
+
+    def add(self, cell: ScoreCell) -> None:
+        self.add_row(_cell_to_row(cell))
 
     def has(self, pair_id: str, scorer: str) -> bool:
         return pair_id in self._columns.get(scorer, {})
 
-    def column(self, scorer: str) -> Mapping[str, ScoreCell]:
+    def column(self, scorer: str) -> Mapping[str, float | str]:
         try:
             return self._columns[scorer]
         except KeyError:
@@ -231,12 +245,14 @@ class ScoreTable:
 
     def values(self, scorer: str) -> dict[str, float]:
         """Successful scores only; sentinel rows are excluded."""
-        return {pid: cell.value for pid, cell in self.column(scorer).items()
-                if isinstance(cell, FactualityScore)}
+        return {pid: v for pid, v in self.column(scorer).items() if not isinstance(v, str)}
 
     def failures(self, scorer: str) -> dict[str, str]:
-        return {pid: cell.reason for pid, cell in self.column(scorer).items()
-                if isinstance(cell, ScoreFailure)}
+        return {pid: v for pid, v in self.column(scorer).items() if isinstance(v, str)}
+
+    def truncated_ids(self, scorer: str) -> set[str]:
+        """Ids whose score in `scorer`'s column was computed on a truncated document."""
+        return set(self._truncated.get(scorer, ()))
 
     def ids(self) -> set[str]:
         out: set[str] = set()
@@ -292,24 +308,6 @@ def _cell_to_row(cell: ScoreCell) -> dict:
     return row
 
 
-def _cell_from_row(row: Mapping) -> ScoreCell:
-    pair_id = row["pair_id"]
-    scorer = row["scorer"]
-    backend_name = row["backend_name"]
-    backend_version = row["backend_version"]
-    value = row.get("value")
-    truncated = row.get("truncated", False)
-    if not isinstance(truncated, bool):
-        raise TypeError(f"'truncated' must be true or false, got {truncated!r}")
-    if value is None:
-        return ScoreFailure(pair_id, scorer, backend_name, backend_version,
-                            str(row.get("error", "unknown failure")))
-    if type(value) not in (float, int):  # rejects bool, an int subclass
-        raise TypeError(f"'value' must be a number or null, got {value!r}")
-    return FactualityScore(pair_id, scorer, backend_name, backend_version,
-                           float(value), truncated)
-
-
 def write_scores(cells: Iterable[ScoreCell], path: str | Path, append: bool = False) -> None:
     """Append-only JSONL score rows; see the scores-file schema in the README."""
     mode = "a" if append else "w"
@@ -327,17 +325,17 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
     Each error names the offending `path:line`.
     """
     table = ScoreTable(corpus_name)
-    read_jsonl(path, lambda row: table.add(_cell_from_row(row)))
+    read_jsonl(path, table.add_row)
     return table
 
 
 def _score_one(scorer: str, pair: Pair, backend: Backend) -> ScoreCell:
+    d = backend.descriptor
     try:
-        return _score(scorer, pair, backend)
-    except PER_PAIR_ERRORS as exc:
-        d = backend.descriptor
-        return ScoreFailure(pair_id=pair.id, scorer=scorer, backend_name=d.name,
-                            backend_version=d.version, reason=failure_reason(exc))
+        value, truncated = SCORERS[scorer](pair.document, pair.summary, backend)
+        return FactualityScore(pair.id, scorer, d.name, d.version, value, truncated)
+    except PER_PAIR_ERRORS as exc:  # includes an out-of-range value's DomainError
+        return ScoreFailure(pair.id, scorer, d.name, d.version, failure_reason(exc))
 
 
 def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,

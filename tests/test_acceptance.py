@@ -32,13 +32,7 @@ from factfilter import (
 from factfilter.cli import main
 from factfilter.corpus import toy_corpus_path
 from factfilter.filtration import intersect_filter, percentile_keep_set
-from factfilter.scorers import (
-    FactualityScore,
-    ScoreTable,
-    score_arc_entailment,
-    score_conditional_likelihood,
-    score_greedy_precision,
-)
+from factfilter.scorers import SCORERS, FactualityScore, ScoreTable
 from factfilter.stats import _average_ranks, _exact_two_sided_p, _normal_two_sided_p
 from factfilter.validation import CATEGORIES
 
@@ -264,9 +258,9 @@ def test_criterion_7_mock_scorer_analytics(mock_backend):
     with criterion(7, "mock-backend scorer values are analytically exact"):
         copied = make_pair("p", "the mayor opened the bridge on friday",
                            "mayor opened the bridge")
-        assert score_greedy_precision(copied, mock_backend).value == 1.0
-        assert score_arc_entailment(copied, mock_backend).value == 1.0
-        assert abs(score_conditional_likelihood(copied, mock_backend).value
+        assert SCORERS["greedy"](copied.document, copied.summary, mock_backend)[0] == 1.0
+        assert SCORERS["dae"](copied.document, copied.summary, mock_backend)[0] == 1.0
+        assert abs(SCORERS["condll"](copied.document, copied.summary, mock_backend)[0]
                    - math.log(0.9)) < 1e-12
 
         mixed_embed = make_pair("p", "alpha beta gamma", "alpha beta zzzz")
@@ -277,17 +271,17 @@ def test_criterion_7_mock_scorer_analytics(mock_backend):
                     for v in doc_vectors]
             best.append(max(sims))
         expected_greedy = sum(best) / len(best)
-        got = score_greedy_precision(mixed_embed, mock_backend).value
+        got = SCORERS["greedy"](mixed_embed.document, mixed_embed.summary, mock_backend)[0]
         assert abs(got - expected_greedy) < 1e-12
         assert got < 1.0
 
         mixed_condll = make_pair("p", "storm hit", "storm hit comet meteor")
         expected_condll = (2 * math.log(0.9) + 2 * math.log(0.1)) / 4
-        assert abs(score_conditional_likelihood(mixed_condll, mock_backend).value
+        assert abs(SCORERS["condll"](mixed_condll.document, mixed_condll.summary, mock_backend)[0]
                    - expected_condll) < 1e-12
 
         mixed_dae = make_pair("p", "the mayor opened the bridge", "mayor opened comet")
-        assert score_arc_entailment(mixed_dae, mock_backend).value == 0.5
+        assert SCORERS["dae"](mixed_dae.document, mixed_dae.summary, mock_backend)[0] == 0.5
 
 
 REAL_DATA_ENV = "FACTFILTER_REAL_DATA"

@@ -16,6 +16,7 @@ from factfilter import load_annotations, load_corpus, load_scores
 from factfilter.cli import _load_generated, main
 from factfilter.corpus import toy_corpus_path
 from factfilter.errors import DomainError, IntegrityError, ParseError
+from factfilter.metrics import EvalReport
 from factfilter.records import read_jsonl, write_csv
 from factfilter.validation import CATEGORIES
 
@@ -43,6 +44,9 @@ def _cli_argv(loader: str, path: Path, tmp_path: Path) -> list[str]:
     """A command whose first file read is `path`, loaded by `loader`."""
     if loader == "corpus":
         return ["ingest", "--in", str(path), "--out", str(tmp_path / "out.jsonl")]
+    if loader == "report":
+        return ["compare", "--report-a", str(path), "--report-b", str(path),
+                "--out", str(tmp_path / "c.csv")]
     if loader == "scores":
         return ["filter", "--scores", str(path), "--out", str(tmp_path / "m.json"),
                 "--corpus-name", "c"]
@@ -87,6 +91,7 @@ CASES = [
     ("corpus", "duplicate", _same_as_first("corpus"), IntegrityError, "duplicate id 'a'"),
     ("scores", "missing-field", _without("scorer"), ParseError, "'scorer'"),
     ("scores", "mistyped-field", _with(value="0.5"), ParseError, "'value'"),
+    ("scores", "non-string-id", _with(pair_id=7), ParseError, "'pair_id'"),
     ("scores", "out-of-range", _with(value=1.5), DomainError, "outside the valid range"),
     ("scores", "duplicate", _same_as_first("scores"), IntegrityError,
      "duplicate score for pair 'a'"),
@@ -182,12 +187,22 @@ class TestScoreValueType:
         assert load_scores(path, "c").values("dae") == {"a": 1.0}
 
 
-@pytest.mark.parametrize("loader", sorted(GOOD))
+# An evaluation report CSV's first two lines, and a good pair row for id "b".
+REPORT_HEAD = b"record,pair_id,metric,value,n,headline,note\nmeta,,corpus_name,,,,toy\n"
+REPORT_ROW = b'pair,"b",rouge2,0.5,,,'
+READERS = {**LOADERS, "report": EvalReport.from_csv}
+
+
+@pytest.mark.parametrize("loader", [*sorted(GOOD), "report"])
 class TestUndecodableInput:
     """A byte that is not UTF-8 is a `ParseError` naming its line, as any bad record."""
 
     @staticmethod
     def _file(tmp_path, loader, bad_line: bytes) -> Path:
+        if loader == "report":
+            path = tmp_path / "report.csv"
+            path.write_bytes(REPORT_HEAD + bad_line + b"\n")
+            return path
         path = tmp_path / f"{loader}.jsonl"
         path.write_bytes(json.dumps(GOOD[loader]("a")).encode() + b"\n\n" + bad_line + b"\n")
         return path
@@ -195,14 +210,14 @@ class TestUndecodableInput:
     def test_library_error_names_path_and_line(self, tmp_path, loader):
         path = self._file(tmp_path, loader, b"\xff")
         with pytest.raises(ParseError, match="not valid UTF-8: byte 0xff") as excinfo:
-            LOADERS[loader](path)
+            READERS[loader](path)
         assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
 
     def test_bad_byte_inside_a_string_is_caught(self, tmp_path, loader):
-        good = json.dumps(GOOD[loader]("b")).encode()
+        good = REPORT_ROW if loader == "report" else json.dumps(GOOD[loader]("b")).encode()
         path = self._file(tmp_path, loader, good.replace(b'"b"', b'"b\xc3"'))
         with pytest.raises(ParseError, match="byte 0xc3") as excinfo:
-            LOADERS[loader](path)
+            READERS[loader](path)
         assert excinfo.value.line == 3
 
     def test_cli_exits_two_naming_path_and_line(self, tmp_path, capsys, loader):

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from factfilter import Corpus, MockBackend, ScoreTable, load_scores, score_corpus, write_scores
+from factfilter import (
+    SCORERS,
+    Corpus,
+    MockBackend,
+    ScoreTable,
+    load_scores,
+    score_corpus,
+    write_scores,
+)
 from factfilter.backend import TokenEmbeddings
 from factfilter.corpus import load_corpus, toy_corpus_path
 from factfilter.errors import (
@@ -24,10 +32,7 @@ from factfilter.scorers import (
     ScoreFailure,
     _unit_rows,
     greedy_precision_value,
-    score_arc_entailment,
-    score_conditional_likelihood,
     score_corpus_to_file,
-    score_greedy_precision,
 )
 from factfilter.errors import EmptySummaryError, NoArcsError
 
@@ -51,33 +56,33 @@ def oracle_greedy(document: str, summary: str, backend) -> float:
 class TestGreedyPrecision:
     def test_copied_summary_scores_exactly_one(self, mock_backend):
         pair = make_pair("p", "the mayor opened the bridge on friday", "mayor opened the bridge")
-        assert score_greedy_precision(pair, mock_backend).value == 1.0
+        assert SCORERS["greedy"](pair.document, pair.summary, mock_backend)[0] == 1.0
 
     def test_mixed_case_matches_oracle(self, mock_backend):
         pair = make_pair("p", "alpha beta gamma", "alpha beta zzzz")
-        score = score_greedy_precision(pair, mock_backend)
-        assert score.value < 1.0
+        value, _ = SCORERS["greedy"](pair.document, pair.summary, mock_backend)
+        assert value < 1.0
         expected = oracle_greedy(pair.document, pair.summary, mock_backend)
-        assert score.value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_document_order_irrelevant(self, mock_backend):
         a = make_pair("p", "alpha beta gamma delta", "beta zzzz")
         b = make_pair("p", "delta gamma beta alpha", "beta zzzz")
-        assert score_greedy_precision(a, mock_backend).value == \
-            score_greedy_precision(b, mock_backend).value
+        assert SCORERS["greedy"](a.document, a.summary, mock_backend)[0] == \
+            SCORERS["greedy"](b.document, b.summary, mock_backend)[0]
 
     def test_superset_document_never_decreases(self, mock_backend):
         small = make_pair("p", "alpha beta", "alpha zzzz qqqq")
         large = make_pair("p", "alpha beta extra words here", "alpha zzzz qqqq")
-        assert score_greedy_precision(large, mock_backend).value >= \
-            score_greedy_precision(small, mock_backend).value
+        assert SCORERS["greedy"](large.document, large.summary, mock_backend)[0] >= \
+            SCORERS["greedy"](small.document, small.summary, mock_backend)[0]
 
     def test_document_truncation_sets_flag(self):
         backend = MockBackend(max_tokens=3)
         pair = make_pair("p", "alpha beta gamma delta epsilon", "alpha beta")
-        score = score_greedy_precision(pair, backend)
-        assert score.truncated
-        assert score.value == 1.0  # kept prefix still contains the summary tokens
+        value, truncated = SCORERS["greedy"](pair.document, pair.summary, backend)
+        assert truncated
+        assert value == 1.0  # kept prefix still contains the summary tokens
 
 
 def loop_greedy(document: str, summary: str, backend) -> float:
@@ -146,42 +151,43 @@ class TestGreedyBlocks:
 class TestConditionalLikelihood:
     def test_all_present_is_log_point_nine(self, mock_backend):
         pair = make_pair("p", "storm hit the harbor town", "storm hit the harbor")
-        score = score_conditional_likelihood(pair, mock_backend)
-        assert score.value == pytest.approx(math.log(0.9), abs=1e-15)
+        value, _ = SCORERS["condll"](pair.document, pair.summary, mock_backend)
+        assert value == pytest.approx(math.log(0.9), abs=1e-15)
 
     def test_half_present(self, mock_backend):
         pair = make_pair("p", "storm hit", "storm hit comet meteor")
         expected = (2 * math.log(0.9) + 2 * math.log(0.1)) / 4
-        score = score_conditional_likelihood(pair, mock_backend)
-        assert score.value == pytest.approx(expected, abs=1e-15)
-        assert score.value == pytest.approx(-1.2040, abs=5e-5)
+        value, _ = SCORERS["condll"](pair.document, pair.summary, mock_backend)
+        assert value == pytest.approx(expected, abs=1e-15)
+        assert value == pytest.approx(-1.2040, abs=5e-5)
 
     def test_value_nonpositive_always(self, mock_backend):
         pair = make_pair("p", "a b c", "q w e r t y")
-        assert score_conditional_likelihood(pair, mock_backend).value <= 0.0
+        assert SCORERS["condll"](pair.document, pair.summary, mock_backend)[0] <= 0.0
 
 
 class TestArcEntailment:
     def test_all_supported(self, mock_backend):
         pair = make_pair("p", "the mayor opened the bridge", "mayor opened bridge")
-        assert score_arc_entailment(pair, mock_backend).value == 1.0
+        assert SCORERS["dae"](pair.document, pair.summary, mock_backend)[0] == 1.0
 
     def test_one_of_two_supported(self, mock_backend):
         # parse of "mayor opened comet": head "opened", children "mayor", "comet"
         pair = make_pair("p", "the mayor opened the bridge", "mayor opened comet")
-        assert score_arc_entailment(pair, mock_backend).value == 0.5
+        assert SCORERS["dae"](pair.document, pair.summary, mock_backend)[0] == 0.5
 
     def test_mean_matches_explicit_enumeration(self, mock_backend):
         pair = make_pair("p", "alpha beta gamma", "alpha comet beta meteor gamma")
         arcs = mock_backend.parse_dependencies(pair.summary)
         probs = mock_backend.arc_entailment_probs(pair.document, arcs)
         expected = sum(probs) / len(probs)
-        assert score_arc_entailment(pair, mock_backend).value == pytest.approx(expected)
+        assert SCORERS["dae"](pair.document, pair.summary, mock_backend)[0] == \
+            pytest.approx(expected)
 
     def test_single_token_summary_distinct_error(self, mock_backend):
         pair = make_pair("p", "the mayor opened the bridge", "mayor")
         with pytest.raises(NoArcsError):
-            score_arc_entailment(pair, mock_backend)
+            SCORERS["dae"](pair.document, pair.summary, mock_backend)
         assert not issubclass(EmptySummaryError, NoArcsError)
 
 
@@ -234,6 +240,12 @@ class TestScoreCorpus:
         assert isinstance(by_scorer["condll"], FactualityScore)
         assert isinstance(by_scorer["dae"], ScoreFailure)
         assert "NoArcsError" in by_scorer["dae"].reason
+
+    def test_out_of_range_value_becomes_sentinel(self, mock_backend, monkeypatch):
+        monkeypatch.setitem(SCORERS, "dae", lambda document, summary, backend: (1.5, False))
+        (cell,) = score_corpus(self._corpus().subset(["p1"]), ["dae"], mock_backend)
+        assert isinstance(cell, ScoreFailure)
+        assert cell.reason == "DomainError: score 1.5 outside the valid range for scorer 'dae'"
 
     def test_unknown_scorer_rejected_before_scoring(self, mock_backend):
         with pytest.raises(ConfigurationError):
@@ -378,13 +390,27 @@ def reference_load_scores(path, corpus_name):
 
 
 def _table_cells(table):
-    """Every cell, column by column, in load order, with exact value bits."""
-    out = []
-    for scorer in table.scorers:
-        for pair_id, cell in table.column(scorer).items():
-            bits = cell.value.hex() if isinstance(cell, FactualityScore) else None
-            out.append((scorer, pair_id, type(cell), cell, bits))
-    return out
+    """Each column in load order, with exact value bits, its provenance and truncated ids."""
+    return [(scorer,
+             [(pair_id, type(v), v.hex() if isinstance(v, float) else v)
+              for pair_id, v in table.column(scorer).items()],
+             table.backend_descriptors()[scorer], table.truncated_ids(scorer))
+            for scorer in table.scorers]
+
+
+def _cells_as_columns(cells):
+    """What `_table_cells` gives for a table holding `cells`, added in order."""
+    columns = {}
+    for c in cells:
+        entries, _, truncated = columns.setdefault(
+            c.scorer, ([], {"name": c.backend_name, "version": c.backend_version}, set()))
+        if isinstance(c, FactualityScore):
+            entries.append((c.pair_id, float, c.value.hex()))
+            if c.truncated:
+                truncated.add(c.pair_id)
+        else:
+            entries.append((c.pair_id, str, c.reason))
+    return [(scorer, *column) for scorer, column in columns.items()]
 
 
 def _generated_cells(seed: int, n_pairs: int):
@@ -419,9 +445,8 @@ class TestLoaderMatchesReference:
         write_scores(score_corpus(corpus, ["greedy", "condll", "dae"],
                                   MockBackend(max_tokens=40)), path)
         table = load_scores(path, "toy")
-        cells = [c for s in table.scorers for c in table.column(s).values()]
-        assert len(cells) == 3 * len(corpus)
-        assert any(isinstance(c, FactualityScore) and c.truncated for c in cells)
+        assert sum(len(table.column(s)) for s in table.scorers) == 3 * len(corpus)
+        assert any(table.truncated_ids(s) for s in table.scorers)
         self._assert_same(path)
 
     def test_generated_file_with_sentinels_and_truncation(self, tmp_path):
@@ -444,11 +469,22 @@ class TestLoaderMatchesReference:
         cells = _generated_cells(seed=6, n_pairs=200)
         path = tmp_path / "scores.jsonl"
         write_scores(cells, path)
+        assert _table_cells(load_scores(path, "c")) == _cells_as_columns(cells)
+
+    def test_columns_hold_exact_floats_and_reasons_that_values_and_failures_split(
+            self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_scores(_generated_cells(seed=8, n_pairs=300), path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({**_GOOD_ROW, "pair_id": "int", "value": 1}) + "\n")
         table = load_scores(path, "c")
-        loaded = [c for s in table.scorers for c in table.column(s).values()]
-        assert loaded == cells
-        assert [c.value.hex() for c in loaded if isinstance(c, FactualityScore)] == [
-            c.value.hex() for c in cells if isinstance(c, FactualityScore)]
+        table.add(FactualityScore("x", "dae", "mock", "1", 0, False))
+        for scorer in table.scorers:
+            column = table.column(scorer)
+            assert {type(v) for v in column.values()} == {float, str}
+            values, failures = table.values(scorer), table.failures(scorer)
+            assert values.keys().isdisjoint(failures)
+            assert {**values, **failures} == column
 
     @pytest.mark.parametrize("second", ['{"a": 1}', "{}", "1", "null"])
     def test_two_json_values_on_one_line_rejected(self, tmp_path, second):
@@ -482,7 +518,11 @@ class TestScoreRowErrors:
          "outside the valid range"),
         ({**_GOOD_ROW, "pair_id": "b", "value": float("nan")}, DomainError, "not finite"),
         ({**_GOOD_ROW, "pair_id": "b", "value": float("inf")}, DomainError, "not finite"),
-    ], ids=["duplicate", "mixed-provenance", "out-of-range", "nan", "infinite"])
+        ({**_GOOD_ROW, "pair_id": 7}, ParseError, "'pair_id' must be a string, got 7"),
+        ({**_GOOD_ROW, "pair_id": "b", "value": None, "error": 3}, ParseError,
+         "'error' must be a string, got 3"),
+    ], ids=["duplicate", "mixed-provenance", "out-of-range", "nan", "infinite",
+            "integer-pair-id", "integer-error"])
     def test_error_names_its_line(self, tmp_path, bad_row, error, message):
         path = tmp_path / "scores.jsonl"
         _write_rows(path, _GOOD_ROW, {**_GOOD_ROW, "pair_id": "c"}, bad_row)
@@ -494,6 +534,8 @@ class TestScoreRowErrors:
     @pytest.mark.parametrize("field, value", [
         ("truncated", "false"), ("truncated", "true"), ("truncated", 0),
         ("truncated", 1), ("truncated", None), ("value", True), ("value", False),
+        ("pair_id", 7), ("scorer", None), ("backend_name", 1), ("backend_version", 1.0),
+        ("error", 3), ("error", None),
     ])
     def test_wrongly_typed_field_is_parse_error(self, tmp_path, field, value):
         path = tmp_path / "scores.jsonl"
