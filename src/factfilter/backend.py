@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SequenceLengthError
+from .errors import PER_PAIR_ERRORS, ConfigurationError, DomainError, SequenceLengthError
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,24 @@ class Backend(ABC):
     @abstractmethod
     def parse_dependencies(self, summary: str) -> list[DependencyArc]:
         """Dependency arcs of the summary; empty for single-token input."""
+
+    def map(self, op: str, calls: Sequence[tuple]) -> list:
+        """Run the single op `op` once per argument tuple in `calls`, in order.
+
+        The i-th item is the i-th call's result, or the `PER_PAIR_ERRORS`
+        exception that call raised; any other error propagates. This default
+        loops over the single ops, so a backend that implements only those
+        works unchanged; a backend that can serve a whole batch at once (the
+        remote one) overrides it.
+        """
+        method = getattr(self, op)
+        out: list = []
+        for args in calls:
+            try:
+                out.append(method(*args))
+            except PER_PAIR_ERRORS as exc:
+                out.append(exc)
+        return out
 
 
 class MockBackend(Backend):

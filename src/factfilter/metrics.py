@@ -10,6 +10,7 @@ deterministic so regression tests are byte-stable.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .filtration import FilterManifest
 from .records import utf8_lines, write_csv
-from .scorers import SCORERS
+from .scorers import SCORERS, score_pair
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
 # content; the filler is shorter than any maskable token, so it can never
@@ -192,6 +193,9 @@ class EvalReport:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EvalReport":
+        """Read a report `to_csv` wrote. A malformed row is a `ParseError`, a
+        second pair or failure row for a (metric, pair id) an `IntegrityError`,
+        and a value that is not finite a `DomainError`; each names `path:line`."""
         p = Path(path)
         corpus_name = ""
         per_pair: dict[str, dict[str, float]] = {}
@@ -208,14 +212,22 @@ class EvalReport:
             record, pair_id, metric, value, _, _, note = row
             if record == "meta" and metric == "corpus_name":
                 corpus_name = note
-            elif record in ("pair", "failure") and metric not in metric_order:
-                metric_order.append(metric)
+            elif record in ("pair", "failure"):
+                if metric not in metric_order:
+                    metric_order.append(metric)
+                if pair_id in per_pair.get(metric, ()) or pair_id in failures.get(metric, ()):
+                    raise IntegrityError(f"{p}:{reader.line_num}: a second row for pair "
+                                         f"{pair_id!r}, metric {metric!r}")
             if record == "pair":
                 try:
-                    per_pair.setdefault(metric, {})[pair_id] = float(value)
+                    number = float(value)
                 except ValueError:
                     raise ParseError(f"non-numeric value {value!r}",
                                      path=str(p), line=reader.line_num) from None
+                if not math.isfinite(number):
+                    raise DomainError(f"{p}:{reader.line_num}: value {value!r} for pair "
+                                      f"{pair_id!r}, metric {metric!r} is not finite")
+                per_pair.setdefault(metric, {})[pair_id] = number
             elif record == "failure":
                 failures.setdefault(metric, {})[pair_id] = note
             elif record == "aggregate" and metric not in metric_order:
@@ -236,7 +248,7 @@ def reference_free_value(metric: str, document: str, summary: str,
     """
     if metric == "blanc":
         return blanc_help(document, summary, backend).value
-    value, _ = SCORERS[metric](document, summary, backend)
+    value, _ = score_pair(metric, document, summary, backend)
     return value
 
 

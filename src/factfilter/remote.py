@@ -1,24 +1,34 @@
 """Out-of-process backend adapter speaking line-delimited JSON.
 
-Protocol: one request object per line on the server's stdin,
+Protocol 2: one request object per line on the server's stdin,
 one response per line on stdout.
 
     {"op": "embed_tokens", "args": {"text": "..."}}
-    -> {"result": {"tokens": [...], "vectors": [[...], ...]}}
+    -> {"result": {"tokens": [...], "vectors": "<base64>", "dim": 16}}
     -> {"error": {"type": "SequenceLengthError", "message": "...", "limit": 512}}
 
-Heavyweight model servers implement the same contract and can live in a
-different process (or container) from the pipeline. `python -m
-factfilter.remote --backend mock` serves any registered backend.
+Embedding vectors travel as the base64 of their little-endian float64 bytes,
+row after row, so they decode to the same bits. A `batch` request runs one op
+over many argument objects and answers with one reply object per call, in
+order:
+
+    {"op": "batch", "args": {"op": "tokenize", "calls": [{"text": "a"}, ...]}}
+    -> {"result": [{"result": {"tokens": ["a"]}}, {"error": {...}}, ...]}
+
+The `descriptor` handshake reply carries `"protocol": 2`; the client refuses a
+server that does not. Heavyweight model servers implement the same contract
+and can live in a different process (or container) from the pipeline.
+`python -m factfilter.remote --backend mock` serves any registered backend.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import subprocess
 import sys
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -31,6 +41,8 @@ from .backend import (
     create_backend,
     register_backend,
 )
+
+PROTOCOL = 2
 
 _ERROR_TYPES = {
     "DomainError": errors.DomainError,
@@ -61,18 +73,20 @@ def _arc_from_dict(obj: dict[str, Any]) -> DependencyArc:
     )
 
 
-def _handle_request(backend: Backend, request: dict[str, Any]) -> dict[str, Any]:
-    op = request.get("op")
-    args = request.get("args", {})
+def _result(backend: Backend, op: Any, args: dict[str, Any]) -> Any:
     if op == "descriptor":
         d = backend.descriptor
         return {"name": d.name, "version": d.version, "deterministic": d.deterministic,
-                "max_tokens": d.max_tokens}
+                "max_tokens": d.max_tokens, "protocol": PROTOCOL}
+    if op == "batch":
+        return [_reply(backend, args["op"], call) for call in args["calls"]]
     if op == "tokenize":
         return {"tokens": backend.tokenize(args["text"])}
     if op == "embed_tokens":
         emb = backend.embed_tokens(args["text"])
-        return {"tokens": list(emb.tokens), "vectors": emb.vectors.tolist()}
+        vectors = np.ascontiguousarray(emb.vectors, dtype="<f8")
+        return {"tokens": list(emb.tokens), "dim": vectors.shape[1],
+                "vectors": base64.b64encode(vectors.tobytes()).decode("ascii")}
     if op == "conditional_token_logprobs":
         return {"logprobs": backend.conditional_token_logprobs(args["source"], args["target"])}
     if op == "arc_entailment_probs":
@@ -87,6 +101,17 @@ def _handle_request(backend: Backend, request: dict[str, Any]) -> dict[str, Any]
     raise errors.BackendError(f"unknown op {op!r}")
 
 
+def _reply(backend: Backend, op: Any, args: dict[str, Any]) -> dict[str, Any]:
+    """`{"result": ...}`, or `{"error": ...}` for a toolkit error."""
+    try:
+        return {"result": _result(backend, op, args)}
+    except errors.FactFilterError as exc:
+        payload: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, errors.SequenceLengthError):
+            payload["limit"] = exc.limit
+        return {"error": payload}
+
+
 def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
     """Answer protocol requests until the input stream closes."""
     for line in in_stream:
@@ -95,13 +120,7 @@ def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
             continue
         try:
             request = json.loads(line)
-            result = _handle_request(backend, request)
-            response: dict[str, Any] = {"result": result}
-        except errors.FactFilterError as exc:
-            payload: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}
-            if isinstance(exc, errors.SequenceLengthError):
-                payload["limit"] = exc.limit
-            response = {"error": payload}
+            response = _reply(backend, request.get("op"), request.get("args", {}))
         except Exception as exc:  # malformed request; keep the server alive
             response = {"error": {"type": "BackendError", "message": f"bad request: {exc}"}}
         out_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
@@ -120,7 +139,54 @@ def _descriptor_from_reply(info: Any) -> BackendDescriptor:
             raise errors.TransportError(
                 f"descriptor reply needs {name!r} of type {kind.__name__}, "
                 f"got {info.get(name)!r}")
+    if type(info.get("protocol")) is not int or info["protocol"] != PROTOCOL:
+        raise errors.TransportError(f"descriptor reply needs 'protocol' {PROTOCOL}, "
+                                    f"got {info.get('protocol')!r}")
     return BackendDescriptor(**{name: info[name] for name in _DESCRIPTOR_FIELDS})
+
+
+def _unwrap(response: Any, op: str) -> Any:
+    """The `result` of one reply object; its `error` raises as the toolkit error."""
+    err = response.get("error") if isinstance(response, dict) else None
+    if isinstance(err, dict):
+        exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)
+        if exc_type is errors.SequenceLengthError:
+            raise errors.SequenceLengthError(err["message"], int(err.get("limit", 0)))
+        raise exc_type(err.get("message", "remote backend error"))
+    if not isinstance(response, dict) or "result" not in response:
+        raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
+    return response["result"]
+
+
+def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
+    try:
+        vectors = np.frombuffer(base64.b64decode(result["vectors"], validate=True),
+                                dtype="<f8").reshape(-1, result["dim"])
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise errors.TransportError(f"undecodable embedding vectors: {exc}") from exc
+    return TokenEmbeddings(tokens=tuple(result["tokens"]), vectors=vectors)
+
+
+# Each op's argument object from its positional arguments, and its value from
+# the reply's result.
+_CODECS: dict[str, tuple[Callable[..., dict[str, Any]], Callable[[Any], Any]]] = {
+    "tokenize": (lambda text: {"text": text}, lambda r: list(r["tokens"])),
+    "embed_tokens": (lambda text: {"text": text}, _embeddings_from_reply),
+    "conditional_token_logprobs": (
+        lambda source, target: {"source": source, "target": target},
+        lambda r: [float(v) for v in r["logprobs"]]),
+    "arc_entailment_probs": (
+        lambda document, arcs: {"document": document,
+                                "arcs": [_arc_to_dict(a) for a in arcs]},
+        lambda r: [float(v) for v in r["probs"]]),
+    "masked_fill_accuracy": (
+        lambda prefix, sentence, mask_positions: {
+            "prefix": prefix, "sentence": sentence,
+            "mask_positions": sorted(set(mask_positions))},
+        lambda r: float(r["accuracy"])),
+    "parse_dependencies": (lambda summary: {"summary": summary},
+                           lambda r: [_arc_from_dict(a) for a in r["arcs"]]),
+}
 
 
 class RemoteBackend(Backend):
@@ -146,7 +212,7 @@ class RemoteBackend(Backend):
     def descriptor(self) -> BackendDescriptor:
         return self._descriptor
 
-    def _request(self, op: str, args: dict[str, Any]) -> dict[str, Any]:
+    def _request(self, op: str, args: dict[str, Any]) -> Any:
         if self._proc.poll() is not None:
             raise errors.TransportError(f"backend process exited with {self._proc.returncode}")
         assert self._proc.stdin is not None and self._proc.stdout is not None
@@ -163,15 +229,28 @@ class RemoteBackend(Backend):
             response = json.loads(line)
         except json.JSONDecodeError as exc:
             raise errors.TransportError(f"unparseable reply to {op!r}: {exc}") from exc
-        err = response.get("error") if isinstance(response, dict) else None
-        if isinstance(err, dict):
-            exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)
-            if exc_type is errors.SequenceLengthError:
-                raise errors.SequenceLengthError(err["message"], int(err.get("limit", 0)))
-            raise exc_type(err.get("message", "remote backend error"))
-        if not isinstance(response, dict) or "result" not in response:
-            raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
-        return response["result"]
+        return _unwrap(response, op)
+
+    def _call(self, op: str, *args: Any) -> Any:
+        encode, decode = _CODECS[op]
+        return decode(self._request(op, encode(*args)))
+
+    def map(self, op: str, calls: Sequence[tuple]) -> list:
+        """One `batch` request for all of `calls`; see `Backend.map`."""
+        if not calls:
+            return []
+        encode, decode = _CODECS[op]
+        items = self._request("batch", {"op": op, "calls": [encode(*args) for args in calls]})
+        if not isinstance(items, list) or len(items) != len(calls):
+            raise errors.TransportError(
+                f"batch reply to {op!r} is not a list of {len(calls)} items")
+        out: list = []
+        for item in items:
+            try:
+                out.append(decode(_unwrap(item, op)))
+            except errors.PER_PAIR_ERRORS as exc:
+                out.append(exc)
+        return out
 
     def close(self) -> None:
         if self._proc.poll() is None:
@@ -186,40 +265,24 @@ class RemoteBackend(Backend):
         self.close()
 
     def tokenize(self, text: str) -> list[str]:
-        return list(self._request("tokenize", {"text": text})["tokens"])
+        return self._call("tokenize", text)
 
     def embed_tokens(self, text: str) -> TokenEmbeddings:
-        result = self._request("embed_tokens", {"text": text})
-        return TokenEmbeddings(
-            tokens=tuple(result["tokens"]),
-            vectors=np.asarray(result["vectors"], dtype=np.float64),
-        )
+        return self._call("embed_tokens", text)
 
     def conditional_token_logprobs(self, source: str, target: str) -> list[float]:
-        result = self._request("conditional_token_logprobs",
-                               {"source": source, "target": target})
-        return [float(v) for v in result["logprobs"]]
+        return self._call("conditional_token_logprobs", source, target)
 
     def arc_entailment_probs(self, document: str,
                              arcs: Sequence[DependencyArc]) -> list[float]:
-        result = self._request("arc_entailment_probs", {
-            "document": document,
-            "arcs": [_arc_to_dict(a) for a in arcs],
-        })
-        return [float(v) for v in result["probs"]]
+        return self._call("arc_entailment_probs", document, arcs)
 
     def masked_fill_accuracy(self, prefix: str, sentence: str,
                              mask_positions: Iterable[int]) -> float:
-        result = self._request("masked_fill_accuracy", {
-            "prefix": prefix,
-            "sentence": sentence,
-            "mask_positions": sorted(set(mask_positions)),
-        })
-        return float(result["accuracy"])
+        return self._call("masked_fill_accuracy", prefix, sentence, mask_positions)
 
     def parse_dependencies(self, summary: str) -> list[DependencyArc]:
-        result = self._request("parse_dependencies", {"summary": summary})
-        return [_arc_from_dict(a) for a in result["arcs"]]
+        return self._call("parse_dependencies", summary)
 
 
 register_backend("remote", lambda command: RemoteBackend(command))

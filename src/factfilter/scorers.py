@@ -20,11 +20,11 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .backend import Backend
+from .backend import Backend, BackendDescriptor, TokenEmbeddings
 from .corpus import Corpus, Pair
 from .errors import (
     PER_PAIR_ERRORS,
@@ -87,30 +87,80 @@ def _check_value(scorer: str, pair_id: str, value: float) -> None:
         raise DomainError(f"score {value} outside the valid range for scorer {scorer!r}")
 
 
-def truncate_document(backend: Backend, document: str) -> tuple[str, bool]:
-    """Clip a document to the backend's token limit; summaries are never clipped."""
+@dataclass(frozen=True, slots=True)
+class PreparedPair:
+    """A pair as every scorer reads it: the document clipped to the backend's
+    token limit (summaries are never clipped), and whether it was clipped."""
+
+    document: str
+    summary: str
+    truncated: bool
+
+
+def prepare_pairs(texts: Sequence[tuple[str, str]],
+                  backend: Backend) -> list[PreparedPair | Exception]:
+    """Tokenize each `(document, summary)` once: the one place a document is clipped.
+
+    The i-th item is the prepared pair, or the per-pair error that stopped it:
+    the document's tokenize error, then the summary's, then an
+    `EmptySummaryError`. A pair whose document failed is not asked about its
+    summary.
+    """
     limit = backend.descriptor.max_tokens
-    tokens = backend.tokenize(document)
-    if len(tokens) <= limit:
-        return document, False
-    return " ".join(tokens[:limit]), True
+    out = list(backend.map("tokenize", [(document,) for document, _ in texts]))
+    live = _alive(out)
+    summaries = backend.map("tokenize", [(texts[i][1],) for i in live])
+    for i, summary_tokens in zip(live, summaries):
+        document, summary = texts[i]
+        doc_tokens = out[i]
+        if isinstance(summary_tokens, Exception):
+            out[i] = summary_tokens
+        elif not summary_tokens:
+            out[i] = EmptySummaryError("summary tokenizes to nothing")
+        elif len(doc_tokens) > limit:
+            out[i] = PreparedPair(" ".join(doc_tokens[:limit]), summary, True)
+        else:
+            out[i] = PreparedPair(document, summary, False)
+    return out
+
+
+def _alive(outcomes: Sequence[Any]) -> list[int]:
+    """Indices of the items that are not a per-pair error."""
+    return [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+
+
+def _per_pair(compute: Callable[..., float], *inputs: Any) -> float | Exception:
+    """`compute(*inputs)`; an input that is already a per-pair error, or the
+    per-pair error `compute` raises, is returned instead."""
+    for item in inputs:
+        if isinstance(item, Exception):
+            return item
+    try:
+        return compute(*inputs)
+    except PER_PAIR_ERRORS as exc:
+        return exc
 
 
 _GREEDY_BLOCK_ELEMENTS = 2 ** 15
 
 
-def greedy_precision_value(document: str, summary: str, backend: Backend) -> tuple[float, bool]:
+def greedy_precision_values(pairs: Sequence[PreparedPair],
+                            backend: Backend) -> list[float | Exception]:
     """Mean over summary tokens of max similarity to any document token.
 
     Similarity of unit vectors u, v is computed as 1 - |u - v|^2 / 2, which
     equals their cosine up to rounding and is exactly 1.0 when the embeddings
     are bitwise identical (so a summary copied from the document scores 1.0).
     """
-    document, truncated = truncate_document(backend, document)
-    if not backend.tokenize(summary):
-        raise EmptySummaryError("summary tokenizes to nothing")
-    doc_emb = backend.embed_tokens(document)
-    sum_emb = backend.embed_tokens(summary)
+    out = list(backend.map("embed_tokens", [(pair.document,) for pair in pairs]))
+    live = _alive(out)
+    summaries = backend.map("embed_tokens", [(pairs[i].summary,) for i in live])
+    for i, summary in zip(live, summaries):
+        out[i] = _per_pair(_greedy_value, out[i], summary)
+    return out
+
+
+def _greedy_value(doc_emb: TokenEmbeddings, sum_emb: TokenEmbeddings) -> float:
     doc_vecs = _unit_rows(doc_emb.vectors)
     sum_vecs = _unit_rows(sum_emb.vectors)
     if doc_vecs.shape[1] != sum_vecs.shape[1]:
@@ -122,43 +172,51 @@ def greedy_precision_value(document: str, summary: str, backend: Backend) -> tup
     for i in range(0, sum_vecs.shape[0], rows):
         d2 = np.sum((doc_vecs - sum_vecs[i:i + rows, None]) ** 2, axis=2)
         best[i:i + rows] = np.max(1.0 - d2 / 2.0, axis=1)
-    value = float(np.mean(np.clip(best, -1.0, 1.0)))
-    return value, truncated
+    return float(np.mean(np.clip(best, -1.0, 1.0)))
 
 
-def conditional_likelihood_value(document: str, summary: str,
-                                 backend: Backend) -> tuple[float, bool]:
+def conditional_likelihood_values(pairs: Sequence[PreparedPair],
+                                  backend: Backend) -> list[float | Exception]:
     """Mean token log-probability of the summary conditioned on the document.
 
     The mean (not the sum) removes the length confound, so the downstream
     filter does not mechanically favor short summaries.
     """
-    document, truncated = truncate_document(backend, document)
-    if not backend.tokenize(summary):
-        raise EmptySummaryError("summary tokenizes to nothing")
-    logprobs = backend.conditional_token_logprobs(document, summary)
+    logprobs = backend.map("conditional_token_logprobs",
+                           [(pair.document, pair.summary) for pair in pairs])
+    return [_per_pair(_condll_value, logprob) for logprob in logprobs]
+
+
+def _condll_value(logprobs: Sequence[float]) -> float:
     arr = np.asarray(logprobs, dtype=np.float64)
     if arr.size == 0:
         raise EmptySummaryError("backend produced no target token log-probabilities")
     if not np.all(np.isfinite(arr)) or np.any(arr > 0.0):
         raise BackendError("token log-probabilities must be finite and <= 0")
-    return float(np.mean(arr)), truncated
+    return float(np.mean(arr))
 
 
-def arc_entailment_value(document: str, summary: str, backend: Backend) -> tuple[float, bool]:
+def arc_entailment_values(pairs: Sequence[PreparedPair],
+                          backend: Backend) -> list[float | Exception]:
     """Mean entailment probability over the summary's dependency arcs."""
-    document, truncated = truncate_document(backend, document)
-    if not backend.tokenize(summary):
-        raise EmptySummaryError("summary tokenizes to nothing")
-    arcs = backend.parse_dependencies(summary)
-    if not arcs:
-        raise NoArcsError("summary yields no dependency arcs (single token)")
-    probs = np.asarray(backend.arc_entailment_probs(document, arcs), dtype=np.float64)
-    if probs.shape[0] != len(arcs):
+    out = list(backend.map("parse_dependencies", [(pair.summary,) for pair in pairs]))
+    for i in _alive(out):
+        if not out[i]:
+            out[i] = NoArcsError("summary yields no dependency arcs (single token)")
+    live = _alive(out)
+    probs = backend.map("arc_entailment_probs", [(pairs[i].document, out[i]) for i in live])
+    for i, prob in zip(live, probs):
+        out[i] = _per_pair(_dae_value, prob, len(out[i]))
+    return out
+
+
+def _dae_value(probs: Sequence[float], n_arcs: int) -> float:
+    arr = np.asarray(probs, dtype=np.float64)
+    if arr.shape[0] != n_arcs:
         raise BackendError("entailment output length does not match arc count")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise BackendError("arc entailment probabilities must lie in [0, 1]")
-    return float(np.mean(probs)), truncated
+    return float(np.mean(arr))
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -166,12 +224,31 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms
 
 
-# The one name -> scorer map: (document, summary, backend) -> (value, truncated).
-SCORERS: dict[str, Callable[[str, str, Backend], tuple[float, bool]]] = {
-    "greedy": greedy_precision_value,
-    "condll": conditional_likelihood_value,
-    "dae": arc_entailment_value,
+# The one name -> scorer map. Each entry scores a chunk of prepared pairs,
+# asking the backend for one op over the whole chunk at a time; the i-th item
+# of its result is pair i's value or the per-pair error that stopped it.
+ChunkScorer = Callable[[Sequence[PreparedPair], Backend], list[Union[float, Exception]]]
+SCORERS: dict[str, ChunkScorer] = {
+    "greedy": greedy_precision_values,
+    "condll": conditional_likelihood_values,
+    "dae": arc_entailment_values,
 }
+
+
+def score_pair(scorer: str, document: str, summary: str,
+               backend: Backend) -> tuple[float, bool]:
+    """One scorer's `(value, truncated)` for one pair, scored as a chunk of one.
+
+    A per-pair failure raises; callers apply the per-pair failure policy
+    (`errors.PER_PAIR_ERRORS`).
+    """
+    (prepared,) = prepare_pairs([(document, summary)], backend)
+    if isinstance(prepared, Exception):
+        raise prepared
+    (outcome,) = SCORERS[scorer]([prepared], backend)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome, prepared.truncated
 
 
 class ScoreTable:
@@ -329,13 +406,37 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
     return table
 
 
-def _score_one(scorer: str, pair: Pair, backend: Backend) -> ScoreCell:
-    d = backend.descriptor
-    try:
-        value, truncated = SCORERS[scorer](pair.document, pair.summary, backend)
-        return FactualityScore(pair.id, scorer, d.name, d.version, value, truncated)
-    except PER_PAIR_ERRORS as exc:  # includes an out-of-range value's DomainError
-        return ScoreFailure(pair.id, scorer, d.name, d.version, failure_reason(exc))
+# Pairs are scored in consecutive chunks of at most this many characters of
+# document and summary text (a longer pair is a chunk alone): one backend
+# round trip per op per chunk, while a chunk's prepared texts and replies stay
+# small next to the corpus.
+_CHUNK_CHARS = 2 ** 14
+
+
+def _chunks(todo: Sequence[tuple[Pair, list[str]]]) -> Iterator[list[tuple[Pair, list[str]]]]:
+    chunk: list[tuple[Pair, list[str]]] = []
+    size = 0
+    for item in todo:
+        pair = item[0]
+        length = len(pair.document) + len(pair.summary)
+        if chunk and size + length > _CHUNK_CHARS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(item)
+        size += length
+    if chunk:
+        yield chunk
+
+
+def _cell(scorer: str, pair_id: str, d: BackendDescriptor,
+          prepared: PreparedPair | Exception, outcome: float | Exception) -> ScoreCell:
+    if not isinstance(outcome, Exception):
+        try:
+            return FactualityScore(pair_id, scorer, d.name, d.version, outcome,
+                                   prepared.truncated)
+        except DomainError as exc:  # a value outside the scorer's range
+            outcome = exc
+    return ScoreFailure(pair_id, scorer, d.name, d.version, failure_reason(outcome))
 
 
 def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
@@ -344,7 +445,10 @@ def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
 
     Results come back in canonical order (scorer-major, corpus pair order).
     `skip(pair_id, scorer)` filters out already-scored cells for resumable
-    runs.
+    runs. The pairs that still need a cell are scored in chunks of at most
+    `_CHUNK_CHARS` characters of text: each pair of a chunk is prepared
+    (tokenized and truncated) once for all scorers, and each scorer asks the
+    backend for one op over the chunk at a time.
     """
     if len(corpus) == 0:
         raise DomainError(f"corpus {corpus.name!r} is empty")
@@ -353,8 +457,22 @@ def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
         raise ConfigurationError(
             f"unknown scorers {unknown}; available: {sorted(SCORERS)}"
         )
-    return [_score_one(scorer, pair, backend) for scorer in scorer_names for pair in corpus
-            if skip is None or not skip(pair.id, scorer)]
+    descriptor = backend.descriptor
+    cells: dict[str, list[ScoreCell]] = {scorer: [] for scorer in scorer_names}
+    todo = [(pair, needed) for pair in corpus
+            if (needed := [scorer for scorer in cells
+                           if skip is None or not skip(pair.id, scorer)])]
+    for chunk in _chunks(todo):
+        prepared = prepare_pairs([(pair.document, pair.summary) for pair, _ in chunk],
+                                 backend)
+        for scorer, column in cells.items():
+            members = [k for k, (_, needed) in enumerate(chunk) if scorer in needed]
+            ready = [k for k in members if not isinstance(prepared[k], Exception)]
+            outcomes = dict(zip(ready, SCORERS[scorer]([prepared[k] for k in ready], backend),
+                                strict=True))
+            column.extend(_cell(scorer, chunk[k][0].id, descriptor, prepared[k],
+                                outcomes.get(k, prepared[k])) for k in members)
+    return [cell for scorer in scorer_names for cell in cells[scorer]]
 
 
 def score_corpus_to_file(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,

@@ -11,7 +11,9 @@ import itertools
 import json
 import math
 import os
+import shlex
 import shutil
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -22,6 +24,7 @@ import pytest
 from factfilter import (
     FactualityAnnotation,
     FilterManifest,
+    MockBackend,
     flip_analysis,
     load_corpus,
     partial_pearson,
@@ -29,10 +32,12 @@ from factfilter import (
     rouge2,
     wilcoxon_signed_rank,
 )
+from factfilter import scorers
 from factfilter.cli import main
 from factfilter.corpus import toy_corpus_path
 from factfilter.filtration import intersect_filter, percentile_keep_set
-from factfilter.scorers import SCORERS, FactualityScore, ScoreTable
+from factfilter.remote import RemoteBackend
+from factfilter.scorers import FactualityScore, ScoreTable, score_pair
 from factfilter.stats import _average_ranks, _exact_two_sided_p, _normal_two_sided_p
 from factfilter.validation import CATEGORIES
 
@@ -206,7 +211,15 @@ def _run_toy_pipeline(workdir: Path) -> dict[str, str]:
     }
 
 
-def test_criterion_5_toy_pipeline_bit_exact(tmp_path):
+def _score_toy(out: Path, backend: list[str]) -> bytes:
+    out.mkdir()
+    scores = out / "scores.jsonl"
+    assert main(["score", "--in", str(toy_corpus_path()), "--out", str(scores),
+                 "--scorers", "greedy,condll,dae", *backend]) == 0
+    return scores.read_bytes()
+
+
+def test_criterion_5_toy_pipeline_bit_exact(tmp_path, monkeypatch):
     with criterion(5, "end-to-end toy pipeline reproduces frozen hashes"):
         first = _run_toy_pipeline(tmp_path / "run_1")
         second = _run_toy_pipeline(tmp_path / "run_2")
@@ -216,6 +229,30 @@ def test_criterion_5_toy_pipeline_bit_exact(tmp_path):
         assert first["stats"] == TOY_STATS_SHA
         assert first["distributions"] == TOY_DISTRIBUTIONS_SHA
         assert first["report"] == TOY_REPORT_SHA
+
+        # Chunks of one pair, the default budget and the whole corpus in one
+        # chunk, in process and over the remote protocol, give the same bytes.
+        remote = f"{sys.executable} -m factfilter.remote --backend mock"
+        for chunk_chars in (1, scorers._CHUNK_CHARS, 10 ** 9):
+            monkeypatch.setattr(scorers, "_CHUNK_CHARS", chunk_chars)
+            for name, backend in (("mock", ["--backend", "mock"]),
+                                  ("remote", ["--backend", "remote",
+                                              "--remote-command", remote])):
+                scores = _score_toy(tmp_path / f"chunk_{chunk_chars}_{name}", backend)
+                assert hashlib.sha256(scores).hexdigest() == TOY_SCORES_SHA, (chunk_chars, name)
+
+        # Embedding vectors cross the wire as bytes and decode to the same bits.
+        local = MockBackend()
+        texts = [text for pair in load_corpus(toy_corpus_path())
+                 for text in (pair.document, pair.summary)]
+        with RemoteBackend(shlex.split(remote)) as over_wire:
+            batched = over_wire.map("embed_tokens", [(text,) for text in texts])
+            single = [over_wire.embed_tokens(text) for text in texts[:4]]
+            for got, text in zip(batched + single, texts + texts[:4]):
+                want = local.embed_tokens(text)
+                assert got.tokens == want.tokens
+                assert got.vectors.dtype == want.vectors.dtype
+                assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 def _synthetic_annotations(rng, n: int, flag_rate: float = 0.3,
@@ -258,9 +295,9 @@ def test_criterion_7_mock_scorer_analytics(mock_backend):
     with criterion(7, "mock-backend scorer values are analytically exact"):
         copied = make_pair("p", "the mayor opened the bridge on friday",
                            "mayor opened the bridge")
-        assert SCORERS["greedy"](copied.document, copied.summary, mock_backend)[0] == 1.0
-        assert SCORERS["dae"](copied.document, copied.summary, mock_backend)[0] == 1.0
-        assert abs(SCORERS["condll"](copied.document, copied.summary, mock_backend)[0]
+        assert score_pair("greedy", copied.document, copied.summary, mock_backend)[0] == 1.0
+        assert score_pair("dae", copied.document, copied.summary, mock_backend)[0] == 1.0
+        assert abs(score_pair("condll", copied.document, copied.summary, mock_backend)[0]
                    - math.log(0.9)) < 1e-12
 
         mixed_embed = make_pair("p", "alpha beta gamma", "alpha beta zzzz")
@@ -271,17 +308,17 @@ def test_criterion_7_mock_scorer_analytics(mock_backend):
                     for v in doc_vectors]
             best.append(max(sims))
         expected_greedy = sum(best) / len(best)
-        got = SCORERS["greedy"](mixed_embed.document, mixed_embed.summary, mock_backend)[0]
+        got = score_pair("greedy", mixed_embed.document, mixed_embed.summary, mock_backend)[0]
         assert abs(got - expected_greedy) < 1e-12
         assert got < 1.0
 
         mixed_condll = make_pair("p", "storm hit", "storm hit comet meteor")
         expected_condll = (2 * math.log(0.9) + 2 * math.log(0.1)) / 4
-        assert abs(SCORERS["condll"](mixed_condll.document, mixed_condll.summary, mock_backend)[0]
-                   - expected_condll) < 1e-12
+        assert abs(score_pair("condll", mixed_condll.document, mixed_condll.summary,
+                              mock_backend)[0] - expected_condll) < 1e-12
 
         mixed_dae = make_pair("p", "the mayor opened the bridge", "mayor opened comet")
-        assert SCORERS["dae"](mixed_dae.document, mixed_dae.summary, mock_backend)[0] == 0.5
+        assert score_pair("dae", mixed_dae.document, mixed_dae.summary, mock_backend)[0] == 0.5
 
 
 REAL_DATA_ENV = "FACTFILTER_REAL_DATA"

@@ -318,7 +318,7 @@ def test_console_entry_point_runs():
 
 
 _FAULTY_SERVER = """
-import itertools, sys
+import itertools, json, sys
 sys.path.insert(0, {src!r})
 from factfilter.backend import MockBackend
 from factfilter.remote import serve
@@ -326,12 +326,24 @@ from factfilter.remote import serve
 k, reply = int(sys.argv[1]), sys.argv[2]
 serve(MockBackend(), itertools.islice(sys.stdin, k), sys.stdout)
 if reply != "exit":
-    sys.stdin.readline()
-    sys.stdout.buffer.write(b"\\xff\\xfe\\n" if reply == "invalid-utf8"
-                            else reply.encode() + b"\\n")
+    request = json.loads(sys.stdin.readline())
+    if reply == "invalid-utf8":
+        sys.stdout.buffer.write(b"\\xff\\xfe\\n")
+    elif reply == "non-object-item":
+        calls = len(request["args"]["calls"])
+        sys.stdout.buffer.write(json.dumps({{"result": [1] * calls}}).encode() + b"\\n")
+    else:
+        sys.stdout.buffer.write(reply.encode() + b"\\n")
     sys.stdout.flush()
     serve(MockBackend(), sys.stdin, sys.stdout)
 """
+
+# A `score` resuming the 25-line partial toy file sends the handshake and then
+# seven batches (the whole toy corpus is one chunk): two tokenize, two
+# embed_tokens, then conditional_token_logprobs, parse_dependencies and
+# arc_entailment_probs. A fault after request 4 lands on the fifth, after three
+# batches succeeded and before the last one.
+_FAULT_AFTER = 4
 
 
 class TestTransportFailures:
@@ -352,10 +364,13 @@ class TestTransportFailures:
         return full, partial
 
     @pytest.mark.parametrize("k, reply", [
-        (1, "exit"), (60, "exit"), (60, "not json"), (60, "{}"), (60, '{"error": "boom"}'),
-        (60, "[1]"), (60, "invalid-utf8"),
-    ], ids=["exit-after-handshake", "exit-after-60", "not-json", "no-result",
-            "non-object-error", "non-object-reply", "invalid-utf8"])
+        (1, "exit"), (_FAULT_AFTER, "exit"), (_FAULT_AFTER, "not json"),
+        (_FAULT_AFTER, "{}"), (_FAULT_AFTER, '{"error": "boom"}'), (_FAULT_AFTER, "[1]"),
+        (_FAULT_AFTER, "invalid-utf8"), (_FAULT_AFTER, '{"result": {}}'),
+        (_FAULT_AFTER, '{"result": []}'), (_FAULT_AFTER, "non-object-item"),
+    ], ids=["exit-after-handshake", "exit-mid-run", "not-json", "no-result",
+            "non-object-error", "non-object-reply", "invalid-utf8", "batch-not-a-list",
+            "batch-wrong-count", "batch-non-object-item"])
     def test_score_exits_three_and_keeps_the_scores_file(self, toy, capsys, server,
                                                          partial, k, reply):
         full, partial = partial
@@ -373,6 +388,37 @@ class TestTransportFailures:
                      "--remote-command", healthy]) == 0
         assert partial.read_bytes() == full.read_bytes()
 
+    @pytest.mark.parametrize("reply, message", [
+        ('{"result": {"a": {"result": {"tokens": ["a"]}}, "b": {"result": {"tokens": ["b"]}}}}',
+         "is not a list of 2 items"),
+        ('{"result": [{"result": {"tokens": ["a"]}}]}', "is not a list of 2 items"),
+        ("non-object-item", "neither a result nor an error"),
+    ], ids=["not-a-list", "wrong-count", "non-object-item"])
+    def test_malformed_batch_reply_is_a_transport_error(self, server, reply, message):
+        from factfilter.errors import TransportError
+        from factfilter.remote import RemoteBackend
+
+        backend = RemoteBackend([sys.executable, str(server), "1", reply])
+        try:
+            with pytest.raises(TransportError, match=message):
+                backend.map("tokenize", [("a",), ("b",)])
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("vectors", ['"not base64!"', '"AAAAAAAAAAA="', "[[0.5, 0.5]]"],
+                             ids=["bad-base64", "partial-row", "json-floats"])
+    def test_undecodable_vectors_are_a_transport_error(self, server, vectors):
+        from factfilter.errors import TransportError
+        from factfilter.remote import RemoteBackend
+
+        reply = f'{{"result": {{"tokens": ["a"], "dim": 2, "vectors": {vectors}}}}}'
+        backend = RemoteBackend([sys.executable, str(server), "1", reply])
+        try:
+            with pytest.raises(TransportError, match="undecodable embedding vectors"):
+                backend.embed_tokens("a")
+        finally:
+            backend.close()
+
     @pytest.mark.parametrize("reply", [
         '{"result": {}}',
         '{"result": [1]}',
@@ -381,8 +427,11 @@ class TestTransportFailures:
         '{"result": {"name": "mock", "version": "1", "deterministic": 1, "max_tokens": 512}}',
         '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": "512"}}',
         '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": true}}',
+        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": 512}}',
+        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": 512, '
+        '"protocol": 1}}',
     ], ids=["empty", "non-object", "no-name", "int-version", "int-deterministic",
-            "string-max-tokens", "bool-max-tokens"])
+            "string-max-tokens", "bool-max-tokens", "no-protocol", "protocol-1"])
     def test_malformed_handshake_exits_three(self, toy, tmp_path, capsys, monkeypatch,
                                              server, reply):
         from factfilter import remote

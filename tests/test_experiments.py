@@ -19,7 +19,7 @@ from factfilter.experiments import (
     write_sweep_csv,
 )
 from factfilter.metrics import EvalReport, reference_free_value
-from factfilter.scorers import conditional_likelihood_value, greedy_precision_value
+from factfilter.scorers import score_pair
 
 from conftest import make_corpus, make_pair
 from test_filtration import build_table
@@ -156,10 +156,10 @@ class TestMockTrainHook:
         hook = mock_train_eval_hook(mock_backend, ["greedy", "condll"])
         out = hook(corpus)
         expected_greedy = np.mean([
-            greedy_precision_value(p.document, p.summary, mock_backend)[0]
+            score_pair("greedy", p.document, p.summary, mock_backend)[0]
             for p in corpus])
         expected_condll = np.mean([
-            conditional_likelihood_value(p.document, p.summary, mock_backend)[0]
+            score_pair("condll", p.document, p.summary, mock_backend)[0]
             for p in corpus])
         assert out["greedy"] == pytest.approx(float(expected_greedy), abs=1e-15)
         assert out["condll"] == pytest.approx(float(expected_condll), abs=1e-15)

@@ -1,7 +1,8 @@
 """One JSONL reader and one CSV writer (`factfilter.records`) behind every stage.
 
-Each JSONL loader reports each kind of bad record with one exception class,
-names its `path:line`, and maps to exit code 2 on the command line.
+Each JSONL loader, and the evaluation report's CSV reader, reports each kind
+of bad record with one exception class, names its `path:line`, and maps to
+exit code 2 on the command line.
 """
 
 from __future__ import annotations
@@ -37,7 +38,15 @@ LOADERS = {
     "scores": lambda path: load_scores(path, "c"),
     "annotations": load_annotations,
     "generated": _load_generated,
+    "report": EvalReport.from_csv,
 }
+
+# An evaluation report is CSV: its header, then one row per line.
+REPORT_HEADER = "record,pair_id,metric,value,n,headline,note"
+
+
+def _report_row(pair_id):
+    return f"pair,{pair_id},rouge2,0.5,,,"
 
 
 def _cli_argv(loader: str, path: Path, tmp_path: Path) -> list[str]:
@@ -105,13 +114,26 @@ CASES = [
     ("generated", "mistyped-field", _with(summary=7), ParseError, "'summary'"),
     ("generated", "duplicate", _same_as_first("generated"), IntegrityError,
      "duplicate generated summary for id 'a'"),
+    ("report", "duplicate", lambda row: _report_row("a"), IntegrityError,
+     "a second row for pair 'a', metric 'rouge2'"),
+    ("report", "failure-after-pair", lambda row: "failure,a,rouge2,,,,boom", IntegrityError,
+     "a second row for pair 'a', metric 'rouge2'"),
+    ("report", "nan", lambda row: row.replace("0.5", "nan"), DomainError, "is not finite"),
+    ("report", "infinite", lambda row: row.replace("0.5", "inf"), DomainError,
+     "is not finite"),
 ]
 # A generated summary has no domain of its own: an empty one or an id outside
 # the corpus is judged later, by `evaluate`, so that loader has no such case.
 
 
 def _bad_file(tmp_path: Path, loader: str, make_bad) -> Path:
-    """Line 1 a good record, line 2 blank, line 3 the bad record."""
+    """Line 1 a good record, line 2 blank, line 3 the bad record; for a report,
+    line 1 its header and line 2 a good row."""
+    if loader == "report":
+        path = tmp_path / "report.csv"
+        path.write_text(f"{REPORT_HEADER}\n{_report_row('a')}\n{make_bad(_report_row('b'))}\n",
+                        encoding="utf-8")
+        return path
     path = tmp_path / f"{loader}.jsonl"
     path.write_text(json.dumps(GOOD[loader]("a")) + "\n\n" + make_bad(GOOD[loader]("b"))
                     + "\n", encoding="utf-8")
@@ -137,6 +159,15 @@ class TestLoaderMatrix:
         path = _bad_file(tmp_path, loader, make_bad)
         assert main(_cli_argv(loader, path, tmp_path)) == 2
         assert f"data error: {path}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second", ["pair,a,rouge2,0.5,,,", "failure,a,rouge2,,,,again"],
+                         ids=["pair", "failure"])
+def test_report_row_after_a_failure_row_is_a_second_row(tmp_path, second):
+    path = tmp_path / "report.csv"
+    path.write_text(f"{REPORT_HEADER}\nfailure,a,rouge2,,,,boom\n{second}\n", encoding="utf-8")
+    with pytest.raises(IntegrityError, match=f"^{path}:3: a second row for pair 'a'"):
+        EvalReport.from_csv(path)
 
 
 class TestAnnotationTypes:
@@ -190,7 +221,6 @@ class TestScoreValueType:
 # An evaluation report CSV's first two lines, and a good pair row for id "b".
 REPORT_HEAD = b"record,pair_id,metric,value,n,headline,note\nmeta,,corpus_name,,,,toy\n"
 REPORT_ROW = b'pair,"b",rouge2,0.5,,,'
-READERS = {**LOADERS, "report": EvalReport.from_csv}
 
 
 @pytest.mark.parametrize("loader", [*sorted(GOOD), "report"])
@@ -210,14 +240,14 @@ class TestUndecodableInput:
     def test_library_error_names_path_and_line(self, tmp_path, loader):
         path = self._file(tmp_path, loader, b"\xff")
         with pytest.raises(ParseError, match="not valid UTF-8: byte 0xff") as excinfo:
-            READERS[loader](path)
+            LOADERS[loader](path)
         assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
 
     def test_bad_byte_inside_a_string_is_caught(self, tmp_path, loader):
         good = REPORT_ROW if loader == "report" else json.dumps(GOOD[loader]("b")).encode()
         path = self._file(tmp_path, loader, good.replace(b'"b"', b'"b\xc3"'))
         with pytest.raises(ParseError, match="byte 0xc3") as excinfo:
-            READERS[loader](path)
+            LOADERS[loader](path)
         assert excinfo.value.line == 3
 
     def test_cli_exits_two_naming_path_and_line(self, tmp_path, capsys, loader):
