@@ -133,8 +133,9 @@ class MockBackend(Backend):
       * tokens are whitespace-split, case-sensitive;
       * each token embeds to a unit vector derived from a seeded hash of the
         token string (context-free), so identical tokens embed identically;
-        each `embed_tokens` call embeds its tokens in one batch and keeps no
-        state across calls;
+        each `embed_tokens` call embeds its tokens in one batch, normalising
+        all rows with one batched matmul that is bit-equal to normalising
+        each row alone, and keeps no state across calls;
       * a target token gets log(0.9) if its string occurs among the source
         tokens, else log(0.1);
       * an arc is entailed (prob 1.0) iff both its head and child token
@@ -237,11 +238,15 @@ class MockBackend(Backend):
 def _digest_rows(digest: bytes, dim: int) -> np.ndarray:
     """Unit rows from `dim` little-endian uint32 per row, each mapped to u / 2^31 - 1.
 
-    `row.dot(row)` is the BLAS dot `np.linalg.norm` takes on one vector, so each
-    row is bit-equal to normalising it alone; a vanishing row is pinned to e_0.
+    Every row's squared norm comes from one batched matmul of the rows as
+    1 x dim by dim x 1 matrices. numpy computes each such product with the
+    same dot as `row.dot(row)`, the BLAS dot `np.linalg.norm` takes on one
+    vector, so each row is bit-equal to normalising it alone. (`einsum` and
+    `(vecs * vecs).sum(axis=1)` sum in another order and are not.) A
+    vanishing row is pinned to e_0.
     """
     vecs = np.frombuffer(digest, dtype="<u4").reshape(-1, dim) / 2147483648.0 - 1.0
-    norms = np.sqrt([row.dot(row) for row in vecs])
+    norms = np.sqrt((vecs[:, None, :] @ vecs[:, :, None]).reshape(-1))
     vanishing = norms == 0.0
     vecs[vanishing, 0] = 1.0
     norms[vanishing] = 1.0

@@ -12,21 +12,20 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .backend import Backend
 from .corpus import Corpus, Pair
 from .errors import (
-    PER_PAIR_ERRORS,
     CoverageError,
     DegenerateInputError,
     DomainError,
     failure_reason,
 )
 from .filtration import intersect_filter, percentile_keep_set, random_selection
-from .metrics import REFERENCE_FREE_METRICS, EvalReport, reference_free_value
+from .metrics import REFERENCE_FREE_METRICS, EvalReport, reference_free_outcomes
 from .records import write_csv
 from .scorers import ScoreTable
 from .stats import WilcoxonResult, wilcoxon_signed_rank
@@ -138,41 +137,47 @@ def mock_train_eval_hook(backend: Backend,
     For a backend whose descriptor is deterministic, the returned hook keeps
     each (metric, pair) outcome, a value or a per-pair failure, for its own
     lifetime, keyed on the pair's document and summary text, so the cells of a
-    sweep compute a shared pair once and log its exclusion once. The means
-    are taken over the same floats in the same order as without reuse. A
-    non-deterministic backend is asked again on every call.
+    sweep compute a shared pair once and log its exclusion once; a text that
+    occurs twice in one selection is computed once too. The means are taken
+    over the same floats in the same order as without reuse. A
+    non-deterministic backend is asked again on every call, for every pair.
+    The pairs a call computes are scored in chunks
+    (`metrics.reference_free_outcomes`), each outcome the one the pair gets
+    alone.
     """
     unknown = [m for m in metrics if m not in REFERENCE_FREE_METRICS]
     if unknown:
         raise DomainError(f"mock-train hook cannot compute {unknown}")
     # metric -> (document, summary) -> value, or the failure reason of a pair
     # left out of the mean.
-    memo: dict[str, dict[tuple[str, str], float | str]] | None = (
+    memo: dict[str, dict[Hashable, float | str]] | None = (
         {metric: {} for metric in metrics} if backend.descriptor.deterministic else None)
 
-    def outcome(metric: str, pair: Pair) -> float | str:
-        try:
-            return reference_free_value(metric, pair.document, pair.summary, backend)
-        except PER_PAIR_ERRORS as exc:
-            reason = failure_reason(exc)
-            logger.debug("pair %s excluded from the %s mean: %s", pair.id, metric, reason)
-            return reason
-
     def hook(selection: Corpus) -> dict[str, float]:
+        pairs = list(selection)
+        if memo is None:  # every pair of this call is computed, and forgotten
+            seen: dict[str, dict[Hashable, float | str]] = {m: {} for m in metrics}
+            keys: Sequence[Hashable] = range(len(pairs))
+        else:
+            seen = memo
+            keys = [(pair.document, pair.summary) for pair in pairs]
+        todo: dict[Hashable, tuple[Pair, list[str]]] = {}
+        for key, pair in zip(keys, pairs):
+            if key not in todo and (needed := [m for m in metrics if key not in seen[m]]):
+                todo[key] = (pair, needed)
+        outcomes = reference_free_outcomes(
+            [((pair.document, pair.summary), needed) for pair, needed in todo.values()],
+            backend)
+        for (key, (pair, _)), outcome in zip(todo.items(), outcomes):
+            for metric, result in outcome.items():
+                if isinstance(result, Exception):
+                    result = failure_reason(result)
+                    logger.debug("pair %s excluded from the %s mean: %s",
+                                 pair.id, metric, result)
+                seen[metric][key] = result
         out: dict[str, float] = {}
         for metric in metrics:
-            seen = memo[metric] if memo is not None else None
-            values = []
-            for pair in selection:
-                if seen is None:
-                    result = outcome(metric, pair)
-                else:
-                    key = (pair.document, pair.summary)
-                    result = seen.get(key)
-                    if result is None:
-                        result = seen[key] = outcome(metric, pair)
-                if not isinstance(result, str):
-                    values.append(result)
+            values = [v for key in keys if not isinstance(v := seen[metric][key], str)]
             if values:
                 out[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
         return out

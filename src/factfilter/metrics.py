@@ -31,7 +31,7 @@ from .errors import (
 )
 from .filtration import FilterManifest
 from .records import utf8_lines, write_csv
-from .scorers import SCORERS, score_pair
+from .scorers import SCORERS, ScoringItem, score_pair, score_texts
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
 # content; the filler is shorter than any maskable token, so it can never
@@ -252,6 +252,31 @@ def reference_free_value(metric: str, document: str, summary: str,
     return value
 
 
+def reference_free_outcomes(todo: Sequence[ScoringItem],
+                            backend: Backend) -> list[dict[str, float | Exception]]:
+    """Each named metric's value, or the per-pair error that stopped it, for
+    each `((document, summary), metrics)` item of `todo`, in order.
+
+    The scorer metrics of all items are scored in chunks
+    (`scorers.score_texts`), each pair prepared once for all of them; blanc
+    is scored one pair at a time. Each outcome is the one `reference_free_value`
+    gives the pair alone. An error outside `errors.PER_PAIR_ERRORS` propagates.
+    """
+    out: list[dict[str, float | Exception]] = [{} for _ in todo]
+    scoring = [(k, names) for k, (_, metrics) in enumerate(todo)
+               if (names := [m for m in metrics if m in SCORERS])]
+    scored = score_texts([(todo[k][0], names) for k, names in scoring], backend)
+    for (k, _), (_, outcomes) in zip(scoring, scored):
+        out[k].update(outcomes)
+    for ((document, summary), metrics), outcomes in zip(todo, out):
+        if "blanc" in metrics:
+            try:
+                outcomes["blanc"] = blanc_help(document, summary, backend).value
+            except PER_PAIR_ERRORS as exc:
+                outcomes["blanc"] = exc
+    return out
+
+
 def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
                      backend: Backend | None = None,
                      manifest: FilterManifest | None = None,
@@ -261,7 +286,8 @@ def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
     The reference-based bigram metric is restricted to manifest-kept test
     pairs when a manifest is supplied (misleading references would otherwise
     contaminate it); reference-free metrics always cover the full test split,
-    so per-metric sample counts can legitimately differ.
+    so per-metric sample counts can legitimately differ. The reference-free
+    metrics are scored in chunks (`reference_free_outcomes`).
     """
     metric_list = list(metrics)
     unknown = [m for m in metric_list if m not in ALL_METRICS]
@@ -289,15 +315,17 @@ def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
             raise DomainError("manifest keeps no test pairs; bigram metric undefined")
 
     report = EvalReport(corpus.name, metric_list)
+    outcomes = reference_free_outcomes(
+        [((pair.document, generated[pair.id]), needs_backend) for pair in test_pairs], backend)
     for metric in metric_list:
         if metric == "rouge2":
             for pair in rouge_pairs:
                 report.add(metric, pair.id, rouge2(generated[pair.id], pair.summary).f1)
             continue
-        for pair in test_pairs:
-            try:
-                report.add(metric, pair.id, reference_free_value(
-                    metric, pair.document, generated[pair.id], backend))
-            except PER_PAIR_ERRORS as exc:
-                report.add_failure(metric, pair.id, failure_reason(exc))
+        for pair, outcome in zip(test_pairs, outcomes, strict=True):
+            value = outcome[metric]
+            if isinstance(value, Exception):
+                report.add_failure(metric, pair.id, failure_reason(value))
+            else:
+                report.add(metric, pair.id, value)
     return report

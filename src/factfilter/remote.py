@@ -43,6 +43,8 @@ from .backend import (
 )
 
 PROTOCOL = 2
+# Seconds `RemoteBackend.close` waits for the server to exit once its input closes.
+_CLOSE_TIMEOUT_S = 10
 
 _ERROR_TYPES = {
     "DomainError": errors.DomainError,
@@ -151,7 +153,11 @@ def _unwrap(response: Any, op: str) -> Any:
     if isinstance(err, dict):
         exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)
         if exc_type is errors.SequenceLengthError:
-            raise errors.SequenceLengthError(err["message"], int(err.get("limit", 0)))
+            # The message is the server's str(exc), which already ends in the
+            # limit suffix that SequenceLengthError appends.
+            limit = int(err.get("limit", 0))
+            message = err["message"].removesuffix(f" (limit: {limit} tokens)")
+            raise errors.SequenceLengthError(message, limit)
         raise exc_type(err.get("message", "remote backend error"))
     if not isinstance(response, dict) or "result" not in response:
         raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
@@ -253,10 +259,19 @@ class RemoteBackend(Backend):
         return out
 
     def close(self) -> None:
+        """Close the server's input and wait for it to exit. A server still
+        running `_CLOSE_TIMEOUT_S` seconds later is killed: a `TransportError`."""
         if self._proc.poll() is None:
             if self._proc.stdin is not None:
                 self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+            try:
+                self._proc.wait(timeout=_CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+                raise errors.TransportError(
+                    f"backend process still running {_CLOSE_TIMEOUT_S} s after its "
+                    f"input closed; killed it") from None
 
     def __enter__(self) -> "RemoteBackend":
         return self

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from .backend import Backend, BackendDescriptor, TokenEmbeddings
-from .corpus import Corpus, Pair
+from .corpus import Corpus
 from .errors import (
     PER_PAIR_ERRORS,
     BackendError,
@@ -412,13 +412,16 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
 # small next to the corpus.
 _CHUNK_CHARS = 2 ** 14
 
+# One item to score: its `(document, summary)` texts and the scorers it needs.
+ScoringItem = tuple[tuple[str, str], Sequence[str]]
 
-def _chunks(todo: Sequence[tuple[Pair, list[str]]]) -> Iterator[list[tuple[Pair, list[str]]]]:
-    chunk: list[tuple[Pair, list[str]]] = []
+
+def _chunks(todo: Sequence[ScoringItem]) -> Iterator[Sequence[ScoringItem]]:
+    chunk: list[ScoringItem] = []
     size = 0
     for item in todo:
-        pair = item[0]
-        length = len(pair.document) + len(pair.summary)
+        document, summary = item[0]
+        length = len(document) + len(summary)
         if chunk and size + length > _CHUNK_CHARS:
             yield chunk
             chunk, size = [], 0
@@ -426,6 +429,30 @@ def _chunks(todo: Sequence[tuple[Pair, list[str]]]) -> Iterator[list[tuple[Pair,
         size += length
     if chunk:
         yield chunk
+
+
+def score_texts(todo: Sequence[ScoringItem], backend: Backend,
+                ) -> Iterator[tuple[PreparedPair | Exception, dict[str, float | Exception]]]:
+    """Score each `((document, summary), scorer_names)` item of `todo`, in order.
+
+    Yields, per item, its prepared pair or the per-pair error that stopped its
+    preparation, and each named scorer's value or per-pair error (the
+    preparation error, if there was one). The items are scored in chunks of
+    at most `_CHUNK_CHARS` characters of text: each pair of a chunk is
+    prepared (tokenized and truncated) once for all its scorers, and each
+    scorer asks the backend for one op over the chunk at a time.
+    """
+    for chunk in _chunks(todo):
+        prepared = prepare_pairs([texts for texts, _ in chunk], backend)
+        outcomes: list[dict[str, float | Exception]] = [{} for _ in chunk]
+        for scorer in dict.fromkeys(name for _, names in chunk for name in names):
+            ready = [k for k, (_, names) in enumerate(chunk)
+                     if scorer in names and not isinstance(prepared[k], Exception)]
+            values = SCORERS[scorer]([prepared[k] for k in ready], backend)
+            for k, value in zip(ready, values, strict=True):
+                outcomes[k][scorer] = value
+        for k, (_, names) in enumerate(chunk):
+            yield prepared[k], {name: outcomes[k].get(name, prepared[k]) for name in names}
 
 
 def _cell(scorer: str, pair_id: str, d: BackendDescriptor,
@@ -445,10 +472,8 @@ def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
 
     Results come back in canonical order (scorer-major, corpus pair order).
     `skip(pair_id, scorer)` filters out already-scored cells for resumable
-    runs. The pairs that still need a cell are scored in chunks of at most
-    `_CHUNK_CHARS` characters of text: each pair of a chunk is prepared
-    (tokenized and truncated) once for all scorers, and each scorer asks the
-    backend for one op over the chunk at a time.
+    runs. The pairs that still need a cell are scored in chunks
+    (`score_texts`).
     """
     if len(corpus) == 0:
         raise DomainError(f"corpus {corpus.name!r} is empty")
@@ -462,16 +487,11 @@ def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
     todo = [(pair, needed) for pair in corpus
             if (needed := [scorer for scorer in cells
                            if skip is None or not skip(pair.id, scorer)])]
-    for chunk in _chunks(todo):
-        prepared = prepare_pairs([(pair.document, pair.summary) for pair, _ in chunk],
-                                 backend)
-        for scorer, column in cells.items():
-            members = [k for k, (_, needed) in enumerate(chunk) if scorer in needed]
-            ready = [k for k in members if not isinstance(prepared[k], Exception)]
-            outcomes = dict(zip(ready, SCORERS[scorer]([prepared[k] for k in ready], backend),
-                                strict=True))
-            column.extend(_cell(scorer, chunk[k][0].id, descriptor, prepared[k],
-                                outcomes.get(k, prepared[k])) for k in members)
+    scored = score_texts([((pair.document, pair.summary), needed) for pair, needed in todo],
+                         backend)
+    for (pair, _), (prepared, outcomes) in zip(todo, scored):
+        for scorer, outcome in outcomes.items():
+            cells[scorer].append(_cell(scorer, pair.id, descriptor, prepared, outcome))
     return [cell for scorer in scorer_names for cell in cells[scorer]]
 
 

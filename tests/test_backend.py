@@ -115,6 +115,34 @@ class TestMockEmbeddingReference:
         assert rows[1].tolist() == [1.0] + [0.0] * (dim - 1)
 
 
+class TestDigestRowNorms:
+    """`_digest_rows` divides each row by `np.sqrt(row.dot(row))`, bit for bit,
+    though it computes all the squared norms in one batch."""
+
+    @staticmethod
+    def _rows_alone(digest: bytes, dim: int) -> np.ndarray:
+        vecs = np.frombuffer(digest, dtype="<u4").reshape(-1, dim) / 2147483648.0 - 1.0
+        rows = []
+        for row in vecs:
+            norm = np.sqrt(row.dot(row))
+            rows.append(np.eye(dim)[0] if norm == 0.0 else row / norm)
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16])
+    @pytest.mark.parametrize("n_rows", [1, 36, 700])
+    @pytest.mark.parametrize("vanishing", [(), (0,), (0, -1)], ids=["none", "first", "ends"])
+    def test_each_row_is_bit_equal_to_normalising_it_alone(self, dim, n_rows, vanishing):
+        rng = np.random.default_rng(1000 * dim + n_rows)
+        words = rng.integers(0, 2 ** 32, size=(n_rows, dim), dtype=np.uint32)
+        for row in vanishing:
+            words[row] = 0x80000000  # every entry maps to 0.0
+        digest = words.astype("<u4").tobytes()
+        rows = _digest_rows(digest, dim)
+        assert np.array_equal(_bits(rows), _bits(self._rows_alone(digest, dim)))
+        for row in vanishing:
+            assert rows[row].tolist() == [1.0] + [0.0] * (dim - 1)
+
+
 class TestTokenEmbeddingsShape:
     def test_one_dimensional_vectors_rejected(self):
         with pytest.raises(DomainError, match="2-D"):
@@ -252,6 +280,18 @@ class TestRemoteProtocol:
     def test_errors_cross_the_wire(self, remote):
         with pytest.raises(DomainError):
             remote.embed_tokens("")
+
+    def test_length_error_reads_as_in_process(self, remote, mock_backend):
+        text = " ".join(["w"] * 600)
+        with pytest.raises(SequenceLengthError) as local:
+            mock_backend.embed_tokens(text)
+        assert str(local.value) == "text has 600 tokens (limit: 512 tokens)"
+        with pytest.raises(SequenceLengthError) as single:
+            remote.embed_tokens(text)
+        (batched,) = remote.map("embed_tokens", [(text,)])
+        for exc in (single.value, batched):
+            assert isinstance(exc, SequenceLengthError)
+            assert str(exc) == str(local.value) and exc.limit == 512
 
     def test_length_error_preserves_limit(self):
         backend = RemoteBackend([sys.executable, "-c",

@@ -465,6 +465,67 @@ class TestTransportFailures:
         backend.close()
 
 
+def test_over_long_summary_scores_the_same_bytes_over_remote(tmp_path):
+    corpus = tmp_path / "long.jsonl"
+    pairs = [("short", "storm hit the harbor town", "storm harbor"),
+             ("long-summary", "storm hit the harbor town", " ".join(["storm"] * 600)),
+             ("long-document", " ".join(["harbor"] * 600), "harbor town")]
+    corpus.write_text("".join(json.dumps({"id": i, "document": d, "summary": s,
+                                          "split": "test", "meta": {}}) + "\n"
+                              for i, d, s in pairs), encoding="utf-8")
+    outputs = []
+    for backend in (["--backend", "mock"],
+                    ["--backend", "remote", "--remote-command",
+                     f"{sys.executable} -m factfilter.remote --backend mock"]):
+        out = tmp_path / f"scores-{len(outputs)}.jsonl"
+        assert main(["score", "--in", str(corpus), "--out", str(out),
+                     "--scorers", "greedy,condll,dae", *backend]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"(limit: 512 tokens)\"") == 3  # the summary's three cells
+
+
+_LINGERING_SERVER = """
+import sys, time
+sys.path.insert(0, {src!r})
+from factfilter.backend import MockBackend
+from factfilter.remote import serve
+serve(MockBackend(), sys.stdin, sys.stdout)
+time.sleep(60)  # keeps running after its input closed
+"""
+
+
+class TestLingeringServer:
+    """A server still running after its input closed is killed, and the run exits 3."""
+
+    @pytest.fixture()
+    def command(self, tmp_path, monkeypatch):
+        from factfilter import remote
+
+        monkeypatch.setattr(remote, "_CLOSE_TIMEOUT_S", 0.2)
+        path = tmp_path / "server.py"
+        path.write_text(_LINGERING_SERVER.format(src=str(toy_corpus_path().parents[2])),
+                        encoding="utf-8")
+        return [sys.executable, str(path)]
+
+    def test_close_kills_it_and_raises_a_transport_error(self, command):
+        from factfilter.errors import TransportError
+        from factfilter.remote import RemoteBackend
+
+        backend = RemoteBackend(command)
+        assert backend.tokenize("a b") == ["a", "b"]
+        with pytest.raises(TransportError, match="still running"):
+            backend.close()
+        assert backend._proc.poll() is not None
+
+    def test_score_exits_three(self, tmp_path, toy, capsys, command):
+        out = tmp_path / "scores.jsonl"
+        code = main(["score", "--in", str(toy), "--out", str(out), "--scorers", "greedy",
+                     "--backend", "remote", "--remote-command", " ".join(command)])
+        assert code == 3
+        assert "still running" in capsys.readouterr().err
+
+
 def test_transport_error_is_never_per_pair():
     from factfilter.errors import PER_PAIR_ERRORS, TransportError
 

@@ -3,12 +3,15 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from factfilter import scorers
 from factfilter.backend import MockBackend
-from factfilter.errors import PER_PAIR_ERRORS, CoverageError, DomainError
+from factfilter.corpus import load_corpus, toy_corpus_path
+from factfilter.errors import PER_PAIR_ERRORS, CoverageError, DomainError, failure_reason
 from factfilter.experiments import (
     ComparisonReport,
     SweepSpec,
@@ -18,11 +21,12 @@ from factfilter.experiments import (
     run_sweep,
     write_sweep_csv,
 )
-from factfilter.metrics import EvalReport, reference_free_value
-from factfilter.scorers import score_pair
+from factfilter.metrics import EvalReport, blanc_help, reference_free_value
+from factfilter.scorers import SCORERS, prepare_pairs, score_pair
 
 from conftest import make_corpus, make_pair
 from test_filtration import build_table
+from test_scorers import Recorder, StepFailMock, step_fail_corpus
 
 
 class TestDistributionReport:
@@ -228,14 +232,19 @@ def _memo_fixture():
 
 
 def _direct_calls(pairs, metrics=HOOK_METRICS) -> int:
-    """Backend calls made by computing each (metric, pair) in `pairs` once."""
+    """Backend calls made by computing each (metric, pair) in `pairs` once, one
+    pair at a time, with each pair prepared once for all its scorer metrics."""
     backend = CountingMock()
-    for metric in metrics:
-        for pair in pairs:
-            try:
-                reference_free_value(metric, pair.document, pair.summary, backend)
-            except PER_PAIR_ERRORS:
-                pass
+    for pair in pairs:
+        (prepared,) = prepare_pairs([(pair.document, pair.summary)], backend)
+        for metric in metrics:
+            if metric == "blanc":
+                try:
+                    blanc_help(pair.document, pair.summary, backend)
+                except PER_PAIR_ERRORS:
+                    pass
+            elif not isinstance(prepared, Exception):
+                SCORERS[metric]([prepared], backend)
     return backend.calls
 
 
@@ -321,6 +330,89 @@ class TestHookMemo:
         for corpus in (first, second, first):
             assert hook(corpus) == mock_train_eval_hook(MockBackend(), HOOK_METRICS)(corpus)
         assert hook(first) != hook(second)
+
+
+def reference_hook(selection, backend, metrics=HOOK_METRICS):
+    """The hook's means and exclusions, one metric and one pair at a time."""
+    means, excluded = {}, set()
+    for metric in metrics:
+        values = []
+        for pair in selection:
+            try:
+                values.append(reference_free_value(metric, pair.document, pair.summary,
+                                                   backend))
+            except PER_PAIR_ERRORS as exc:
+                excluded.add((pair.id, metric, failure_reason(exc)))
+        if values:
+            means[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
+    return means, excluded
+
+
+def _exclusions(caplog):
+    return {record.args for record in caplog.records
+            if record.msg.startswith("pair %s excluded from the %s mean")}
+
+
+class DriftingMock(MockBackend):
+    """A non-deterministic mock: each log-prob answer is lower than the last."""
+
+    def __init__(self):
+        super().__init__()
+        self._descriptor = dataclasses.replace(self._descriptor, deterministic=False)
+        self.asked = 0
+
+    def conditional_token_logprobs(self, source, target):
+        self.asked += 1
+        return [-float(self.asked)] * len(target.split())
+
+
+class TestChunkedHook:
+    """The hook scores the pairs it still needs in chunks, with one-pair outcomes."""
+
+    @pytest.mark.parametrize("chunk_chars", [1, 2 ** 14, 10 ** 9])
+    def test_means_and_exclusions_are_the_one_pair_outcomes(self, monkeypatch, caplog,
+                                                             chunk_chars):
+        monkeypatch.setattr(scorers, "_CHUNK_CHARS", chunk_chars)
+        corpus = step_fail_corpus()
+        ids = [pair.id for pair in corpus]
+        selections = [corpus, corpus.subset(ids[::2]), corpus.subset(ids[1::3]), corpus]
+        hook = mock_train_eval_hook(StepFailMock(), HOOK_METRICS)
+        excluded = set()
+        with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
+            for selection in selections:
+                means, reasons = reference_hook(selection, StepFailMock())
+                assert hook(selection) == means
+                excluded |= reasons
+        assert _exclusions(caplog) == excluded
+        assert len(caplog.records) == len(excluded)  # each logged once
+        assert {metric for _, metric, _ in excluded} == set(HOOK_METRICS)
+
+    def test_two_tokenize_calls_per_distinct_pair_and_the_reference_ops(self):
+        toy = load_corpus(toy_corpus_path(), name="toy")
+        twin = dataclasses.replace(toy.pairs[0], id="twin")  # same text, other id
+        first = make_corpus("toy", *toy.pairs[:30], twin)
+        second = make_corpus("toy", *toy.pairs[20:])
+        distinct = {(p.document, p.summary): p for s in (first, second) for p in s}
+        for metrics in (("greedy", "condll", "dae"), HOOK_METRICS):
+            chunked, one_pair = Recorder(MockBackend()), Recorder(MockBackend())
+            hook = mock_train_eval_hook(chunked, metrics)
+            for selection in (first, second, first):
+                hook(selection)
+            reference_hook(distinct.values(), one_pair, metrics)
+            tokenize = lambda calls: sum(call[0] == "tokenize" for call in calls)
+            assert tokenize(one_pair.calls) - tokenize(chunked.calls) == 4 * len(distinct)
+            if len(metrics) == 3:
+                assert tokenize(chunked.calls) == 2 * len(distinct)
+            other = lambda calls: Counter(call for call in calls if call[0] != "tokenize")
+            assert other(chunked.calls) == other(one_pair.calls)
+
+    def test_non_deterministic_backend_is_asked_on_every_call(self):
+        corpus, _ = _memo_fixture()
+        backend = DriftingMock()
+        hook = mock_train_eval_hook(backend, ["condll"])
+        means = [hook(corpus)["condll"] for _ in range(3)]
+        assert backend.asked == 3 * len(corpus)
+        assert means[0] > means[1] > means[2]
 
 
 def _report(name: str, values: dict[str, dict[str, float]]) -> EvalReport:

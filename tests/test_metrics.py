@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,19 @@ from factfilter import (
     evaluate_outputs,
     rouge2,
 )
-from factfilter.errors import CoverageError, DomainError
-from factfilter.metrics import EvalReport, mask_schedule, split_sentences
+from factfilter import scorers
+from factfilter.corpus import load_corpus, toy_corpus_path
+from factfilter.errors import PER_PAIR_ERRORS, CoverageError, DomainError, failure_reason
+from factfilter.metrics import (
+    REFERENCE_FREE_METRICS,
+    EvalReport,
+    mask_schedule,
+    reference_free_value,
+    split_sentences,
+)
 
 from conftest import make_corpus, make_pair
+from test_scorers import Recorder, StepFailMock, step_fail_corpus
 
 
 def oracle_rouge2(candidate: str, reference: str):
@@ -231,3 +242,67 @@ class TestEvaluateOutputs:
         generated = {"t1": "the cat sat", "t2": "mayor opened bridge"}
         report = evaluate_outputs(generated, corpus, metrics=["rouge2"])
         assert report.headline("rouge2") == 100.0 * report.mean("rouge2")
+
+
+def reference_evaluate(generated, corpus, backend, metrics):
+    """`evaluate_outputs`' reference-free rows, one metric and one pair at a time."""
+    per_pair = {metric: {} for metric in metrics}
+    failures = {metric: {} for metric in metrics}
+    for metric in metrics:
+        for pair in corpus.split_pairs("test"):
+            try:
+                per_pair[metric][pair.id] = reference_free_value(
+                    metric, pair.document, generated[pair.id], backend)
+            except PER_PAIR_ERRORS as exc:
+                failures[metric][pair.id] = failure_reason(exc)
+    return per_pair, failures
+
+
+SCORER_METRICS = ["greedy", "condll", "dae"]
+
+
+class TestChunkedEvaluate:
+    """`evaluate_outputs` scores in chunks and gives each pair its one-pair outcome."""
+
+    @pytest.mark.parametrize("chunk_chars", [1, 2 ** 14, 10 ** 9])
+    def test_every_row_and_reason_is_the_one_pair_outcome(self, monkeypatch, tmp_path,
+                                                          chunk_chars):
+        monkeypatch.setattr(scorers, "_CHUNK_CHARS", chunk_chars)
+        corpus = step_fail_corpus(split="test")
+        generated = {pair.id: pair.summary for pair in corpus}
+        metrics = list(REFERENCE_FREE_METRICS)
+        report = evaluate_outputs(generated, corpus, StepFailMock(), metrics=metrics)
+        per_pair, failures = reference_evaluate(generated, corpus, StepFailMock(), metrics)
+        assert report.per_pair == per_pair
+        assert report.failures == failures
+        assert all(report.failures[metric] for metric in metrics)
+        expected = EvalReport(corpus.name, metrics)
+        expected.per_pair, expected.failures = per_pair, failures
+        report.to_csv(tmp_path / "chunked.csv")
+        expected.to_csv(tmp_path / "reference.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("metrics", [SCORER_METRICS, list(REFERENCE_FREE_METRICS)],
+                             ids=["scorers", "with-blanc"])
+    def test_two_tokenize_calls_per_pair_and_the_reference_ops(self, metrics):
+        corpus = load_corpus(toy_corpus_path(), name="toy")
+        test_pairs = corpus.split_pairs("test")
+        generated = {pair.id: pair.summary for pair in test_pairs}
+        chunked, one_pair = Recorder(MockBackend()), Recorder(MockBackend())
+        evaluate_outputs(generated, corpus, chunked, metrics=metrics)
+        reference_evaluate(generated, corpus, one_pair, metrics)
+        tokenize = lambda calls: sum(call[0] == "tokenize" for call in calls)
+        # The one-pair path tokenized each pair twice per scorer.
+        assert tokenize(one_pair.calls) - tokenize(chunked.calls) == 4 * len(test_pairs)
+        if metrics == SCORER_METRICS:
+            assert tokenize(chunked.calls) == 2 * len(test_pairs)
+        other = lambda calls: Counter(call for call in calls if call[0] != "tokenize")
+        assert other(chunked.calls) == other(one_pair.calls)
+
+    def test_an_error_that_is_not_per_pair_aborts(self):
+        corpus = make_corpus("c", make_pair("p1", "alpha beta", "alpha beta", split="test"),
+                             make_pair("p2", "alpha FATAL", "alpha beta", split="test"))
+        generated = {pair.id: pair.summary for pair in corpus}
+        with pytest.raises(RuntimeError, match="fatal on 'alpha FATAL'"):
+            evaluate_outputs(generated, corpus, StepFailMock(), metrics=["greedy"])

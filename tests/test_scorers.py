@@ -400,9 +400,8 @@ STEP_FAIL_PAIRS = [
 ALL_SCORERS = ["greedy", "condll", "dae"]
 
 
-def step_fail_corpus(exclude=()):
-    return make_corpus("c", *(make_pair(*pair) for pair in STEP_FAIL_PAIRS
-                              if pair[0] not in exclude))
+def step_fail_corpus(split="train"):
+    return make_corpus("c", *(make_pair(*pair, split=split) for pair in STEP_FAIL_PAIRS))
 
 
 class TestChunkedOutcomes:
@@ -449,9 +448,7 @@ class TestChunkedOutcomes:
             score_corpus(corpus, ALL_SCORERS, StepFailMock(fatal=error))
 
     def test_remote_batches_give_the_in_process_outcomes(self, tmp_path):
-        # A SequenceLengthError's message gains a second limit suffix on the
-        # wire, so the too-long summary is left out of this comparison.
-        corpus = step_fail_corpus(exclude={"summary-too-long"})
+        corpus = step_fail_corpus()
         server = tmp_path / "server.py"
         server.write_text(
             "import sys\n"
