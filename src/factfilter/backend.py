@@ -125,6 +125,15 @@ class Backend(ABC):
                 out.append(exc)
         return out
 
+    def close(self) -> None:
+        """Release what the backend holds; `with backend:` calls it on the way out."""
+
+    def __enter__(self) -> "Backend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 class MockBackend(Backend):
     """Deterministic token-identity backend for model-free testing.

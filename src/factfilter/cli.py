@@ -138,12 +138,6 @@ def _make_backend(args: argparse.Namespace) -> Backend:
     return create_backend(name)
 
 
-def _close_backend(backend: Backend) -> None:
-    close = getattr(backend, "close", None)
-    if callable(close):
-        close()
-
-
 def _split_csv(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
@@ -183,11 +177,8 @@ def _cmd_score(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"unknown scorers {unknown}; available: {sorted(SCORERS)}")
     corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     _write_config_echo(args.out, "score", args)
-    backend = _make_backend(args)
-    try:
+    with _make_backend(args) as backend:
         added = score_corpus_to_file(corpus, scorer_names, backend, args.out)
-    finally:
-        _close_backend(backend)
     logger.info("wrote %d new score rows to %s", added, args.out)
 
 
@@ -288,12 +279,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     spec = SweepSpec(thresholds=thresholds, strategies=strategies,
                      seed=int(args.seed or 0))
     _write_config_echo(args.out, "sweep", args)
-    backend = _make_backend(args)
-    try:
+    with _make_backend(args) as backend:
         hook = mock_train_eval_hook(backend)
         rows = run_sweep(corpus, table, spec, hook)
-    finally:
-        _close_backend(backend)
     write_sweep_csv(rows, args.out)
     logger.info("wrote %d sweep rows to %s", len(rows), args.out)
 
@@ -305,12 +293,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     metrics = _split_csv(args.metrics) if args.metrics else list(ALL_METRICS)
     manifest = FilterManifest.load(args.manifest) if args.manifest else None
     _write_config_echo(args.out, "evaluate", args)
-    backend = _make_backend(args)
-    try:
+    with _make_backend(args) as backend:
         report = evaluate_outputs(generated, corpus, backend=backend,
                                   manifest=manifest, metrics=metrics)
-    finally:
-        _close_backend(backend)
     report.to_csv(args.out)
     for metric in report.metrics:
         if report.per_pair[metric]:

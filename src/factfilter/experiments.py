@@ -19,6 +19,7 @@ import numpy as np
 from .backend import Backend
 from .corpus import Corpus, Pair
 from .errors import (
+    ConfigurationError,
     CoverageError,
     DegenerateInputError,
     DomainError,
@@ -64,7 +65,7 @@ class SweepSpec:
                 continue
             if strategy.startswith("single:") and strategy.split(":", 1)[1]:
                 continue
-            raise DomainError(f"unknown sweep strategy {strategy!r}")
+            raise ConfigurationError(f"unknown sweep strategy {strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def mock_train_eval_hook(backend: Backend,
     """
     unknown = [m for m in metrics if m not in REFERENCE_FREE_METRICS]
     if unknown:
-        raise DomainError(f"mock-train hook cannot compute {unknown}")
+        raise ConfigurationError(f"mock-train hook cannot compute {unknown}")
     # metric -> (document, summary) -> value, or the failure reason of a pair
     # left out of the mean.
     memo: dict[str, dict[Hashable, float | str]] | None = (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,8 +37,6 @@ class FilterManifest:
     n_pairs: int
     selection_ratio: float
     created_with: Mapping[str, Mapping[str, str]]
-    seedless: bool = True
-    seed: int | None = field(default=None)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
@@ -50,7 +48,7 @@ class FilterManifest:
         ratio = len(self.kept_ids) / self.n_pairs
         if abs(ratio - self.selection_ratio) > 1e-12:
             raise IntegrityError("selection_ratio inconsistent with kept_ids / n_pairs")
-        if self.seedless and len(self.scorer_names) >= 1:
+        if self.scorer_names:
             # Exact set-algebra bounds for a k-scorer intersection with
             # ceiling keep-counts: each scorer drops floor(q*n) pairs, so at
             # least n - k*floor(q*n) survive; no more than one scorer's keep
@@ -79,8 +77,9 @@ class FilterManifest:
             "n_pairs": self.n_pairs,
             "selection_ratio": self.selection_ratio,
             "created_with": {k: dict(v) for k, v in sorted(self.created_with.items())},
-            "seedless": self.seedless,
-            "seed": self.seed,
+            # Constant keys, written so that content hashes stay stable.
+            "seedless": True,
+            "seed": None,
         }
         return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
@@ -108,8 +107,6 @@ class FilterManifest:
                 n_pairs=int(obj["n_pairs"]),
                 selection_ratio=float(obj["selection_ratio"]),
                 created_with=obj.get("created_with", {}),
-                seedless=bool(obj.get("seedless", True)),
-                seed=obj.get("seed"),
             )
         except KeyError as exc:
             raise ParseError(f"manifest missing field {exc}", path=str(p)) from exc

@@ -23,6 +23,7 @@ from .backend import Backend
 from .corpus import Corpus
 from .errors import (
     PER_PAIR_ERRORS,
+    ConfigurationError,
     CoverageError,
     DomainError,
     IntegrityError,
@@ -116,30 +117,36 @@ def blanc_help(document: str, summary: str, backend: Backend) -> BlancScore:
         fill_accuracy(summary ++ sentence) - fill_accuracy(filler ++ sentence)
     where the filler repeats a fixed neutral token, length-matched to the
     summary. Sentences with no maskable token are skipped; if none remain the
-    score is 0 with zero masked tokens.
+    score is 0 with zero masked tokens. Two `map` requests serve a pair; a
+    per-pair failure raises the error a loop asking one op at a time meets first.
     """
-    summary_tokens = backend.tokenize(summary)
+    sentences = split_sentences(document)
+    summary_tokens, *sentence_tokens = backend.map("tokenize",
+                                                   [(text,) for text in (summary, *sentences)])
+    if isinstance(summary_tokens, Exception):
+        raise summary_tokens
     if not summary_tokens:
         raise DomainError("summary is empty")
-    sentences = split_sentences(document)
     if not sentences:
         raise DomainError("document does not split into sentences")
     filler = " ".join([FILLER_TOKEN] * len(summary_tokens))
-    gains: list[float] = []
-    n_masked = 0
-    for sentence in sentences:
-        tokens = backend.tokenize(sentence)
-        positions = mask_schedule(tokens)
-        if not positions:
-            continue
-        with_summary = backend.masked_fill_accuracy(summary, sentence, positions)
-        with_filler = backend.masked_fill_accuracy(filler, sentence, positions)
-        gains.append(with_summary - with_filler)
-        n_masked += len(positions)
-    if not gains:
+    masked: list[tuple[str, list[int]]] = []
+    for sentence, tokens in zip(sentences, sentence_tokens):
+        if isinstance(tokens, Exception):
+            break
+        if positions := mask_schedule(tokens):
+            masked.append((sentence, positions))
+    fills = backend.map("masked_fill_accuracy", [(prefix, sentence, positions)
+                        for sentence, positions in masked for prefix in (summary, filler)])
+    for outcome in (*fills, *sentence_tokens):
+        if isinstance(outcome, Exception):
+            raise outcome
+    if not masked:
         return BlancScore(value=0.0, n_sentences=len(sentences), n_masked_tokens=0)
+    gains = [with_summary - with_filler
+             for with_summary, with_filler in zip(fills[::2], fills[1::2])]
     return BlancScore(value=float(np.mean(gains)), n_sentences=len(sentences),
-                      n_masked_tokens=n_masked)
+                      n_masked_tokens=sum(len(positions) for _, positions in masked))
 
 
 class EvalReport:
@@ -292,7 +299,7 @@ def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
     metric_list = list(metrics)
     unknown = [m for m in metric_list if m not in ALL_METRICS]
     if unknown:
-        raise DomainError(f"unknown metrics {unknown}; available: {list(ALL_METRICS)}")
+        raise ConfigurationError(f"unknown metrics {unknown}; available: {list(ALL_METRICS)}")
     needs_backend = [m for m in metric_list if m in REFERENCE_FREE_METRICS]
     if needs_backend and backend is None:
         raise DomainError(f"metrics {needs_backend} require a backend")

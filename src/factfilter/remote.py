@@ -155,9 +155,11 @@ def _unwrap(response: Any, op: str) -> Any:
         if exc_type is errors.SequenceLengthError:
             # The message is the server's str(exc), which already ends in the
             # limit suffix that SequenceLengthError appends.
-            limit = int(err.get("limit", 0))
-            message = err["message"].removesuffix(f" (limit: {limit} tokens)")
-            raise errors.SequenceLengthError(message, limit)
+            limit, message = int(err.get("limit", 0)), err["message"]
+            if not isinstance(message, str):
+                raise TypeError(f"error message {message!r} is not a string")
+            raise errors.SequenceLengthError(
+                message.removesuffix(f" (limit: {limit} tokens)"), limit)
         raise exc_type(err.get("message", "remote backend error"))
     if not isinstance(response, dict) or "result" not in response:
         raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
@@ -174,8 +176,10 @@ def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
 
 
 # Each op's argument object from its positional arguments, and its value from
-# the reply's result.
+# the reply's result. A `batch` result is the list of its calls' reply objects.
 _CODECS: dict[str, tuple[Callable[..., dict[str, Any]], Callable[[Any], Any]]] = {
+    "descriptor": (lambda: {}, _descriptor_from_reply),
+    "batch": (lambda op, calls: {"op": op, "calls": calls}, lambda r: r),
     "tokenize": (lambda text: {"text": text}, lambda r: list(r["tokens"])),
     "embed_tokens": (lambda text: {"text": text}, _embeddings_from_reply),
     "conditional_token_logprobs": (
@@ -195,6 +199,17 @@ _CODECS: dict[str, tuple[Callable[..., dict[str, Any]], Callable[[Any], Any]]] =
 }
 
 
+def _decode(op: str, reply: Any) -> Any:
+    """`_unwrap` then the op's `_CODECS` decoder; a field the reply lacks or
+    mistypes is a `TransportError` naming `op`."""
+    decode = _CODECS[op][1]
+    try:
+        return decode(_unwrap(reply, op))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise errors.TransportError(f"reply to {op!r} has a missing or mistyped field: "
+                                    f"{type(exc).__name__}: {exc}") from exc
+
+
 class RemoteBackend(Backend):
     """Client half of the protocol; runs the server as a subprocess."""
 
@@ -208,7 +223,7 @@ class RemoteBackend(Backend):
             encoding="utf-8",
         )
         try:
-            self._descriptor = _descriptor_from_reply(self._request("descriptor", {}))
+            self._descriptor = self._call("descriptor")
         except errors.FactFilterError:  # a failed handshake leaves no server behind
             self._proc.kill()
             self._proc.wait()
@@ -232,28 +247,26 @@ class RemoteBackend(Backend):
         if not line:
             raise errors.TransportError("backend process closed its output stream")
         try:
-            response = json.loads(line)
+            return json.loads(line)
         except json.JSONDecodeError as exc:
             raise errors.TransportError(f"unparseable reply to {op!r}: {exc}") from exc
-        return _unwrap(response, op)
 
     def _call(self, op: str, *args: Any) -> Any:
-        encode, decode = _CODECS[op]
-        return decode(self._request(op, encode(*args)))
+        return _decode(op, self._request(op, _CODECS[op][0](*args)))
 
     def map(self, op: str, calls: Sequence[tuple]) -> list:
         """One `batch` request for all of `calls`; see `Backend.map`."""
         if not calls:
             return []
-        encode, decode = _CODECS[op]
-        items = self._request("batch", {"op": op, "calls": [encode(*args) for args in calls]})
+        encode = _CODECS[op][0]
+        items = self._call("batch", op, [encode(*args) for args in calls])
         if not isinstance(items, list) or len(items) != len(calls):
             raise errors.TransportError(
                 f"batch reply to {op!r} is not a list of {len(calls)} items")
         out: list = []
         for item in items:
             try:
-                out.append(decode(_unwrap(item, op)))
+                out.append(_decode(op, item))
             except errors.PER_PAIR_ERRORS as exc:
                 out.append(exc)
         return out
@@ -272,12 +285,6 @@ class RemoteBackend(Backend):
                 raise errors.TransportError(
                     f"backend process still running {_CLOSE_TIMEOUT_S} s after its "
                     f"input closed; killed it") from None
-
-    def __enter__(self) -> "RemoteBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def tokenize(self, text: str) -> list[str]:
         return self._call("tokenize", text)

@@ -78,10 +78,11 @@ def load_annotations(path: str | Path,
 
     `column_map` remaps our canonical field names onto the file's column
     names, so externally published annotation releases can be adapted
-    without rewriting them. Flags must be JSON booleans and factuality a JSON
-    number. Each malformed record, out-of-domain value or duplicate summary
-    id names its `path:line`; records violating no-flags-implies-factual are
-    collected and reported together.
+    without rewriting them. The summary id, dataset and system must be JSON
+    strings, flags JSON booleans and factuality a JSON number. Each malformed
+    record, out-of-domain value or duplicate summary id names its
+    `path:line`; records violating no-flags-implies-factual are collected and
+    reported together.
     """
     columns = dict(_DEFAULT_COLUMNS)
     if column_map:
@@ -99,15 +100,19 @@ def load_annotations(path: str | Path,
         factuality = record[columns["factuality"]]
         if type(factuality) not in (float, int):  # rejects bool, an int subclass
             raise TypeError(f"factuality must be a number, got {factuality!r}")
-        summary_id = str(record[columns["summary_id"]])
+        texts = {key: record[columns[key]] for key in ("summary_id", "dataset", "system")}
+        for key, value in texts.items():
+            if not isinstance(value, str):
+                raise TypeError(f"{columns[key]!r} must be a string, got {value!r}")
+        summary_id, dataset, system = texts.values()
         if summary_id in seen:
             raise IntegrityError(f"duplicate annotation for summary {summary_id!r}")
         seen.add(summary_id)
         try:
             annotations.append(FactualityAnnotation(
                 summary_id=summary_id,
-                source_dataset=str(record[columns["dataset"]]),
-                system_id=str(record[columns["system"]]),
+                source_dataset=dataset,
+                system_id=system,
                 factuality=float(factuality),
                 category_flags=flags,
             ))

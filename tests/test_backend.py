@@ -247,6 +247,32 @@ class TestRegistry:
             create_backend("does-not-exist")
 
 
+class ClosingMock(MockBackend):
+    """A mock that counts its `close` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+
+
+class TestLifetime:
+    def test_mock_is_a_context_manager(self):
+        with MockBackend() as backend:
+            assert backend.map("tokenize", [("a b",)]) == [["a", "b"]]
+        backend.close()  # the default close holds nothing and may run again
+
+    def test_leaving_the_block_closes_once_even_on_an_error(self):
+        backend = ClosingMock()
+        with pytest.raises(RuntimeError, match="boom"):
+            with backend as entered:
+                assert entered is backend
+                raise RuntimeError("boom")
+        assert backend.closed == 1
+
+
 class TestRemoteProtocol:
     """End-to-end over a real subprocess speaking the line-JSON protocol."""
 

@@ -21,6 +21,14 @@ def toy(tmp_path):
     return corpus_file
 
 
+def _generated(tmp_path, toy):
+    """The toy test pairs' reference summaries as a generated-summaries file."""
+    path = tmp_path / "generated.jsonl"
+    path.write_text("".join(json.dumps({"id": pair.id, "summary": pair.summary}) + "\n"
+                            for pair in load_corpus(toy).split_pairs("test")))
+    return path
+
+
 def _score(tmp_path, toy):
     scores = tmp_path / "scores.jsonl"
     code = main(["score", "--in", str(toy), "--out", str(scores),
@@ -58,6 +66,18 @@ class TestExitCodes:
         code = main(["score", "--in", str(toy), "--out", str(tmp_path / "s.jsonl"),
                      "--scorers", "greedy", "--backend", "nope"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--metrics", "bogus"], ["sweep", "--strategies", "bogus"],
+        ["sweep", "--strategies", "single:"],
+    ], ids=["metric", "strategy", "empty-single-scorer"])
+    def test_unknown_metric_or_strategy_is_configuration_error(self, tmp_path, toy,
+                                                              capsys, command):
+        inputs = ["--generated", str(_generated(tmp_path, toy))] if command[0] == "evaluate" \
+            else ["--scores", str(_score(tmp_path, toy))]
+        code = main([*command, *inputs, "--in", str(toy), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "configuration error: unknown" in capsys.readouterr().err
 
 
 class TestIngest:
@@ -114,6 +134,42 @@ class TestScore:
         assert main(["score", "--in", str(toy), "--out", str(out),
                      "--scorers", "greedy", "--backend", "mock-wide"]) == 0
         assert len(out.read_text().splitlines()) == 50
+
+
+class TestBackendLifetime:
+    """Each backend-using command opens its backend in a `with` block."""
+
+    def test_a_backend_without_close_scores_the_mock_bytes(self, tmp_path, toy,
+                                                           monkeypatch):
+        from factfilter import backend as backend_module
+        from factfilter.backend import MockBackend
+
+        class Plain(MockBackend):  # defines no close of its own
+            pass
+
+        assert "close" not in vars(Plain) and "close" not in vars(MockBackend)
+        monkeypatch.setitem(backend_module._BACKENDS, "plain", Plain)
+        out = tmp_path / "plain.jsonl"
+        assert main(["score", "--in", str(toy), "--out", str(out),
+                     "--scorers", "greedy,condll,dae", "--backend", "plain"]) == 0
+        assert out.read_bytes() == _score(tmp_path, toy).read_bytes()
+
+    def test_score_sweep_and_evaluate_close_their_backend(self, tmp_path, toy,
+                                                          monkeypatch):
+        from factfilter import backend as backend_module
+        from test_backend import ClosingMock
+
+        opened = []
+        monkeypatch.setitem(backend_module._BACKENDS, "closing",
+                            lambda: opened.append(ClosingMock()) or opened[-1])
+        for command in (["score", "--scorers", "greedy", "--out", str(tmp_path / "s.jsonl")],
+                        ["sweep", "--scores", str(_score(tmp_path, toy)), "--thresholds",
+                         "0.25", "--out", str(tmp_path / "sweep.csv")],
+                        ["evaluate", "--generated", str(_generated(tmp_path, toy)),
+                         "--metrics", "blanc",
+                         "--out", str(tmp_path / "r.csv")]):
+            assert main([*command, "--in", str(toy), "--backend", "closing"]) == 0
+        assert [backend.closed for backend in opened] == [1, 1, 1]
 
 
 class TestFilterCommand:
@@ -332,11 +388,28 @@ if reply != "exit":
     elif reply == "non-object-item":
         calls = len(request["args"]["calls"])
         sys.stdout.buffer.write(json.dumps({{"result": [1] * calls}}).encode() + b"\\n")
+    elif reply.startswith("item:"):  # every item of the batch reply is this object
+        calls = len(request["args"]["calls"])
+        item = json.loads(reply[len("item:"):])
+        sys.stdout.buffer.write(json.dumps({{"result": [item] * calls}}).encode() + b"\\n")
     else:
         sys.stdout.buffer.write(reply.encode() + b"\\n")
     sys.stdout.flush()
     serve(MockBackend(), sys.stdin, sys.stdout)
 """
+
+# (op, argument tuple, reply object) of replies whose fields the client cannot
+# read: a missing key, a mistyped value, a number that does not parse.
+MALFORMED_FIELDS = [
+    ("tokenize", ("a",), '{"result": {}}'),
+    ("tokenize", ("a",), '{"result": {"tokens": 5}}'),
+    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": ["x"]}}'),
+    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2}}'),
+    ("parse_dependencies", ("a b",),
+     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
+     '"relation_label": "dep", "child_index": 1}]}}'),
+    ("tokenize", ("a",), '{"error": {"type": "SequenceLengthError", "limit": 512}}'),
+]
 
 # A `score` resuming the 25-line partial toy file sends the handshake and then
 # seven batches (the whole toy corpus is one chunk): two tokenize, two
@@ -368,9 +441,10 @@ class TestTransportFailures:
         (_FAULT_AFTER, "{}"), (_FAULT_AFTER, '{"error": "boom"}'), (_FAULT_AFTER, "[1]"),
         (_FAULT_AFTER, "invalid-utf8"), (_FAULT_AFTER, '{"result": {}}'),
         (_FAULT_AFTER, '{"result": []}'), (_FAULT_AFTER, "non-object-item"),
+        (_FAULT_AFTER, 'item:{"result": {}}'),
     ], ids=["exit-after-handshake", "exit-mid-run", "not-json", "no-result",
             "non-object-error", "non-object-reply", "invalid-utf8", "batch-not-a-list",
-            "batch-wrong-count", "batch-non-object-item"])
+            "batch-wrong-count", "batch-non-object-item", "batch-item-missing-field"])
     def test_score_exits_three_and_keeps_the_scores_file(self, toy, capsys, server,
                                                          partial, k, reply):
         full, partial = partial
@@ -404,6 +478,48 @@ class TestTransportFailures:
                 backend.map("tokenize", [("a",), ("b",)])
         finally:
             backend.close()
+
+    @pytest.mark.parametrize("path", ["single", "map"])
+    @pytest.mark.parametrize("op, args, reply", MALFORMED_FIELDS,
+                             ids=["tokenize-no-tokens", "tokenize-int-tokens",
+                                  "logprobs-not-numbers", "embed-no-vectors",
+                                  "arc-no-head-index", "length-error-no-message"])
+    def test_malformed_reply_field_is_a_transport_error(self, server, path, op, args, reply):
+        from factfilter.errors import TransportError
+        from factfilter.remote import RemoteBackend
+
+        if path == "map":
+            reply = f'{{"result": [{reply}]}}'
+        backend = RemoteBackend([sys.executable, str(server), "1", reply])
+        try:
+            with pytest.raises(TransportError,
+                               match=f"reply to '{op}' has a missing or mistyped field"):
+                if path == "map":
+                    backend.map(op, [args])
+                else:
+                    getattr(backend, op)(*args)
+        finally:
+            backend.close()
+        assert backend._proc.poll() is not None
+
+    def test_malformed_reply_field_exits_three_and_stops_the_server(
+            self, toy, tmp_path, capsys, monkeypatch, server):
+        from factfilter import remote
+
+        spawned = []
+        popen = subprocess.Popen
+        monkeypatch.setattr(remote.subprocess, "Popen",
+                            lambda *args, **kwargs: spawned.append(popen(*args, **kwargs))
+                            or spawned[-1])
+        out = tmp_path / "scores.jsonl"
+        code = main(["score", "--in", str(toy), "--out", str(out), "--scorers", "greedy",
+                     "--backend", "remote", "--remote-command",
+                     f"{sys.executable} {server} 1 'item:{{\"result\": {{\"tokens\": 5}}}}'"])
+        assert code == 3
+        assert "backend error: reply to 'tokenize' has a missing or mistyped field: " \
+            "TypeError" in capsys.readouterr().err
+        assert not out.exists()
+        assert spawned[0].poll() is not None
 
     @pytest.mark.parametrize("vectors", ['"not base64!"', '"AAAAAAAAAAA="', "[[0.5, 0.5]]"],
                              ids=["bad-base64", "partial-row", "json-floats"])

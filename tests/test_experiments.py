@@ -11,7 +11,13 @@ import pytest
 from factfilter import scorers
 from factfilter.backend import MockBackend
 from factfilter.corpus import load_corpus, toy_corpus_path
-from factfilter.errors import PER_PAIR_ERRORS, CoverageError, DomainError, failure_reason
+from factfilter.errors import (
+    PER_PAIR_ERRORS,
+    ConfigurationError,
+    CoverageError,
+    DomainError,
+    failure_reason,
+)
 from factfilter.experiments import (
     ComparisonReport,
     SweepSpec,
@@ -62,7 +68,7 @@ class TestSweepSpec:
             SweepSpec(thresholds=(0.0, 0.5), strategies=("combined",), seed=0)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             SweepSpec(thresholds=(0.25,), strategies=("sorted",), seed=0)
 
     def test_single_scorer_strategy_accepted(self):
@@ -169,7 +175,7 @@ class TestMockTrainHook:
         assert out["condll"] == pytest.approx(float(expected_condll), abs=1e-15)
 
     def test_unknown_metric_rejected(self, mock_backend):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             mock_train_eval_hook(mock_backend, ["rouge2"])
 
 

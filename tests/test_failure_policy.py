@@ -108,3 +108,30 @@ def test_only_the_remote_keep_alive_guard_catches_everything():
     broad, bare = _broad_handlers()
     assert broad == ["remote.serve"]
     assert bare == []
+
+
+SINGLE_OPS = ("tokenize", "embed_tokens", "conditional_token_logprobs",
+              "arc_entailment_probs", "masked_fill_accuracy", "parse_dependencies")
+
+
+def _single_op_calls(source: str) -> list[int]:
+    """Lines of the calls in `source` whose target is a single backend op by name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SINGLE_OPS]
+
+
+def test_only_the_backend_modules_call_a_single_op():
+    """Consumers ask a backend for work through `Backend.map`; `backend.py`
+    holds the mock's own ops and the `map` default, `remote.py` the server."""
+    calls = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("backend.py", "remote.py")
+             and (lines := _single_op_calls(path.read_text(encoding="utf-8")))}
+    assert calls == {}
+
+
+def test_the_single_op_guard_sees_a_direct_call():
+    source = ("tokens = backend.tokenize(sentence)\n"
+              "fills = backend.map('masked_fill_accuracy', calls)\n"
+              "fill = self._backend.masked_fill_accuracy(summary, sentence, positions)\n")
+    assert _single_op_calls(source) == [1, 3]

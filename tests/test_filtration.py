@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -84,7 +85,8 @@ class TestIntersectFilter:
         assert set(manifest.kept_ids) == {"2", "3"}
         assert manifest.selection_ratio == 0.5
         assert manifest.n_pairs == 4
-        assert manifest.seedless
+        assert '"seed":null' in manifest.to_canonical_json()
+        assert '"seedless":true' in manifest.to_canonical_json()
 
     def test_perfectly_correlated_scorers(self):
         scores = {"1": 0.1, "2": 0.2, "3": 0.3, "4": 0.4}
@@ -134,6 +136,19 @@ class TestIntersectFilter:
         reloaded = FilterManifest.load(path)
         assert reloaded == manifest
         assert reloaded.content_hash() == manifest.content_hash()
+
+    @pytest.mark.parametrize("seedless", [True, False])
+    def test_loaded_manifest_is_always_bounds_checked(self, tmp_path, seedless):
+        table = build_table("c", {
+            "s1": {"1": 0.1, "2": 0.2, "3": 0.3, "4": 0.4},
+            "s2": {"1": 0.4, "2": 0.3, "3": 0.2, "4": 0.1},
+        })
+        obj = json.loads(intersect_filter(table, 0.25).to_canonical_json())
+        obj.update(kept_ids=["1", "2", "3", "4"], selection_ratio=1.0, seedless=seedless)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="violates the intersection bounds"):
+            FilterManifest.load(path)
 
 
 class TestRandomSelection:
@@ -201,10 +216,9 @@ class TestApplyManifest:
 
     def test_empty_keep_refused(self):
         corpus, _ = self._setup()
-        empty = FilterManifest(corpus_name="c", scorer_names=("s1",), q=0.25,
+        empty = FilterManifest(corpus_name="c", scorer_names=("s1", "s2"), q=0.75,
                                per_scorer_thresholds={}, kept_ids=(), n_pairs=4,
-                               selection_ratio=0.0, created_with={}, seedless=False,
-                               seed=1)
+                               selection_ratio=0.0, created_with={})
         with pytest.raises(DomainError):
             apply_manifest(corpus, empty)
 

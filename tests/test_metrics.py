@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -17,14 +18,24 @@ from factfilter import (
 )
 from factfilter import scorers
 from factfilter.corpus import load_corpus, toy_corpus_path
-from factfilter.errors import PER_PAIR_ERRORS, CoverageError, DomainError, failure_reason
+from factfilter.errors import (
+    PER_PAIR_ERRORS,
+    BackendError,
+    ConfigurationError,
+    CoverageError,
+    DomainError,
+    failure_reason,
+)
 from factfilter.metrics import (
+    FILLER_TOKEN,
     REFERENCE_FREE_METRICS,
+    BlancScore,
     EvalReport,
     mask_schedule,
     reference_free_value,
     split_sentences,
 )
+from factfilter.remote import RemoteBackend
 
 from conftest import make_corpus, make_pair
 from test_scorers import Recorder, StepFailMock, step_fail_corpus
@@ -151,6 +162,138 @@ class TestBlancHelp:
         assert score.n_masked_tokens == 0
 
 
+def reference_blanc_help(document, summary, backend):
+    """BLANC-help asking the backend one single op at a time, sentence by sentence."""
+    summary_tokens = backend.tokenize(summary)
+    if not summary_tokens:
+        raise DomainError("summary is empty")
+    sentences = split_sentences(document)
+    if not sentences:
+        raise DomainError("document does not split into sentences")
+    filler = " ".join([FILLER_TOKEN] * len(summary_tokens))
+    gains = []
+    n_masked = 0
+    for sentence in sentences:
+        tokens = backend.tokenize(sentence)
+        positions = mask_schedule(tokens)
+        if not positions:
+            continue
+        with_summary = backend.masked_fill_accuracy(summary, sentence, positions)
+        with_filler = backend.masked_fill_accuracy(filler, sentence, positions)
+        gains.append(with_summary - with_filler)
+        n_masked += len(positions)
+    if not gains:
+        return BlancScore(value=0.0, n_sentences=len(sentences), n_masked_tokens=0)
+    return BlancScore(value=float(np.mean(gains)), n_sentences=len(sentences),
+                      n_masked_tokens=n_masked)
+
+
+class BlancStepFail(MockBackend):
+    """A mock whose BLANC ops fail on marker tokens.
+
+    TOKFAIL fails tokenize and NIL tokenizes to nothing; SUMFAIL in a sentence
+    fails its fill with the summary as prefix, FILLFAIL its fill with the
+    filler; FATAL makes tokenize raise a `RuntimeError`, no per-pair error.
+    """
+
+    def tokenize(self, text):
+        if "FATAL" in text.split():
+            raise RuntimeError(f"fatal on {text!r}")
+        if "TOKFAIL" in text.split():
+            raise BackendError(f"cannot tokenize {text!r}")
+        return [token for token in text.split() if token != "NIL"]
+
+    def masked_fill_accuracy(self, prefix, sentence, mask_positions):
+        filler = set(prefix.split()) == {FILLER_TOKEN}
+        marker = "FILLFAIL" if filler else "SUMFAIL"
+        if marker in sentence.split():
+            raise DomainError(f"cannot fill {sentence!r} after {prefix!r}")
+        return super().masked_fill_accuracy(prefix, sentence, mask_positions)
+
+
+class MapCounter(BlancStepFail):
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def map(self, op, calls):
+        self.requests.append(op)
+        return super().map(op, calls)
+
+
+S1 = "storm flooded harbor town quickly ."
+S2 = "mayor opened bridge festival today ."
+S3 = "library closed monday evening early ."
+BLANC_CASES = {
+    "healthy": (f"{S1} {S2} {S3}", "storm quickly mayor"),
+    "summary-tokenize": (f"{S1} {S2}", "storm TOKFAIL"),
+    "first-sentence-tokenize": (f"TOKFAIL {S1} {S2} {S3}", "storm mayor"),
+    "middle-sentence-tokenize": (f"{S1} TOKFAIL {S2} {S3}", "storm mayor"),
+    "last-sentence-tokenize": (f"{S1} {S2} TOKFAIL {S3}", "storm mayor"),
+    "summary-fill": (f"{S1} SUMFAIL {S2} {S3}", "storm mayor"),
+    "filler-fill": (f"{S1} {S2} FILLFAIL {S3}", "storm mayor"),
+    "filler-fill-before-summary-fill": (f"FILLFAIL {S1} SUMFAIL {S2}", "storm mayor"),
+    "summary-fill-before-filler-fill": (f"FILLFAIL SUMFAIL {S1} {S2}", "storm mayor"),
+    "fill-before-later-tokenize": (f"{S1} SUMFAIL {S2} TOKFAIL {S3}", "storm mayor"),
+    "tokenize-before-later-fill": (f"TOKFAIL {S1} SUMFAIL {S2}", "storm mayor"),
+    "empty-summary": (f"{S1} {S2}", "NIL NIL"),
+    "empty-summary-before-sentence-tokenize": (f"TOKFAIL {S1}", "NIL"),
+    "no-sentences": ("   ", "storm mayor"),
+    "summary-tokenize-before-no-sentences": ("   ", "TOKFAIL"),
+    "no-maskable-token": ("ab cd ef . gh ij kl .", "storm mayor"),
+    "some-sentences-maskable": (f"ab cd ef . {S2}", "mayor"),
+}
+HEALTHY_BLANC_CASES = ("healthy", "no-maskable-token", "some-sentences-maskable")
+
+
+def _outcome(blanc, document, summary, backend):
+    try:
+        return blanc(document, summary, backend)
+    except PER_PAIR_ERRORS as exc:
+        return failure_reason(exc)
+
+
+class TestBlancThroughMap:
+    """`blanc_help` asks the backend two `map` requests per pair and gives the
+    value, counts and failure reason of the one-op-at-a-time reference."""
+
+    @pytest.mark.parametrize("case", BLANC_CASES)
+    def test_matches_the_one_op_reference(self, case):
+        document, summary = BLANC_CASES[case]
+        expected = _outcome(reference_blanc_help, document, summary, BlancStepFail())
+        assert _outcome(blanc_help, document, summary, BlancStepFail()) == expected
+        assert isinstance(expected, str) == (case not in HEALTHY_BLANC_CASES)
+
+    @pytest.mark.parametrize("case", HEALTHY_BLANC_CASES)
+    def test_two_requests_per_pair(self, case):
+        backend = MapCounter()
+        blanc_help(*BLANC_CASES[case], backend)
+        assert backend.requests == ["tokenize", "masked_fill_accuracy"]
+
+    def test_remote_toy_evaluation_makes_two_requests_per_pair(self, tmp_path, monkeypatch):
+        corpus = load_corpus(toy_corpus_path(), name="toy")
+        test_pairs = corpus.split_pairs("test")
+        generated = {pair.id: pair.summary for pair in test_pairs}
+        evaluate_outputs(generated, corpus, MockBackend(),
+                         metrics=["blanc"]).to_csv(tmp_path / "in-process.csv")
+        with RemoteBackend([sys.executable, "-m", "factfilter.remote",
+                            "--backend", "mock"]) as remote:
+            requests = []
+            request = remote._request
+            monkeypatch.setattr(remote, "_request",
+                                lambda op, args: requests.append(op) or request(op, args))
+            evaluate_outputs(generated, corpus, remote,
+                             metrics=["blanc"]).to_csv(tmp_path / "remote.csv")
+        assert len(requests) == 2 * len(test_pairs)
+        assert (tmp_path / "remote.csv").read_bytes() == \
+            (tmp_path / "in-process.csv").read_bytes()
+
+    @pytest.mark.parametrize("document", [f"{S1} FATAL {S2}", f"TOKFAIL {S1} FATAL {S2}"])
+    def test_an_error_that_is_not_per_pair_aborts(self, document):
+        with pytest.raises(RuntimeError, match="fatal on"):
+            blanc_help(document, "storm mayor", BlancStepFail())
+
+
 class TestEvaluateOutputs:
     def _corpus(self) -> Corpus:
         return make_corpus(
@@ -184,13 +327,19 @@ class TestEvaluateOutputs:
         corpus = self._corpus()
         generated = {p.id: p.summary for p in corpus.split_pairs("test")}
         manifest = FilterManifest(
-            corpus_name="c", scorer_names=("s1",), q=0.25,
+            corpus_name="c", scorer_names=("s1", "s2"), q=0.5,
             per_scorer_thresholds={}, kept_ids=("t1", "tr1"), n_pairs=3,
-            selection_ratio=2 / 3, created_with={}, seedless=False, seed=0)
+            selection_ratio=2 / 3, created_with={})
         report = evaluate_outputs(generated, corpus, backend=mock_backend,
                                   manifest=manifest, metrics=["rouge2", "blanc"])
         assert report.n("rouge2") == 1   # only t1 is kept and in the test split
         assert report.n("blanc") == 2    # reference-free metrics see the full test split
+
+    def test_unknown_metric_is_a_configuration_error(self, mock_backend):
+        corpus = self._corpus()
+        generated = {p.id: p.summary for p in corpus.split_pairs("test")}
+        with pytest.raises(ConfigurationError, match="unknown metrics"):
+            evaluate_outputs(generated, corpus, backend=mock_backend, metrics=["bogus"])
 
     def test_missing_generated_summary_is_coverage_error(self, mock_backend):
         corpus = self._corpus()

@@ -108,6 +108,10 @@ CASES = [
     ("annotations", "mistyped-field", _flag("discourse", "false"), ParseError,
      "'discourse'"),
     ("annotations", "unknown-dataset", _with(dataset="nyt"), DomainError, "'nyt'"),
+    ("annotations", "null-id", _with(summary_id=None), ParseError, "'summary_id'"),
+    ("annotations", "integer-id", _with(summary_id=7), ParseError, "'summary_id'"),
+    ("annotations", "integer-dataset", _with(dataset=1), ParseError, "'dataset'"),
+    ("annotations", "list-system", _with(system=["a"]), ParseError, "'system'"),
     ("annotations", "duplicate", _same_as_first("annotations"), IntegrityError,
      "duplicate annotation for summary 'a'"),
     ("generated", "missing-field", _without("summary"), ParseError, "'summary'"),
