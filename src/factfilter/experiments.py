@@ -204,8 +204,13 @@ def run_sweep(corpus: Corpus, table: ScoreTable, spec: SweepSpec,
     A threshold that yields an empty selection becomes a failed row and the
     sweep continues. Rows are ordered by (strategy, threshold) regardless of
     execution order; random cells derive their seed from (spec.seed,
-    threshold index) so each cell is independently reproducible.
+    threshold index) so each cell is independently reproducible. Every
+    `single:<scorer>` must name a column of `table` (`ConfigurationError`
+    before the first cell otherwise).
     """
+    for strategy in spec.strategies:
+        if strategy.startswith("single:"):
+            table.column(strategy.split(":", 1)[1])
     rows: list[SweepRow] = []
     for strategy in sorted(spec.strategies):
         for index, threshold in enumerate(spec.thresholds):

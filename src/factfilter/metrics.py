@@ -32,7 +32,7 @@ from .errors import (
 )
 from .filtration import FilterManifest
 from .records import utf8_lines, write_csv
-from .scorers import SCORERS, ScoringItem, score_pair, score_texts
+from .scorers import SCORERS, ScoringItem, score_texts
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
 # content; the filler is shorter than any maskable token, so it can never
@@ -246,19 +246,6 @@ class EvalReport:
         return report
 
 
-def reference_free_value(metric: str, document: str, summary: str,
-                         backend: Backend) -> float:
-    """One reference-free metric's value for a summary of `document`.
-
-    Errors propagate; callers apply the per-pair failure policy
-    (`errors.PER_PAIR_ERRORS`).
-    """
-    if metric == "blanc":
-        return blanc_help(document, summary, backend).value
-    value, _ = score_pair(metric, document, summary, backend)
-    return value
-
-
 def reference_free_outcomes(todo: Sequence[ScoringItem],
                             backend: Backend) -> list[dict[str, float | Exception]]:
     """Each named metric's value, or the per-pair error that stopped it, for
@@ -266,8 +253,8 @@ def reference_free_outcomes(todo: Sequence[ScoringItem],
 
     The scorer metrics of all items are scored in chunks
     (`scorers.score_texts`), each pair prepared once for all of them; blanc
-    is scored one pair at a time. Each outcome is the one `reference_free_value`
-    gives the pair alone. An error outside `errors.PER_PAIR_ERRORS` propagates.
+    is scored one pair at a time. Each outcome is the one the pair gets alone.
+    An error outside `errors.PER_PAIR_ERRORS` propagates.
     """
     out: list[dict[str, float | Exception]] = [{} for _ in todo]
     scoring = [(k, names) for k, (_, metrics) in enumerate(todo)

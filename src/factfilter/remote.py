@@ -166,13 +166,22 @@ def _unwrap(response: Any, op: str) -> Any:
     return response["result"]
 
 
+def _list(result: dict[str, Any], key: str) -> list:
+    """`result[key]`, which must be a JSON list: a string or an object would
+    decode item by item."""
+    items = result[key]
+    if not isinstance(items, list):
+        raise TypeError(f"{key!r} must be a list, got {items!r}")
+    return items
+
+
 def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
     try:
         vectors = np.frombuffer(base64.b64decode(result["vectors"], validate=True),
                                 dtype="<f8").reshape(-1, result["dim"])
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise errors.TransportError(f"undecodable embedding vectors: {exc}") from exc
-    return TokenEmbeddings(tokens=tuple(result["tokens"]), vectors=vectors)
+    return TokenEmbeddings(tokens=tuple(_list(result, "tokens")), vectors=vectors)
 
 
 # Each op's argument object from its positional arguments, and its value from
@@ -180,22 +189,22 @@ def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
 _CODECS: dict[str, tuple[Callable[..., dict[str, Any]], Callable[[Any], Any]]] = {
     "descriptor": (lambda: {}, _descriptor_from_reply),
     "batch": (lambda op, calls: {"op": op, "calls": calls}, lambda r: r),
-    "tokenize": (lambda text: {"text": text}, lambda r: list(r["tokens"])),
+    "tokenize": (lambda text: {"text": text}, lambda r: _list(r, "tokens")),
     "embed_tokens": (lambda text: {"text": text}, _embeddings_from_reply),
     "conditional_token_logprobs": (
         lambda source, target: {"source": source, "target": target},
-        lambda r: [float(v) for v in r["logprobs"]]),
+        lambda r: [float(v) for v in _list(r, "logprobs")]),
     "arc_entailment_probs": (
         lambda document, arcs: {"document": document,
                                 "arcs": [_arc_to_dict(a) for a in arcs]},
-        lambda r: [float(v) for v in r["probs"]]),
+        lambda r: [float(v) for v in _list(r, "probs")]),
     "masked_fill_accuracy": (
         lambda prefix, sentence, mask_positions: {
             "prefix": prefix, "sentence": sentence,
             "mask_positions": sorted(set(mask_positions))},
         lambda r: float(r["accuracy"])),
     "parse_dependencies": (lambda summary: {"summary": summary},
-                           lambda r: [_arc_from_dict(a) for a in r["arcs"]]),
+                           lambda r: [_arc_from_dict(a) for a in _list(r, "arcs")]),
 }
 
 

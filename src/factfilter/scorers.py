@@ -235,36 +235,19 @@ SCORERS: dict[str, ChunkScorer] = {
 }
 
 
-def score_pair(scorer: str, document: str, summary: str,
-               backend: Backend) -> tuple[float, bool]:
-    """One scorer's `(value, truncated)` for one pair, scored as a chunk of one.
-
-    A per-pair failure raises; callers apply the per-pair failure policy
-    (`errors.PER_PAIR_ERRORS`).
-    """
-    (prepared,) = prepare_pairs([(document, summary)], backend)
-    if isinstance(prepared, Exception):
-        raise prepared
-    (outcome,) = SCORERS[scorer]([prepared], backend)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome, prepared.truncated
-
-
 class ScoreTable:
     """Per-pair, per-scorer score columns with provenance checks.
 
     A column maps each pair id to a float, its score, or to a str, the failure
     reason of a sentinel row. Next to each column the table keeps the
-    column's backend provenance `(name, version)` and the ids of the scores
-    computed on a truncated document. Every cell enters through `add_row`.
+    column's backend provenance `(name, version)`. Every cell enters through
+    `add_row`.
     """
 
     def __init__(self, corpus_name: str):
         self.corpus_name = corpus_name
         self._columns: dict[str, dict[str, float | str]] = {}
         self._provenance: dict[str, tuple[str, str]] = {}
-        self._truncated: dict[str, set[str]] = {}
 
     @property
     def scorers(self) -> list[str]:
@@ -305,8 +288,6 @@ class ScoreTable:
                 f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}"
             )
         column[pair_id] = reason if value is None else value
-        if truncated and value is not None:
-            self._truncated.setdefault(scorer, set()).add(pair_id)
 
     def add(self, cell: ScoreCell) -> None:
         self.add_row(_cell_to_row(cell))
@@ -326,10 +307,6 @@ class ScoreTable:
 
     def failures(self, scorer: str) -> dict[str, str]:
         return {pid: v for pid, v in self.column(scorer).items() if isinstance(v, str)}
-
-    def truncated_ids(self, scorer: str) -> set[str]:
-        """Ids whose score in `scorer`'s column was computed on a truncated document."""
-        return set(self._truncated.get(scorer, ()))
 
     def ids(self) -> set[str]:
         out: set[str] = set()

@@ -37,11 +37,11 @@ from factfilter.cli import main
 from factfilter.corpus import toy_corpus_path
 from factfilter.filtration import intersect_filter, percentile_keep_set
 from factfilter.remote import RemoteBackend
-from factfilter.scorers import FactualityScore, ScoreTable, score_pair
+from factfilter.scorers import FactualityScore, ScoreTable
 from factfilter.stats import _average_ranks, _exact_two_sided_p, _normal_two_sided_p
 from factfilter.validation import CATEGORIES
 
-from conftest import make_pair
+from conftest import make_pair, score_one
 
 # Frozen outputs of the toy pipeline (score -> filter(q=0.25) -> stats ->
 # evaluate, mock backend). Regenerating the toy corpus moves these.
@@ -295,9 +295,9 @@ def test_criterion_7_mock_scorer_analytics(mock_backend):
     with criterion(7, "mock-backend scorer values are analytically exact"):
         copied = make_pair("p", "the mayor opened the bridge on friday",
                            "mayor opened the bridge")
-        assert score_pair("greedy", copied.document, copied.summary, mock_backend)[0] == 1.0
-        assert score_pair("dae", copied.document, copied.summary, mock_backend)[0] == 1.0
-        assert abs(score_pair("condll", copied.document, copied.summary, mock_backend)[0]
+        assert score_one("greedy", copied.document, copied.summary, mock_backend).value == 1.0
+        assert score_one("dae", copied.document, copied.summary, mock_backend).value == 1.0
+        assert abs(score_one("condll", copied.document, copied.summary, mock_backend).value
                    - math.log(0.9)) < 1e-12
 
         mixed_embed = make_pair("p", "alpha beta gamma", "alpha beta zzzz")
@@ -308,17 +308,17 @@ def test_criterion_7_mock_scorer_analytics(mock_backend):
                     for v in doc_vectors]
             best.append(max(sims))
         expected_greedy = sum(best) / len(best)
-        got = score_pair("greedy", mixed_embed.document, mixed_embed.summary, mock_backend)[0]
+        got = score_one("greedy", mixed_embed.document, mixed_embed.summary, mock_backend).value
         assert abs(got - expected_greedy) < 1e-12
         assert got < 1.0
 
         mixed_condll = make_pair("p", "storm hit", "storm hit comet meteor")
         expected_condll = (2 * math.log(0.9) + 2 * math.log(0.1)) / 4
-        assert abs(score_pair("condll", mixed_condll.document, mixed_condll.summary,
-                              mock_backend)[0] - expected_condll) < 1e-12
+        assert abs(score_one("condll", mixed_condll.document, mixed_condll.summary,
+                             mock_backend).value - expected_condll) < 1e-12
 
         mixed_dae = make_pair("p", "the mayor opened the bridge", "mayor opened comet")
-        assert score_pair("dae", mixed_dae.document, mixed_dae.summary, mock_backend)[0] == 0.5
+        assert score_one("dae", mixed_dae.document, mixed_dae.summary, mock_backend).value == 0.5
 
 
 REAL_DATA_ENV = "FACTFILTER_REAL_DATA"

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from factfilter import FilterManifest, load_corpus
+from factfilter import DependencyArc, FilterManifest, load_corpus
 from factfilter.cli import main
 from factfilter.corpus import toy_corpus_path
 from factfilter.validation import CATEGORIES
@@ -340,6 +340,26 @@ class TestSweepCommand:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    def test_unknown_single_scorer_fails_before_the_first_cell(self, tmp_path, toy,
+                                                              capsys, monkeypatch):
+        from factfilter import cli
+
+        selections = []
+        factory = cli.mock_train_eval_hook
+
+        def counting_factory(backend):
+            hook = factory(backend)
+            return lambda selection: selections.append(selection) or hook(selection)
+
+        monkeypatch.setattr(cli, "mock_train_eval_hook", counting_factory)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--in", str(toy), "--scores", str(_score(tmp_path, toy)),
+                     "--out", str(out), "--strategies", "combined,random,single:bogus",
+                     "--backend", "mock"]) == 1
+        assert "no scores for scorer 'bogus'" in capsys.readouterr().err
+        assert selections == []
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, toy):
@@ -399,10 +419,16 @@ if reply != "exit":
 """
 
 # (op, argument tuple, reply object) of replies whose fields the client cannot
-# read: a missing key, a mistyped value, a number that does not parse.
+# read: a missing key, a mistyped value (a string or an object where a list is
+# due included), a number that does not parse.
 MALFORMED_FIELDS = [
     ("tokenize", ("a",), '{"result": {}}'),
     ("tokenize", ("a",), '{"result": {"tokens": 5}}'),
+    ("tokenize", ("a",), '{"result": {"tokens": "abc"}}'),
+    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": "12"}}'),
+    ("arc_entailment_probs", ("a b", [DependencyArc("a", "b", "dep", 0, 1)]),
+     '{"result": {"probs": {"0.5": 1}}}'),
+    ("parse_dependencies", ("a b",), '{"result": {"arcs": {}}}'),
     ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": ["x"]}}'),
     ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2}}'),
     ("parse_dependencies", ("a b",),
@@ -482,7 +508,8 @@ class TestTransportFailures:
     @pytest.mark.parametrize("path", ["single", "map"])
     @pytest.mark.parametrize("op, args, reply", MALFORMED_FIELDS,
                              ids=["tokenize-no-tokens", "tokenize-int-tokens",
-                                  "logprobs-not-numbers", "embed-no-vectors",
+                                  "tokenize-string-tokens", "logprobs-string", "probs-object",
+                                  "arcs-object", "logprobs-not-numbers", "embed-no-vectors",
                                   "arc-no-head-index", "length-error-no-message"])
     def test_malformed_reply_field_is_a_transport_error(self, server, path, op, args, reply):
         from factfilter.errors import TransportError

@@ -8,16 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from factfilter import scorers
+import reference
 from factfilter.backend import MockBackend
 from factfilter.corpus import load_corpus, toy_corpus_path
-from factfilter.errors import (
-    PER_PAIR_ERRORS,
-    ConfigurationError,
-    CoverageError,
-    DomainError,
-    failure_reason,
-)
+from factfilter.errors import ConfigurationError, CoverageError, DomainError
 from factfilter.experiments import (
     ComparisonReport,
     SweepSpec,
@@ -27,12 +21,11 @@ from factfilter.experiments import (
     run_sweep,
     write_sweep_csv,
 )
-from factfilter.metrics import EvalReport, blanc_help, reference_free_value
-from factfilter.scorers import SCORERS, prepare_pairs, score_pair
+from factfilter.metrics import EvalReport
+from faults import FaultBackend
 
 from conftest import make_corpus, make_pair
 from test_filtration import build_table
-from test_scorers import Recorder, StepFailMock, step_fail_corpus
 
 
 class TestDistributionReport:
@@ -157,64 +150,9 @@ class TestRunSweep:
 
 
 class TestMockTrainHook:
-    def test_hook_means_match_direct_computation(self, mock_backend):
-        corpus = make_corpus(
-            "c",
-            make_pair("a", "storm flooded harbor town .", "storm harbor"),
-            make_pair("b", "mayor opened bridge festival .", "mayor comet"),
-        )
-        hook = mock_train_eval_hook(mock_backend, ["greedy", "condll"])
-        out = hook(corpus)
-        expected_greedy = np.mean([
-            score_pair("greedy", p.document, p.summary, mock_backend)[0]
-            for p in corpus])
-        expected_condll = np.mean([
-            score_pair("condll", p.document, p.summary, mock_backend)[0]
-            for p in corpus])
-        assert out["greedy"] == pytest.approx(float(expected_greedy), abs=1e-15)
-        assert out["condll"] == pytest.approx(float(expected_condll), abs=1e-15)
-
     def test_unknown_metric_rejected(self, mock_backend):
         with pytest.raises(ConfigurationError):
             mock_train_eval_hook(mock_backend, ["rouge2"])
-
-
-class CountingMock(MockBackend):
-    """Mock backend that counts every op call. Its descriptor may claim to be
-    non-deterministic, and a summary containing BROKEN makes the parser raise
-    a `RuntimeError`, which is no per-pair error."""
-
-    def __init__(self, deterministic: bool = True):
-        super().__init__()
-        self._descriptor = dataclasses.replace(self._descriptor,
-                                               deterministic=deterministic)
-        self.calls = 0
-
-    def tokenize(self, text):
-        self.calls += 1
-        return super().tokenize(text)
-
-    def embed_tokens(self, text):
-        self.calls += 1
-        return super().embed_tokens(text)
-
-    def conditional_token_logprobs(self, source, target):
-        self.calls += 1
-        return super().conditional_token_logprobs(source, target)
-
-    def arc_entailment_probs(self, document, arcs):
-        self.calls += 1
-        return super().arc_entailment_probs(document, arcs)
-
-    def masked_fill_accuracy(self, prefix, sentence, mask_positions):
-        self.calls += 1
-        return super().masked_fill_accuracy(prefix, sentence, mask_positions)
-
-    def parse_dependencies(self, summary):
-        self.calls += 1
-        if "BROKEN" in summary:
-            raise RuntimeError("parser crashed")
-        return super().parse_dependencies(summary)
 
 
 HOOK_METRICS = ("greedy", "condll", "dae", "blanc")
@@ -237,21 +175,13 @@ def _memo_fixture():
     return corpus, build_table("c", columns)
 
 
-def _direct_calls(pairs, metrics=HOOK_METRICS) -> int:
-    """Backend calls made by computing each (metric, pair) in `pairs` once, one
-    pair at a time, with each pair prepared once for all its scorer metrics."""
-    backend = CountingMock()
+def _oracle_calls(pairs, metrics=HOOK_METRICS) -> Counter:
+    """The single ops the oracle asks computing each (metric, pair) in `pairs`
+    once, one pair at a time, each pair prepared once for its scorer metrics."""
+    oracle = FaultBackend()
     for pair in pairs:
-        (prepared,) = prepare_pairs([(pair.document, pair.summary)], backend)
-        for metric in metrics:
-            if metric == "blanc":
-                try:
-                    blanc_help(pair.document, pair.summary, backend)
-                except PER_PAIR_ERRORS:
-                    pass
-            elif not isinstance(prepared, Exception):
-                SCORERS[metric]([prepared], backend)
-    return backend.calls
+        reference.outcomes(pair.document, pair.summary, metrics, oracle)
+    return Counter(oracle.calls)
 
 
 def _recording_sweep(corpus, table, backend):
@@ -269,25 +199,25 @@ def _recording_sweep(corpus, table, backend):
 class TestHookMemo:
     def test_each_metric_pair_is_computed_once_across_the_sweep(self):
         corpus, table = _memo_fixture()
-        backend = CountingMock()
+        backend = FaultBackend()
         rows, selections = _recording_sweep(corpus, table, backend)
         assert len(rows) == 12 and len(selections) >= 9
         union = {pair.id: pair for selection in selections for pair in selection}
         assert sum(map(len, selections)) > len(union)  # the cells share pairs
-        assert backend.calls == _direct_calls(union.values())
+        assert Counter(backend.calls) == _oracle_calls(union.values())
 
     def test_non_deterministic_backend_recomputes_in_every_cell(self):
         corpus, table = _memo_fixture()
-        backend = CountingMock(deterministic=False)
+        backend = FaultBackend(deterministic=False)
         _, selections = _recording_sweep(corpus, table, backend)
-        assert backend.calls == sum(_direct_calls(selection) for selection in selections)
+        assert Counter(backend.calls) == sum(map(_oracle_calls, selections), Counter())
 
     def test_sweep_csv_matches_a_fresh_hook_per_cell(self, tmp_path, mock_backend):
         corpus, table = _memo_fixture()
         memoised = run_sweep(corpus, table, FOUR_THRESHOLDS,
                              mock_train_eval_hook(mock_backend, HOOK_METRICS))
         fresh = run_sweep(corpus, table, FOUR_THRESHOLDS, lambda selection:
-                          mock_train_eval_hook(MockBackend(), HOOK_METRICS)(selection))
+                          reference.hook(selection, HOOK_METRICS, MockBackend())[0])
         write_sweep_csv(memoised, tmp_path / "memoised.csv")
         write_sweep_csv(fresh, tmp_path / "fresh.csv")
         assert (tmp_path / "memoised.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
@@ -298,15 +228,15 @@ class TestHookMemo:
             "c",
             make_pair("a", "storm flooded harbor town .", "storm harbor"),
             make_pair("b", "mayor opened bridge festival .", "mayor"))
-        backend = CountingMock()
+        backend = FaultBackend()
         hook = mock_train_eval_hook(backend, ["dae"])
-        only_a = mock_train_eval_hook(MockBackend(), ["dae"])(corpus.subset(["a"]))
+        only_a, _ = reference.hook(corpus.subset(["a"]), ["dae"], MockBackend())
         with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
             assert hook(corpus) == only_a
-            calls = backend.calls
+            calls = len(backend.calls)
             assert hook(corpus) == only_a
             assert hook(corpus.subset(["b"])) == {}
-        assert backend.calls == calls
+        assert len(backend.calls) == calls
         excluded = [r for r in caplog.records if "excluded from the dae mean" in r.message]
         assert len(excluded) == 1 and "pair b" in excluded[0].message
 
@@ -314,14 +244,15 @@ class TestHookMemo:
         corpus = make_corpus(
             "c",
             make_pair("a", "storm flooded harbor town .", "storm harbor"),
-            make_pair("b", "mayor opened bridge festival .", "mayor BROKEN bridge"))
-        backend = CountingMock()
+            make_pair("b", "mayor opened bridge festival .", "mayor FATAL bridge"))
+        backend = FaultBackend()
         hook = mock_train_eval_hook(backend, ["dae"])
         for _ in range(2):
-            calls = backend.calls
-            with pytest.raises(RuntimeError, match="parser crashed"):
+            calls = len(backend.calls)
+            with pytest.raises(RuntimeError, match="fatal on 'mayor FATAL bridge'"):
                 hook(corpus)
-            assert backend.calls > calls
+            assert len(backend.calls) > calls
+            assert backend.calls[-1][0] == "parse_dependencies"
 
     def test_shared_ids_with_other_text_get_their_own_values(self):
         first = make_corpus(
@@ -332,31 +263,10 @@ class TestHookMemo:
             "c",
             make_pair("a", "storm flooded harbor town .", "comet harbor"),
             make_pair("b", "mayor opened bridge festival .", "river town"))
-        hook = mock_train_eval_hook(CountingMock(), HOOK_METRICS)
+        hook = mock_train_eval_hook(FaultBackend(), HOOK_METRICS)
         for corpus in (first, second, first):
-            assert hook(corpus) == mock_train_eval_hook(MockBackend(), HOOK_METRICS)(corpus)
+            assert hook(corpus) == reference.hook(corpus, HOOK_METRICS, MockBackend())[0]
         assert hook(first) != hook(second)
-
-
-def reference_hook(selection, backend, metrics=HOOK_METRICS):
-    """The hook's means and exclusions, one metric and one pair at a time."""
-    means, excluded = {}, set()
-    for metric in metrics:
-        values = []
-        for pair in selection:
-            try:
-                values.append(reference_free_value(metric, pair.document, pair.summary,
-                                                   backend))
-            except PER_PAIR_ERRORS as exc:
-                excluded.add((pair.id, metric, failure_reason(exc)))
-        if values:
-            means[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
-    return means, excluded
-
-
-def _exclusions(caplog):
-    return {record.args for record in caplog.records
-            if record.msg.startswith("pair %s excluded from the %s mean")}
 
 
 class DriftingMock(MockBackend):
@@ -373,25 +283,8 @@ class DriftingMock(MockBackend):
 
 
 class TestChunkedHook:
-    """The hook scores the pairs it still needs in chunks, with one-pair outcomes."""
-
-    @pytest.mark.parametrize("chunk_chars", [1, 2 ** 14, 10 ** 9])
-    def test_means_and_exclusions_are_the_one_pair_outcomes(self, monkeypatch, caplog,
-                                                             chunk_chars):
-        monkeypatch.setattr(scorers, "_CHUNK_CHARS", chunk_chars)
-        corpus = step_fail_corpus()
-        ids = [pair.id for pair in corpus]
-        selections = [corpus, corpus.subset(ids[::2]), corpus.subset(ids[1::3]), corpus]
-        hook = mock_train_eval_hook(StepFailMock(), HOOK_METRICS)
-        excluded = set()
-        with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
-            for selection in selections:
-                means, reasons = reference_hook(selection, StepFailMock())
-                assert hook(selection) == means
-                excluded |= reasons
-        assert _exclusions(caplog) == excluded
-        assert len(caplog.records) == len(excluded)  # each logged once
-        assert {metric for _, metric, _ in excluded} == set(HOOK_METRICS)
+    """The hook scores the pairs it still needs in chunks, asking the backend
+    for the oracle's single ops (the outcomes themselves are `test_oracle.py`'s)."""
 
     def test_two_tokenize_calls_per_distinct_pair_and_the_reference_ops(self):
         toy = load_corpus(toy_corpus_path(), name="toy")
@@ -400,17 +293,13 @@ class TestChunkedHook:
         second = make_corpus("toy", *toy.pairs[20:])
         distinct = {(p.document, p.summary): p for s in (first, second) for p in s}
         for metrics in (("greedy", "condll", "dae"), HOOK_METRICS):
-            chunked, one_pair = Recorder(MockBackend()), Recorder(MockBackend())
+            chunked = FaultBackend()
             hook = mock_train_eval_hook(chunked, metrics)
             for selection in (first, second, first):
                 hook(selection)
-            reference_hook(distinct.values(), one_pair, metrics)
-            tokenize = lambda calls: sum(call[0] == "tokenize" for call in calls)
-            assert tokenize(one_pair.calls) - tokenize(chunked.calls) == 4 * len(distinct)
             if len(metrics) == 3:
-                assert tokenize(chunked.calls) == 2 * len(distinct)
-            other = lambda calls: Counter(call for call in calls if call[0] != "tokenize")
-            assert other(chunked.calls) == other(one_pair.calls)
+                assert sum(call[0] == "tokenize" for call in chunked.calls) == 2 * len(distinct)
+            assert Counter(chunked.calls) == _oracle_calls(distinct.values(), metrics)
 
     def test_non_deterministic_backend_is_asked_on_every_call(self):
         corpus, _ = _memo_fixture()

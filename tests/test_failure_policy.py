@@ -8,36 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from factfilter import MockBackend, evaluate_outputs, score_corpus
-from factfilter.errors import PER_PAIR_ERRORS
+from factfilter import evaluate_outputs, score_corpus
+from factfilter.errors import PER_PAIR_ERRORS, TransportError
 from factfilter.experiments import mock_train_eval_hook
 from factfilter.scorers import ScoreFailure
+from faults import FaultBackend
 
 from conftest import make_corpus, make_pair
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factfilter"
 
 
-class _FailingBackend(MockBackend):
-    """Mock backend that raises `error("boom")` on any text containing BOOM."""
-
-    def __init__(self, error: type[Exception]):
-        super().__init__()
-        self._error = error
-
-    def tokenize(self, text: str) -> list[str]:
-        if "BOOM" in text:
-            raise self._error("boom")
-        return super().tokenize(text)
-
-
-def _corpus():
+def _corpus(bad_document):
     return make_corpus(
         "c",
         make_pair("good", "the mayor opened the bridge", "mayor opened the bridge",
                   split="test"),
-        make_pair("bad", "BOOM the storm hit the harbor", "storm hit the harbor",
-                  split="test"),
+        make_pair("bad", bad_document, "storm hit the harbor", split="test"),
     )
 
 
@@ -66,15 +53,20 @@ def _sweep_hook_reasons(corpus, backend, caplog):
 @pytest.mark.parametrize("consumer", [_score_corpus_reasons, _evaluate_reasons,
                                       _sweep_hook_reasons],
                          ids=["score_corpus", "evaluate_outputs", "sweep_hook"])
-@pytest.mark.parametrize("error", [*PER_PAIR_ERRORS, RuntimeError],
+@pytest.mark.parametrize("error", [*PER_PAIR_ERRORS, RuntimeError, TransportError],
                          ids=lambda error: error.__name__)
-def test_one_failure_policy(consumer, error, caplog):
-    backend = _FailingBackend(error)
+# FATAL passes tokenize and stops greedy's embed_tokens; TOKFATAL stops tokenize.
+@pytest.mark.parametrize("marker, op", [("TOKFATAL", "tokenize"), ("FATAL", "embed_tokens")])
+def test_one_failure_policy(consumer, error, marker, op, caplog):
+    backend = FaultBackend(fatal=error)
+    bad_document = f"{marker} the storm hit the harbor"
     if error not in PER_PAIR_ERRORS:
-        with pytest.raises(error, match="boom"):
-            consumer(_corpus(), backend, caplog)
+        with pytest.raises(error, match="fatal on"):
+            consumer(_corpus(bad_document), backend, caplog)
+        assert backend.calls[-1][0] == op
         return
-    assert consumer(_corpus(), backend, caplog) == [f"{error.__name__}: boom"]
+    assert consumer(_corpus(bad_document), backend, caplog) == [
+        f"{error.__name__}: fatal on {bad_document!r}"]
 
 
 def _broad_handlers() -> tuple[list[str], list[str]]:

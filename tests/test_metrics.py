@@ -16,29 +16,19 @@ from factfilter import (
     evaluate_outputs,
     rouge2,
 )
-from factfilter import scorers
+import reference
 from factfilter.corpus import load_corpus, toy_corpus_path
-from factfilter.errors import (
-    PER_PAIR_ERRORS,
-    BackendError,
-    ConfigurationError,
-    CoverageError,
-    DomainError,
-    failure_reason,
-)
+from factfilter.errors import ConfigurationError, CoverageError, DomainError
 from factfilter.metrics import (
-    FILLER_TOKEN,
     REFERENCE_FREE_METRICS,
-    BlancScore,
     EvalReport,
     mask_schedule,
-    reference_free_value,
     split_sentences,
 )
 from factfilter.remote import RemoteBackend
+from faults import BLANC_CASES, HEALTHY_BLANC_CASES, S1, S2, FaultBackend
 
 from conftest import make_corpus, make_pair
-from test_scorers import Recorder, StepFailMock, step_fail_corpus
 
 
 def oracle_rouge2(candidate: str, reference: str):
@@ -162,97 +152,6 @@ class TestBlancHelp:
         assert score.n_masked_tokens == 0
 
 
-def reference_blanc_help(document, summary, backend):
-    """BLANC-help asking the backend one single op at a time, sentence by sentence."""
-    summary_tokens = backend.tokenize(summary)
-    if not summary_tokens:
-        raise DomainError("summary is empty")
-    sentences = split_sentences(document)
-    if not sentences:
-        raise DomainError("document does not split into sentences")
-    filler = " ".join([FILLER_TOKEN] * len(summary_tokens))
-    gains = []
-    n_masked = 0
-    for sentence in sentences:
-        tokens = backend.tokenize(sentence)
-        positions = mask_schedule(tokens)
-        if not positions:
-            continue
-        with_summary = backend.masked_fill_accuracy(summary, sentence, positions)
-        with_filler = backend.masked_fill_accuracy(filler, sentence, positions)
-        gains.append(with_summary - with_filler)
-        n_masked += len(positions)
-    if not gains:
-        return BlancScore(value=0.0, n_sentences=len(sentences), n_masked_tokens=0)
-    return BlancScore(value=float(np.mean(gains)), n_sentences=len(sentences),
-                      n_masked_tokens=n_masked)
-
-
-class BlancStepFail(MockBackend):
-    """A mock whose BLANC ops fail on marker tokens.
-
-    TOKFAIL fails tokenize and NIL tokenizes to nothing; SUMFAIL in a sentence
-    fails its fill with the summary as prefix, FILLFAIL its fill with the
-    filler; FATAL makes tokenize raise a `RuntimeError`, no per-pair error.
-    """
-
-    def tokenize(self, text):
-        if "FATAL" in text.split():
-            raise RuntimeError(f"fatal on {text!r}")
-        if "TOKFAIL" in text.split():
-            raise BackendError(f"cannot tokenize {text!r}")
-        return [token for token in text.split() if token != "NIL"]
-
-    def masked_fill_accuracy(self, prefix, sentence, mask_positions):
-        filler = set(prefix.split()) == {FILLER_TOKEN}
-        marker = "FILLFAIL" if filler else "SUMFAIL"
-        if marker in sentence.split():
-            raise DomainError(f"cannot fill {sentence!r} after {prefix!r}")
-        return super().masked_fill_accuracy(prefix, sentence, mask_positions)
-
-
-class MapCounter(BlancStepFail):
-    def __init__(self):
-        super().__init__()
-        self.requests = []
-
-    def map(self, op, calls):
-        self.requests.append(op)
-        return super().map(op, calls)
-
-
-S1 = "storm flooded harbor town quickly ."
-S2 = "mayor opened bridge festival today ."
-S3 = "library closed monday evening early ."
-BLANC_CASES = {
-    "healthy": (f"{S1} {S2} {S3}", "storm quickly mayor"),
-    "summary-tokenize": (f"{S1} {S2}", "storm TOKFAIL"),
-    "first-sentence-tokenize": (f"TOKFAIL {S1} {S2} {S3}", "storm mayor"),
-    "middle-sentence-tokenize": (f"{S1} TOKFAIL {S2} {S3}", "storm mayor"),
-    "last-sentence-tokenize": (f"{S1} {S2} TOKFAIL {S3}", "storm mayor"),
-    "summary-fill": (f"{S1} SUMFAIL {S2} {S3}", "storm mayor"),
-    "filler-fill": (f"{S1} {S2} FILLFAIL {S3}", "storm mayor"),
-    "filler-fill-before-summary-fill": (f"FILLFAIL {S1} SUMFAIL {S2}", "storm mayor"),
-    "summary-fill-before-filler-fill": (f"FILLFAIL SUMFAIL {S1} {S2}", "storm mayor"),
-    "fill-before-later-tokenize": (f"{S1} SUMFAIL {S2} TOKFAIL {S3}", "storm mayor"),
-    "tokenize-before-later-fill": (f"TOKFAIL {S1} SUMFAIL {S2}", "storm mayor"),
-    "empty-summary": (f"{S1} {S2}", "NIL NIL"),
-    "empty-summary-before-sentence-tokenize": (f"TOKFAIL {S1}", "NIL"),
-    "no-sentences": ("   ", "storm mayor"),
-    "summary-tokenize-before-no-sentences": ("   ", "TOKFAIL"),
-    "no-maskable-token": ("ab cd ef . gh ij kl .", "storm mayor"),
-    "some-sentences-maskable": (f"ab cd ef . {S2}", "mayor"),
-}
-HEALTHY_BLANC_CASES = ("healthy", "no-maskable-token", "some-sentences-maskable")
-
-
-def _outcome(blanc, document, summary, backend):
-    try:
-        return blanc(document, summary, backend)
-    except PER_PAIR_ERRORS as exc:
-        return failure_reason(exc)
-
-
 class TestBlancThroughMap:
     """`blanc_help` asks the backend two `map` requests per pair and gives the
     value, counts and failure reason of the one-op-at-a-time reference."""
@@ -260,13 +159,14 @@ class TestBlancThroughMap:
     @pytest.mark.parametrize("case", BLANC_CASES)
     def test_matches_the_one_op_reference(self, case):
         document, summary = BLANC_CASES[case]
-        expected = _outcome(reference_blanc_help, document, summary, BlancStepFail())
-        assert _outcome(blanc_help, document, summary, BlancStepFail()) == expected
+        expected = reference.value_or_reason(reference.blanc, document, summary, FaultBackend())
+        assert reference.value_or_reason(blanc_help, document, summary, FaultBackend()) == \
+            expected
         assert isinstance(expected, str) == (case not in HEALTHY_BLANC_CASES)
 
     @pytest.mark.parametrize("case", HEALTHY_BLANC_CASES)
     def test_two_requests_per_pair(self, case):
-        backend = MapCounter()
+        backend = FaultBackend()
         blanc_help(*BLANC_CASES[case], backend)
         assert backend.requests == ["tokenize", "masked_fill_accuracy"]
 
@@ -288,10 +188,11 @@ class TestBlancThroughMap:
         assert (tmp_path / "remote.csv").read_bytes() == \
             (tmp_path / "in-process.csv").read_bytes()
 
-    @pytest.mark.parametrize("document", [f"{S1} FATAL {S2}", f"TOKFAIL {S1} FATAL {S2}"])
+    @pytest.mark.parametrize("document", [f"{S1} TOKFATAL {S2}",
+                                          f"TOKFAIL {S1} TOKFATAL {S2}"])
     def test_an_error_that_is_not_per_pair_aborts(self, document):
         with pytest.raises(RuntimeError, match="fatal on"):
-            blanc_help(document, "storm mayor", BlancStepFail())
+            blanc_help(document, "storm mayor", FaultBackend())
 
 
 class TestEvaluateOutputs:
@@ -393,44 +294,12 @@ class TestEvaluateOutputs:
         assert report.headline("rouge2") == 100.0 * report.mean("rouge2")
 
 
-def reference_evaluate(generated, corpus, backend, metrics):
-    """`evaluate_outputs`' reference-free rows, one metric and one pair at a time."""
-    per_pair = {metric: {} for metric in metrics}
-    failures = {metric: {} for metric in metrics}
-    for metric in metrics:
-        for pair in corpus.split_pairs("test"):
-            try:
-                per_pair[metric][pair.id] = reference_free_value(
-                    metric, pair.document, generated[pair.id], backend)
-            except PER_PAIR_ERRORS as exc:
-                failures[metric][pair.id] = failure_reason(exc)
-    return per_pair, failures
-
-
 SCORER_METRICS = ["greedy", "condll", "dae"]
 
 
 class TestChunkedEvaluate:
-    """`evaluate_outputs` scores in chunks and gives each pair its one-pair outcome."""
-
-    @pytest.mark.parametrize("chunk_chars", [1, 2 ** 14, 10 ** 9])
-    def test_every_row_and_reason_is_the_one_pair_outcome(self, monkeypatch, tmp_path,
-                                                          chunk_chars):
-        monkeypatch.setattr(scorers, "_CHUNK_CHARS", chunk_chars)
-        corpus = step_fail_corpus(split="test")
-        generated = {pair.id: pair.summary for pair in corpus}
-        metrics = list(REFERENCE_FREE_METRICS)
-        report = evaluate_outputs(generated, corpus, StepFailMock(), metrics=metrics)
-        per_pair, failures = reference_evaluate(generated, corpus, StepFailMock(), metrics)
-        assert report.per_pair == per_pair
-        assert report.failures == failures
-        assert all(report.failures[metric] for metric in metrics)
-        expected = EvalReport(corpus.name, metrics)
-        expected.per_pair, expected.failures = per_pair, failures
-        report.to_csv(tmp_path / "chunked.csv")
-        expected.to_csv(tmp_path / "reference.csv")
-        assert (tmp_path / "chunked.csv").read_bytes() == \
-            (tmp_path / "reference.csv").read_bytes()
+    """`evaluate_outputs` scores in chunks, asking the backend for the oracle's
+    single ops (the outcomes themselves are `test_oracle.py`'s)."""
 
     @pytest.mark.parametrize("metrics", [SCORER_METRICS, list(REFERENCE_FREE_METRICS)],
                              ids=["scorers", "with-blanc"])
@@ -438,20 +307,10 @@ class TestChunkedEvaluate:
         corpus = load_corpus(toy_corpus_path(), name="toy")
         test_pairs = corpus.split_pairs("test")
         generated = {pair.id: pair.summary for pair in test_pairs}
-        chunked, one_pair = Recorder(MockBackend()), Recorder(MockBackend())
-        evaluate_outputs(generated, corpus, chunked, metrics=metrics)
-        reference_evaluate(generated, corpus, one_pair, metrics)
-        tokenize = lambda calls: sum(call[0] == "tokenize" for call in calls)
-        # The one-pair path tokenized each pair twice per scorer.
-        assert tokenize(one_pair.calls) - tokenize(chunked.calls) == 4 * len(test_pairs)
+        chunked, oracle = FaultBackend(), FaultBackend()
+        report = evaluate_outputs(generated, corpus, chunked, metrics=metrics)
+        assert (report.per_pair, report.failures) == reference.evaluate(
+            generated, corpus, metrics, oracle)
         if metrics == SCORER_METRICS:
-            assert tokenize(chunked.calls) == 2 * len(test_pairs)
-        other = lambda calls: Counter(call for call in calls if call[0] != "tokenize")
-        assert other(chunked.calls) == other(one_pair.calls)
-
-    def test_an_error_that_is_not_per_pair_aborts(self):
-        corpus = make_corpus("c", make_pair("p1", "alpha beta", "alpha beta", split="test"),
-                             make_pair("p2", "alpha FATAL", "alpha beta", split="test"))
-        generated = {pair.id: pair.summary for pair in corpus}
-        with pytest.raises(RuntimeError, match="fatal on 'alpha FATAL'"):
-            evaluate_outputs(generated, corpus, StepFailMock(), metrics=["greedy"])
+            assert sum(call[0] == "tokenize" for call in chunked.calls) == 2 * len(test_pairs)
+        assert Counter(chunked.calls) == Counter(oracle.calls)
