@@ -282,8 +282,4 @@ def create_backend(name: str, **options) -> Backend:
     return factory(**options)
 
 
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
-
-
 register_backend("mock", MockBackend)

@@ -17,11 +17,11 @@ import os
 import shlex
 import sys
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import remote  # noqa: F401  (registers the remote backend)
 from .backend import Backend, create_backend
-from .corpus import Corpus, corpus_stats, load_corpus, save_corpus
+from .corpus import SPLITS, Corpus, corpus_stats, load_corpus, save_corpus
 from .errors import (
     BackendError,
     ConfigurationError,
@@ -35,7 +35,6 @@ from .errors import (
     TransportError,
 )
 from .experiments import (
-    DEFAULT_THRESHOLDS,
     SweepSpec,
     compare_selections,
     distribution_report,
@@ -47,7 +46,7 @@ from .experiments import (
 from .filtration import FilterManifest, apply_manifest, intersect_filter
 from .metrics import ALL_METRICS, EvalReport, evaluate_outputs
 from .records import read_jsonl, write_csv
-from .scorers import SCORERS, load_scores, score_corpus_to_file
+from .scorers import SCORERS, ScoreTable, load_scores, score_corpus_to_file
 from .validation import flip_analysis, load_annotations, validate_scorer
 
 logger = logging.getLogger("factfilter")
@@ -65,48 +64,61 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through our exit-code scheme."""
+    """argparse that reports usage problems through our exit-code scheme.
+
+    A subcommand's parser reads its `--config` run file first and parses that
+    file's flags ahead of the command line's own, so those win.
+    """
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        # The subcommand action calls this with the arguments after the command name.
+        if args is not None and self.get_default("func") is not None:
+            args = [*self._config_flags(args), *args]
+        return super().parse_known_args(args, namespace)
 
-def _load_config_defaults(args: argparse.Namespace) -> None:
-    """Fill unset flags from the declarative --config run file."""
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"config {path} must be a JSON object")
-    for key, value in obj.items():
-        attr = key.replace("-", "_")
-        if attr == "command":
-            continue
-        if not hasattr(args, attr):
-            raise ConfigurationError(f"config key {key!r} unknown for this command")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+    def _config_flags(self, args: Sequence[str]) -> list[str]:
+        """One `--flag=value` per key of the JSON object named by `--config`.
+
+        Keys are flag destinations (`in_path` for `--in`); `command` and null
+        values are skipped. The flag's own type then checks each value.
+        """
+        finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+        finder.add_argument("--config")
+        try:
+            path = finder.parse_known_args(args)[0].config
+        except argparse.ArgumentError:  # the full parse reports it
+            return []
+        if path is None:
+            return []
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # not UTF-8, not JSON
+            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"config {path} must be a JSON object")
+        actions = {action.dest: action for action in self._actions
+                   if action.option_strings and action.dest not in ("help", "config")}
+        flags = []
+        for key, value in obj.items():
+            if key == "command" or value is None:
+                continue
+            action = actions.get(key)
+            if action is None:
+                raise ConfigurationError(f"config key {key!r} unknown for this command")
+            if type(value) is not str and not (type(value) in (int, float)
+                                               and action.type in (int, float)):
+                raise ConfigurationError(f"config key {key!r} must be a string, or a number "
+                                         f"for a numeric flag; got {value!r}")
+            flags.append(f"{action.option_strings[0]}={value}")
+        return flags
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        flags = ", ".join("--in" if n == "in_path" else "--" + n.replace("_", "-")
-                          for n in missing)
-        raise ConfigurationError(f"missing required option(s): {flags}")
-
-
-def _write_config_echo(out_path: str | Path, command: str,
-                       args: argparse.Namespace) -> None:
-    echo: dict[str, Any] = {"command": command}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "config"):
-            continue
-        echo[key] = value
+def _write_config_echo(out_path: str | Path, args: argparse.Namespace) -> None:
+    """Every flag value the run used, as a `--config` file that reruns it."""
+    echo = {key: value for key, value in vars(args).items() if key not in ("func", "config")}
     path = Path(str(out_path) + ".config.json")
     path.write_text(json.dumps(echo, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -129,17 +141,27 @@ def _load_extra_backends() -> None:
 
 
 def _make_backend(args: argparse.Namespace) -> Backend:
-    name = getattr(args, "backend", None) or "mock"
-    if name == "remote":
-        command = getattr(args, "remote_command", None)
-        if not command:
+    if args.backend == "remote":
+        if not args.remote_command:
             raise ConfigurationError("--remote-command is required with --backend remote")
-        return create_backend("remote", command=shlex.split(command))
-    return create_backend(name)
+        return create_backend("remote", command=shlex.split(args.remote_command))
+    return create_backend(args.backend)
 
 
-def _split_csv(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
+def _split_csv(value: str, flag: str, kind: Callable[[str], Any] = str) -> list:
+    """The non-empty items of a comma list, each converted by `kind`."""
+    try:
+        items = [kind(item.strip()) for item in value.split(",") if item.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from None
+    if not items:
+        raise ConfigurationError(f"{flag} needs at least one comma-separated item")
+    return items
+
+
+def _scorer_names(args: argparse.Namespace, table: ScoreTable) -> list[str]:
+    """The `--scorers` list, or every scorer in `table` when the flag is absent."""
+    return table.scorers if args.scorers is None else _split_csv(args.scorers, "--scorers")
 
 
 def _load_generated(path: str | Path) -> dict[str, str]:
@@ -162,34 +184,29 @@ def _load_generated(path: str | Path) -> dict[str, str]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
-    _require(args, "in_path", "out")
     corpus = load_corpus(args.in_path, name=args.name or None)
-    _write_config_echo(args.out, "ingest", args)
+    _write_config_echo(args.out, args)
     save_corpus(corpus, args.out)
     logger.info("ingested %d pairs into %s", len(corpus), args.out)
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
-    _require(args, "in_path", "out", "scorers")
-    scorer_names = _split_csv(args.scorers)
+    scorer_names = _split_csv(args.scorers, "--scorers")
     unknown = [s for s in scorer_names if s not in SCORERS]
     if unknown:
         raise ConfigurationError(f"unknown scorers {unknown}; available: {sorted(SCORERS)}")
     corpus = load_corpus(args.in_path, name=args.corpus_name or None)
-    _write_config_echo(args.out, "score", args)
+    _write_config_echo(args.out, args)
     with _make_backend(args) as backend:
         added = score_corpus_to_file(corpus, scorer_names, backend, args.out)
     logger.info("wrote %d new score rows to %s", added, args.out)
 
 
 def _cmd_filter(args: argparse.Namespace) -> None:
-    _require(args, "scores", "out")
-    q = float(args.q if args.q is not None else 0.25)
-    corpus_name = args.corpus_name or Path(args.scores).stem
-    table = load_scores(args.scores, corpus_name)
-    scorers = _split_csv(args.scorers) if args.scorers else None
-    _write_config_echo(args.out, "filter", args)
-    manifest = intersect_filter(table, q, scorers=scorers)
+    table = load_scores(args.scores, args.corpus_name or Path(args.scores).stem)
+    scorers = _scorer_names(args, table)
+    _write_config_echo(args.out, args)
+    manifest = intersect_filter(table, args.q, scorers=scorers)
     manifest.save(args.out)
     logger.info("kept %d / %d pairs (ratio %.4f); manifest %s",
                 len(manifest.kept_ids), manifest.n_pairs,
@@ -198,24 +215,15 @@ def _cmd_filter(args: argparse.Namespace) -> None:
 
 def _stats_row(label: str, corpus: Corpus, ratio: float | None) -> list[str]:
     stats = corpus_stats(corpus)
-    counts = stats.per_split_counts
-    return [
-        label,
-        corpus.name,
-        str(stats.n_pairs),
-        str(counts.get("train", 0)),
-        str(counts.get("validation", 0)),
-        str(counts.get("test", 0)),
-        repr(float(stats.mean_doc_words)),
-        repr(float(stats.mean_sum_words)),
-        "" if ratio is None else repr(float(ratio)),
-    ]
+    return [label, corpus.name, str(stats.n_pairs),
+            *(str(stats.per_split_counts.get(split, 0)) for split in SPLITS),
+            repr(float(stats.mean_doc_words)), repr(float(stats.mean_sum_words)),
+            "" if ratio is None else repr(float(ratio))]
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
-    _require(args, "in_path", "out")
     corpus = load_corpus(args.in_path, name=args.corpus_name or None)
-    _write_config_echo(args.out, "stats", args)
+    _write_config_echo(args.out, args)
     rows = [_stats_row("full", corpus, None)]
     if args.manifest:
         manifest = FilterManifest.load(args.manifest)
@@ -234,10 +242,9 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_validate_frank(args: argparse.Namespace) -> None:
-    _require(args, "annotations", "scores", "out")
     annotations = load_annotations(args.annotations)
     table = load_scores(args.scores, "annotations")
-    scorer_names = _split_csv(args.scorers) if args.scorers else table.scorers
+    scorer_names = _scorer_names(args, table)
     present = sorted({a.source_dataset for a in annotations})
     slices: list[str | None] = list(present)
     if len(present) > 1:
@@ -251,34 +258,28 @@ def _cmd_validate_frank(args: argparse.Namespace) -> None:
                 yield [scorer, dataset or "all", repr(float(result.r)),
                        str(result.n), str(result.n_covariates)]
 
-    _write_config_echo(args.out, "validate-frank", args)
+    _write_config_echo(args.out, args)
     write_csv(args.out, ["scorer", "dataset", "r", "n", "n_covariates"], rows())
     logger.info("wrote scorer validation to %s", args.out)
 
 
 def _cmd_flip_analysis(args: argparse.Namespace) -> None:
-    _require(args, "annotations", "scores", "out")
     annotations = load_annotations(args.annotations)
     table = load_scores(args.scores, "annotations")
-    scorer_names = _split_csv(args.scorers) if args.scorers else table.scorers
-    scores_by_scorer = {name: table.values(name) for name in scorer_names}
-    _write_config_echo(args.out, "flip-analysis", args)
+    scores_by_scorer = {name: table.values(name) for name in _scorer_names(args, table)}
+    _write_config_echo(args.out, args)
     report = flip_analysis(scores_by_scorer, annotations)
     report.to_csv(args.out)
     logger.info("wrote flip analysis to %s", args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    _require(args, "in_path", "scores", "out")
     corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     table = load_scores(args.scores, corpus.name)
-    thresholds = tuple(float(t) for t in _split_csv(args.thresholds)) \
-        if args.thresholds else DEFAULT_THRESHOLDS
-    strategies = tuple(_split_csv(args.strategies)) if args.strategies \
-        else ("combined", "random")
-    spec = SweepSpec(thresholds=thresholds, strategies=strategies,
-                     seed=int(args.seed or 0))
-    _write_config_echo(args.out, "sweep", args)
+    spec = SweepSpec(thresholds=tuple(_split_csv(args.thresholds, "--thresholds", float)),
+                     strategies=tuple(_split_csv(args.strategies, "--strategies")),
+                     seed=args.seed)
+    _write_config_echo(args.out, args)
     with _make_backend(args) as backend:
         hook = mock_train_eval_hook(backend)
         rows = run_sweep(corpus, table, spec, hook)
@@ -287,12 +288,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
-    _require(args, "in_path", "generated", "out")
     corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     generated = _load_generated(args.generated)
-    metrics = _split_csv(args.metrics) if args.metrics else list(ALL_METRICS)
+    metrics = _split_csv(args.metrics, "--metrics")
     manifest = FilterManifest.load(args.manifest) if args.manifest else None
-    _write_config_echo(args.out, "evaluate", args)
+    _write_config_echo(args.out, args)
     with _make_backend(args) as backend:
         report = evaluate_outputs(generated, corpus, backend=backend,
                                   manifest=manifest, metrics=metrics)
@@ -305,10 +305,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
-    _require(args, "report_a", "report_b", "out")
     report_a = EvalReport.from_csv(args.report_a)
     report_b = EvalReport.from_csv(args.report_b)
-    _write_config_echo(args.out, "compare", args)
+    _write_config_echo(args.out, args)
     comparison = compare_selections(report_a, report_b)
     comparison.to_csv(args.out)
     logger.info("wrote comparison to %s", args.out)
@@ -318,14 +317,14 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None,
-                        help="JSON run file supplying defaults for unset flags")
+    parser.add_argument("--config",
+                        help="JSON run file of flag values; the command line's flags win")
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None,
-                        help="backend id (default: mock); 'remote' uses --remote-command")
-    parser.add_argument("--remote-command", dest="remote_command", default=None,
+    parser.add_argument("--backend", default="mock",
+                        help="backend id (default: %(default)s); 'remote' uses --remote-command")
+    parser.add_argument("--remote-command", dest="remote_command",
                         help="command line of an out-of-process backend server")
 
 
@@ -333,92 +332,93 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="factfilter",
                      description="Factual-consistency scoring, filtration and "
                                  "evaluation for summarization corpora.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and canonicalize a corpus JSONL")
-    p.add_argument("--in", dest="in_path", default=None, help="input corpus JSONL")
-    p.add_argument("--out", default=None, help="output corpus JSONL")
-    p.add_argument("--name", default=None, help="corpus name (default: file stem)")
+    p.add_argument("--in", dest="in_path", required=True, help="input corpus JSONL")
+    p.add_argument("--out", required=True, help="output corpus JSONL")
+    p.add_argument("--name", help="corpus name (default: file stem)")
     _add_common(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("score", help="score pairs with factual-consistency scorers")
-    p.add_argument("--in", dest="in_path", default=None, help="corpus JSONL")
-    p.add_argument("--out", default=None, help="scores JSONL (appended on resume)")
-    p.add_argument("--scorers", default=None, help="comma list: greedy,condll,dae")
-    p.add_argument("--corpus-name", dest="corpus_name", default=None)
+    p.add_argument("--in", dest="in_path", required=True, help="corpus JSONL")
+    p.add_argument("--out", required=True, help="scores JSONL (appended on resume)")
+    p.add_argument("--scorers", required=True, help="comma list: greedy,condll,dae")
+    p.add_argument("--corpus-name", dest="corpus_name", help="(default: file stem)")
     _add_backend_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("filter", help="percentile-intersection filtration manifest")
-    p.add_argument("--scores", default=None, help="scores JSONL")
-    p.add_argument("--out", default=None, help="manifest JSON")
-    p.add_argument("--q", default=None, type=float, help="drop fraction (default 0.25)")
-    p.add_argument("--scorers", default=None, help="comma list (default: all in file)")
-    p.add_argument("--corpus-name", dest="corpus_name", default=None,
+    p.add_argument("--scores", required=True, help="scores JSONL")
+    p.add_argument("--out", required=True, help="manifest JSON")
+    p.add_argument("--q", default=0.25, type=float, help="drop fraction (default %(default)s)")
+    p.add_argument("--scorers", help="comma list (default: all in file)")
+    p.add_argument("--corpus-name", dest="corpus_name",
                    help="corpus the manifest applies to (default: scores file stem)")
     _add_common(p)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("stats", help="corpus statistics and score distributions")
-    p.add_argument("--in", dest="in_path", default=None, help="corpus JSONL")
-    p.add_argument("--out", default=None, help="stats CSV")
-    p.add_argument("--manifest", default=None, help="also report the filtered selection")
-    p.add_argument("--scores", default=None,
-                   help="also write per-scorer distribution CSV next to --out")
-    p.add_argument("--corpus-name", dest="corpus_name", default=None)
+    p.add_argument("--in", dest="in_path", required=True, help="corpus JSONL")
+    p.add_argument("--out", required=True, help="stats CSV")
+    p.add_argument("--manifest", help="also report the filtered selection")
+    p.add_argument("--scores", help="also write per-scorer distribution CSV next to --out")
+    p.add_argument("--corpus-name", dest="corpus_name", help="(default: file stem)")
     _add_common(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("validate-frank",
                        help="partial correlation of scorers vs human annotations")
-    p.add_argument("--annotations", default=None, help="annotation JSONL")
-    p.add_argument("--scores", default=None, help="scores JSONL keyed by summary id")
-    p.add_argument("--scorers", default=None, help="comma list (default: all in file)")
-    p.add_argument("--out", default=None, help="correlation CSV")
+    p.add_argument("--annotations", required=True, help="annotation JSONL")
+    p.add_argument("--scores", required=True, help="scores JSONL keyed by summary id")
+    p.add_argument("--scorers", help="comma list (default: all in file)")
+    p.add_argument("--out", required=True, help="correlation CSV")
     _add_common(p)
     p.set_defaults(func=_cmd_validate_frank)
 
     p = sub.add_parser("flip-analysis",
                        help="per-error-category label-flip sensitivity")
-    p.add_argument("--annotations", default=None)
-    p.add_argument("--scores", default=None)
-    p.add_argument("--scorers", default=None)
-    p.add_argument("--out", default=None, help="flip report CSV")
+    p.add_argument("--annotations", required=True, help="annotation JSONL")
+    p.add_argument("--scores", required=True, help="scores JSONL keyed by summary id")
+    p.add_argument("--scorers", help="comma list (default: all in file)")
+    p.add_argument("--out", required=True, help="flip report CSV")
     _add_common(p)
     p.set_defaults(func=_cmd_flip_analysis)
 
     p = sub.add_parser("sweep", help="threshold/strategy sweep with an eval proxy")
-    p.add_argument("--in", dest="in_path", default=None, help="corpus JSONL")
-    p.add_argument("--scores", default=None)
-    p.add_argument("--out", default=None, help="sweep CSV")
-    p.add_argument("--thresholds", default=None, help="comma list of drop fractions")
-    p.add_argument("--strategies", default=None,
-                   help="comma list: combined,random,single:<scorer>")
-    p.add_argument("--seed", default=None, type=int)
-    p.add_argument("--corpus-name", dest="corpus_name", default=None)
+    p.add_argument("--in", dest="in_path", required=True, help="corpus JSONL")
+    p.add_argument("--scores", required=True, help="scores JSONL")
+    p.add_argument("--out", required=True, help="sweep CSV")
+    p.add_argument("--thresholds", default=",".join(map(str, SweepSpec.thresholds)),
+                   help="comma list of drop fractions (default: %(default)s)")
+    p.add_argument("--strategies", default=",".join(SweepSpec.strategies),
+                   help="comma list: combined,random,single:<scorer> (default: %(default)s)")
+    p.add_argument("--seed", default=SweepSpec.seed, type=int,
+                   help="seed of the random strategy (default: %(default)s)")
+    p.add_argument("--corpus-name", dest="corpus_name", help="(default: file stem)")
     _add_backend_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("evaluate", help="evaluate generated summaries on the test split")
-    p.add_argument("--in", dest="in_path", default=None, help="corpus JSONL")
-    p.add_argument("--generated", default=None, help="JSONL of {id, summary}")
-    p.add_argument("--out", default=None, help="evaluation report CSV")
-    p.add_argument("--metrics", default=None,
-                   help=f"comma list (default: {','.join(ALL_METRICS)})")
-    p.add_argument("--manifest", default=None,
+    p.add_argument("--in", dest="in_path", required=True, help="corpus JSONL")
+    p.add_argument("--generated", required=True, help="JSONL of {id, summary}")
+    p.add_argument("--out", required=True, help="evaluation report CSV")
+    p.add_argument("--metrics", default=",".join(ALL_METRICS),
+                   help="comma list (default: %(default)s)")
+    p.add_argument("--manifest",
                    help="restrict the reference-based metric to kept test pairs")
-    p.add_argument("--corpus-name", dest="corpus_name", default=None)
+    p.add_argument("--corpus-name", dest="corpus_name", help="(default: file stem)")
     _add_backend_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="paired significance comparison of two reports")
-    p.add_argument("--report-a", dest="report_a", default=None)
-    p.add_argument("--report-b", dest="report_b", default=None)
-    p.add_argument("--out", default=None, help="comparison CSV")
+    p.add_argument("--report-a", dest="report_a", required=True, help="evaluation report CSV")
+    p.add_argument("--report-b", dest="report_b", required=True, help="evaluation report CSV")
+    p.add_argument("--out", required=True, help="comparison CSV")
     _add_common(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -431,9 +431,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            raise _UsageError(parser.format_usage())
-        _load_config_defaults(args)
         _load_extra_backends()
         args.func(args)
         return EXIT_OK

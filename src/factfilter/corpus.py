@@ -72,7 +72,7 @@ class Corpus:
     def ids(self) -> tuple[str, ...]:
         return tuple(pair.id for pair in self.pairs)
 
-    def subset(self, ids: Iterable[str], name: str | None = None) -> "Corpus":
+    def subset(self, ids: Iterable[str]) -> "Corpus":
         """Sub-corpus restricted to `ids`, preserving original relative order."""
         wanted = set(ids)
         unknown = wanted - set(self.ids())
@@ -81,7 +81,7 @@ class Corpus:
                 f"ids not in corpus {self.name!r}: {sorted(unknown)[:10]}"
             )
         kept = tuple(pair for pair in self.pairs if pair.id in wanted)
-        return Corpus(name=name if name is not None else self.name, pairs=kept)
+        return Corpus(name=self.name, pairs=kept)
 
     def split_pairs(self, split: str) -> tuple[Pair, ...]:
         if split not in SPLITS:

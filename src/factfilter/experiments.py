@@ -81,9 +81,9 @@ class DistributionSummary:
     bins: tuple[tuple[float, float, int], ...]
 
 
-def distribution_report(table: ScoreTable,
-                        n_bins: int = DEFAULT_HISTOGRAM_BINS) -> list[DistributionSummary]:
-    """Per-scorer score distributions (linear-interpolation quantiles)."""
+def distribution_report(table: ScoreTable) -> list[DistributionSummary]:
+    """Per-scorer score distributions (linear-interpolation quantiles) with
+    `DEFAULT_HISTOGRAM_BINS` equal-width bins."""
     table.ensure_aligned()
     summaries: list[DistributionSummary] = []
     for scorer in table.scorers:
@@ -92,7 +92,7 @@ def distribution_report(table: ScoreTable,
             raise DomainError(f"scorer column {scorer!r} has no successful scores")
         arr = np.asarray([values[pid] for pid in sorted(values)], dtype=np.float64)
         q = np.quantile(arr, [0.0, 0.25, 0.5, 0.75, 1.0])
-        counts, edges = np.histogram(arr, bins=n_bins)
+        counts, edges = np.histogram(arr, bins=DEFAULT_HISTOGRAM_BINS)
         bins = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
                      for i in range(len(counts)))
         summaries.append(DistributionSummary(
@@ -127,8 +127,7 @@ class SweepRow:
 
 
 def mock_train_eval_hook(backend: Backend,
-                         metrics: Sequence[str] = ("greedy", "condll", "dae", "blanc"),
-                         ) -> EvalHook:
+                         metrics: Sequence[str] = REFERENCE_FREE_METRICS) -> EvalHook:
     """No-learning proxy: metric means over the selection's reference summaries.
 
     Stands in for a fine-tune-then-evaluate harness so sweeps run without a
@@ -260,12 +259,6 @@ class ComparisonReport:
     def __init__(self, rows: Sequence[ComparisonRow]):
         self.rows = list(rows)
 
-    def row(self, metric: str) -> ComparisonRow:
-        for row in self.rows:
-            if row.metric == metric:
-                return row
-        raise KeyError(metric)
-
     def to_csv(self, path: str | Path) -> None:
         def cells(row: ComparisonRow) -> list[str]:
             w = repr(float(row.wilcoxon.w_statistic)) if row.wilcoxon else ""
@@ -277,9 +270,9 @@ class ComparisonReport:
                          "winner", "note"], map(cells, self.rows))
 
 
-def compare_selections(report_a: EvalReport, report_b: EvalReport,
-                       alpha: float = SIGNIFICANCE_LEVEL) -> ComparisonReport:
-    """Paired Wilcoxon per metric; the winner needs p < alpha, otherwise tie.
+def compare_selections(report_a: EvalReport, report_b: EvalReport) -> ComparisonReport:
+    """Paired Wilcoxon per metric; the winner needs p < SIGNIFICANCE_LEVEL,
+    otherwise tie.
 
     Both reports must cover identical metrics and identical pair ids per
     metric. Identical values produce a degenerate signed-rank test, reported
@@ -310,7 +303,7 @@ def compare_selections(report_a: EvalReport, report_b: EvalReport,
                                       n=len(ids), wilcoxon=None, winner="tie",
                                       note="identical per-pair values"))
             continue
-        if result.p_value >= alpha or mean_a == mean_b:
+        if result.p_value >= SIGNIFICANCE_LEVEL or mean_a == mean_b:
             winner = "tie"
         else:
             winner = "a" if mean_a > mean_b else "b"

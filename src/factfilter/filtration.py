@@ -91,12 +91,12 @@ class FilterManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "FilterManifest":
+        """Read a saved manifest. A file that is not UTF-8 JSON holding a
+        manifest object is a `ParseError` naming `path`; the manifest's own
+        checks keep their `DomainError` and `IntegrityError`."""
         p = Path(path)
         try:
             obj = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid manifest JSON: {exc.msg}", path=str(p)) from exc
-        try:
             return cls(
                 corpus_name=obj["corpus_name"],
                 scorer_names=tuple(obj["scorer_names"]),
@@ -108,8 +108,12 @@ class FilterManifest:
                 selection_ratio=float(obj["selection_ratio"]),
                 created_with=obj.get("created_with", {}),
             )
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid manifest JSON: {exc.msg}", path=str(p)) from exc
         except KeyError as exc:
             raise ParseError(f"manifest missing field {exc}", path=str(p)) from exc
+        except (AttributeError, TypeError, ValueError) as exc:  # UnicodeDecodeError too
+            raise ParseError(f"malformed manifest: {exc}", path=str(p)) from exc
 
 
 def percentile_keep_set(scores: Mapping[str, float], q: float) -> set[str]:

@@ -55,24 +55,19 @@ _ERROR_TYPES = {
 }
 
 
+_ARC_FIELDS = ("head_token", "child_token", "relation_label", "head_index", "child_index")
+_ARC_TYPES = [str, str, str, int, int]
+
+
 def _arc_to_dict(arc: DependencyArc) -> dict[str, Any]:
-    return {
-        "head_token": arc.head_token,
-        "child_token": arc.child_token,
-        "relation_label": arc.relation_label,
-        "head_index": arc.head_index,
-        "child_index": arc.child_index,
-    }
+    return {name: getattr(arc, name) for name in _ARC_FIELDS}
 
 
 def _arc_from_dict(obj: dict[str, Any]) -> DependencyArc:
-    return DependencyArc(
-        head_token=obj["head_token"],
-        child_token=obj["child_token"],
-        relation_label=obj["relation_label"],
-        head_index=int(obj["head_index"]),
-        child_index=int(obj["child_index"]),
-    )
+    values = [obj[name] for name in _ARC_FIELDS]
+    if list(map(type, values)) != _ARC_TYPES:  # a bool is no index
+        raise TypeError(f"arc needs string tokens and label and integer indices: {obj!r}")
+    return DependencyArc(*values)
 
 
 def _result(backend: Backend, op: Any, args: dict[str, Any]) -> Any:
@@ -166,12 +161,27 @@ def _unwrap(response: Any, op: str) -> Any:
     return response["result"]
 
 
-def _list(result: dict[str, Any], key: str) -> list:
-    """`result[key]`, which must be a JSON list: a string or an object would
-    decode item by item."""
+_STRINGS = frozenset({str})
+_NUMBERS = frozenset({int, float})  # not bool, whose type is its own
+_OBJECTS = frozenset({dict})
+
+
+def _number(value: Any) -> float:
+    """A JSON number as a float; a string or a bool is no number."""
+    if type(value) not in _NUMBERS:
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _list(result: dict[str, Any], key: str, kinds: frozenset[type]) -> list:
+    """`result[key]`, which must be a JSON list of items of `kinds`: a string
+    or an object would decode item by item."""
     items = result[key]
-    if not isinstance(items, list):
+    if type(items) is not list:
         raise TypeError(f"{key!r} must be a list, got {items!r}")
+    if not kinds.issuperset(map(type, items)):
+        bad = next(item for item in items if type(item) not in kinds)
+        raise TypeError(f"{key!r} has an item of the wrong type: {bad!r}")
     return items
 
 
@@ -181,7 +191,7 @@ def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
                                 dtype="<f8").reshape(-1, result["dim"])
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise errors.TransportError(f"undecodable embedding vectors: {exc}") from exc
-    return TokenEmbeddings(tokens=tuple(_list(result, "tokens")), vectors=vectors)
+    return TokenEmbeddings(tokens=tuple(_list(result, "tokens", _STRINGS)), vectors=vectors)
 
 
 # Each op's argument object from its positional arguments, and its value from
@@ -189,22 +199,22 @@ def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
 _CODECS: dict[str, tuple[Callable[..., dict[str, Any]], Callable[[Any], Any]]] = {
     "descriptor": (lambda: {}, _descriptor_from_reply),
     "batch": (lambda op, calls: {"op": op, "calls": calls}, lambda r: r),
-    "tokenize": (lambda text: {"text": text}, lambda r: _list(r, "tokens")),
+    "tokenize": (lambda text: {"text": text}, lambda r: _list(r, "tokens", _STRINGS)),
     "embed_tokens": (lambda text: {"text": text}, _embeddings_from_reply),
     "conditional_token_logprobs": (
         lambda source, target: {"source": source, "target": target},
-        lambda r: [float(v) for v in _list(r, "logprobs")]),
+        lambda r: list(map(float, _list(r, "logprobs", _NUMBERS)))),
     "arc_entailment_probs": (
         lambda document, arcs: {"document": document,
                                 "arcs": [_arc_to_dict(a) for a in arcs]},
-        lambda r: [float(v) for v in _list(r, "probs")]),
+        lambda r: list(map(float, _list(r, "probs", _NUMBERS)))),
     "masked_fill_accuracy": (
         lambda prefix, sentence, mask_positions: {
             "prefix": prefix, "sentence": sentence,
             "mask_positions": sorted(set(mask_positions))},
-        lambda r: float(r["accuracy"])),
+        lambda r: _number(r["accuracy"])),
     "parse_dependencies": (lambda summary: {"summary": summary},
-                           lambda r: [_arc_from_dict(a) for a in _list(r, "arcs")]),
+                           lambda r: list(map(_arc_from_dict, _list(r, "arcs", _OBJECTS)))),
 }
 
 

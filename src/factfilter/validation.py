@@ -142,16 +142,14 @@ def _system_indicators(annotations: Sequence[FactualityAnnotation]) -> np.ndarra
 
 def validate_scorer(scores: Mapping[str, float],
                     annotations: Sequence[FactualityAnnotation],
-                    dataset: str | None = None,
-                    covariates: str = "system") -> PartialCorrelationResult:
-    """Partial correlation between scorer output and human factuality.
+                    dataset: str | None = None) -> PartialCorrelationResult:
+    """Partial correlation between scorer output and human factuality, with
+    one indicator covariate per generating system.
 
     `dataset` restricts to one source dataset (None pools all). Requires
     score coverage of at least 95% of the slice; covered annotations missing
     a score are excluded pairwise.
     """
-    if covariates not in ("system", "none"):
-        raise DomainError(f"unknown covariate spec {covariates!r}")
     sliced = [a for a in annotations
               if dataset is None or a.source_dataset == dataset]
     if not sliced:
@@ -165,8 +163,7 @@ def validate_scorer(scores: Mapping[str, float],
     covered = [a for a in sliced if a.summary_id in scores]
     x = np.array([scores[a.summary_id] for a in covered], dtype=np.float64)
     y = np.array([a.factuality for a in covered], dtype=np.float64)
-    z = _system_indicators(covered) if covariates == "system" else None
-    return partial_pearson(x, y, z)
+    return partial_pearson(x, y, _system_indicators(covered))
 
 
 def flip_labels(annotations: Sequence[FactualityAnnotation],
@@ -227,18 +224,15 @@ class FlipReport:
 
 
 def flip_analysis(scores_by_scorer: Mapping[str, Mapping[str, float]],
-                  annotations: Sequence[FactualityAnnotation],
-                  covariates: str = "system",
-                  datasets: Sequence[str] | None = None) -> FlipReport:
-    """delta_r = r_original - r_flipped per (scorer, dataset slice, category).
+                  annotations: Sequence[FactualityAnnotation]) -> FlipReport:
+    """delta_r = r_original - r_flipped per (scorer, dataset, category), over
+    each source dataset present in `annotations`.
 
     Original and flipped correlations are computed over identical annotation
     id sets (flipping never changes ids), so the delta isolates the label
     change.
     """
-    if datasets is None:
-        present = sorted({a.source_dataset for a in annotations})
-        datasets = present
+    datasets = sorted({a.source_dataset for a in annotations})
     # The flipped labels depend on the category alone, not the scorer or slice.
     ids = [a.summary_id for a in annotations]
     flipped_by_category: dict[str, list[FactualityAnnotation]] = {}
@@ -251,10 +245,9 @@ def flip_analysis(scores_by_scorer: Mapping[str, Mapping[str, float]],
     for scorer in sorted(scores_by_scorer):
         scores = scores_by_scorer[scorer]
         for dataset in datasets:
-            r_original = validate_scorer(scores, annotations, dataset, covariates).r
+            r_original = validate_scorer(scores, annotations, dataset).r
             for category in CATEGORIES:
-                r_flipped = validate_scorer(scores, flipped_by_category[category],
-                                            dataset, covariates).r
+                r_flipped = validate_scorer(scores, flipped_by_category[category], dataset).r
                 rows.append(FlipRow(scorer=scorer, dataset=dataset, category=category,
                                     r_original=r_original, r_flipped=r_flipped))
     return FlipReport(rows)

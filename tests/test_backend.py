@@ -13,7 +13,6 @@ from factfilter import (
     DependencyArc,
     MockBackend,
     TokenEmbeddings,
-    available_backends,
     create_backend,
     load_corpus,
     toy_corpus_path,
@@ -237,7 +236,6 @@ class TestArcInvariants:
 
 class TestRegistry:
     def test_mock_registered(self):
-        assert "mock" in available_backends()
         backend = create_backend("mock")
         assert backend.descriptor.name == "mock"
         assert backend.descriptor.deterministic

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -224,6 +225,38 @@ class TestStatsCommand:
         assert dist.exists()
         assert len(dist.read_text().splitlines()) == 1 + 3 * (5 + 10)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: "[1, 2]",
+        lambda text: json.dumps({**json.loads(text), "scorer_names": 5}),
+        lambda text: json.dumps({**json.loads(text), "q": "x"}),
+        lambda text: text.replace("{", "{\udcff", 1),  # the byte 0xff
+    ], ids=["list", "int-scorer-names", "string-q", "non-utf8"])
+    def test_malformed_manifest_is_a_parse_error_naming_it(self, tmp_path, toy, capsys,
+                                                           corrupt):
+        from factfilter.errors import ParseError
+
+        manifest = tmp_path / "manifest.json"
+        assert main(["filter", "--scores", str(_score(tmp_path, toy)),
+                     "--out", str(manifest)]) == 0
+        manifest.write_bytes(corrupt(manifest.read_text(encoding="utf-8"))
+                             .encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(manifest))}:"):
+            FilterManifest.load(manifest)
+        capsys.readouterr()
+        assert main(["stats", "--in", str(toy), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "stats.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {manifest}:")
+
+    def test_manifest_breaking_its_invariants_keeps_its_error_class(self, tmp_path, toy):
+        from factfilter.errors import DomainError
+
+        manifest = tmp_path / "manifest.json"
+        assert main(["filter", "--scores", str(_score(tmp_path, toy)),
+                     "--out", str(manifest)]) == 0
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "q": 1.5}))
+        with pytest.raises(DomainError, match="outside"):
+            FilterManifest.load(manifest)
+
 
 class TestEvaluateAndCompare:
     def _generated(self, toy, tmp_path, jitter=False):
@@ -385,6 +418,95 @@ class TestConfigFile:
         config.write_text(json.dumps({"frobnicate": 1}))
         assert main(["score", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("command, content", [
+        (["filter", "--scores", "{scores}", "--out", "{out}/m.json"], b'{"q": "abc"}'),
+        (["sweep", "--in", "{toy}", "--scores", "{scores}", "--out", "{out}/s.csv"],
+         b'{"seed": "abc"}'),
+        (["score", "--in", "{toy}", "--out", "{out}/s.jsonl"], b'{"scorers": ["greedy"]}'),
+        (["filter", "--scores", "{scores}"], b'{"out": 5}'),
+        (["filter", "--scores", "{scores}", "--out", "{out}/m.json"], b'{"q": "\xff"}'),
+        (["filter", "--scores", "{scores}", "--out", "{out}/m.json"], b'{"q": true}'),
+        (["filter", "--scores", "{scores}", "--out", "{out}/m.json"], b'{"q": {"v": 1}}'),
+        (["filter", "--scores", "{scores}", "--out", "{out}/m.json"], b'[0.25]'),
+        (["filter", "--scores", "{scores}", "--out", "{out}/m.json"], b'{"q": 0.25'),
+        (["filter", "--scores", "{scores}", "--out", "{out}/m.json"], b'{"config": "x"}'),
+    ], ids=["string-float", "string-int", "list", "number-path", "non-utf8", "bool",
+            "object", "not-an-object", "not-json", "config-key"])
+    def test_bad_config_exits_one_writing_nothing(self, tmp_path, toy, capsys, monkeypatch,
+                                                  command, content):
+        monkeypatch.chdir(tmp_path)  # a relative output path would land here
+        scores = _score(tmp_path, toy)
+        out = tmp_path / "out"
+        out.mkdir()
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        argv = [arg.format(scores=scores, out=out, toy=toy) for arg in command]
+        assert main([*argv, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(("configuration error: ", f"factfilter {command[0]}: "))
+        assert sorted(tmp_path.iterdir()) == before and list(out.iterdir()) == []
+
+    def test_missing_config_file_is_a_configuration_error(self, tmp_path, capsys):
+        assert main(["filter", "--config", str(tmp_path / "none.json")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: cannot read config")
+
+    @pytest.mark.parametrize("command", [
+        ["score", "--in", "{toy}", "--scorers", ""],
+        ["sweep", "--in", "{toy}", "--scores", "{scores}", "--thresholds", " , "],
+        ["sweep", "--in", "{toy}", "--scores", "{scores}", "--strategies", ""],
+        ["evaluate", "--in", "{toy}", "--generated", "{generated}", "--metrics", ""],
+        ["filter", "--scores", "{scores}", "--scorers", ","],
+    ], ids=["scorers", "thresholds", "strategies", "metrics", "filter-scorers"])
+    def test_empty_list_is_a_configuration_error(self, tmp_path, toy, capsys, command):
+        inputs = {"scores": _score(tmp_path, toy), "toy": toy,
+                  "generated": _generated(tmp_path, toy)}
+        out = tmp_path / "out"
+        assert main([arg.format(**inputs) for arg in command] + ["--out", str(out)]) == 1
+        assert f"configuration error: {command[-2]} needs at least one" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparseable_threshold_is_a_configuration_error(self, tmp_path, toy, capsys):
+        assert main(["sweep", "--in", str(toy), "--scores", str(_score(tmp_path, toy)),
+                     "--out", str(tmp_path / "s.csv"), "--thresholds", "0.25,abc"]) == 1
+        assert "configuration error: --thresholds: could not convert" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, defaults", [
+        (["filter", "--scores", "{scores}"], {"q": 0.25}),
+        (["sweep", "--in", "{toy}", "--scores", "{scores}"],
+         {"thresholds": "0.1,0.25,0.4,0.55", "strategies": "combined,random", "seed": 0,
+          "backend": "mock"}),
+        (["evaluate", "--in", "{toy}", "--generated", "{generated}"],
+         {"metrics": "rouge2,greedy,condll,dae,blanc", "backend": "mock"}),
+    ], ids=["filter", "sweep", "evaluate"])
+    def test_echo_records_defaults_and_reruns_the_command(self, tmp_path, toy, command,
+                                                          defaults):
+        inputs = {"scores": _score(tmp_path, toy), "toy": toy,
+                  "generated": _generated(tmp_path, toy)}
+        out = tmp_path / "output"
+        assert main([arg.format(**inputs) for arg in command] + ["--out", str(out)]) == 0
+        echo = json.loads(out.with_name("output.config.json").read_text(encoding="utf-8"))
+        assert echo["command"] == command[0]
+        assert {key: echo[key] for key in defaults} == defaults
+        first = out.read_bytes()
+        config = tmp_path / "echo.json"
+        out.with_name("output.config.json").rename(config)
+        out.unlink()
+        assert main([command[0], "--config", str(config)]) == 0
+        assert out.read_bytes() == first
+
+    def test_cli_flag_beats_a_typed_config_value(self, tmp_path, toy):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scores": str(_score(tmp_path, toy)), "q": 0.5}))
+        out = tmp_path / "m.json"
+        assert main(["filter", "--config", str(config), "--out", str(out), "--q", "0.1"]) == 0
+        assert FilterManifest.load(out).q == 0.1
+        assert json.loads((tmp_path / "m.json.config.json").read_text())["q"] == 0.1
+
 
 def test_console_entry_point_runs():
     result = subprocess.run([sys.executable, "-m", "factfilter.cli", "--help"],
@@ -435,6 +557,22 @@ MALFORMED_FIELDS = [
      '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
      '"relation_label": "dep", "child_index": 1}]}}'),
     ("tokenize", ("a",), '{"error": {"type": "SequenceLengthError", "limit": 512}}'),
+    ("tokenize", ("a",), '{"result": {"tokens": [1, null]}}'),
+    ("embed_tokens", ("a",),
+     '{"result": {"tokens": [1], "dim": 2, "vectors": "AAAAAAAA8D8AAAAAAAAAAA=="}}'),
+    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": ["-0.5"]}}'),
+    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": [-0.5, true]}}'),
+    ("arc_entailment_probs", ("a b", [DependencyArc("a", "b", "dep", 0, 1)]),
+     '{"result": {"probs": ["0.5"]}}'),
+    ("masked_fill_accuracy", ("a", "b c", [0]), '{"result": {"accuracy": "0.5"}}'),
+    ("masked_fill_accuracy", ("a", "b c", [0]), '{"result": {"accuracy": true}}'),
+    ("parse_dependencies", ("a b",),
+     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
+     '"relation_label": "dep", "head_index": "0", "child_index": 1}]}}'),
+    ("parse_dependencies", ("a b",),
+     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
+     '"relation_label": "dep", "head_index": false, "child_index": 1}]}}'),
+    ("parse_dependencies", ("a b",), '{"result": {"arcs": [5]}}'),
 ]
 
 # A `score` resuming the 25-line partial toy file sends the handshake and then
@@ -510,7 +648,11 @@ class TestTransportFailures:
                              ids=["tokenize-no-tokens", "tokenize-int-tokens",
                                   "tokenize-string-tokens", "logprobs-string", "probs-object",
                                   "arcs-object", "logprobs-not-numbers", "embed-no-vectors",
-                                  "arc-no-head-index", "length-error-no-message"])
+                                  "arc-no-head-index", "length-error-no-message",
+                                  "tokenize-non-string-items", "embed-int-tokens",
+                                  "logprobs-quoted", "logprobs-bool", "probs-quoted",
+                                  "accuracy-quoted", "accuracy-bool", "arc-string-index",
+                                  "arc-bool-index", "arcs-non-object-item"])
     def test_malformed_reply_field_is_a_transport_error(self, server, path, op, args, reply):
         from factfilter.errors import TransportError
         from factfilter.remote import RemoteBackend
@@ -547,6 +689,17 @@ class TestTransportFailures:
             "TypeError" in capsys.readouterr().err
         assert not out.exists()
         assert spawned[0].poll() is not None
+
+    def test_blanc_over_integer_tokens_exits_three(self, toy, tmp_path, capsys, server):
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--in", str(toy), "--generated", str(_generated(tmp_path, toy)),
+                     "--out", str(out), "--metrics", "blanc", "--backend", "remote",
+                     "--remote-command",
+                     f"{sys.executable} {server} 1 'item:{{\"result\": {{\"tokens\": [1]}}}}'"])
+        assert code == 3
+        assert "backend error: reply to 'tokenize' has a missing or mistyped field: " \
+            "TypeError" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("vectors", ['"not base64!"', '"AAAAAAAAAAA="', "[[0.5, 0.5]]"],
                              ids=["bad-base64", "partial-row", "json-floats"])

@@ -13,7 +13,7 @@ from factfilter.backend import MockBackend
 from factfilter.corpus import load_corpus, toy_corpus_path
 from factfilter.errors import ConfigurationError, CoverageError, DomainError
 from factfilter.experiments import (
-    ComparisonReport,
+    DEFAULT_HISTOGRAM_BINS,
     SweepSpec,
     compare_selections,
     distribution_report,
@@ -46,8 +46,8 @@ class TestDistributionReport:
         rng = np.random.default_rng(0)
         table = build_table("c", {"s1": {f"p{i}": float(v) for i, v in
                                          enumerate(rng.normal(size=100))}})
-        (summary,) = distribution_report(table, n_bins=12)
-        assert len(summary.bins) == 12
+        (summary,) = distribution_report(table)
+        assert len(summary.bins) == DEFAULT_HISTOGRAM_BINS
         assert sum(count for _, _, count in summary.bins) == 100
 
 
@@ -321,8 +321,7 @@ def _report(name: str, values: dict[str, dict[str, float]]) -> EvalReport:
 class TestCompareSelections:
     def test_identical_reports_tie_with_note(self):
         values = {"m": {f"p{i}": float(i) for i in range(10)}}
-        comparison = compare_selections(_report("a", values), _report("b", values))
-        row = comparison.row("m")
+        (row,) = compare_selections(_report("a", values), _report("b", values)).rows
         assert row.winner == "tie"
         assert row.wilcoxon is None
         assert "identical" in row.note
@@ -331,9 +330,8 @@ class TestCompareSelections:
         rng = np.random.default_rng(13)
         base = {f"p{i:02d}": float(rng.uniform()) for i in range(30)}
         lifted = {pid: value + 0.1 for pid, value in base.items()}
-        comparison = compare_selections(_report("a", {"m": base}),
-                                        _report("b", {"m": lifted}))
-        row = comparison.row("m")
+        (row,) = compare_selections(_report("a", {"m": base}),
+                                    _report("b", {"m": lifted})).rows
         assert row.winner == "b"
         assert row.wilcoxon is not None and row.wilcoxon.p_value < 0.05
 
@@ -353,19 +351,18 @@ class TestCompareSelections:
         rng = np.random.default_rng(14)
         base = {f"p{i:02d}": float(rng.uniform()) for i in range(25)}
         lifted = {pid: value + 0.2 for pid, value in base.items()}
-        fwd = compare_selections(_report("a", {"m": base}), _report("b", {"m": lifted}))
-        rev = compare_selections(_report("a", {"m": lifted}), _report("b", {"m": base}))
-        assert fwd.row("m").wilcoxon.p_value == rev.row("m").wilcoxon.p_value
-        assert fwd.row("m").winner == "b" and rev.row("m").winner == "a"
+        (fwd,) = compare_selections(_report("a", {"m": base}), _report("b", {"m": lifted})).rows
+        (rev,) = compare_selections(_report("a", {"m": lifted}), _report("b", {"m": base})).rows
+        assert fwd.wilcoxon.p_value == rev.wilcoxon.p_value
+        assert fwd.winner == "b" and rev.winner == "a"
 
     def test_insignificant_difference_is_tie(self):
         rng = np.random.default_rng(15)
         base = {f"p{i:02d}": float(rng.uniform()) for i in range(20)}
         jittered = {pid: value + float(rng.normal(scale=1e-3))
                     for pid, value in base.items()}
-        comparison = compare_selections(_report("a", {"m": base}),
-                                        _report("b", {"m": jittered}))
-        row = comparison.row("m")
+        (row,) = compare_selections(_report("a", {"m": base}),
+                                    _report("b", {"m": jittered})).rows
         assert (row.winner == "tie") == (row.wilcoxon.p_value >= 0.05)
 
     def test_csv_output(self, tmp_path):
@@ -377,8 +374,3 @@ class TestCompareSelections:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "metric,mean_a,mean_b,n,w_statistic,p_value,winner,note"
         assert len(lines) == 2
-
-
-def test_comparison_report_missing_metric_raises():
-    with pytest.raises(KeyError):
-        ComparisonReport([]).row("nope")
