@@ -18,6 +18,13 @@ from typing import Mapping, Sequence
 
 from .corpus import Corpus
 from .errors import DomainError, IntegrityError, ParseError
+from .records import (
+    JSON_NUMBERS,
+    JSON_OBJECTS,
+    JSON_STRINGS,
+    json_field,
+    json_list,
+)
 from .scorers import ScoreTable
 
 
@@ -92,20 +99,22 @@ class FilterManifest:
     @classmethod
     def load(cls, path: str | Path) -> "FilterManifest":
         """Read a saved manifest. A file that is not UTF-8 JSON holding a
-        manifest object is a `ParseError` naming `path`; the manifest's own
-        checks keep their `DomainError` and `IntegrityError`."""
+        manifest object, or a field of the wrong JSON type, is a `ParseError`
+        naming `path`; the manifest's own checks keep their `DomainError` and
+        `IntegrityError`."""
         p = Path(path)
         try:
             obj = json.loads(p.read_text(encoding="utf-8"))
+            thresholds = json_field(obj, "per_scorer_thresholds", JSON_OBJECTS)
             return cls(
-                corpus_name=obj["corpus_name"],
-                scorer_names=tuple(obj["scorer_names"]),
-                q=float(obj["q"]),
-                per_scorer_thresholds={k: float(v)
-                                       for k, v in obj["per_scorer_thresholds"].items()},
-                kept_ids=tuple(obj["kept_ids"]),
-                n_pairs=int(obj["n_pairs"]),
-                selection_ratio=float(obj["selection_ratio"]),
+                corpus_name=json_field(obj, "corpus_name", JSON_STRINGS),
+                scorer_names=tuple(json_list(obj, "scorer_names", JSON_STRINGS)),
+                q=float(json_field(obj, "q", JSON_NUMBERS)),
+                per_scorer_thresholds={k: float(json_field(thresholds, k, JSON_NUMBERS))
+                                       for k in thresholds},
+                kept_ids=tuple(json_list(obj, "kept_ids", JSON_STRINGS)),
+                n_pairs=json_field(obj, "n_pairs", frozenset({int})),
+                selection_ratio=float(json_field(obj, "selection_ratio", JSON_NUMBERS)),
                 created_with=obj.get("created_with", {}),
             )
         except json.JSONDecodeError as exc:

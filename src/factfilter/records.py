@@ -2,7 +2,8 @@
 
 Inputs (corpus, scores, annotations, generated summaries) are JSONL: UTF-8,
 one JSON object per line, blank lines ignored. `read_jsonl` streams such a
-file and names the `path:line` of any record that does not load. Result
+file and names the `path:line` of any record that does not load;
+`json_field` and `json_list` check a decoded field's JSON type exactly. Result
 tables are CSV, written by `write_csv` as UTF-8 with LF line ends.
 """
 
@@ -67,6 +68,34 @@ def read_jsonl(path: str | Path, consume: Callable[[dict[str, Any]], None]) -> N
             raise ParseError(str(exc), path=str(p), line=lineno) from exc
         except (DomainError, IntegrityError) as exc:
             raise type(exc)(f"{p}:{lineno}: {exc}") from exc
+
+
+# JSON types compared exactly, `type(value) in kinds`: a bool is an int
+# subclass but no JSON number.
+JSON_STRINGS = frozenset({str})
+JSON_NUMBERS = frozenset({int, float})
+JSON_OBJECTS = frozenset({dict})
+
+
+def json_field(obj: dict[str, Any], key: str, kinds: frozenset[type]) -> Any:
+    """`obj[key]`, whose type must be one of `kinds`; else a `TypeError` naming `key`."""
+    value = obj[key]
+    if type(value) not in kinds:
+        names = " or ".join(sorted(kind.__name__ for kind in kinds))
+        raise TypeError(f"{key!r} must be of type {names}, got {value!r}")
+    return value
+
+
+def json_list(obj: dict[str, Any], key: str, kinds: frozenset[type]) -> list:
+    """`obj[key]`, which must be a JSON list of items of `kinds`: a string
+    or an object would decode item by item."""
+    items = obj[key]
+    if type(items) is not list:
+        raise TypeError(f"{key!r} must be a list, got {items!r}")
+    if not kinds.issuperset(map(type, items)):
+        bad = next(item for item in items if type(item) not in kinds)
+        raise TypeError(f"{key!r} has an item of the wrong type: {bad!r}")
+    return items
 
 
 def write_csv(path: str | Path, header: Sequence[str],

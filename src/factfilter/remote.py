@@ -41,6 +41,7 @@ from .backend import (
     create_backend,
     register_backend,
 )
+from .records import JSON_NUMBERS, JSON_OBJECTS, JSON_STRINGS, json_field, json_list
 
 PROTOCOL = 2
 # Seconds `RemoteBackend.close` waits for the server to exit once its input closes.
@@ -143,7 +144,8 @@ def _descriptor_from_reply(info: Any) -> BackendDescriptor:
 
 
 def _unwrap(response: Any, op: str) -> Any:
-    """The `result` of one reply object; its `error` raises as the toolkit error."""
+    """The `result` of one reply object, or its `error` as the toolkit error,
+    returned rather than raised so that `_decode` can tell it from its own."""
     err = response.get("error") if isinstance(response, dict) else None
     if isinstance(err, dict):
         exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)
@@ -153,36 +155,12 @@ def _unwrap(response: Any, op: str) -> Any:
             limit, message = int(err.get("limit", 0)), err["message"]
             if not isinstance(message, str):
                 raise TypeError(f"error message {message!r} is not a string")
-            raise errors.SequenceLengthError(
+            return errors.SequenceLengthError(
                 message.removesuffix(f" (limit: {limit} tokens)"), limit)
-        raise exc_type(err.get("message", "remote backend error"))
+        return exc_type(err.get("message", "remote backend error"))
     if not isinstance(response, dict) or "result" not in response:
         raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
     return response["result"]
-
-
-_STRINGS = frozenset({str})
-_NUMBERS = frozenset({int, float})  # not bool, whose type is its own
-_OBJECTS = frozenset({dict})
-
-
-def _number(value: Any) -> float:
-    """A JSON number as a float; a string or a bool is no number."""
-    if type(value) not in _NUMBERS:
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _list(result: dict[str, Any], key: str, kinds: frozenset[type]) -> list:
-    """`result[key]`, which must be a JSON list of items of `kinds`: a string
-    or an object would decode item by item."""
-    items = result[key]
-    if type(items) is not list:
-        raise TypeError(f"{key!r} must be a list, got {items!r}")
-    if not kinds.issuperset(map(type, items)):
-        bad = next(item for item in items if type(item) not in kinds)
-        raise TypeError(f"{key!r} has an item of the wrong type: {bad!r}")
-    return items
 
 
 def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
@@ -191,7 +169,8 @@ def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
                                 dtype="<f8").reshape(-1, result["dim"])
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise errors.TransportError(f"undecodable embedding vectors: {exc}") from exc
-    return TokenEmbeddings(tokens=tuple(_list(result, "tokens", _STRINGS)), vectors=vectors)
+    return TokenEmbeddings(tokens=tuple(json_list(result, "tokens", JSON_STRINGS)),
+                           vectors=vectors)
 
 
 # Each op's argument object from its positional arguments, and its value from
@@ -199,34 +178,40 @@ def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
 _CODECS: dict[str, tuple[Callable[..., dict[str, Any]], Callable[[Any], Any]]] = {
     "descriptor": (lambda: {}, _descriptor_from_reply),
     "batch": (lambda op, calls: {"op": op, "calls": calls}, lambda r: r),
-    "tokenize": (lambda text: {"text": text}, lambda r: _list(r, "tokens", _STRINGS)),
+    "tokenize": (lambda text: {"text": text}, lambda r: json_list(r, "tokens", JSON_STRINGS)),
     "embed_tokens": (lambda text: {"text": text}, _embeddings_from_reply),
     "conditional_token_logprobs": (
         lambda source, target: {"source": source, "target": target},
-        lambda r: list(map(float, _list(r, "logprobs", _NUMBERS)))),
+        lambda r: list(map(float, json_list(r, "logprobs", JSON_NUMBERS)))),
     "arc_entailment_probs": (
         lambda document, arcs: {"document": document,
                                 "arcs": [_arc_to_dict(a) for a in arcs]},
-        lambda r: list(map(float, _list(r, "probs", _NUMBERS)))),
+        lambda r: list(map(float, json_list(r, "probs", JSON_NUMBERS)))),
     "masked_fill_accuracy": (
         lambda prefix, sentence, mask_positions: {
             "prefix": prefix, "sentence": sentence,
             "mask_positions": sorted(set(mask_positions))},
-        lambda r: _number(r["accuracy"])),
-    "parse_dependencies": (lambda summary: {"summary": summary},
-                           lambda r: list(map(_arc_from_dict, _list(r, "arcs", _OBJECTS)))),
+        lambda r: float(json_field(r, "accuracy", JSON_NUMBERS))),
+    "parse_dependencies": (
+        lambda summary: {"summary": summary},
+        lambda r: list(map(_arc_from_dict, json_list(r, "arcs", JSON_OBJECTS)))),
 }
 
 
 def _decode(op: str, reply: Any) -> Any:
-    """`_unwrap` then the op's `_CODECS` decoder; a field the reply lacks or
-    mistypes is a `TransportError` naming `op`."""
-    decode = _CODECS[op][1]
+    """`_unwrap` then the op's `_CODECS` decoder. An error the server sent
+    raises as that toolkit error, which is per pair. A field the reply lacks or
+    mistypes, or a value the client's own checks reject (a `DomainError` from
+    building `TokenEmbeddings` or a `DependencyArc`), is a `TransportError`
+    naming `op`: the server broke the protocol, so no pair is to blame."""
     try:
-        return decode(_unwrap(reply, op))
-    except (KeyError, TypeError, ValueError) as exc:
+        outcome = _unwrap(reply, op)
+        if not isinstance(outcome, errors.FactFilterError):
+            return _CODECS[op][1](outcome)
+    except (KeyError, TypeError, ValueError, errors.DomainError) as exc:
         raise errors.TransportError(f"reply to {op!r} has a missing or mistyped field: "
                                     f"{type(exc).__name__}: {exc}") from exc
+    raise outcome
 
 
 class RemoteBackend(Backend):

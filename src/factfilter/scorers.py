@@ -141,6 +141,7 @@ def _per_pair(compute: Callable[..., float], *inputs: Any) -> float | Exception:
         return exc
 
 
+# Most float64 elements one gather of greedy candidates holds (256 KiB).
 _GREEDY_BLOCK_ELEMENTS = 2 ** 15
 
 
@@ -151,6 +152,10 @@ def greedy_precision_values(pairs: Sequence[PreparedPair],
     Similarity of unit vectors u, v is computed as 1 - |u - v|^2 / 2, which
     equals their cosine up to rounding and is exactly 1.0 when the embeddings
     are bitwise identical (so a summary copied from the document scores 1.0).
+    One matrix product of cosines screens each summary token's candidate
+    document tokens and only those get the difference form; the score stays
+    bit-equal to the difference form over every document token (see
+    `_greedy_value`).
     """
     out = list(backend.map("embed_tokens", [(pair.document,) for pair in pairs]))
     live = _alive(out)
@@ -161,17 +166,56 @@ def greedy_precision_values(pairs: Sequence[PreparedPair],
 
 
 def _greedy_value(doc_emb: TokenEmbeddings, sum_emb: TokenEmbeddings) -> float:
+    """One pair's greedy precision: the clipped mean over summary rows u of
+    the largest difference form 1 - |v - u|^2 / 2 over document rows v. The
+    Gram form u·v screens the candidates, the difference form decides.
+
+    Why each row's best is bit-equal to the difference form over every
+    document row. Let n = dim and eps = `finfo(float64).eps`. A row that
+    `_unit_rows` normalised has |u|^2 within (n/2 + 2) eps of 1, and the
+    check below lets through rows with |u|^2 - 1 up to (3n/2 + 2) eps. For
+    such rows the computed difference form f = 1 - sum((v - u)**2) / 2
+    and the computed Gram entry g = u·v differ by at most
+    delta = 4 (n + 2) eps, whatever order the matrix product sums in:
+      * exactly, 1 - |v - u|^2 / 2 = u·v - (|u|^2 - 1 + |v|^2 - 1) / 2,
+        at most (3n/2 + 2) eps from u·v;
+      * rounding moves u·v by at most n eps / 2, and the difference form
+        by at most (n + 5/2) eps;
+    (3n + 9/2) eps in all. For one summary row, let g* be its largest
+    Gram entry and f* its largest difference form. The column that gives
+    f* has g >= f* - delta >= f(column of g*) - delta >= g* - 2 delta,
+    so the columns with g >= g* - 2 delta include it. Each candidate's f
+    is computed as the per-row form computes it (the same differences and
+    squares, the same contiguous sum over `dim`), so the row's maximum is
+    the same float.
+
+    A row whose computed |u|^2 is more than (n + 2) eps from 1 (its norm
+    over- or underflowed) is outside that bound; then every column is a
+    candidate. Candidates are evaluated at most
+    `_GREEDY_BLOCK_ELEMENTS // dim` at a time, which bounds the memory even
+    when every column ties.
+    """
     doc_vecs = _unit_rows(doc_emb.vectors)
     sum_vecs = _unit_rows(sum_emb.vectors)
-    if doc_vecs.shape[1] != sum_vecs.shape[1]:
-        raise BackendError(f"document embeddings are {doc_vecs.shape[1]}-wide, "
+    dim = doc_vecs.shape[1]
+    if dim != sum_vecs.shape[1]:
+        raise BackendError(f"document embeddings are {dim}-wide, "
                            f"summary embeddings {sum_vecs.shape[1]}-wide")
-    # Blocks of summary rows bound the (rows, n_doc, dim) difference array.
-    rows = max(1, _GREEDY_BLOCK_ELEMENTS // max(1, doc_vecs.size))
-    best = np.empty(sum_vecs.shape[0], dtype=np.float64)
-    for i in range(0, sum_vecs.shape[0], rows):
-        d2 = np.sum((doc_vecs - sum_vecs[i:i + rows, None]) ** 2, axis=2)
-        best[i:i + rows] = np.max(1.0 - d2 / 2.0, axis=1)
+    eps = np.finfo(np.float64).eps
+    delta = 4.0 * (dim + 2) * eps
+    for vecs in (doc_vecs, sum_vecs):
+        if np.abs(np.einsum("ij,ij->i", vecs, vecs) - 1.0).max() > (dim + 2) * eps:
+            delta = np.inf
+    gram = sum_vecs @ doc_vecs.T
+    rows, cols = np.nonzero(gram >= gram.max(axis=1, keepdims=True) - 2.0 * delta)
+    best = np.full(sum_vecs.shape[0], -np.inf)
+    step = max(1, _GREEDY_BLOCK_ELEMENTS // dim)
+    for i in range(0, rows.size, step):
+        r, c = rows[i:i + step], cols[i:i + step]
+        diff = doc_vecs.take(c, axis=0)
+        diff -= sum_vecs.take(r, axis=0)
+        diff *= diff
+        np.maximum.at(best, r, 1.0 - diff.sum(axis=1) / 2.0)
     return float(np.mean(np.clip(best, -1.0, 1.0)))
 
 

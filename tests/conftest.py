@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -8,6 +11,11 @@ from factfilter import Corpus, MockBackend, Pair, score_corpus
 # Every run draws the same examples, and a slow one is no failure.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+# Child processes (the remote backend server, `python -m factfilter.cli`)
+# import `factfilter` from this checkout's `src/`, as the tests themselves do.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -302,8 +302,12 @@ class TestRemoteProtocol:
         assert remote.masked_fill_accuracy("cats", "cats and dogs", [0]) == 1.0
 
     def test_errors_cross_the_wire(self, remote):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as single:
             remote.embed_tokens("")
+        (batched,) = remote.map("embed_tokens", [("",)])
+        # The server's own DomainError stays a per-pair error on both paths.
+        for exc in (single.value, batched):
+            assert type(exc) is DomainError and str(exc) == "cannot embed empty text"
 
     def test_length_error_reads_as_in_process(self, remote, mock_backend):
         text = " ".join(["w"] * 600)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import base64
 import json
 import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from factfilter import DependencyArc, FilterManifest, load_corpus
@@ -542,7 +544,8 @@ if reply != "exit":
 
 # (op, argument tuple, reply object) of replies whose fields the client cannot
 # read: a missing key, a mistyped value (a string or an object where a list is
-# due included), a number that does not parse.
+# due included), a number that does not parse, or a value the client's own
+# checks reject (NaN vectors, one token with two rows, a self-attached arc).
 MALFORMED_FIELDS = [
     ("tokenize", ("a",), '{"result": {}}'),
     ("tokenize", ("a",), '{"result": {"tokens": 5}}'),
@@ -573,6 +576,13 @@ MALFORMED_FIELDS = [
      '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
      '"relation_label": "dep", "head_index": false, "child_index": 1}]}}'),
     ("parse_dependencies", ("a b",), '{"result": {"arcs": [5]}}'),
+    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2, "vectors": "%s"}}'
+     % base64.b64encode(np.array([np.nan, 1.0], dtype="<f8").tobytes()).decode()),
+    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2, "vectors": "%s"}}'
+     % base64.b64encode(np.eye(2, dtype="<f8").tobytes()).decode()),
+    ("parse_dependencies", ("a b",),
+     '{"result": {"arcs": [{"head_token": "a", "child_token": "a", '
+     '"relation_label": "dep", "head_index": 0, "child_index": 0}]}}'),
 ]
 
 # A `score` resuming the 25-line partial toy file sends the handshake and then
@@ -652,7 +662,9 @@ class TestTransportFailures:
                                   "tokenize-non-string-items", "embed-int-tokens",
                                   "logprobs-quoted", "logprobs-bool", "probs-quoted",
                                   "accuracy-quoted", "accuracy-bool", "arc-string-index",
-                                  "arc-bool-index", "arcs-non-object-item"])
+                                  "arc-bool-index", "arcs-non-object-item",
+                                  "embed-nan-vectors", "embed-one-token-two-rows",
+                                  "arc-self-attached"])
     def test_malformed_reply_field_is_a_transport_error(self, server, path, op, args, reply):
         from factfilter.errors import TransportError
         from factfilter.remote import RemoteBackend

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from factfilter import (
     percentile_keep_set,
     random_selection,
 )
-from factfilter.errors import DomainError, IntegrityError
+from factfilter.errors import DomainError, IntegrityError, ParseError
 from factfilter.scorers import FactualityScore, ScoreFailure
 
 from conftest import make_corpus, make_pair
@@ -148,6 +149,31 @@ class TestIntersectFilter:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(IntegrityError, match="violates the intersection bounds"):
+            FilterManifest.load(path)
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("q", "0.25", "q"), ("q", True, "q"),
+        ("selection_ratio", "0.5", "selection_ratio"),
+        ("selection_ratio", False, "selection_ratio"),
+        ("per_scorer_thresholds", {"s1": "0.2", "s2": 0.2}, "s1"),
+        ("per_scorer_thresholds", {"s1": True, "s2": 0.2}, "s1"),
+        ("per_scorer_thresholds", [["s1", 0.2]], "per_scorer_thresholds"),
+        ("n_pairs", "4", "n_pairs"), ("n_pairs", 4.0, "n_pairs"), ("n_pairs", True, "n_pairs"),
+        ("scorer_names", "ab", "scorer_names"), ("scorer_names", ["s1", 2], "scorer_names"),
+        ("kept_ids", "23", "kept_ids"), ("kept_ids", [2, 3], "kept_ids"),
+        ("corpus_name", 5, "corpus_name"),
+    ])
+    def test_wrongly_typed_field_is_a_parse_error_naming_the_path(self, tmp_path, field,
+                                                                   value, named):
+        table = build_table("c", {
+            "s1": {"1": 0.1, "2": 0.2, "3": 0.3, "4": 0.4},
+            "s2": {"1": 0.4, "2": 0.3, "3": 0.2, "4": 0.1},
+        })
+        obj = json.loads(intersect_filter(table, 0.25).to_canonical_json())
+        obj[field] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:.*'{named}'"):
             FilterManifest.load(path)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from factfilter.errors import (
     ParseError,
 )
 from factfilter.scorers import (
-    _GREEDY_BLOCK_ELEMENTS,
     FactualityScore,
     ScoreFailure,
     score_corpus_to_file,
@@ -71,8 +71,22 @@ class TestGreedyPrecision:
         assert cell.value == 1.0  # kept prefix still contains the summary tokens
 
 
-class ScaledMock(MockBackend):
-    """Mock embeddings scaled off the unit sphere, so normalising the rows does real work."""
+class TableMock(MockBackend):
+    """Embeds token `t<i>` as row i of `table`, at the table's width."""
+
+    def __init__(self, table: np.ndarray):
+        super().__init__()
+        self._table = table
+
+    def embed_tokens(self, text: str) -> TokenEmbeddings:
+        tokens = tuple(text.split())
+        return TokenEmbeddings(tokens=tokens, vectors=self._table[[int(t[1:]) for t in tokens]])
+
+
+class ScaledMock(TableMock):
+    """Table rows scaled off the unit sphere by their position in the text, so
+    normalising the rows does real work and a repeated token's rows become
+    near-copies of each other."""
 
     def embed_tokens(self, text: str) -> TokenEmbeddings:
         emb = super().embed_tokens(text)
@@ -93,23 +107,103 @@ class SplitWidthMock(MockBackend):
         return super().embed_tokens(text)
 
 
-class TestGreedyBlocks:
-    SUMMARY_LEN = 8
-    DIM = 16
+def _tokens(indices) -> str:
+    return " ".join(f"t{i}" for i in indices)
 
-    @pytest.mark.parametrize("block_rows", [1, SUMMARY_LEN, SUMMARY_LEN - 1])
-    def test_blocked_equals_row_loop(self, block_rows):
-        n_doc = _GREEDY_BLOCK_ELEMENTS // (block_rows * self.DIM)
-        assert _GREEDY_BLOCK_ELEMENTS // (n_doc * self.DIM) == block_rows
-        backend = ScaledMock(dim=self.DIM, max_tokens=n_doc)
-        document = " ".join(f"d{i}" for i in range(n_doc))
-        # The last summary row, alone in its block when block_rows is
-        # SUMMARY_LEN - 1, is a token absent from the document.
-        summary = " ".join(f"novel{i}" if i % 2 else f"d{i * 37 % n_doc}"
-                           for i in range(self.SUMMARY_LEN))
+
+def _unit(vectors: np.ndarray) -> np.ndarray:
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
+def _gram_argmax_loses(doc: np.ndarray, summary_row: np.ndarray) -> bool:
+    """Whether the Gram form's best document row is not the difference form's."""
+    doc, row = _unit(doc), _unit(summary_row[None])
+    similarity = 1.0 - np.sum((doc - row) ** 2, axis=1) / 2.0
+    return similarity[np.argmax(row @ doc.T)] < similarity.max()
+
+
+class TestGreedyScreen:
+    """The Gram screen keeps every column the difference form could pick, so
+    the score is the per-row reference's bit for bit."""
+
+    def _assert_reference(self, backend, document, summary):
         cell = score_one("greedy", document, summary, backend)
         assert not cell.truncated
         assert cell.value == reference.greedy(document, summary, backend)
+        return cell.value
+
+    def test_scaled_rows_in_a_short_pair(self):
+        rng = np.random.default_rng(8)
+        backend = ScaledMock(rng.standard_normal((40, 16)))
+        document, summary = _tokens(rng.integers(0, 30, 60)), _tokens(rng.integers(20, 40, 12))
+        self._assert_reference(backend, document, summary)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_document_tokens_tie_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        document = " ".join(f"w{i}" for i in rng.integers(0, 12, 512))
+        summary = " ".join(f"w{i}" for i in rng.integers(0, 24, 40))
+        self._assert_reference(MockBackend(), document, summary)
+
+    def test_scaled_rows_at_dim_768(self):
+        rng = np.random.default_rng(7)
+        table = rng.standard_normal((300, 768))
+        table[200:] = table[:100]  # duplicate table rows, apart from scale
+        backend = ScaledMock(table)
+        document = _tokens(rng.integers(0, 250, 512))
+        summary = _tokens(np.concatenate([rng.integers(0, 250, 30), rng.integers(250, 300, 10)]))
+        self._assert_reference(backend, document, summary)
+
+    @pytest.mark.parametrize("backend", [
+        MockBackend(), TableMock(np.random.default_rng(3).standard_normal((600, 768)))],
+        ids=["mock", "dim768"])
+    def test_copied_summary_scores_exactly_one(self, backend):
+        document = _tokens(np.random.default_rng(4).permutation(600)[:512])
+        summary = " ".join(document.split()[100:140])
+        assert self._assert_reference(backend, document, summary) == 1.0
+
+    @pytest.mark.parametrize("dim", [16, 768])
+    def test_searched_near_ties_where_the_gram_argmax_loses(self, dim):
+        # Eight document rows, each a near-copy of one row at 1e-15 relative
+        # noise, and one unrelated summary row: the two forms' roundings
+        # then often disagree on which document row is best.
+        rng = np.random.default_rng(dim)
+        cases = []
+        for _ in range(200):
+            doc = rng.standard_normal(dim) + 1e-15 * rng.standard_normal((8, dim))
+            summary_row = rng.standard_normal(dim)
+            if _gram_argmax_loses(doc, summary_row):
+                cases.append(np.vstack([doc, summary_row]))
+        assert len(cases) >= 10
+        backend = TableMock(np.vstack(cases))
+        pairs = [make_pair(f"p{k}", _tokens(range(9 * k, 9 * k + 8)), f"t{9 * k + 8}")
+                 for k in range(len(cases))]
+        cells = score_corpus(make_corpus("c", *pairs), ["greedy"], backend)
+        for pair, cell in zip(pairs, cells):
+            assert cell.value == reference.greedy(pair.document, pair.summary, backend)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_turns_the_screen_off(self):
+        # t0's norm overflows, so `_unit_rows` makes it a zero row: its Gram
+        # entry is 0.0 but its difference form 0.5, above t1's 0.28.
+        table = np.zeros((3, 16))
+        table[0] = 1e200
+        table[1, :2] = (0.28, 0.96)
+        table[2, 0] = 1.0
+        assert self._assert_reference(TableMock(table), "t0 t1", "t2") == 0.5
+
+    def test_all_ties_stay_within_the_gather_budget(self):
+        backend = TableMock(np.ones((1, 768)))
+        text = " ".join(["t0"] * 512)
+        tracemalloc.start()
+        try:
+            cell = score_one("greedy", text, text, backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cell.value == 1.0
+        # 512 x 512 candidates gathered at once would need 1.6 GB.
+        assert peak < 32 * 2 ** 20
 
     def test_width_mismatch_becomes_sentinel(self):
         corpus = make_corpus("c", make_pair("p1", "alpha beta gamma delta", "alpha beta"))
