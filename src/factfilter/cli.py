@@ -38,8 +38,8 @@ from .experiments import (
     SweepSpec,
     compare_selections,
     distribution_report,
-    mock_train_eval_hook,
     run_sweep,
+    table_eval_hook,
     write_distribution_csv,
     write_sweep_csv,
 )
@@ -281,8 +281,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
                      seed=args.seed)
     _write_config_echo(args.out, args)
     with _make_backend(args) as backend:
-        hook = mock_train_eval_hook(backend)
-        rows = run_sweep(corpus, table, spec, hook)
+        rows = run_sweep(corpus, table, spec, table_eval_hook(corpus, table, backend))
     write_sweep_csv(rows, args.out)
     logger.info("wrote %d sweep rows to %s", len(rows), args.out)
 

@@ -22,7 +22,7 @@ class ParseError(FactFilterError):
         self.line = line
         prefix = ""
         if path is not None:
-            prefix = f"{path}:" if line is None else f"{path}:{line}: "
+            prefix = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{prefix}{message}")
 
 

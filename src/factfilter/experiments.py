@@ -23,12 +23,13 @@ from .errors import (
     CoverageError,
     DegenerateInputError,
     DomainError,
+    IntegrityError,
     failure_reason,
 )
 from .filtration import intersect_filter, percentile_keep_set, random_selection
 from .metrics import REFERENCE_FREE_METRICS, EvalReport, reference_free_outcomes
 from .records import write_csv
-from .scorers import ScoreTable
+from .scorers import SCORERS, ScoreTable
 from .stats import WilcoxonResult, wilcoxon_signed_rank
 
 logger = logging.getLogger(__name__)
@@ -36,6 +37,9 @@ logger = logging.getLogger(__name__)
 SIGNIFICANCE_LEVEL = 0.05
 DEFAULT_THRESHOLDS = (0.1, 0.25, 0.4, 0.55)
 DEFAULT_HISTOGRAM_BINS = 10
+# Corpus pairs, spread evenly over it, whose reused cells `table_eval_hook`
+# scores again when it is built.
+SPOT_CHECK_PAIRS = 4
 
 EvalHook = Callable[[Corpus], Mapping[str, float]]
 
@@ -58,8 +62,10 @@ class SweepSpec:
             raise DomainError("sweep needs at least one threshold")
         if any(not 0.0 < t < 1.0 for t in self.thresholds):
             raise DomainError("thresholds must lie in (0, 1)")
-        if list(self.thresholds) != sorted(self.thresholds):
-            raise DomainError("thresholds must be sorted ascending")
+        if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
+            raise DomainError("thresholds must be strictly ascending")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigurationError(f"sweep strategies repeat: {list(self.strategies)}")
         for strategy in self.strategies:
             if strategy in ("combined", "random"):
                 continue
@@ -181,6 +187,59 @@ def mock_train_eval_hook(backend: Backend,
             if values:
                 out[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
         return out
+
+    return hook
+
+
+def table_eval_hook(corpus: Corpus, table: ScoreTable, backend: Backend) -> EvalHook:
+    """`mock_train_eval_hook(backend)`'s means, with each scorer metric whose
+    `table` column stands in for the backend read from the table instead.
+
+    A column stands in when the backend's descriptor is deterministic, the
+    column's provenance is the backend's `(name, version)` and it has a cell
+    for every pair of `corpus`. A reused mean is taken over the selection's
+    table values in selection order; a sentinel is left out of it and logged
+    at debug level once per (pair, metric). Every other metric goes to
+    `mock_train_eval_hook`. Score rows are keyed by pair id alone, so the
+    reused cells of `SPOT_CHECK_PAIRS` pairs are scored again here: any
+    difference in value bits or failure reason, as from a table scored on
+    other text under the same ids, raises `IntegrityError`.
+    """
+    d = backend.descriptor
+    owner = {"name": d.name, "version": d.version}
+    reused = [m for m in SCORERS if d.deterministic and table.backend_descriptors().get(m)
+              == owner and all(pair.id in table.column(m) for pair in corpus)]
+    n = min(SPOT_CHECK_PAIRS, len(corpus))
+    sample = [corpus.pairs[(2 * k + 1) * len(corpus) // (2 * n)] for k in range(n)]
+    checks = reference_free_outcomes([((p.document, p.summary), reused) for p in sample],
+                                     backend)
+    for pair, outcome in zip(sample, checks):
+        for metric, result in outcome.items():
+            now = failure_reason(result) if isinstance(result, Exception) else float(result)
+            # A float's repr tells every bit; a table cell is a float or a reason.
+            if repr(now) != repr(stored := table.column(metric)[pair.id]):
+                raise IntegrityError(
+                    f"pair {pair.id!r} scores {metric} {now!r}, but the scores file holds "
+                    f"{stored!r}: were those scores taken on other text?")
+    computed = mock_train_eval_hook(backend, [m for m in REFERENCE_FREE_METRICS
+                                              if m not in reused])
+    logged: set[tuple[str, str]] = set()
+
+    def hook(selection: Corpus) -> dict[str, float]:
+        means = dict(computed(selection))
+        for metric in reused:
+            column = table.column(metric)
+            values = []
+            for pair in selection:
+                if not isinstance(value := column[pair.id], str):
+                    values.append(value)
+                elif (pair.id, metric) not in logged:
+                    logged.add((pair.id, metric))
+                    logger.debug("pair %s excluded from the %s mean: %s",
+                                 pair.id, metric, value)
+            if values:
+                means[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
+        return means
 
     return hook
 

@@ -44,12 +44,14 @@ from factfilter.validation import CATEGORIES
 from conftest import make_pair, score_one
 
 # Frozen outputs of the toy pipeline (score -> filter(q=0.25) -> stats ->
-# evaluate, mock backend). Regenerating the toy corpus moves these.
+# evaluate, and score -> sweep over combined, random and single:dae at the
+# default thresholds; mock backend). Regenerating the toy corpus moves these.
 TOY_MANIFEST_HASH = "b8078f630e1a5d0b9475da632c2476b0b01b0c6cc45ea7aaa9cf213f564c12a6"
 TOY_SCORES_SHA = "191ff0a99a521252b0b14aaa1b7e4b87cbab4102b712a36291173c13eb250400"
 TOY_STATS_SHA = "cea0d39e406db0c601162ca3e077065de992e900e5e060db513a353588c46661"
 TOY_DISTRIBUTIONS_SHA = "cb8e8fe87cd2aa0df6a6f2732db83a9a464cd0efe2c6cb0781e8fdc485e9bb39"
 TOY_REPORT_SHA = "bb7ec85ce8374108833b96e62a9e9eec571fd0171828e55965e33e55b2ccbe6f"
+TOY_SWEEP_SHA = "c3ad5befa7ec80d35100a59e0dbcd3413c4e33221ef94da52a64f84b62435d23"
 
 
 @contextmanager
@@ -201,6 +203,9 @@ def _run_toy_pipeline(workdir: Path) -> dict[str, str]:
     assert main(["evaluate", "--in", str(toy), "--generated", str(generated),
                  "--out", str(report_path), "--manifest", str(manifest_path),
                  "--backend", "mock"]) == 0
+    sweep_path = workdir / "sweep.csv"
+    assert main(["sweep", "--in", str(toy), "--scores", str(scores), "--out", str(sweep_path),
+                 "--strategies", "combined,random,single:dae", "--backend", "mock"]) == 0
     sha = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
     return {
         "manifest_hash": FilterManifest.load(manifest_path).content_hash(),
@@ -208,6 +213,7 @@ def _run_toy_pipeline(workdir: Path) -> dict[str, str]:
         "stats": sha(stats_path),
         "distributions": sha(workdir / "stats_distributions.csv"),
         "report": sha(report_path),
+        "sweep": sha(sweep_path),
     }
 
 
@@ -229,6 +235,7 @@ def test_criterion_5_toy_pipeline_bit_exact(tmp_path, monkeypatch):
         assert first["stats"] == TOY_STATS_SHA
         assert first["distributions"] == TOY_DISTRIBUTIONS_SHA
         assert first["report"] == TOY_REPORT_SHA
+        assert first["sweep"] == TOY_SWEEP_SHA
 
         # Chunks of one pair, the default budget and the whole corpus in one
         # chunk, in process and over the remote protocol, give the same bytes.

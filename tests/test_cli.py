@@ -249,6 +249,15 @@ class TestStatsCommand:
                      "--out", str(tmp_path / "stats.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {manifest}:")
 
+    def test_a_parse_error_without_a_line_puts_a_space_after_the_path(self, tmp_path, toy,
+                                                                       capsys):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text("{not json", encoding="utf-8")
+        assert main(["stats", "--in", str(toy), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "stats.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {manifest}: invalid manifest JSON: ")
+
     def test_manifest_breaking_its_invariants_keeps_its_error_class(self, tmp_path, toy):
         from factfilter.errors import DomainError
 
@@ -380,19 +389,48 @@ class TestSweepCommand:
         from factfilter import cli
 
         selections = []
-        factory = cli.mock_train_eval_hook
+        factory = cli.table_eval_hook
 
-        def counting_factory(backend):
-            hook = factory(backend)
+        def counting_factory(corpus, table, backend):
+            hook = factory(corpus, table, backend)
             return lambda selection: selections.append(selection) or hook(selection)
 
-        monkeypatch.setattr(cli, "mock_train_eval_hook", counting_factory)
+        monkeypatch.setattr(cli, "table_eval_hook", counting_factory)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--in", str(toy), "--scores", str(_score(tmp_path, toy)),
                      "--out", str(out), "--strategies", "combined,random,single:bogus",
                      "--backend", "mock"]) == 1
         assert "no scores for scorer 'bogus'" in capsys.readouterr().err
         assert selections == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--thresholds", "0.4,0.4"], 2, "thresholds must be strictly ascending"),
+        (["--strategies", "combined,random,combined"], 1, "sweep strategies repeat"),
+    ], ids=["threshold", "strategy"])
+    def test_a_repeated_cell_fails_before_the_first_cell(self, tmp_path, toy, capsys,
+                                                         flags, code, message):
+        scores = _score(tmp_path, toy)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--in", str(toy), "--scores", str(scores), "--out", str(out),
+                     *flags, "--backend", "mock"]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_spot_checked_score_edited_is_a_data_error(self, tmp_path, toy, capsys):
+        from factfilter.experiments import SPOT_CHECK_PAIRS
+
+        scores = _score(tmp_path, toy)
+        pairs = load_corpus(toy).pairs
+        checked = pairs[len(pairs) // (2 * SPOT_CHECK_PAIRS)].id
+        rows = [json.loads(line) for line in scores.read_text(encoding="utf-8").splitlines()]
+        (row,) = [r for r in rows if (r["pair_id"], r["scorer"]) == (checked, "greedy")]
+        row["value"] = float(np.nextafter(row["value"], 0.0))
+        scores.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--in", str(toy), "--scores", str(scores), "--out", str(out),
+                     "--backend", "mock"]) == 2
+        assert f"data error: pair {checked!r} scores greedy" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -11,17 +11,20 @@ import pytest
 import reference
 from factfilter.backend import MockBackend
 from factfilter.corpus import load_corpus, toy_corpus_path
-from factfilter.errors import ConfigurationError, CoverageError, DomainError
+from factfilter.errors import ConfigurationError, CoverageError, DomainError, IntegrityError
 from factfilter.experiments import (
     DEFAULT_HISTOGRAM_BINS,
+    SPOT_CHECK_PAIRS,
     SweepSpec,
     compare_selections,
     distribution_report,
     mock_train_eval_hook,
     run_sweep,
+    table_eval_hook,
     write_sweep_csv,
 )
 from factfilter.metrics import EvalReport
+from factfilter.scorers import ScoreTable, score_corpus
 from faults import FaultBackend
 
 from conftest import make_corpus, make_pair
@@ -55,6 +58,14 @@ class TestSweepSpec:
     def test_thresholds_must_be_sorted(self):
         with pytest.raises(DomainError):
             SweepSpec(thresholds=(0.4, 0.2), strategies=("combined",), seed=0)
+
+    def test_repeated_threshold_rejected(self):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            SweepSpec(thresholds=(0.2, 0.4, 0.4), strategies=("combined",), seed=0)
+
+    def test_repeated_strategy_rejected(self):
+        with pytest.raises(ConfigurationError, match="repeat"):
+            SweepSpec(thresholds=(0.4,), strategies=("random", "combined", "random"), seed=0)
 
     def test_thresholds_must_be_fractions(self):
         with pytest.raises(DomainError):
@@ -308,6 +319,108 @@ class TestChunkedHook:
         means = [hook(corpus)["condll"] for _ in range(3)]
         assert backend.asked == 3 * len(corpus)
         assert means[0] > means[1] > means[2]
+
+
+SCORER_METRICS = ("greedy", "condll", "dae")
+FOUR_SWEEP = dataclasses.replace(FOUR_THRESHOLDS, strategies=("combined", "random", "single:dae"))
+
+
+def _scored_table(corpus, backend_version=None, drop=None) -> ScoreTable:
+    """`corpus` scored by a `FaultBackend`, as a scores file holds it; every
+    cell under `backend_version` if given, and none for the pair `drop`."""
+    table = ScoreTable(corpus.name)
+    for cell in score_corpus(corpus, SCORER_METRICS, FaultBackend()):
+        if cell.pair_id != drop:
+            table.add(dataclasses.replace(
+                cell, backend_version=backend_version or cell.backend_version))
+    return table
+
+
+def _edited(table: ScoreTable, scorer: str, pair_id: str, cell) -> ScoreTable:
+    """`table` with the cell of (`pair_id`, `scorer`) replaced by `cell`, a
+    value or a failure reason."""
+    edited = ScoreTable(table.corpus_name)
+    for name, provenance in table.backend_descriptors().items():
+        for pid, value in table.column(name).items():
+            value = cell if (name, pid) == (scorer, pair_id) else value
+            edited.add_row({"pair_id": pid, "scorer": name,
+                            "backend_name": provenance["name"],
+                            "backend_version": provenance["version"],
+                            **({"error": value} if isinstance(value, str) else {"value": value})})
+    return edited
+
+
+def _two_pairs():
+    """Pair b's one-token summary has no dependency arcs, so dae fails on it."""
+    return make_corpus("c", make_pair("a", "storm flooded harbor town .", "storm harbor"),
+                       make_pair("b", "mayor opened bridge festival .", "mayor"))
+
+
+def _spot_checked(corpus) -> list:
+    n = min(SPOT_CHECK_PAIRS, len(corpus))
+    return [corpus.pairs[(2 * k + 1) * len(corpus) // (2 * n)] for k in range(n)]
+
+
+class TestTableHook:
+    """`table_eval_hook` takes a scorer metric from the table only when the
+    column can stand in for the backend, and is `mock_train_eval_hook` otherwise."""
+
+    def test_reused_columns_leave_only_blanc_to_the_backend(self):
+        corpus, _ = _memo_fixture()
+        table = _scored_table(corpus)
+        backend = FaultBackend()
+        hook = table_eval_hook(corpus, table, backend)
+        spot_check = Counter(backend.calls)
+        assert spot_check == _oracle_calls(_spot_checked(corpus), SCORER_METRICS)
+        rows = run_sweep(corpus, table, FOUR_SWEEP, hook)
+        assert rows == run_sweep(corpus, table, FOUR_SWEEP,
+                                 mock_train_eval_hook(FaultBackend(), HOOK_METRICS))
+        blanc_only = FaultBackend()
+        run_sweep(corpus, table, FOUR_SWEEP, mock_train_eval_hook(blanc_only, ["blanc"]))
+        assert Counter(backend.calls) - spot_check == Counter(blanc_only.calls)
+
+    @pytest.mark.parametrize("deterministic, table", [
+        (False, {}), (True, {"backend_version": "other"}), (True, {"drop": "p07"}),
+    ], ids=["non-deterministic", "other-provenance", "missing-pair"])
+    def test_no_reuse_outside_the_conditions(self, deterministic, table):
+        corpus, _ = _memo_fixture()
+        table = _scored_table(corpus, **table)
+        backend = FaultBackend(deterministic=deterministic)
+        rows = run_sweep(corpus, table, FOUR_SWEEP, table_eval_hook(corpus, table, backend))
+        plain = FaultBackend(deterministic=deterministic)
+        assert rows == run_sweep(corpus, table, FOUR_SWEEP,
+                                 mock_train_eval_hook(plain, HOOK_METRICS))
+        assert Counter(backend.calls) == Counter(plain.calls)
+
+    def test_reused_sentinel_is_excluded_and_logged_once(self, caplog):
+        corpus = _two_pairs()
+        table = _scored_table(corpus)
+        assert table.column("dae")["b"].startswith("NoArcsError")
+        backend = FaultBackend()
+        hook = table_eval_hook(corpus, table, backend)
+        only_a, _ = reference.hook(corpus.subset(["a"]), ["dae"], MockBackend())
+        with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
+            assert hook(corpus)["dae"] == hook(corpus)["dae"] == only_a["dae"]
+            assert "dae" not in hook(corpus.subset(["b"]))
+        # The spot check scores both pairs; after it the backend sees BLANC only.
+        assert Counter(backend.calls) == (_oracle_calls(corpus, SCORER_METRICS)
+                                          + _oracle_calls(corpus, ["blanc"]))
+        excluded = [r for r in caplog.records if "excluded from the dae mean" in r.message]
+        assert len(excluded) == 1 and "pair b" in excluded[0].message
+
+    @pytest.mark.parametrize("build, scorer, edit", [
+        (lambda: _memo_fixture()[0], "condll", lambda value: float(np.nextafter(value, 0.0))),
+        (lambda: _memo_fixture()[0], "condll", lambda value: "BackendError: edited"),
+        (_two_pairs, "dae", lambda reason: "NoArcsError: edited"),
+    ], ids=["one-ulp", "value-to-sentinel", "other-reason"])
+    def test_an_edited_spot_checked_cell_is_an_integrity_error(self, build, scorer, edit):
+        corpus = build()
+        table = _scored_table(corpus)
+        table_eval_hook(corpus, table, FaultBackend())  # the unedited table passes
+        checked = _spot_checked(corpus)[-1].id
+        edited = _edited(table, scorer, checked, edit(table.column(scorer)[checked]))
+        with pytest.raises(IntegrityError, match=f"pair {checked!r} scores {scorer}"):
+            table_eval_hook(corpus, edited, FaultBackend())
 
 
 def _report(name: str, values: dict[str, dict[str, float]]) -> EvalReport:

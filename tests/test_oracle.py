@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import faults
 import reference
 from factfilter import evaluate_outputs, score_corpus, scorers
-from factfilter.experiments import mock_train_eval_hook
+from factfilter.experiments import mock_train_eval_hook, table_eval_hook
 from factfilter.metrics import REFERENCE_FREE_METRICS
 from factfilter.remote import RemoteBackend
+from factfilter.scorers import ScoreTable
 from faults import BLANC_CASES, STEP_FAIL_LIMIT, STEP_FAIL_PAIRS, FaultBackend
 
 from conftest import make_corpus, make_pair
@@ -89,22 +90,39 @@ def test_score_evaluate_and_hook_give_the_one_pair_outcomes(servers, caplog, pai
         if not remote:  # the same single ops, each as often
             assert Counter(backend.calls) == Counter(oracle.calls)
         report = evaluate_outputs(generated, corpus, backend, metrics=METRICS)
-        hook = mock_train_eval_hook(backend, METRICS)
+        table = ScoreTable(corpus.name)
+        for cell in cells:
+            table.add(cell)
         selections = [corpus, corpus.subset(list(texts)[::2]), corpus]
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
-            means = [hook(selection) for selection in selections]
+        runs = []  # `mock_train_eval_hook`, then the hook reading scorer metrics from `table`
+        for make_hook in (lambda: mock_train_eval_hook(backend, METRICS),
+                          lambda: table_eval_hook(corpus, table, backend)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
+                hook = make_hook()
+                means = [hook(selection) for selection in selections]
+            runs.append((means, [record.args for record in caplog.records
+                                 if "excluded from" in record.msg]))
     assert (report.per_pair, report.failures) == reference.evaluate(
         generated, corpus, METRICS, oracle)
     excluded = set()
-    for selection, got in zip(selections, means):
+    for k, selection in enumerate(selections):
         expected, reasons = reference.hook(selection, METRICS, oracle)
-        assert got == expected
-        excluded |= {(*texts[pair_id], metric, reason) for pair_id, metric, reason in reasons}
-    logged = [(*texts[pair_id], metric, reason) for pair_id, metric, reason in
-              (record.args for record in caplog.records if "excluded from" in record.msg)]
-    assert set(logged) == excluded
-    assert len(logged) == len(excluded)  # each text's exclusion logged once
+        assert [means[k] for means, _ in runs] == [expected, expected]
+        excluded |= reasons
+
+    def by_text(entries):
+        return [(*texts[pair_id], metric, reason) for pair_id, metric, reason in entries]
+
+    (_, logged), (_, table_logged) = runs
+    # `mock_train_eval_hook` logs an exclusion once per text, the table hook a reused
+    # metric's once per pair and BLANC's once per text.
+    for got, want in ((by_text(logged), by_text(excluded)),
+                      (by_text(e for e in table_logged if e[1] == "blanc"),
+                       by_text(e for e in excluded if e[1] == "blanc")),
+                      ([e for e in table_logged if e[1] != "blanc"],
+                       [e for e in excluded if e[1] != "blanc"])):
+        assert sorted(got) == sorted(set(want))
 
 
 def test_step_fail_pairs_fail_at_every_step():

@@ -1,0 +1,51 @@
+"""The benchmark's tracer still sees the toolkit.
+
+`perfbench/tracing.py` wraps toolkit functions by their module attribute
+names and the sweep hook factory by its signature, so a rename would leave a
+traced run measuring nothing without failing it. This runs the toy `score`
+and `sweep` under its shim and checks that the layers it names were seen.
+"""
+
+from __future__ import annotations
+
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from factfilter import backend as backend_module
+from factfilter.cli import main
+from factfilter.corpus import toy_corpus_path
+from factfilter.experiments import SweepSpec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def shim(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # The shim registers its traced backends; they leave with this copy.
+    monkeypatch.setattr(backend_module, "_BACKENDS", dict(backend_module._BACKENDS))
+    import tracing
+
+    shim = tracing.Shim([sys.executable, "-m", "factfilter.remote", "--backend", "mock"])
+    shim.install()
+    yield shim
+    shim.uninstall()
+
+
+def test_a_traced_toy_score_and_sweep_reach_every_wrapped_layer(tmp_path, shim):
+    toy = tmp_path / "toy.jsonl"
+    shutil.copy(toy_corpus_path(), toy)
+    scores = tmp_path / "scores.jsonl"
+    for argv in (["score", "--in", str(toy), "--out", str(scores),
+                  "--scorers", "greedy,condll,dae"],
+                 ["sweep", "--in", str(toy), "--scores", str(scores),
+                  "--out", str(tmp_path / "sweep.csv")]):
+        assert shim.call(main, [*argv, "--backend", "traced-mock"]) == 0
+    layers = shim.tracer.layer_metrics()
+    spec = SweepSpec()
+    assert layers["experiments.eval_hook.calls"] == len(spec.thresholds) * len(spec.strategies)
+    assert layers["scorers.cells"] > 0
+    assert layers["backend.embed_tokens.calls"] > 0
