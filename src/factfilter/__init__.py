@@ -1,108 +1,42 @@
-"""Factual-consistency scoring, filtration and evaluation for summarization corpora."""
+"""Factual-consistency scoring, filtration and evaluation for summarization corpora.
 
-from .backend import (
-    Backend,
-    BackendDescriptor,
-    DependencyArc,
-    MockBackend,
-    TokenEmbeddings,
-    create_backend,
-    register_backend,
-)
-from .corpus import (
-    Corpus,
-    CorpusStats,
-    Pair,
-    corpus_stats,
-    load_corpus,
-    save_corpus,
-    toy_corpus_path,
-    word_count,
-)
-from .filtration import (
-    FilterManifest,
-    apply_manifest,
-    intersect_filter,
-    percentile_keep_set,
-    random_selection,
-)
-from .metrics import BlancScore, EvalReport, RougeScore, blanc_help, evaluate_outputs, rouge2
-from .scorers import (
-    SCORERS,
-    FactualityScore,
-    PreparedPair,
-    ScoreFailure,
-    ScoreTable,
-    load_scores,
-    prepare_pairs,
-    score_corpus,
-    write_scores,
-)
-from .stats import (
-    PartialCorrelationResult,
-    WilcoxonResult,
-    partial_pearson,
-    pearson,
-    wilcoxon_signed_rank,
-)
-from .validation import (
-    CATEGORIES,
-    FactualityAnnotation,
-    FlipReport,
-    flip_analysis,
-    flip_labels,
-    load_annotations,
-    validate_scorer,
-)
+The public names below are loaded on first use (PEP 562), each from the
+submodule that defines it, so `python -m factfilter.remote` loads only the
+backend layer. `factfilter.<name>` always reads the submodule's current
+attribute; nothing is cached here.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Backend",
-    "BackendDescriptor",
-    "BlancScore",
-    "CATEGORIES",
-    "Corpus",
-    "CorpusStats",
-    "DependencyArc",
-    "EvalReport",
-    "FactualityAnnotation",
-    "FactualityScore",
-    "FilterManifest",
-    "FlipReport",
-    "MockBackend",
-    "Pair",
-    "PartialCorrelationResult",
-    "PreparedPair",
-    "RougeScore",
-    "SCORERS",
-    "ScoreFailure",
-    "ScoreTable",
-    "TokenEmbeddings",
-    "WilcoxonResult",
-    "apply_manifest",
-    "blanc_help",
-    "corpus_stats",
-    "create_backend",
-    "evaluate_outputs",
-    "flip_analysis",
-    "flip_labels",
-    "intersect_filter",
-    "load_annotations",
-    "load_corpus",
-    "load_scores",
-    "partial_pearson",
-    "pearson",
-    "percentile_keep_set",
-    "prepare_pairs",
-    "random_selection",
-    "register_backend",
-    "rouge2",
-    "save_corpus",
-    "score_corpus",
-    "toy_corpus_path",
-    "validate_scorer",
-    "wilcoxon_signed_rank",
-    "word_count",
-    "write_scores",
-]
+_EXPORTS = {
+    "backend": ("Backend", "BackendDescriptor", "DependencyArc", "MockBackend",
+                "TokenEmbeddings", "create_backend", "register_backend"),
+    "corpus": ("Corpus", "CorpusStats", "Pair", "corpus_stats", "load_corpus",
+               "save_corpus", "toy_corpus_path", "word_count"),
+    "filtration": ("FilterManifest", "apply_manifest", "intersect_filter",
+                   "percentile_keep_set", "random_selection"),
+    "metrics": ("BlancScore", "EvalReport", "RougeScore", "blanc_help",
+                "evaluate_outputs", "rouge2"),
+    "scorers": ("SCORERS", "FactualityScore", "PreparedPair", "ScoreFailure", "ScoreTable",
+                "load_scores", "prepare_pairs", "score_corpus", "write_scores"),
+    "stats": ("PartialCorrelationResult", "WilcoxonResult", "partial_pearson", "pearson",
+              "wilcoxon_signed_rank"),
+    "validation": ("CATEGORIES", "FactualityAnnotation", "FlipReport", "flip_analysis",
+                   "flip_labels", "load_annotations", "validate_scorer"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

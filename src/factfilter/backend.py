@@ -10,9 +10,12 @@ without model weights.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -280,6 +283,26 @@ def create_backend(name: str, **options) -> Backend:
         known = ", ".join(sorted(_BACKENDS)) or "(none)"
         raise ConfigurationError(f"unknown backend {name!r}; registered: {known}") from None
     return factory(**options)
+
+
+# Names a Python file whose import registers more backends.
+BACKEND_REGISTRY_ENV = "FACTFILTER_BACKENDS"
+
+
+def load_extra_backends() -> Path | None:
+    """Import the backend-registration module that `BACKEND_REGISTRY_ENV`
+    names, if it is set; return its path."""
+    location = os.environ.get(BACKEND_REGISTRY_ENV)
+    if not location:
+        return None
+    path = Path(location)
+    if not path.exists():
+        raise ConfigurationError(f"{BACKEND_REGISTRY_ENV} points to missing file {path}")
+    spec = importlib.util.spec_from_file_location("factfilter_extra_backends", path)
+    if spec is None or spec.loader is None:
+        raise ConfigurationError(f"cannot import backend registry {path}")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    return path
 
 
 register_backend("mock", MockBackend)

@@ -10,17 +10,15 @@ data/integrity, 3 backend failure.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import logging
-import os
 import shlex
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from . import remote  # noqa: F401  (registers the remote backend)
-from .backend import Backend, create_backend
+from .backend import Backend, create_backend, load_extra_backends
 from .corpus import SPLITS, Corpus, corpus_stats, load_corpus, save_corpus
 from .errors import (
     BackendError,
@@ -50,8 +48,6 @@ from .scorers import SCORERS, ScoreTable, load_scores, score_corpus_to_file
 from .validation import flip_analysis, load_annotations, validate_scorer
 
 logger = logging.getLogger("factfilter")
-
-BACKEND_REGISTRY_ENV = "FACTFILTER_BACKENDS"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,22 +118,6 @@ def _write_config_echo(out_path: str | Path, args: argparse.Namespace) -> None:
     path = Path(str(out_path) + ".config.json")
     path.write_text(json.dumps(echo, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _load_extra_backends() -> None:
-    """Import a backend-registration module named by the environment."""
-    location = os.environ.get(BACKEND_REGISTRY_ENV)
-    if not location:
-        return
-    path = Path(location)
-    if not path.exists():
-        raise ConfigurationError(f"{BACKEND_REGISTRY_ENV} points to missing file {path}")
-    spec = importlib.util.spec_from_file_location("factfilter_extra_backends", path)
-    if spec is None or spec.loader is None:
-        raise ConfigurationError(f"cannot import backend registry {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    logger.info("loaded extra backends from %s", path)
 
 
 def _make_backend(args: argparse.Namespace) -> Backend:
@@ -279,6 +259,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     spec = SweepSpec(thresholds=tuple(_split_csv(args.thresholds, "--thresholds", float)),
                      strategies=tuple(_split_csv(args.strategies, "--strategies")),
                      seed=args.seed)
+    spec.check_columns(table)  # before the hook asks the backend for work
     _write_config_echo(args.out, args)
     with _make_backend(args) as backend:
         rows = run_sweep(corpus, table, spec, table_eval_hook(corpus, table, backend))
@@ -430,7 +411,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _load_extra_backends()
+        if (registry := load_extra_backends()) is not None:
+            logger.info("loaded extra backends from %s", registry)
         args.func(args)
         return EXIT_OK
     except _UsageError as exc:

@@ -73,6 +73,12 @@ class SweepSpec:
                 continue
             raise ConfigurationError(f"unknown sweep strategy {strategy!r}")
 
+    def check_columns(self, table: ScoreTable) -> None:
+        """`ConfigurationError` unless each `single:<scorer>` names a column of `table`."""
+        for strategy in self.strategies:
+            if strategy.startswith("single:"):
+                table.column(strategy.split(":", 1)[1])
+
 
 @dataclass(frozen=True)
 class DistributionSummary:
@@ -263,12 +269,10 @@ def run_sweep(corpus: Corpus, table: ScoreTable, spec: SweepSpec,
     sweep continues. Rows are ordered by (strategy, threshold) regardless of
     execution order; random cells derive their seed from (spec.seed,
     threshold index) so each cell is independently reproducible. Every
-    `single:<scorer>` must name a column of `table` (`ConfigurationError`
-    before the first cell otherwise).
+    `single:<scorer>` must name a column of `table` (`spec.check_columns`,
+    before the first cell).
     """
-    for strategy in spec.strategies:
-        if strategy.startswith("single:"):
-            table.column(strategy.split(":", 1)[1])
+    spec.check_columns(table)
     rows: list[SweepRow] = []
     for strategy in sorted(spec.strategies):
         for index, threshold in enumerate(spec.thresholds):

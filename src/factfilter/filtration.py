@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import Corpus
 from .errors import DomainError, IntegrityError, ParseError
@@ -137,8 +137,13 @@ def percentile_keep_set(scores: Mapping[str, float], q: float) -> set[str]:
         raise DomainError("cannot take percentiles of an empty score map")
     n = len(scores)
     keep_count = math.ceil((1.0 - q) * n)
-    ranked = sorted(scores, key=lambda pid: (scores[pid], pid))
+    ranked = sorted(scores, key=_rank(scores))
     return set(ranked[n - keep_count:])
+
+
+def _rank(scores: Mapping[str, float]) -> Callable[[str], tuple[float, str]]:
+    """The key `percentile_keep_set` ranks ids by: score, then id."""
+    return lambda pid: (scores[pid], pid)
 
 
 def intersect_filter(table: ScoreTable, q: float,
@@ -146,8 +151,9 @@ def intersect_filter(table: ScoreTable, q: float,
     """Keep the intersection of every scorer's top (1-q) percentile set.
 
     Pairs with a failure sentinel in any requested scorer column are dropped
-    before percentiles are computed; thresholds record the lowest kept score
-    per scorer.
+    before percentiles are computed; each scorer's threshold is the score of
+    its lowest-ranked kept pair, so a tie of -0.0 and 0.0 at the cut records
+    the same zero under every hash seed.
     """
     names = list(scorers) if scorers is not None else table.scorers
     if len(names) < 2:
@@ -165,7 +171,7 @@ def intersect_filter(table: ScoreTable, q: float,
     for name in names:
         restricted = {pid: columns[name][pid] for pid in population}
         keep = percentile_keep_set(restricted, q)
-        thresholds[name] = min(restricted[pid] for pid in keep)
+        thresholds[name] = restricted[min(keep, key=_rank(restricted))]
         kept = keep if kept is None else kept & keep
     assert kept is not None
     if not kept:

@@ -18,7 +18,8 @@ order:
 The `descriptor` handshake reply carries `"protocol": 2`; the client refuses a
 server that does not. Heavyweight model servers implement the same contract
 and can live in a different process (or container) from the pipeline.
-`python -m factfilter.remote --backend mock` serves any registered backend.
+`python -m factfilter.remote --backend mock` serves any registered backend,
+those that the file named by `FACTFILTER_BACKENDS` registers included.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import os
 import subprocess
 import sys
 from typing import Any, Callable, Iterable, Sequence, TextIO
@@ -39,6 +41,7 @@ from .backend import (
     DependencyArc,
     TokenEmbeddings,
     create_backend,
+    load_extra_backends,
     register_backend,
 )
 from .records import JSON_NUMBERS, JSON_OBJECTS, JSON_STRINGS, json_field, json_list
@@ -315,15 +318,27 @@ register_backend("remote", lambda command: RemoteBackend(command))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Serve until stdin closes, close the backend and end the process at once
+    with `os._exit(0)`, so the client's wait for it is short; `atexit`
+    handlers do not run. A configuration error is one stderr line and exit 1;
+    an error while serving propagates."""
     parser = argparse.ArgumentParser(
         prog="factfilter.remote",
         description="Serve a registered backend over stdin/stdout (line-delimited JSON).",
     )
     parser.add_argument("--backend", default="mock", help="registered backend id to serve")
     args = parser.parse_args(argv)
-    backend = create_backend(args.backend)
+    try:
+        load_extra_backends()
+        backend = create_backend(args.backend)
+    except errors.ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     serve(backend, sys.stdin, sys.stdout)
-    return 0
+    backend.close()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ class FactualityScore:
     truncated: bool
 
     def __post_init__(self) -> None:
-        _check_value(self.scorer, self.pair_id, self.value)
+        _check_value(self.scorer, self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,13 +78,14 @@ _VALUE_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
-def _check_value(scorer: str, pair_id: str, value: float) -> None:
-    """Raise `DomainError` unless `value` is finite and in `scorer`'s range."""
+def _check_value(scorer: str, value: float) -> float:
+    """`value`; a `DomainError` unless it is finite and in `scorer`'s range."""
     if not math.isfinite(value):
-        raise DomainError(f"score for pair {pair_id!r} is not finite")
+        raise DomainError(f"score {value} for scorer {scorer!r} is not finite")
     low, high = _VALUE_RANGES.get(scorer, (-math.inf, math.inf))
     if not low <= value <= high:
         raise DomainError(f"score {value} outside the valid range for scorer {scorer!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,7 +322,7 @@ class ScoreTable:
             if type(value) not in (float, int):  # rejects bool, an int subclass
                 raise TypeError(f"'value' must be a number or null, got {value!r}")
             value = float(value)
-            _check_value(scorer, pair_id, value)
+            _check_value(scorer, value)
         column = self._columns.setdefault(scorer, {})
         if pair_id in column:
             raise IntegrityError(f"duplicate score for pair {pair_id!r}, scorer {scorer!r}")
@@ -458,9 +459,10 @@ def score_texts(todo: Sequence[ScoringItem], backend: Backend,
 
     Yields, per item, its prepared pair or the per-pair error that stopped its
     preparation, and each named scorer's value or per-pair error (the
-    preparation error, if there was one). The items are scored in chunks of
-    at most `_CHUNK_CHARS` characters of text: each pair of a chunk is
-    prepared (tokenized and truncated) once for all its scorers, and each
+    preparation error, if there was one); a value that is not finite or lies
+    outside the scorer's range is a `DomainError`. The items are scored in
+    chunks of at most `_CHUNK_CHARS` characters of text: each pair of a chunk
+    is prepared (tokenized and truncated) once for all its scorers, and each
     scorer asks the backend for one op over the chunk at a time.
     """
     for chunk in _chunks(todo):
@@ -471,20 +473,16 @@ def score_texts(todo: Sequence[ScoringItem], backend: Backend,
                      if scorer in names and not isinstance(prepared[k], Exception)]
             values = SCORERS[scorer]([prepared[k] for k in ready], backend)
             for k, value in zip(ready, values, strict=True):
-                outcomes[k][scorer] = value
+                outcomes[k][scorer] = _per_pair(_check_value, scorer, value)
         for k, (_, names) in enumerate(chunk):
             yield prepared[k], {name: outcomes[k].get(name, prepared[k]) for name in names}
 
 
 def _cell(scorer: str, pair_id: str, d: BackendDescriptor,
           prepared: PreparedPair | Exception, outcome: float | Exception) -> ScoreCell:
-    if not isinstance(outcome, Exception):
-        try:
-            return FactualityScore(pair_id, scorer, d.name, d.version, outcome,
-                                   prepared.truncated)
-        except DomainError as exc:  # a value outside the scorer's range
-            outcome = exc
-    return ScoreFailure(pair_id, scorer, d.name, d.version, failure_reason(outcome))
+    if isinstance(outcome, Exception):
+        return ScoreFailure(pair_id, scorer, d.name, d.version, failure_reason(outcome))
+    return FactualityScore(pair_id, scorer, d.name, d.version, outcome, prepared.truncated)
 
 
 def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,

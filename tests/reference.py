@@ -83,6 +83,19 @@ def dae(document: str, summary: str, backend: Backend) -> float:
 # Each scorer on a prepared pair: the clipped document and the summary.
 SCORERS: dict[str, Callable[[str, str, Backend], float]] = {
     "greedy": greedy, "condll": condll, "dae": dae}
+# Each scorer's closed value range.
+RANGES = {"greedy": (-1.0, 1.0), "condll": (-np.inf, 0.0), "dae": (0.0, 1.0)}
+
+
+def checked(scorer: str, document: str, summary: str, backend: Backend) -> float:
+    """The scorer's value; a `DomainError` if it is not finite or out of range."""
+    value = SCORERS[scorer](document, summary, backend)
+    if not np.isfinite(value):
+        raise DomainError(f"score {value} for scorer {scorer!r} is not finite")
+    low, high = RANGES[scorer]
+    if not low <= value <= high:
+        raise DomainError(f"score {value} outside the valid range for scorer {scorer!r}")
+    return value
 
 
 def blanc(document: str, summary: str, backend: Backend) -> BlancScore:
@@ -131,7 +144,7 @@ def outcomes(document: str, summary: str, metrics: Iterable[str],
         elif isinstance(prepared, str):
             out[metric] = prepared
         else:
-            out[metric] = value_or_reason(SCORERS[metric], prepared[0], summary, backend)
+            out[metric] = value_or_reason(checked, metric, prepared[0], summary, backend)
     return out, isinstance(prepared, tuple) and prepared[1]
 
 

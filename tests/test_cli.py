@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -137,6 +138,43 @@ class TestScore:
         assert main(["score", "--in", str(toy), "--out", str(out),
                      "--scorers", "greedy", "--backend", "mock-wide"]) == 0
         assert len(out.read_text().splitlines()) == 50
+
+    def test_the_server_serves_an_env_registered_backend(self, tmp_path, toy,
+                                                         monkeypatch):
+        from factfilter import backend as backend_module
+
+        marker = tmp_path / "closed.txt"
+        registry = tmp_path / "extra_backends.py"
+        registry.write_text(
+            "import os\n"
+            "from factfilter.backend import MockBackend, register_backend\n"
+            "class Mine(MockBackend):\n"
+            "    def close(self):\n"
+            f"        with open({str(marker)!r}, 'a') as handle:\n"
+            "            handle.write(f'{os.getpid()}\\n')\n"
+            "register_backend('mine', Mine, replace=True)\n")
+        monkeypatch.setenv("FACTFILTER_BACKENDS", str(registry))
+        monkeypatch.setattr(backend_module, "_BACKENDS", dict(backend_module._BACKENDS))
+        served = tmp_path / "served.jsonl"
+        assert main(["score", "--in", str(toy), "--out", str(served),
+                     "--scorers", "greedy,condll,dae", "--backend", "remote",
+                     "--remote-command",
+                     f"{sys.executable} -m factfilter.remote --backend mine"]) == 0
+        # The server closed its backend before it exited, and `close` waited for that.
+        (server_pid,) = marker.read_text().split()
+        assert int(server_pid) != os.getpid()
+        in_process = tmp_path / "in_process.jsonl"
+        assert main(["score", "--in", str(toy), "--out", str(in_process),
+                     "--scorers", "greedy,condll,dae", "--backend", "mine"]) == 0
+        assert served.read_bytes() == in_process.read_bytes()
+
+    def test_the_server_reports_a_configuration_error_in_one_line(self):
+        done = subprocess.run([sys.executable, "-m", "factfilter.remote", "--backend", "nope"],
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              timeout=60, check=False)
+        assert done.returncode == 1
+        assert done.stderr == ("configuration error: unknown backend 'nope'; "
+                               "registered: mock, remote\n")
 
 
 class TestBackendLifetime:
@@ -403,6 +441,20 @@ class TestSweepCommand:
         assert "no scores for scorer 'bogus'" in capsys.readouterr().err
         assert selections == []
         assert not out.exists()
+
+    def test_unknown_single_scorer_asks_the_backend_for_nothing(self, tmp_path, toy,
+                                                                monkeypatch):
+        from factfilter import backend as backend_module
+        from faults import FaultBackend
+
+        opened = []
+        monkeypatch.setitem(backend_module._BACKENDS, "fault",
+                            lambda: opened.append(FaultBackend()) or opened[-1])
+        assert main(["sweep", "--in", str(toy), "--scores", str(_score(tmp_path, toy)),
+                     "--out", str(tmp_path / "sweep.csv"),
+                     "--strategies", "combined,random,single:bogus",
+                     "--backend", "fault"]) == 1
+        assert [request for backend in opened for request in backend.requests] == []
 
     @pytest.mark.parametrize("flags, code, message", [
         (["--thresholds", "0.4,0.4"], 2, "thresholds must be strictly ascending"),

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import ast
 import logging
+import math
 from pathlib import Path
 
 import pytest
 
-from factfilter import evaluate_outputs, score_corpus
+import reference
+from factfilter import MockBackend, evaluate_outputs, score_corpus
+from factfilter.cli import main
 from factfilter.errors import PER_PAIR_ERRORS, TransportError
 from factfilter.experiments import mock_train_eval_hook
 from factfilter.scorers import ScoreFailure
@@ -67,6 +70,38 @@ def test_one_failure_policy(consumer, error, marker, op, caplog):
         return
     assert consumer(_corpus(bad_document), backend, caplog) == [
         f"{error.__name__}: fatal on {bad_document!r}"]
+
+
+class NanEntailment(MockBackend):
+    """Entails no arc of a document that holds "storm": its probabilities are NaN."""
+
+    def arc_entailment_probs(self, document, arcs):
+        if "storm" in document.split():
+            return [math.nan] * len(arcs)
+        return super().arc_entailment_probs(document, arcs)
+
+
+def test_a_non_finite_value_fails_alike_in_every_consumer(tmp_path, caplog):
+    corpus = _corpus("the storm hit the harbor")
+    generated = {pair.id: pair.summary for pair in corpus}
+    backend = NanEntailment()
+    reason = "DomainError: score nan for scorer 'dae' is not finite"
+    assert [cell.reason for cell in score_corpus(corpus, ["dae"], backend)
+            if isinstance(cell, ScoreFailure)] == [reason]
+    report = evaluate_outputs(generated, corpus, backend, metrics=["dae"])
+    assert report.failures == {"dae": {"bad": reason}}
+    assert (report.per_pair, report.failures) == reference.evaluate(
+        generated, corpus, ["dae"], backend)
+    with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
+        means = mock_train_eval_hook(backend, ["dae"])(corpus)
+    assert (means, caplog.messages) == (
+        {"dae": 1.0}, [f"pair bad excluded from the dae mean: {reason}"])
+    assert reference.hook(corpus, ["dae"], backend) == (means, {("bad", "dae", reason)})
+    # `compare` reads the report that `evaluate` wrote.
+    report.to_csv(tmp_path / "report.csv")
+    assert main(["compare", "--report-a", str(tmp_path / "report.csv"),
+                 "--report-b", str(tmp_path / "report.csv"),
+                 "--out", str(tmp_path / "comparison.csv")]) == 0
 
 
 def _broad_handlers() -> tuple[list[str], list[str]]:

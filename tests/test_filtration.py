@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +105,33 @@ class TestIntersectFilter:
         })
         manifest = intersect_filter(table, 0.25)
         assert manifest.per_scorer_thresholds == {"s1": 0.2, "s2": 0.2}
+
+    def test_a_signed_zero_tie_at_the_cut_gives_the_same_bytes_under_every_hash_seed(
+            self, tmp_path):
+        # p2..p5 tie at zero with alternating signs; the cut keeps all four, and
+        # the threshold is the zero of the lowest-ranked one, p2.
+        script = tmp_path / "manifest.py"
+        script.write_text(
+            "import sys\n"
+            "from factfilter import ScoreTable, intersect_filter\n"
+            "table = ScoreTable('c')\n"
+            "columns = {'x': [-0.5, -0.25, 0.0, -0.0, 0.0, -0.0, 0.5, 1.0],\n"
+            "           'y': [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3]}\n"
+            "for scorer, values in columns.items():\n"
+            "    for i, value in enumerate(values):\n"
+            "        table.add_row({'pair_id': f'p{i}', 'scorer': scorer, 'value': value,\n"
+            "                       'backend_name': 'm', 'backend_version': '1'})\n"
+            "intersect_filter(table, 0.25).save(sys.argv[1])\n", encoding="utf-8")
+        written = []
+        # A `min` over the kept set returns -0.0 under one seed and 0.0 under the other.
+        for seed in ("0", "1"):
+            path = tmp_path / f"manifest-{seed}.json"
+            subprocess.run([sys.executable, str(script), str(path)], check=True, timeout=60,
+                           env={**os.environ, "PYTHONHASHSEED": seed})
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        threshold = FilterManifest.load(tmp_path / "manifest-0.json").per_scorer_thresholds["x"]
+        assert math.copysign(1.0, threshold) == 1.0
 
     def test_failures_dropped_before_percentiles(self):
         table = build_table("c", {
