@@ -289,19 +289,26 @@ def create_backend(name: str, **options) -> Backend:
 BACKEND_REGISTRY_ENV = "FACTFILTER_BACKENDS"
 
 
+# The resolved registry files this process has executed.
+_LOADED_REGISTRIES: set[Path] = set()
+
+
 def load_extra_backends() -> Path | None:
     """Import the backend-registration module that `BACKEND_REGISTRY_ENV`
-    names, if it is set; return its path."""
+    names, if it is set, once per process; return its path."""
     location = os.environ.get(BACKEND_REGISTRY_ENV)
     if not location:
         return None
     path = Path(location)
     if not path.exists():
         raise ConfigurationError(f"{BACKEND_REGISTRY_ENV} points to missing file {path}")
+    if path.resolve() in _LOADED_REGISTRIES:
+        return path
     spec = importlib.util.spec_from_file_location("factfilter_extra_backends", path)
     if spec is None or spec.loader is None:
         raise ConfigurationError(f"cannot import backend registry {path}")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    _LOADED_REGISTRIES.add(path.resolve())
     return path
 
 

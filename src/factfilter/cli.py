@@ -15,7 +15,7 @@ import logging
 import shlex
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from . import remote  # noqa: F401  (registers the remote backend)
 from .backend import Backend, create_backend, load_extra_backends
@@ -45,7 +45,7 @@ from .filtration import FilterManifest, apply_manifest, intersect_filter
 from .metrics import ALL_METRICS, EvalReport, evaluate_outputs
 from .records import read_jsonl, write_csv
 from .scorers import SCORERS, ScoreTable, load_scores, score_corpus_to_file
-from .validation import flip_analysis, load_annotations, validate_scorer
+from .validation import flip_analysis, load_annotations, validate_slices
 
 logger = logging.getLogger("factfilter")
 
@@ -225,21 +225,12 @@ def _cmd_validate_frank(args: argparse.Namespace) -> None:
     annotations = load_annotations(args.annotations)
     table = load_scores(args.scores, "annotations")
     scorer_names = _scorer_names(args, table)
-    present = sorted({a.source_dataset for a in annotations})
-    slices: list[str | None] = list(present)
-    if len(present) > 1:
-        slices.append(None)  # pooled
-
-    def rows() -> Iterator[list[str]]:
-        for scorer in scorer_names:
-            scores = table.values(scorer)
-            for dataset in slices:
-                result = validate_scorer(scores, annotations, dataset)
-                yield [scorer, dataset or "all", repr(float(result.r)),
-                       str(result.n), str(result.n_covariates)]
-
+    results = validate_slices(((name, table.values(name)) for name in scorer_names),
+                              annotations)
     _write_config_echo(args.out, args)
-    write_csv(args.out, ["scorer", "dataset", "r", "n", "n_covariates"], rows())
+    write_csv(args.out, ["scorer", "dataset", "r", "n", "n_covariates"],
+              ([scorer, dataset or "all", repr(float(result.r)), str(result.n),
+                str(result.n_covariates)] for scorer, dataset, result in results))
     logger.info("wrote scorer validation to %s", args.out)
 
 

@@ -99,10 +99,13 @@ def distribution_report(table: ScoreTable) -> list[DistributionSummary]:
     table.ensure_aligned()
     summaries: list[DistributionSummary] = []
     for scorer in table.scorers:
-        values = table.values(scorer)
-        if not values:
+        arr = table.column(scorer).array
+        # Adding 0.0 reads -0.0 as 0.0, the one value whose place among equal
+        # values would show in a quantile or a bin edge: no summary then
+        # depends on the row order.
+        arr = arr[~np.isnan(arr)] + 0.0
+        if not arr.size:
             raise DomainError(f"scorer column {scorer!r} has no successful scores")
-        arr = np.asarray([values[pid] for pid in sorted(values)], dtype=np.float64)
         q = np.quantile(arr, [0.0, 0.25, 0.5, 0.75, 1.0])
         counts, edges = np.histogram(arr, bins=DEFAULT_HISTOGRAM_BINS)
         bins = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
@@ -235,16 +238,16 @@ def table_eval_hook(corpus: Corpus, table: ScoreTable, backend: Backend) -> Eval
         means = dict(computed(selection))
         for metric in reused:
             column = table.column(metric)
-            values = []
-            for pair in selection:
-                if not isinstance(value := column[pair.id], str):
-                    values.append(value)
-                elif (pair.id, metric) not in logged:
-                    logged.add((pair.id, metric))
+            rows = [column.index[pair.id] for pair in selection]
+            values = column.array[rows]
+            scored = ~np.isnan(values)
+            for row in np.asarray(rows, dtype=np.intp)[~scored]:
+                if (pair_id := column.ids[row], metric) not in logged:
+                    logged.add((pair_id, metric))
                     logger.debug("pair %s excluded from the %s mean: %s",
-                                 pair.id, metric, value)
-            if values:
-                means[metric] = float(np.mean(np.asarray(values, dtype=np.float64)))
+                                 pair_id, metric, column.reasons[row])
+            if scored.any():
+                means[metric] = float(np.mean(values[scored]))
         return means
 
     return hook

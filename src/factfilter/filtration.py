@@ -14,7 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import DomainError, IntegrityError, ParseError
@@ -131,19 +133,33 @@ def percentile_keep_set(scores: Mapping[str, float], q: float) -> set[str]:
     Ties at the cutoff are broken deterministically by ascending id: among
     equal scores, smaller ids are dropped first.
     """
+    ids = list(scores)
+    values = np.fromiter(scores.values(), dtype=np.float64, count=len(ids))
+    return {ids[row] for row in _keep_rows(values, _id_ranks(ids)[1], q)}
+
+
+def _id_ranks(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of `ids` in ascending code-point order of the ids, and
+    each position's place in that order. Python's `sorted`, not a numpy
+    string array, which would drop trailing NULs."""
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size)
+    return order, ranks
+
+
+def _keep_rows(values: np.ndarray, id_ranks: np.ndarray, q: float) -> np.ndarray:
+    """The rows of the ceil((1-q) * n) highest-ranked values, lowest-ranked
+    first. Rows rank by value, then by id (`id_ranks`); -0.0 ties 0.0."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"drop fraction q={q} outside (0, 1)")
-    if not scores:
+    n = values.size
+    if not n:
         raise DomainError("cannot take percentiles of an empty score map")
-    n = len(scores)
     keep_count = math.ceil((1.0 - q) * n)
-    ranked = sorted(scores, key=_rank(scores))
-    return set(ranked[n - keep_count:])
-
-
-def _rank(scores: Mapping[str, float]) -> Callable[[str], tuple[float, str]]:
-    """The key `percentile_keep_set` ranks ids by: score, then id."""
-    return lambda pid: (scores[pid], pid)
+    # numpy's sort compares floats as Python does, so -0.0 ties 0.0 and the
+    # id decides.
+    return np.lexsort((id_ranks, values))[n - keep_count:]
 
 
 def intersect_filter(table: ScoreTable, q: float,
@@ -159,34 +175,38 @@ def intersect_filter(table: ScoreTable, q: float,
     if len(names) < 2:
         raise DomainError("intersection filtering needs at least two scorers")
     table.ensure_aligned()
-    columns = {name: table.values(name) for name in names}
-    for name, column in columns.items():
-        if not column:
+    ids, values = table.aligned(names)
+    scored = ~np.isnan(values)
+    for name, column in zip(names, scored):
+        if not column.any():
             raise IntegrityError(f"scorer column {name!r} has no successful scores")
-    population = set.intersection(*(set(col) for col in columns.values()))
-    if not population:
+    population = np.flatnonzero(scored.all(axis=0))
+    if not population.size:
         raise DomainError("no pair was successfully scored by every scorer")
-    kept: set[str] | None = None
+    ids = [ids[row] for row in population]
+    order, ranks = _id_ranks(ids)
+    kept = np.ones(len(ids), dtype=bool)
     thresholds: dict[str, float] = {}
-    for name in names:
-        restricted = {pid: columns[name][pid] for pid in population}
-        keep = percentile_keep_set(restricted, q)
-        thresholds[name] = restricted[min(keep, key=_rank(restricted))]
-        kept = keep if kept is None else kept & keep
-    assert kept is not None
-    if not kept:
+    for name, column in zip(names, values[:, population]):
+        keep = _keep_rows(column, ranks, q)
+        thresholds[name] = float(column[keep[0]])
+        kept_here = np.zeros_like(kept)
+        kept_here[keep] = True
+        kept &= kept_here
+    if not kept.any():
         raise DomainError(
-            f"q={q} leaves an empty intersection over {len(population)} pairs"
+            f"q={q} leaves an empty intersection over {len(ids)} pairs"
         )
-    n = len(population)
+    kept_ids = tuple(ids[row] for row in order[kept[order]])
+    n = len(ids)
     return FilterManifest(
         corpus_name=table.corpus_name,
         scorer_names=tuple(names),
         q=q,
         per_scorer_thresholds=thresholds,
-        kept_ids=tuple(sorted(kept)),
+        kept_ids=kept_ids,
         n_pairs=n,
-        selection_ratio=len(kept) / n,
+        selection_ratio=len(kept_ids) / n,
         created_with=table.backend_descriptors(),
     )
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import json
 import os
 import subprocess
@@ -114,7 +115,9 @@ def _reply(backend: Backend, op: Any, args: dict[str, Any]) -> dict[str, Any]:
 
 
 def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
-    """Answer protocol requests until the input stream closes."""
+    """Answer protocol requests until the input stream closes. A request that
+    fails with an exception that is no toolkit error gets a `BackendError`
+    reply (`_fault`), and the server reads on."""
     for line in in_stream:
         line = line.strip()
         if not line:
@@ -122,10 +125,23 @@ def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
         try:
             request = json.loads(line)
             response = _reply(backend, request.get("op"), request.get("args", {}))
-        except Exception as exc:  # malformed request; keep the server alive
-            response = {"error": {"type": "BackendError", "message": f"bad request: {exc}"}}
+        except Exception as exc:  # a malformed request or a backend fault; keep serving
+            response = {"error": {"type": "BackendError", "message": _fault(exc)}}
         out_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
         out_stream.flush()
+
+
+def _fault(exc: Exception) -> str:
+    """`bad request: <message>` for a request that does not decode: it is not
+    JSON, or this module raised `exc` while reading its fields. Otherwise a
+    backend op raised it: `<Type>: <message>`."""
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_next is not None:
+        tb = tb.tb_next
+    if isinstance(exc, json.JSONDecodeError) or (
+            tb is not None and tb.tb_frame.f_globals.get("__name__") == __name__):
+        return f"bad request: {exc}"
+    return f"{type(exc).__name__}: {exc}"
 
 
 _DESCRIPTOR_FIELDS = {"name": str, "version": str, "deterministic": bool, "max_tokens": int}
@@ -233,7 +249,7 @@ class RemoteBackend(Backend):
             self._descriptor = self._call("descriptor")
         except errors.FactFilterError:  # a failed handshake leaves no server behind
             self._proc.kill()
-            self._proc.wait()
+            self.close()
             raise
 
     @property
@@ -279,19 +295,24 @@ class RemoteBackend(Backend):
         return out
 
     def close(self) -> None:
-        """Close the server's input and wait for it to exit. A server still
-        running `_CLOSE_TIMEOUT_S` seconds later is killed: a `TransportError`."""
-        if self._proc.poll() is None:
-            if self._proc.stdin is not None:
-                self._proc.stdin.close()
-            try:
-                self._proc.wait(timeout=_CLOSE_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-                raise errors.TransportError(
-                    f"backend process still running {_CLOSE_TIMEOUT_S} s after its "
-                    f"input closed; killed it") from None
+        """Close the server's input, wait for it to exit and close its output.
+        A server still running `_CLOSE_TIMEOUT_S` seconds later is killed: a
+        `TransportError`. Both pipes are closed on every path."""
+        proc = self._proc
+        assert proc.stdin is not None and proc.stdout is not None
+        try:
+            # A request still buffered for a server that has exited is dropped.
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            proc.wait(timeout=_CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise errors.TransportError(
+                f"backend process still running {_CLOSE_TIMEOUT_S} s after its "
+                f"input closed; killed it") from None
+        finally:
+            proc.stdout.close()
 
     def tokenize(self, text: str) -> list[str]:
         return self._call("tokenize", text)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -86,6 +88,13 @@ def _check_value(scorer: str, value: float) -> float:
     if not low <= value <= high:
         raise DomainError(f"score {value} outside the valid range for scorer {scorer!r}")
     return value
+
+
+# `_VALUE_RANGES` with each infinite end replaced by the largest finite float,
+# so one chained comparison also rejects a value that is not finite.
+_FINITE_RANGES = {scorer: (max(low, -sys.float_info.max), min(high, sys.float_info.max))
+                  for scorer, (low, high) in _VALUE_RANGES.items()}
+_ANY_FINITE = (-sys.float_info.max, sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,19 +289,62 @@ SCORERS: dict[str, ChunkScorer] = {
 }
 
 
-class ScoreTable:
-    """Per-pair, per-scorer score columns with provenance checks.
+class ScoreColumn(Mapping[str, Union[float, str]]):
+    """One scorer's cells in file order, read as a mapping: pair id -> float
+    score, or the str failure reason of a sentinel row.
 
-    A column maps each pair id to a float, its score, or to a str, the failure
-    reason of a sentinel row. Next to each column the table keeps the
-    column's backend provenance `(name, version)`. Every cell enters through
-    `add_row`.
+    It holds the id -> row `index` (which also gives the ids in file order,
+    `ids`), each row's value (NaN at a sentinel row), the sentinel `reasons`
+    by row and the column's backend `provenance` `(name, version)`. `ids` and
+    `array`, the values as a read-only float64 array, are built when first
+    read after a row was added.
     """
+
+    __slots__ = ("index", "reasons", "provenance", "_values", "_ids", "_array")
+
+    def __init__(self, provenance: tuple[str, str]):
+        self.index: dict[str, int] = {}
+        self.reasons: dict[int, str] = {}
+        self.provenance = provenance
+        self._values = array("d")
+        self._ids: list[str] = []
+        self._array = np.empty(0)
+
+    def __getitem__(self, pair_id: str) -> float | str:
+        row = self.index[pair_id]
+        value = self._values[row]
+        return self.reasons[row] if value != value else value
+
+    def __contains__(self, pair_id: object) -> bool:
+        return pair_id in self.index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def ids(self) -> list[str]:
+        if len(self._ids) != len(self.index):
+            self._ids = list(self.index)
+        return self._ids
+
+    @property
+    def array(self) -> np.ndarray:
+        if len(self._array) != len(self._values):
+            self._array = np.array(self._values, dtype=np.float64)
+            self._array.flags.writeable = False
+        return self._array
+
+
+class ScoreTable:
+    """Per-pair, per-scorer score columns (`ScoreColumn`), each from one
+    backend provenance. Every cell enters through `add_row`."""
 
     def __init__(self, corpus_name: str):
         self.corpus_name = corpus_name
-        self._columns: dict[str, dict[str, float | str]] = {}
-        self._provenance: dict[str, tuple[str, str]] = {}
+        self._columns: dict[str, ScoreColumn] = {}
 
     @property
     def scorers(self) -> list[str]:
@@ -319,28 +371,39 @@ class ScoreTable:
         if not isinstance(truncated, bool):
             raise TypeError(f"'truncated' must be true or false, got {truncated!r}")
         if value is not None:
-            if type(value) not in (float, int):  # rejects bool, an int subclass
-                raise TypeError(f"'value' must be a number or null, got {value!r}")
-            value = float(value)
-            _check_value(scorer, value)
-        column = self._columns.setdefault(scorer, {})
-        if pair_id in column:
+            if type(value) is not float:
+                if type(value) is not int:  # rejects bool, an int subclass
+                    raise TypeError(f"'value' must be a number or null, got {value!r}")
+                value = float(value)
+            low, high = _FINITE_RANGES.get(scorer, _ANY_FINITE)
+            if not low <= value <= high:
+                _check_value(scorer, value)  # raises the DomainError that says why
+        column = self._columns.get(scorer)
+        if column is None:
+            column = self._columns[scorer] = ScoreColumn(provenance)
+        index = column.index
+        if pair_id in index:
             raise IntegrityError(f"duplicate score for pair {pair_id!r}, scorer {scorer!r}")
-        existing = self._provenance.setdefault(scorer, provenance)
-        if existing != provenance:
+        if column.provenance != provenance:
+            existing = column.provenance
             raise IntegrityError(
                 f"column {scorer!r} mixes backends "
                 f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}"
             )
-        column[pair_id] = reason if value is None else value
+        if value is None:
+            column.reasons[len(index)] = reason
+            value = math.nan
+        index[pair_id] = len(index)
+        column._values.append(value)
 
     def add(self, cell: ScoreCell) -> None:
         self.add_row(_cell_to_row(cell))
 
     def has(self, pair_id: str, scorer: str) -> bool:
-        return pair_id in self._columns.get(scorer, {})
+        column = self._columns.get(scorer)
+        return column is not None and pair_id in column.index
 
-    def column(self, scorer: str) -> Mapping[str, float | str]:
+    def column(self, scorer: str) -> ScoreColumn:
         try:
             return self._columns[scorer]
         except KeyError:
@@ -348,41 +411,49 @@ class ScoreTable:
 
     def values(self, scorer: str) -> dict[str, float]:
         """Successful scores only; sentinel rows are excluded."""
-        return {pid: v for pid, v in self.column(scorer).items() if not isinstance(v, str)}
+        column = self.column(scorer)
+        return {pid: v for pid, v in zip(column.index, column._values) if v == v}
 
     def failures(self, scorer: str) -> dict[str, str]:
-        return {pid: v for pid, v in self.column(scorer).items() if isinstance(v, str)}
+        column = self.column(scorer)
+        return {column.ids[row]: reason for row, reason in column.reasons.items()}
 
     def ids(self) -> set[str]:
-        out: set[str] = set()
-        for column in self._columns.values():
-            out.update(column)
-        return out
+        return set().union(*(column.index for column in self._columns.values()))
 
     def backend_descriptors(self) -> dict[str, dict[str, str]]:
-        return {scorer: {"name": name, "version": version}
-                for scorer, (name, version) in self._provenance.items()}
+        return {scorer: {"name": column.provenance[0], "version": column.provenance[1]}
+                for scorer, column in self._columns.items()}
 
     def ensure_aligned(self) -> None:
         """Check that every column covers the same pair id set."""
         if not self._columns:
             raise IntegrityError("score table has no columns")
-        reference: set[str] | None = None
+        reference = next(iter(self._columns.values()))
         for scorer, column in self._columns.items():
-            if not column:
-                raise IntegrityError(f"scorer column {scorer!r} is empty")
-            ids = set(column)
-            if reference is None:
-                reference = ids
-            elif ids != reference:
+            if column is not reference and column.ids != reference.ids and (
+                    len(column) != len(reference)
+                    or not all(map(reference.index.__contains__, column.ids))):
                 raise IntegrityError(
                     f"scorer column {scorer!r} covers a different pair id set"
                 )
 
+    def aligned(self, scorers: Sequence[str]) -> tuple[list[str], np.ndarray]:
+        """The first scorer's ids in file order, and one float64 row per scorer
+        holding its value for each of those ids, NaN at a sentinel. Every
+        column must cover the first one's ids (see `ensure_aligned`)."""
+        columns = [self.column(scorer) for scorer in scorers]
+        ids = columns[0].ids
+        out = np.empty((len(columns), len(ids)))
+        for row, column in zip(out, columns):
+            row[:] = column.array if column.ids == ids else \
+                column.array[[column.index[pair_id] for pair_id in ids]]
+        return ids, out
+
     def ensure_complete(self, pair_ids: Iterable[str]) -> None:
         wanted = set(pair_ids)
         for scorer, column in self._columns.items():
-            missing = wanted - set(column)
+            missing = wanted.difference(column.index)
             if missing:
                 raise IntegrityError(
                     f"scorer column {scorer!r} missing {len(missing)} pairs "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -128,16 +128,52 @@ def load_annotations(path: str | Path,
     return annotations
 
 
-def _system_indicators(annotations: Sequence[FactualityAnnotation]) -> np.ndarray:
-    """One indicator column per generating system, first level dropped."""
-    systems = sorted({a.system_id for a in annotations})
-    columns = {system: col for col, system in enumerate(systems[1:])}
-    z = np.zeros((len(annotations), len(columns)), dtype=np.float64)
-    for row, annotation in enumerate(annotations):
-        col = columns.get(annotation.system_id)
-        if col is not None:
-            z[row, col] = 1.0
-    return z
+def _system_indicators(systems: np.ndarray) -> np.ndarray:
+    """One indicator column per generating system in sorted order, first
+    level dropped; `systems` holds each row's system (its name or a code
+    that sorts as the names do)."""
+    levels, codes = np.unique(systems, return_inverse=True)
+    return (codes[:, None] == np.arange(1, len(levels))).astype(np.float64)
+
+
+class _Frame:
+    """Annotations as aligned arrays, one row per annotation in order: ids,
+    dataset names, system codes (in sorted system order), factuality, and
+    the flags of `CATEGORIES` as columns."""
+
+    def __init__(self, annotations: Sequence[FactualityAnnotation]):
+        self.ids = [a.summary_id for a in annotations]
+        self.datasets = np.array([a.source_dataset for a in annotations], dtype=object)
+        self.systems = np.unique(np.array([a.system_id for a in annotations], dtype=object),
+                                 return_inverse=True)[1]
+        self.factuality = np.array([a.factuality for a in annotations], dtype=np.float64)
+        self.flags = np.array([[a.category_flags[c] for c in CATEGORIES] for a in annotations],
+                              dtype=bool).reshape(-1, len(CATEGORIES))
+
+    def scores(self, scores: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+        """Each annotation's score (0.0 where it has none) and whether it has one."""
+        scored = np.array([sid in scores for sid in self.ids], dtype=bool)
+        x = np.array([scores[sid] if ok else 0.0 for sid, ok in zip(self.ids, scored)],
+                     dtype=np.float64)
+        return x, scored
+
+    def covered(self, scored: np.ndarray, dataset: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the `dataset` slice (None: every row) that have a score,
+        and their system indicators. An empty slice is a `DomainError`, and
+        score coverage below `COVERAGE_FLOOR` a `CoverageError`."""
+        in_slice = np.ones(len(self.ids), dtype=bool) if dataset is None \
+            else self.datasets == dataset
+        n = int(in_slice.sum())
+        if not n:
+            raise DomainError(f"no annotations in slice {dataset!r}")
+        missing = [self.ids[row] for row in np.flatnonzero(in_slice & ~scored)]
+        coverage = 1.0 - len(missing) / n
+        if coverage < COVERAGE_FLOOR:
+            raise CoverageError(
+                f"score coverage {coverage:.1%} below {COVERAGE_FLOOR:.0%} "
+                f"for slice {dataset!r}", missing)
+        rows = np.flatnonzero(in_slice & scored)
+        return rows, _system_indicators(self.systems[rows])
 
 
 def validate_scorer(scores: Mapping[str, float],
@@ -150,45 +186,52 @@ def validate_scorer(scores: Mapping[str, float],
     score coverage of at least 95% of the slice; covered annotations missing
     a score are excluded pairwise.
     """
-    sliced = [a for a in annotations
-              if dataset is None or a.source_dataset == dataset]
-    if not sliced:
-        raise DomainError(f"no annotations in slice {dataset!r}")
-    missing = [a.summary_id for a in sliced if a.summary_id not in scores]
-    coverage = 1.0 - len(missing) / len(sliced)
-    if coverage < COVERAGE_FLOOR:
-        raise CoverageError(
-            f"score coverage {coverage:.1%} below {COVERAGE_FLOOR:.0%} "
-            f"for slice {dataset!r}", missing)
-    covered = [a for a in sliced if a.summary_id in scores]
-    x = np.array([scores[a.summary_id] for a in covered], dtype=np.float64)
-    y = np.array([a.factuality for a in covered], dtype=np.float64)
-    return partial_pearson(x, y, _system_indicators(covered))
+    frame = _Frame(annotations)
+    x, scored = frame.scores(scores)
+    rows, z = frame.covered(scored, dataset)
+    return partial_pearson(x[rows], frame.factuality[rows], z)
+
+
+def validate_slices(scores_by_scorer: Iterable[tuple[str, Mapping[str, float]]],
+                    annotations: Sequence[FactualityAnnotation],
+                    ) -> Iterator[tuple[str, str | None, PartialCorrelationResult]]:
+    """`validate_scorer` for each `(scorer, scores)` in turn, over each source
+    dataset present in `annotations` and then, when there are several, over
+    all of them pooled (None)."""
+    frame = _Frame(annotations)
+    present = sorted(set(frame.datasets))
+    slices: list[str | None] = [*present, None] if len(present) > 1 else list(present)
+    for scorer, scores in scores_by_scorer:
+        x, scored = frame.scores(scores)
+        for dataset in slices:
+            rows, z = frame.covered(scored, dataset)
+            yield scorer, dataset, partial_pearson(x[rows], frame.factuality[rows], z)
+
+
+def _flipped_factuality(flags: np.ndarray, factuality: np.ndarray,
+                        category: str) -> np.ndarray:
+    """Each judgment recomposed after negating `category`'s flag: 1 when no
+    category remains flagged; the existing judgment when an originally-set
+    flag in another category survives the flip; 0 when the flipped category
+    is the only flag left."""
+    k = CATEGORIES.index(category)
+    others = np.delete(flags, k, axis=1).any(axis=1)
+    return np.where(others, factuality, np.where(flags[:, k], 1.0, 0.0))
 
 
 def flip_labels(annotations: Sequence[FactualityAnnotation],
                 category: str) -> list[FactualityAnnotation]:
-    """Negate one category's flags and recompose factuality.
-
-    Recomposition: 1 when no category remains flagged; the annotation's
-    existing judgment when any originally-set flag in another category
-    survives the flip; 0 when the flipped category is the only flag left.
-    The flag flip is an involution; the recomposed judgment is not.
+    """Negate one category's flags and recompose factuality
+    (`_flipped_factuality`). The flag flip is an involution; the recomposed
+    judgment is not.
     """
     if category not in CATEGORIES:
         raise DomainError(f"unknown error category {category!r}")
-    flipped: list[FactualityAnnotation] = []
-    for annotation in annotations:
-        flags = dict(annotation.category_flags)
-        flags[category] = not flags[category]
-        if not any(flags.values()):
-            factuality = 1.0
-        elif any(annotation.category_flags[c] for c in CATEGORIES if c != category):
-            factuality = annotation.factuality
-        else:
-            factuality = 0.0
-        flipped.append(replace(annotation, category_flags=flags, factuality=factuality))
-    return flipped
+    frame = _Frame(annotations)
+    factuality = _flipped_factuality(frame.flags, frame.factuality, category)
+    return [replace(a, factuality=float(value), category_flags={
+                **a.category_flags, category: not a.category_flags[category]})
+            for a, value in zip(annotations, factuality)]
 
 
 @dataclass(frozen=True)
@@ -229,25 +272,21 @@ def flip_analysis(scores_by_scorer: Mapping[str, Mapping[str, float]],
     each source dataset present in `annotations`.
 
     Original and flipped correlations are computed over identical annotation
-    id sets (flipping never changes ids), so the delta isolates the label
-    change.
+    rows (flipping changes only the judgments), so the delta isolates the
+    label change.
     """
-    datasets = sorted({a.source_dataset for a in annotations})
-    # The flipped labels depend on the category alone, not the scorer or slice.
-    ids = [a.summary_id for a in annotations]
-    flipped_by_category: dict[str, list[FactualityAnnotation]] = {}
-    for category in CATEGORIES:
-        flipped = flip_labels(annotations, category)
-        if [a.summary_id for a in flipped] != ids:
-            raise IntegrityError(f"flipping {category!r} changed the annotation id order")
-        flipped_by_category[category] = flipped
+    frame = _Frame(annotations)
+    flipped = {category: _flipped_factuality(frame.flags, frame.factuality, category)
+               for category in CATEGORIES}
     rows: list[FlipRow] = []
     for scorer in sorted(scores_by_scorer):
-        scores = scores_by_scorer[scorer]
-        for dataset in datasets:
-            r_original = validate_scorer(scores, annotations, dataset).r
+        x, scored = frame.scores(scores_by_scorer[scorer])
+        for dataset in sorted(set(frame.datasets)):
+            covered, z = frame.covered(scored, dataset)
+            x_covered = x[covered]
+            r_original = partial_pearson(x_covered, frame.factuality[covered], z).r
             for category in CATEGORIES:
-                r_flipped = validate_scorer(scores, flipped_by_category[category], dataset).r
+                r_flipped = partial_pearson(x_covered, flipped[category][covered], z).r
                 rows.append(FlipRow(scorer=scorer, dataset=dataset, category=category,
                                     r_original=r_original, r_flipped=r_flipped))
     return FlipReport(rows)

@@ -6,10 +6,14 @@ It asks a backend for one single op at a time, never through `Backend.map`,
 and takes from `factfilter.scorers` and `factfilter.metrics` only BLANC's
 definitions, so a fault in the chunk code cannot hide in it too
 (`test_oracle.py` checks both).
+
+`keep_set` and `intersect` are the filtration oracle: the percentile cut and
+the intersection as sorts and set algebra over dicts (`test_filtration.py`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -191,3 +195,31 @@ def hook(selection: Iterable, metrics: Sequence[str], backend: Backend) -> tuple
     means = {metric: float(np.mean(np.asarray(v, dtype=np.float64)))
              for metric, v in values.items() if v}
     return means, excluded
+
+
+def keep_set(scores: Mapping[str, float], q: float) -> set[str]:
+    """The ids of the ceil((1-q) * n) highest entries, ranked by (score, id)."""
+    n = len(scores)
+    keep_count = math.ceil((1.0 - q) * n)
+    return set(sorted(scores, key=lambda pid: (scores[pid], pid))[n - keep_count:])
+
+
+def intersect(columns: Mapping[str, Mapping[str, float | str]],
+              q: float) -> tuple[tuple[str, ...], dict[str, float], int]:
+    """`intersect_filter` over columns of float scores and str sentinels: the
+    sorted kept ids, each column's threshold (the score of its lowest-ranked
+    kept id) and the population size. The population is the ids every column
+    scored; an empty one, or an empty intersection, keeps nothing."""
+    scored = {name: {pid: v for pid, v in column.items() if not isinstance(v, str)}
+              for name, column in columns.items()}
+    population = set.intersection(*(set(column) for column in scored.values()))
+    kept = set(population)
+    thresholds = {}
+    for name, column in scored.items():
+        restricted = {pid: column[pid] for pid in population}
+        if not restricted:
+            break
+        keep = keep_set(restricted, q)
+        thresholds[name] = restricted[min(keep, key=lambda pid: (restricted[pid], pid))]
+        kept &= keep
+    return tuple(sorted(kept)), thresholds, len(population)

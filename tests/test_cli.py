@@ -168,6 +168,23 @@ class TestScore:
                      "--scorers", "greedy,condll,dae", "--backend", "mine"]) == 0
         assert served.read_bytes() == in_process.read_bytes()
 
+    def test_a_registry_runs_once_per_process(self, tmp_path, toy, monkeypatch):
+        from factfilter import backend as backend_module
+
+        registry = tmp_path / "extra_backends.py"
+        registry.write_text(
+            "from factfilter.backend import MockBackend, register_backend\n"
+            "register_backend('once', MockBackend)\n")  # no replace=True
+        monkeypatch.setenv("FACTFILTER_BACKENDS", str(registry))
+        monkeypatch.setattr(backend_module, "_BACKENDS", dict(backend_module._BACKENDS))
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"scores-{run}.jsonl"
+            assert main(["score", "--in", str(toy), "--out", str(out),
+                         "--scorers", "greedy", "--backend", "once"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_the_server_reports_a_configuration_error_in_one_line(self):
         done = subprocess.run([sys.executable, "-m", "factfilter.remote", "--backend", "nope"],
                               stdin=subprocess.DEVNULL, capture_output=True, text=True,
@@ -922,6 +939,75 @@ class TestLingeringServer:
                      "--backend", "remote", "--remote-command", " ".join(command)])
         assert code == 3
         assert "still running" in capsys.readouterr().err
+
+
+def test_remote_runs_release_every_pipe(tmp_path, toy, monkeypatch):
+    """A remote `score` and a failed handshake leave no unclosed pipe and no
+    running server for the garbage collector to find."""
+    import gc
+    import warnings
+
+    from factfilter.errors import TransportError
+    from factfilter.remote import RemoteBackend
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["score", "--in", str(toy), "--out", str(tmp_path / "scores.jsonl"),
+                     "--scorers", "greedy", "--backend", "remote", "--remote-command",
+                     f"{sys.executable} -m factfilter.remote --backend mock"]) == 0
+        with pytest.raises(TransportError, match="unparseable reply"):
+            RemoteBackend([sys.executable, "-c", "print('no handshake')"])
+        gc.collect()
+    assert [f"{u.exc_type.__name__}: {u.exc_value}" for u in unraisable] == []
+
+
+class TestServerFaults:
+    """The server names an exception a backend op raises by its type; only a
+    request that does not decode is a bad request. Both are `BackendError`
+    replies, and the client exits 3."""
+
+    def test_replies(self):
+        import io
+
+        from factfilter.remote import serve
+        from faults import FaultBackend
+
+        requests = ['{"op": "embed_tokens", "args": {"text": "a FATAL b"}}',
+                    '{"op": "batch", "args": {"op": "tokenize", '
+                    '"calls": [{"text": "a"}, {"text": "TOKFATAL"}]}}',
+                    "not json", '["op"]', '{"op": "tokenize", "args": {}}',
+                    '{"op": "tokenize", "args": {"text": "TOKFAIL"}}']
+        out = io.StringIO()
+        serve(FaultBackend(), io.StringIO("\n".join(requests) + "\n"), out)
+        errors = [json.loads(line)["error"] for line in out.getvalue().splitlines()]
+        assert {error["type"] for error in errors} == {"BackendError"}
+        assert [error["message"] for error in errors] == [
+            "RuntimeError: fatal on 'a FATAL b'",
+            "RuntimeError: fatal on 'TOKFATAL'",
+            "bad request: Expecting value: line 1 column 1 (char 0)",
+            "bad request: 'list' object has no attribute 'get'",
+            "bad request: 'text'",
+            "cannot tokenize 'TOKFAIL'"]
+
+    def test_score_exits_three_naming_the_fault(self, tmp_path, capsys):
+        import faults
+
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps({"id": i, "document": d, "summary": s,
+                                              "split": "test", "meta": {}}) + "\n"
+                                  for i, d, s in [("ok", "alpha beta", "alpha"),
+                                                  ("oom", "alpha FATAL beta", "alpha")]),
+                          encoding="utf-8")
+        out = tmp_path / "scores.jsonl"
+        code = main(["score", "--in", str(corpus), "--out", str(out), "--scorers", "greedy",
+                     "--backend", "remote", "--remote-command",
+                     f"{sys.executable} {faults.__file__} 512"])
+        assert code == 3
+        assert "backend error: RuntimeError: fatal on 'alpha FATAL beta'" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_transport_error_is_never_per_pair():

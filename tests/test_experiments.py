@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 from collections import Counter
@@ -52,6 +53,34 @@ class TestDistributionReport:
         (summary,) = distribution_report(table)
         assert len(summary.bins) == DEFAULT_HISTOGRAM_BINS
         assert sum(count for _, _, count in summary.bins) == 100
+
+
+    def test_summaries_do_not_depend_on_row_order(self):
+        # The median of the last four cells is -0.0 or 0.0, by which zeros land
+        # in the middle, unless -0.0 reads as 0.0.
+        cells = [("a", -0.0), ("b", 0.0), ("c", -0.0), ("d", 1.0), ("e", None)]
+        reports = set()
+        for order in itertools.permutations(cells):
+            table = ScoreTable("c")
+            for pair_id, value in order:
+                table.add_row({"pair_id": pair_id, "scorer": "s", "value": value,
+                               "backend_name": "m", "backend_version": "1"})
+            (summary,) = distribution_report(table)
+            reports.add(repr(summary))
+        assert len(reports) == 1
+        assert "-0.0," not in reports.pop()
+
+    def test_equal_to_the_id_sorted_array(self):
+        rng = np.random.default_rng(2)
+        values = {f"p{i}": float(v) for i, v in enumerate(rng.normal(size=97))}
+        table = build_table("c", {"s1": values})
+        (summary,) = distribution_report(table)
+        arr = np.asarray([values[pid] for pid in sorted(values)], dtype=np.float64)
+        counts, edges = np.histogram(arr, bins=DEFAULT_HISTOGRAM_BINS)
+        assert repr([summary.minimum, summary.q1, summary.median, summary.q3,
+                     summary.maximum]) == repr(np.quantile(arr, [0, .25, .5, .75, 1]).tolist())
+        assert summary.bins == tuple(zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                         counts.tolist()))
 
 
 class TestSweepSpec:

@@ -22,6 +22,7 @@ from factfilter import (
 from factfilter.errors import DomainError, IntegrityError, ParseError
 from factfilter.scorers import FactualityScore, ScoreFailure
 
+import reference
 from conftest import make_corpus, make_pair
 
 
@@ -205,6 +206,58 @@ class TestIntersectFilter:
         path.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:.*'{named}'"):
             FilterManifest.load(path)
+
+
+# Ids with non-ASCII characters, and some ending in NUL, which a numpy string
+# array would drop.
+_IDS = st.lists(st.text(st.sampled_from(["a", "b", "\x00", "\u00e9", "\u4e2d", "\U0001f600"]),
+                        min_size=1, max_size=3), min_size=1, max_size=25, unique=True)
+# Heavy ties, -0.0 next to 0.0, and sentinels (None).
+_CELLS = st.one_of(st.sampled_from([-0.5, -0.0, 0.0, 0.25, 1.0, None]),
+                   st.floats(-1.0, 1.0, allow_nan=False))
+_QS = st.one_of(st.floats(1e-9, 0.05), st.floats(0.05, 0.95), st.floats(0.95, 1.0 - 1e-9))
+
+
+class TestFiltrationOracle:
+    """`percentile_keep_set` and `intersect_filter` against the dict sorts and
+    set algebra of `reference.keep_set` and `reference.intersect`."""
+
+    @given(st.data(), _IDS, st.integers(2, 3), _QS)
+    @settings(max_examples=300)
+    def test_intersect_filter_matches_the_set_algebra(self, data, ids, k, q):
+        columns = {}
+        table = ScoreTable("c")
+        for name in [f"s{i}" for i in range(k)]:
+            cells = data.draw(st.lists(_CELLS, min_size=len(ids), max_size=len(ids)))
+            columns[name] = {pid: "boom" if v is None else v for pid, v in zip(ids, cells)}
+            for pid in data.draw(st.permutations(ids)):  # rows in any order
+                value = columns[name][pid]
+                table.add_row({"pair_id": pid, "scorer": name, "backend_name": "m",
+                               "backend_version": "1", "error": "boom",
+                               "value": None if isinstance(value, str) else value})
+        kept, thresholds, n_pairs = reference.intersect(columns, q)
+        if any(all(isinstance(v, str) for v in column.values())
+               for column in columns.values()):
+            with pytest.raises(IntegrityError, match="has no successful scores"):
+                intersect_filter(table, q)
+        elif not kept:
+            with pytest.raises(DomainError, match="no pair was successfully scored|"
+                                                  "empty intersection"):
+                intersect_filter(table, q)
+        else:
+            manifest = intersect_filter(table, q)
+            assert manifest.kept_ids == kept
+            assert {name: repr(v) for name, v in manifest.per_scorer_thresholds.items()} \
+                == {name: repr(v) for name, v in thresholds.items()}
+            assert manifest.n_pairs == n_pairs
+
+    @given(st.data(), _IDS, _QS)
+    @settings(max_examples=300)
+    def test_percentile_keep_set_matches_the_sort(self, data, ids, q):
+        values = data.draw(st.lists(_CELLS.filter(lambda v: v is not None),
+                                    min_size=len(ids), max_size=len(ids)))
+        scores = dict(zip(ids, values))
+        assert percentile_keep_set(scores, q) == reference.keep_set(scores, q)
 
 
 class TestRandomSelection:

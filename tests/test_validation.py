@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ def reference_flip_rows(scores_by_scorer, annotations):
     return rows
 
 
+def reference_flip_labels(annotations, category):
+    """flip_labels as it was: the recomposition rule applied annotation by annotation."""
+    flipped = []
+    for annotation in annotations:
+        flags = dict(annotation.category_flags)
+        flags[category] = not flags[category]
+        if not any(flags.values()):
+            factuality = 1.0
+        elif any(annotation.category_flags[c] for c in CATEGORIES if c != category):
+            factuality = annotation.factuality
+        else:
+            factuality = 0.0
+        flipped.append(replace(annotation, category_flags=flags, factuality=factuality))
+    return flipped
+
+
 def reference_system_indicators(annotations):
     """_system_indicators as it was: every level scanned for every row."""
     systems = sorted({a.system_id for a in annotations})
@@ -271,22 +288,34 @@ class TestFlipAnalysisMatchesReference:
     def test_flips_once_per_category(self, monkeypatch):
         scores, annotations = self._inputs()
         calls = []
+        rule = validation._flipped_factuality
 
-        def counting_flip(items, category):
+        def counting_rule(flags, factuality, category):
             calls.append(category)
-            return flip_labels(items, category)
+            return rule(flags, factuality, category)
 
-        monkeypatch.setattr(validation, "flip_labels", counting_flip)
+        monkeypatch.setattr(validation, "_flipped_factuality", counting_rule)
         report = flip_analysis(scores, annotations)
         assert len(report.rows) == 3 * 2 * len(CATEGORIES)
         assert calls == list(CATEGORIES)
 
-    def test_reordering_flip_is_integrity_error(self, monkeypatch):
-        scores, annotations = self._inputs()
-        monkeypatch.setattr(validation, "flip_labels",
-                            lambda items, category: flip_labels(items, category)[::-1])
-        with pytest.raises(IntegrityError, match="id order"):
-            flip_analysis(scores, annotations)
+    def test_flip_labels_shares_the_recomposition_rule(self, monkeypatch):
+        _, annotations = self._inputs()
+        calls = []
+        rule = validation._flipped_factuality
+        monkeypatch.setattr(validation, "_flipped_factuality",
+                            lambda *args: calls.append(args[2]) or rule(*args))
+        for category in CATEGORIES:
+            flip_labels(annotations, category)
+        assert calls == list(CATEGORIES)
+
+    def test_flip_labels_matches_the_per_annotation_rule(self):
+        annotations = synth_annotations(24, 300, flag_rate=0.4)
+        for category in CATEGORIES:
+            flipped = flip_labels(annotations, category)
+            assert flipped == reference_flip_labels(annotations, category)
+            assert [a.factuality.hex() for a in flipped] == \
+                [a.factuality.hex() for a in reference_flip_labels(annotations, category)]
 
 
 class TestSystemIndicatorsMatchReference:
@@ -294,11 +323,12 @@ class TestSystemIndicatorsMatchReference:
                                          ("s9", "s1", "s5", "s3", "s7")])
     def test_equal_to_double_loop(self, systems):
         annotations = synth_annotations(23, 97, systems=systems)
-        z = _system_indicators(annotations)
+        z = _system_indicators(np.array([a.system_id for a in annotations], dtype=object))
         expected = reference_system_indicators(annotations)
         assert z.shape == (97, len(systems) - 1)
         assert z.dtype == expected.dtype
         assert np.array_equal(z, expected)
 
     def test_empty(self):
-        assert _system_indicators([]).shape == reference_system_indicators([]).shape == (0, 0)
+        assert _system_indicators(np.array([], dtype=object)).shape == \
+            reference_system_indicators([]).shape == (0, 0)
