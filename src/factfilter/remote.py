@@ -75,73 +75,86 @@ def _arc_from_dict(obj: dict[str, Any]) -> DependencyArc:
     return DependencyArc(*values)
 
 
-def _result(backend: Backend, op: Any, args: dict[str, Any]) -> Any:
+def _descriptor_result(backend: Backend) -> dict[str, Any]:
+    d = backend.descriptor
+    return {"name": d.name, "version": d.version, "deterministic": d.deterministic,
+            "max_tokens": d.max_tokens, "protocol": PROTOCOL}
+
+
+def _embeddings_result(emb: TokenEmbeddings) -> dict[str, Any]:
+    vectors = np.ascontiguousarray(emb.vectors, dtype="<f8")
+    return {"tokens": list(emb.tokens), "dim": vectors.shape[1],
+            "vectors": base64.b64encode(vectors.tobytes()).decode("ascii")}
+
+
+def _parse_request(op: Any, args: Any) -> Callable[[Backend], Any]:
+    """The request as a function that runs its op on a backend and encodes the
+    result. Every field of the request is read here, before any op runs."""
     if op == "descriptor":
-        d = backend.descriptor
-        return {"name": d.name, "version": d.version, "deterministic": d.deterministic,
-                "max_tokens": d.max_tokens, "protocol": PROTOCOL}
+        return _descriptor_result
     if op == "batch":
-        return [_reply(backend, args["op"], call) for call in args["calls"]]
+        calls = [_parse_request(args["op"], call) for call in args["calls"]]
+        return lambda backend: [_reply(backend, call) for call in calls]
     if op == "tokenize":
-        return {"tokens": backend.tokenize(args["text"])}
+        text = args["text"]
+        return lambda backend: {"tokens": backend.tokenize(text)}
     if op == "embed_tokens":
-        emb = backend.embed_tokens(args["text"])
-        vectors = np.ascontiguousarray(emb.vectors, dtype="<f8")
-        return {"tokens": list(emb.tokens), "dim": vectors.shape[1],
-                "vectors": base64.b64encode(vectors.tobytes()).decode("ascii")}
+        text = args["text"]
+        return lambda backend: _embeddings_result(backend.embed_tokens(text))
     if op == "conditional_token_logprobs":
-        return {"logprobs": backend.conditional_token_logprobs(args["source"], args["target"])}
+        source, target = args["source"], args["target"]
+        return lambda backend: {
+            "logprobs": backend.conditional_token_logprobs(source, target)}
     if op == "arc_entailment_probs":
-        arcs = [_arc_from_dict(a) for a in args["arcs"]]
-        return {"probs": backend.arc_entailment_probs(args["document"], arcs)}
+        document, arcs = args["document"], [_arc_from_dict(a) for a in args["arcs"]]
+        return lambda backend: {"probs": backend.arc_entailment_probs(document, arcs)}
     if op == "masked_fill_accuracy":
-        return {"accuracy": backend.masked_fill_accuracy(
-            args["prefix"], args["sentence"], args["mask_positions"])}
+        prefix, sentence, positions = args["prefix"], args["sentence"], args["mask_positions"]
+        return lambda backend: {
+            "accuracy": backend.masked_fill_accuracy(prefix, sentence, positions)}
     if op == "parse_dependencies":
-        arcs = backend.parse_dependencies(args["summary"])
-        return {"arcs": [_arc_to_dict(a) for a in arcs]}
+        summary = args["summary"]
+        return lambda backend: {
+            "arcs": [_arc_to_dict(a) for a in backend.parse_dependencies(summary)]}
     raise errors.BackendError(f"unknown op {op!r}")
 
 
-def _reply(backend: Backend, op: Any, args: dict[str, Any]) -> dict[str, Any]:
+def _error(exc: errors.FactFilterError) -> dict[str, Any]:
+    payload: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, errors.SequenceLengthError):
+        payload["limit"] = exc.limit
+    return {"error": payload}
+
+
+def _reply(backend: Backend, call: Callable[[Backend], Any]) -> dict[str, Any]:
     """`{"result": ...}`, or `{"error": ...}` for a toolkit error."""
     try:
-        return {"result": _result(backend, op, args)}
+        return {"result": call(backend)}
     except errors.FactFilterError as exc:
-        payload: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, errors.SequenceLengthError):
-            payload["limit"] = exc.limit
-        return {"error": payload}
+        return _error(exc)
 
 
 def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
     """Answer protocol requests until the input stream closes. A request that
     fails with an exception that is no toolkit error gets a `BackendError`
-    reply (`_fault`), and the server reads on."""
+    reply, `bad request: <message>` if it does not parse (`_parse_request`),
+    else `<Type>: <message>`, and the server reads on."""
     for line in in_stream:
         line = line.strip()
         if not line:
             continue
+        call = None
         try:
             request = json.loads(line)
-            response = _reply(backend, request.get("op"), request.get("args", {}))
-        except Exception as exc:  # a malformed request or a backend fault; keep serving
-            response = {"error": {"type": "BackendError", "message": _fault(exc)}}
+            call = _parse_request(request.get("op"), request.get("args", {}))
+            response = _reply(backend, call)
+        except errors.FactFilterError as exc:  # an unknown op, or an arc DependencyArc rejects
+            response = _error(exc)
+        except Exception as exc:
+            fault = "bad request" if call is None else type(exc).__name__
+            response = {"error": {"type": "BackendError", "message": f"{fault}: {exc}"}}
         out_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
         out_stream.flush()
-
-
-def _fault(exc: Exception) -> str:
-    """`bad request: <message>` for a request that does not decode: it is not
-    JSON, or this module raised `exc` while reading its fields. Otherwise a
-    backend op raised it: `<Type>: <message>`."""
-    tb = exc.__traceback__
-    while tb is not None and tb.tb_next is not None:
-        tb = tb.tb_next
-    if isinstance(exc, json.JSONDecodeError) or (
-            tb is not None and tb.tb_frame.f_globals.get("__name__") == __name__):
-        return f"bad request: {exc}"
-    return f"{type(exc).__name__}: {exc}"
 
 
 _DESCRIPTOR_FIELDS = {"name": str, "version": str, "deterministic": bool, "max_tokens": int}

@@ -72,29 +72,25 @@ class ScoreFailure:
 ScoreCell = Union[FactualityScore, ScoreFailure]
 _TEXT_FIELDS = ("pair_id", "scorer", "backend_name", "backend_version", "error")
 
-# The closed value range of each built-in scorer; other scorers take any finite value.
+# The closed value range of each built-in scorer; other scorers take any finite
+# value. Every end is finite, so one chained comparison also rejects inf and NaN.
+_FLOAT_MAX = sys.float_info.max
 _VALUE_RANGES: dict[str, tuple[float, float]] = {
     "greedy": (-1.0, 1.0),
-    "condll": (-math.inf, 0.0),
+    "condll": (-_FLOAT_MAX, 0.0),
     "dae": (0.0, 1.0),
 }
+_ANY_FINITE = (-_FLOAT_MAX, _FLOAT_MAX)
 
 
 def _check_value(scorer: str, value: float) -> float:
     """`value`; a `DomainError` unless it is finite and in `scorer`'s range."""
-    if not math.isfinite(value):
-        raise DomainError(f"score {value} for scorer {scorer!r} is not finite")
-    low, high = _VALUE_RANGES.get(scorer, (-math.inf, math.inf))
+    low, high = _VALUE_RANGES.get(scorer, _ANY_FINITE)
     if not low <= value <= high:
+        if not math.isfinite(value):
+            raise DomainError(f"score {value} for scorer {scorer!r} is not finite")
         raise DomainError(f"score {value} outside the valid range for scorer {scorer!r}")
     return value
-
-
-# `_VALUE_RANGES` with each infinite end replaced by the largest finite float,
-# so one chained comparison also rejects a value that is not finite.
-_FINITE_RANGES = {scorer: (max(low, -sys.float_info.max), min(high, sys.float_info.max))
-                  for scorer, (low, high) in _VALUE_RANGES.items()}
-_ANY_FINITE = (-sys.float_info.max, sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,9 +371,7 @@ class ScoreTable:
                 if type(value) is not int:  # rejects bool, an int subclass
                     raise TypeError(f"'value' must be a number or null, got {value!r}")
                 value = float(value)
-            low, high = _FINITE_RANGES.get(scorer, _ANY_FINITE)
-            if not low <= value <= high:
-                _check_value(scorer, value)  # raises the DomainError that says why
+            _check_value(scorer, value)
         column = self._columns.get(scorer)
         if column is None:
             column = self._columns[scorer] = ScoreColumn(provenance)

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import types
+
+import numpy as np
 
 from factfilter.backend import Backend, MockBackend
 from factfilter.errors import BackendError, DomainError
@@ -28,7 +31,9 @@ class FaultBackend(Backend):
     is no per-pair error, unless another class is given), so FATAL in a pair
     passes its preparation and stops its first scorer op. EMBFAIL fails
     embed_tokens and NARROW embeds 8-wide, so
-    greedy's arithmetic fails; LPFAIL fails conditional_token_logprobs and
+    greedy's arithmetic fails; FLAT makes embed_tokens return 1-D vectors, and
+    ARCLESS parse_dependencies return pairs, results the remote server cannot
+    encode; LPFAIL fails conditional_token_logprobs and
     POSLP makes a log-prob positive; PARSEFAIL fails parse_dependencies;
     ENTFAIL in the document fails arc_entailment_probs and SHORTENT drops one
     of its probabilities; SUMFAIL in a sentence fails its fill after the
@@ -75,6 +80,8 @@ class FaultBackend(Backend):
         self._record("embed_tokens", text)
         if "EMBFAIL" in text.split():
             raise DomainError(f"cannot embed {text!r}")
+        if "FLAT" in text.split():
+            return types.SimpleNamespace(tokens=tuple(text.split()), vectors=np.ones(2))
         mock = self._narrow if "NARROW" in text.split() else self._mock
         return mock.embed_tokens(_plain(text))
 
@@ -89,6 +96,8 @@ class FaultBackend(Backend):
         self._record("parse_dependencies", summary)
         if "PARSEFAIL" in summary.split():
             raise DomainError(f"cannot parse {summary!r}")
+        if "ARCLESS" in summary.split():
+            return [("ARCLESS", "root")]
         return self._mock.parse_dependencies(_plain(summary))
 
     def arc_entailment_probs(self, document, arcs):

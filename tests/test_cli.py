@@ -977,8 +977,13 @@ class TestServerFaults:
         requests = ['{"op": "embed_tokens", "args": {"text": "a FATAL b"}}',
                     '{"op": "batch", "args": {"op": "tokenize", '
                     '"calls": [{"text": "a"}, {"text": "TOKFATAL"}]}}',
+                    '{"op": "embed_tokens", "args": {"text": "a FLAT"}}',
+                    '{"op": "parse_dependencies", "args": {"summary": "ARCLESS"}}',
                     "not json", '["op"]', '{"op": "tokenize", "args": {}}',
-                    '{"op": "tokenize", "args": {"text": "TOKFAIL"}}']
+                    '{"op": "batch", "args": {"op": "tokenize", "calls": [{"text": "a"}, 7]}}',
+                    '{"op": "arc_entailment_probs", "args": {"document": "a", "arcs": [{}]}}',
+                    '{"op": "tokenize", "args": {"text": "TOKFAIL"}}',
+                    '{"op": "nope", "args": {}}']
         out = io.StringIO()
         serve(FaultBackend(), io.StringIO("\n".join(requests) + "\n"), out)
         errors = [json.loads(line)["error"] for line in out.getvalue().splitlines()]
@@ -986,10 +991,15 @@ class TestServerFaults:
         assert [error["message"] for error in errors] == [
             "RuntimeError: fatal on 'a FATAL b'",
             "RuntimeError: fatal on 'TOKFATAL'",
+            "IndexError: tuple index out of range",
+            "AttributeError: 'tuple' object has no attribute 'head_token'",
             "bad request: Expecting value: line 1 column 1 (char 0)",
             "bad request: 'list' object has no attribute 'get'",
             "bad request: 'text'",
-            "cannot tokenize 'TOKFAIL'"]
+            "bad request: 'int' object is not subscriptable",
+            "bad request: 'head_token'",
+            "cannot tokenize 'TOKFAIL'",
+            "unknown op 'nope'"]
 
     def test_score_exits_three_naming_the_fault(self, tmp_path, capsys):
         import faults

@@ -299,6 +299,36 @@ class TestFlipAnalysisMatchesReference:
         assert len(report.rows) == 3 * 2 * len(CATEGORIES)
         assert calls == list(CATEGORIES)
 
+    def test_original_and_flipped_r_share_their_rows(self, monkeypatch):
+        """Each flipped r of a (scorer, dataset) slice is computed over the x
+        and the system indicators of the slice's original r, with each row's
+        own judgment after the flip as y."""
+        _, annotations = self._inputs()
+        # Distinct scores, so that each x value names its annotation; 2% unscored.
+        scores = {a.summary_id: float(i) for i, a in enumerate(annotations) if i % 50}
+        annotation_by_score = {scores[a.summary_id]: a for a in annotations
+                               if a.summary_id in scores}
+        scored = list(annotation_by_score.values())
+        calls = []
+        pearson = validation.partial_pearson
+        monkeypatch.setattr(validation, "partial_pearson",
+                            lambda x, y, z: calls.append((x, y, z)) or pearson(x, y, z))
+        flip_analysis({"unique": scores}, annotations)
+        datasets = sorted({a.source_dataset for a in annotations})
+        step = 1 + len(CATEGORIES)
+        assert len(calls) == len(datasets) * step
+        for dataset, start in zip(datasets, range(0, len(calls), step)):
+            (x, y, z), *flipped = calls[start:start + step]
+            rows = [annotation_by_score[value] for value in x.tolist()]
+            assert {a.source_dataset for a in rows} == {dataset}
+            assert len(rows) == sum(a.source_dataset == dataset for a in scored)
+            assert y.tolist() == [a.factuality for a in rows]
+            for category, (x_flipped, y_flipped, z_flipped) in zip(CATEGORIES, flipped):
+                assert np.array_equal(x_flipped, x)
+                assert np.array_equal(z_flipped, z)
+                assert y_flipped.tolist() == \
+                    [a.factuality for a in reference_flip_labels(rows, category)]
+
     def test_flip_labels_shares_the_recomposition_rule(self, monkeypatch):
         _, annotations = self._inputs()
         calls = []
