@@ -10,7 +10,7 @@ from JSONL. Record schema (UTF-8, one record per line, LF terminators):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -45,8 +45,13 @@ class Pair:
             )
 
     def with_meta(self, **extra: Any) -> "Pair":
-        """Copy of this pair with extra meta keys merged in."""
-        return replace(self, meta={**self.meta, **extra})
+        """Copy of this pair with extra meta keys merged in. The other fields
+        were checked when this pair was made and are copied unchecked."""
+        copy = object.__new__(type(self))
+        for name in self.__dataclass_fields__:
+            object.__setattr__(copy, name, getattr(self, name))
+        object.__setattr__(copy, "meta", {**self.meta, **extra})
+        return copy
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,16 @@ import logging
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .backend import Backend, BackendDescriptor, TokenEmbeddings
+from .backend import Backend, BackendDescriptor
+from .chunkmath import greedy_precisions, row_means
 from .corpus import Corpus
 from .errors import (
     PER_PAIR_ERRORS,
@@ -147,10 +150,6 @@ def _per_pair(compute: Callable[..., float], *inputs: Any) -> float | Exception:
         return exc
 
 
-# Most float64 elements one gather of greedy candidates holds (256 KiB).
-_GREEDY_BLOCK_ELEMENTS = 2 ** 15
-
-
 def greedy_precision_values(pairs: Sequence[PreparedPair],
                             backend: Backend) -> list[float | Exception]:
     """Mean over summary tokens of max similarity to any document token.
@@ -158,71 +157,60 @@ def greedy_precision_values(pairs: Sequence[PreparedPair],
     Similarity of unit vectors u, v is computed as 1 - |u - v|^2 / 2, which
     equals their cosine up to rounding and is exactly 1.0 when the embeddings
     are bitwise identical (so a summary copied from the document scores 1.0).
-    One matrix product of cosines screens each summary token's candidate
+    A batched product of cosines screens each summary token's candidate
     document tokens and only those get the difference form; the score stays
     bit-equal to the difference form over every document token (see
-    `_greedy_value`).
+    `chunkmath.greedy_means`). A pair whose document and summary embeddings
+    differ in width gets a `BackendError`.
     """
     out = list(backend.map("embed_tokens", [(pair.document,) for pair in pairs]))
     live = _alive(out)
-    summaries = backend.map("embed_tokens", [(pairs[i].summary,) for i in live])
-    for i, summary in zip(live, summaries):
-        out[i] = _per_pair(_greedy_value, out[i], summary)
+    ready: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for i, summary in zip(live, backend.map("embed_tokens", [(pairs[i].summary,) for i in live])):
+        if isinstance(summary, Exception):
+            out[i] = summary
+        elif out[i].vectors.shape[1] != summary.vectors.shape[1]:
+            out[i] = BackendError(f"document embeddings are {out[i].vectors.shape[1]}-wide, "
+                                  f"summary embeddings {summary.vectors.shape[1]}-wide")
+        else:
+            ready[i] = (out[i].vectors, summary.vectors)
+    for i, value in zip(ready, greedy_precisions(list(ready.values()))):
+        out[i] = value
     return out
 
 
-def _greedy_value(doc_emb: TokenEmbeddings, sum_emb: TokenEmbeddings) -> float:
-    """One pair's greedy precision: the clipped mean over summary rows u of
-    the largest difference form 1 - |v - u|^2 / 2 over document rows v. The
-    Gram form u·v screens the candidates, the difference form decides.
+def _means(items: Sequence[Any], check: Callable[..., float],
+           bad: Callable[[np.ndarray], np.ndarray],
+           counts: Sequence[int] | None = None) -> list[float | Exception]:
+    """Each item's mean, or its per-pair error: the item when it is one, else
+    what `check(item)` (with `counts`, `check(item, counts[k])`) raises.
 
-    Why each row's best is bit-equal to the difference form over every
-    document row. Let n = dim and eps = `finfo(float64).eps`. A row that
-    `_unit_rows` normalised has |u|^2 within (n/2 + 2) eps of 1, and the
-    check below lets through rows with |u|^2 - 1 up to (3n/2 + 2) eps. For
-    such rows the computed difference form f = 1 - sum((v - u)**2) / 2
-    and the computed Gram entry g = u·v differ by at most
-    delta = 4 (n + 2) eps, whatever order the matrix product sums in:
-      * exactly, 1 - |v - u|^2 / 2 = u·v - (|u|^2 - 1 + |v|^2 - 1) / 2,
-        at most (3n/2 + 2) eps from u·v;
-      * rounding moves u·v by at most n eps / 2, and the difference form
-        by at most (n + 5/2) eps;
-    (3n + 9/2) eps in all. For one summary row, let g* be its largest
-    Gram entry and f* its largest difference form. The column that gives
-    f* has g >= f* - delta >= f(column of g*) - delta >= g* - 2 delta,
-    so the columns with g >= g* - 2 delta include it. Each candidate's f
-    is computed as the per-row form computes it (the same differences and
-    squares, the same contiguous sum over `dim`), so the row's maximum is
-    the same float.
-
-    A row whose computed |u|^2 is more than (n + 2) eps from 1 (its norm
-    over- or underflowed) is outside that bound; then every column is a
-    candidate. Candidates are evaluated at most
-    `_GREEDY_BLOCK_ELEMENTS // dim` at a time, which bounds the memory even
-    when every column ties.
+    Items of a right length (not 0; `counts[k]` if given) are read as one
+    float64 array, shortest first, and averaged in equal-length runs
+    (`chunkmath.row_means`). An item of another length or holding a value
+    that `bad` flags goes through `check` alone, as every item does if one is
+    no flat sequence of numbers.
     """
-    doc_vecs = _unit_rows(doc_emb.vectors)
-    sum_vecs = _unit_rows(sum_emb.vectors)
-    dim = doc_vecs.shape[1]
-    if dim != sum_vecs.shape[1]:
-        raise BackendError(f"document embeddings are {dim}-wide, "
-                           f"summary embeddings {sum_vecs.shape[1]}-wide")
-    eps = np.finfo(np.float64).eps
-    delta = 4.0 * (dim + 2) * eps
-    for vecs in (doc_vecs, sum_vecs):
-        if np.abs(np.einsum("ij,ij->i", vecs, vecs) - 1.0).max() > (dim + 2) * eps:
-            delta = np.inf
-    gram = sum_vecs @ doc_vecs.T
-    rows, cols = np.nonzero(gram >= gram.max(axis=1, keepdims=True) - 2.0 * delta)
-    best = np.full(sum_vecs.shape[0], -np.inf)
-    step = max(1, _GREEDY_BLOCK_ELEMENTS // dim)
-    for i in range(0, rows.size, step):
-        r, c = rows[i:i + step], cols[i:i + step]
-        diff = doc_vecs.take(c, axis=0)
-        diff -= sum_vecs.take(r, axis=0)
-        diff *= diff
-        np.maximum.at(best, r, 1.0 - diff.sum(axis=1) / 2.0)
-    return float(np.mean(np.clip(best, -1.0, 1.0)))
+    out = list(items)
+    args = {k: (out[k],) if counts is None else (out[k], counts[k]) for k in _alive(out)}
+    flat = np.empty(0)
+    try:
+        order = sorted((k for k in args if len(out[k]) and (
+            counts is None or len(out[k]) == counts[k])), key=lambda k: len(out[k]))
+        flat = np.fromiter(chain.from_iterable(out[k] for k in order), np.float64)
+        ends = list(accumulate(len(out[k]) for k in order))
+        rejected = {order[bisect_right(ends, row)] for row in np.flatnonzero(bad(flat)).tolist()}
+        if rejected:
+            order = [k for k in order if k not in rejected]
+            flat = np.fromiter(chain.from_iterable(out[k] for k in order), np.float64)
+    except (TypeError, ValueError):  # an item is no flat sequence of numbers
+        order = []
+    for k, mean in zip(order, row_means(flat, [len(out[k]) for k in order])):
+        out[k] = mean
+        del args[k]
+    for k, arg in args.items():
+        out[k] = _per_pair(check, *arg)
+    return out
 
 
 def conditional_likelihood_values(pairs: Sequence[PreparedPair],
@@ -234,7 +222,7 @@ def conditional_likelihood_values(pairs: Sequence[PreparedPair],
     """
     logprobs = backend.map("conditional_token_logprobs",
                            [(pair.document, pair.summary) for pair in pairs])
-    return [_per_pair(_condll_value, logprob) for logprob in logprobs]
+    return _means(logprobs, _condll_value, lambda lp: ~np.isfinite(lp) | (lp > 0.0))
 
 
 def _condll_value(logprobs: Sequence[float]) -> float:
@@ -255,8 +243,10 @@ def arc_entailment_values(pairs: Sequence[PreparedPair],
             out[i] = NoArcsError("summary yields no dependency arcs (single token)")
     live = _alive(out)
     probs = backend.map("arc_entailment_probs", [(pairs[i].document, out[i]) for i in live])
-    for i, prob in zip(live, probs):
-        out[i] = _per_pair(_dae_value, prob, len(out[i]))
+    means = _means(probs, _dae_value, lambda p: (p < 0.0) | (p > 1.0),
+                   [len(out[i]) for i in live])
+    for i, mean in zip(live, means):
+        out[i] = mean
     return out
 
 
@@ -267,11 +257,6 @@ def _dae_value(probs: Sequence[float], n_arcs: int) -> float:
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise BackendError("arc entailment probabilities must lie in [0, 1]")
     return float(np.mean(arr))
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    return vectors / norms
 
 
 # The one name -> scorer map. Each entry scores a chunk of prepared pairs,

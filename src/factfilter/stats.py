@@ -86,10 +86,17 @@ def partial_pearson(x, y, z=None) -> PartialCorrelationResult:
     With no covariates this reduces to plain pearson exactly (same code path,
     no residualization).
     """
+    return partial_pearsons(x, [y], z)[0]
+
+
+def partial_pearsons(x, ys, z=None) -> list[PartialCorrelationResult]:
+    """`partial_pearson(x, y, z)` for each y of `ys`, bit for bit: the
+    design's rank check and x's residuals are computed once for all of them."""
     xa = _as_1d(x, "x")
-    ya = _as_1d(y, "y")
-    if xa.shape != ya.shape:
-        raise DomainError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
+    yas = [_as_1d(y, "y") for y in ys]
+    for ya in yas:
+        if xa.shape != ya.shape:
+            raise DomainError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
     n = xa.shape[0]
     if z is None:
         za = np.empty((n, 0), dtype=np.float64)
@@ -103,20 +110,23 @@ def partial_pearson(x, y, z=None) -> PartialCorrelationResult:
             raise DomainError("covariates contain non-finite values")
     p = za.shape[1]
     if p == 0:
-        return PartialCorrelationResult(r=pearson(xa, ya), n=n, n_covariates=0)
+        return [PartialCorrelationResult(r=pearson(xa, ya), n=n, n_covariates=0) for ya in yas]
     if n <= p + 2:
         raise DomainError(f"need n > n_covariates + 2 (n={n}, covariates={p})")
     design = np.column_stack([np.ones(n), za])
     if np.linalg.matrix_rank(design) < p + 1:
         raise DomainError("covariate design is rank-deficient (with intercept)")
     rx = _residualize(xa, design)
-    ry = _residualize(ya, design)
     sxx = float(np.dot(rx, rx))
-    syy = float(np.dot(ry, ry))
-    if sxx <= 1e-24 or syy <= 1e-24:
-        raise DegenerateInputError("residuals have zero variance after regression")
-    r = float(np.dot(rx, ry)) / math.sqrt(sxx * syy)
-    return PartialCorrelationResult(r=max(-1.0, min(1.0, r)), n=n, n_covariates=p)
+    results = []
+    for ya in yas:
+        ry = _residualize(ya, design)
+        syy = float(np.dot(ry, ry))
+        if sxx <= 1e-24 or syy <= 1e-24:
+            raise DegenerateInputError("residuals have zero variance after regression")
+        r = float(np.dot(rx, ry)) / math.sqrt(sxx * syy)
+        results.append(PartialCorrelationResult(r=max(-1.0, min(1.0, r)), n=n, n_covariates=p))
+    return results
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError, IntegrityError
 from .records import read_jsonl, write_csv
-from .stats import PartialCorrelationResult, partial_pearson
+from .stats import PartialCorrelationResult, partial_pearson, partial_pearsons
 
 CATEGORIES = ("semantic_frame", "discourse", "content_verifiability")
 DATASETS = ("cnndm", "xsum")
@@ -283,10 +283,10 @@ def flip_analysis(scores_by_scorer: Mapping[str, Mapping[str, float]],
         x, scored = frame.scores(scores_by_scorer[scorer])
         for dataset in sorted(set(frame.datasets)):
             covered, z = frame.covered(scored, dataset)
-            x_covered = x[covered]
-            r_original = partial_pearson(x_covered, frame.factuality[covered], z).r
-            for category in CATEGORIES:
-                r_flipped = partial_pearson(x_covered, flipped[category][covered], z).r
-                rows.append(FlipRow(scorer=scorer, dataset=dataset, category=category,
-                                    r_original=r_original, r_flipped=r_flipped))
+            original, *flips = partial_pearsons(
+                x[covered], [frame.factuality[covered],
+                             *(flipped[category][covered] for category in CATEGORIES)], z)
+            rows += [FlipRow(scorer=scorer, dataset=dataset, category=category,
+                             r_original=original.r, r_flipped=flip.r)
+                     for category, flip in zip(CATEGORIES, flips)]
     return FlipReport(rows)

@@ -35,9 +35,10 @@ class FaultBackend(Backend):
     ARCLESS parse_dependencies return pairs, results the remote server cannot
     encode; LPFAIL fails conditional_token_logprobs and
     POSLP makes a log-prob positive; PARSEFAIL fails parse_dependencies;
-    ENTFAIL in the document fails arc_entailment_probs and SHORTENT drops one
-    of its probabilities; SUMFAIL in a sentence fails its fill after the
-    summary, FILLFAIL its fill after the filler. The mock sees text without NIL.
+    ENTFAIL in the document fails arc_entailment_probs, SHORTENT drops one
+    of its probabilities and NANENT makes the first one NaN; SUMFAIL in a
+    sentence fails its fill after the summary, FILLFAIL its fill after the
+    filler. The mock sees text without NIL.
 
     `calls` holds the `(op, *args)` of every single op asked of it, those a
     `map` loops over included; `requests` the op of every `map` request.
@@ -105,6 +106,8 @@ class FaultBackend(Backend):
         if "ENTFAIL" in document.split():
             raise BackendError(f"no entailment for {document!r}")
         probs = self._mock.arc_entailment_probs(_plain(document), arcs)
+        if "NANENT" in document.split():
+            probs[0] = float("nan")
         return probs[:-1] if "SHORTENT" in document.split() else probs
 
     def masked_fill_accuracy(self, prefix, sentence, mask_positions):

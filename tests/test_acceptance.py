@@ -12,7 +12,7 @@ import json
 import math
 import os
 import shlex
-import shutil
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -42,6 +42,7 @@ from factfilter.stats import _average_ranks, _exact_two_sided_p, _normal_two_sid
 from factfilter.validation import CATEGORIES
 
 from conftest import make_pair, score_one
+from toy_chain import run_toy_chain
 
 # Frozen outputs of the toy pipeline (score -> filter(q=0.25) -> stats ->
 # evaluate, and score -> sweep over combined, random and single:dae at the
@@ -52,6 +53,9 @@ TOY_STATS_SHA = "cea0d39e406db0c601162ca3e077065de992e900e5e060db513a353588c4666
 TOY_DISTRIBUTIONS_SHA = "cb8e8fe87cd2aa0df6a6f2732db83a9a464cd0efe2c6cb0781e8fdc485e9bb39"
 TOY_REPORT_SHA = "bb7ec85ce8374108833b96e62a9e9eec571fd0171828e55965e33e55b2ccbe6f"
 TOY_SWEEP_SHA = "c3ad5befa7ec80d35100a59e0dbcd3413c4e33221ef94da52a64f84b62435d23"
+TOY_HASHES = {"manifest_hash": TOY_MANIFEST_HASH, "scores": TOY_SCORES_SHA,
+              "stats": TOY_STATS_SHA, "distributions": TOY_DISTRIBUTIONS_SHA,
+              "report": TOY_REPORT_SHA, "sweep": TOY_SWEEP_SHA}
 
 
 @contextmanager
@@ -180,43 +184,6 @@ def test_criterion_4_filtration_set_algebra():
         assert time.monotonic() - start < 30.0
 
 
-def _run_toy_pipeline(workdir: Path) -> dict[str, str]:
-    workdir.mkdir()
-    toy = workdir / "toy.jsonl"
-    shutil.copy(toy_corpus_path(), toy)
-    scores = workdir / "scores.jsonl"
-    assert main(["score", "--in", str(toy), "--out", str(scores),
-                 "--scorers", "greedy,condll,dae", "--backend", "mock"]) == 0
-    manifest_path = workdir / "manifest.json"
-    assert main(["filter", "--q", "0.25", "--scorers", "greedy,condll,dae",
-                 "--scores", str(scores), "--out", str(manifest_path),
-                 "--corpus-name", "toy"]) == 0
-    stats_path = workdir / "stats.csv"
-    assert main(["stats", "--in", str(toy), "--manifest", str(manifest_path),
-                 "--scores", str(scores), "--out", str(stats_path)]) == 0
-    corpus = load_corpus(toy, name="toy")
-    generated = workdir / "generated.jsonl"
-    with generated.open("w", encoding="utf-8") as handle:
-        for pair in corpus.split_pairs("test"):
-            handle.write(json.dumps({"id": pair.id, "summary": pair.summary}) + "\n")
-    report_path = workdir / "report.csv"
-    assert main(["evaluate", "--in", str(toy), "--generated", str(generated),
-                 "--out", str(report_path), "--manifest", str(manifest_path),
-                 "--backend", "mock"]) == 0
-    sweep_path = workdir / "sweep.csv"
-    assert main(["sweep", "--in", str(toy), "--scores", str(scores), "--out", str(sweep_path),
-                 "--strategies", "combined,random,single:dae", "--backend", "mock"]) == 0
-    sha = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-    return {
-        "manifest_hash": FilterManifest.load(manifest_path).content_hash(),
-        "scores": sha(scores),
-        "stats": sha(stats_path),
-        "distributions": sha(workdir / "stats_distributions.csv"),
-        "report": sha(report_path),
-        "sweep": sha(sweep_path),
-    }
-
-
 def _score_toy(out: Path, backend: list[str]) -> bytes:
     out.mkdir()
     scores = out / "scores.jsonl"
@@ -227,15 +194,10 @@ def _score_toy(out: Path, backend: list[str]) -> bytes:
 
 def test_criterion_5_toy_pipeline_bit_exact(tmp_path, monkeypatch):
     with criterion(5, "end-to-end toy pipeline reproduces frozen hashes"):
-        first = _run_toy_pipeline(tmp_path / "run_1")
-        second = _run_toy_pipeline(tmp_path / "run_2")
+        first = run_toy_chain(tmp_path / "run_1", ["--backend", "mock"])
+        second = run_toy_chain(tmp_path / "run_2", ["--backend", "mock"])
         assert first == second
-        assert first["manifest_hash"] == TOY_MANIFEST_HASH
-        assert first["scores"] == TOY_SCORES_SHA
-        assert first["stats"] == TOY_STATS_SHA
-        assert first["distributions"] == TOY_DISTRIBUTIONS_SHA
-        assert first["report"] == TOY_REPORT_SHA
-        assert first["sweep"] == TOY_SWEEP_SHA
+        assert first == TOY_HASHES
 
         # Chunks of one pair, the default budget and the whole corpus in one
         # chunk, in process and over the remote protocol, give the same bytes.
@@ -260,6 +222,28 @@ def test_criterion_5_toy_pipeline_bit_exact(tmp_path, monkeypatch):
                 assert got.tokens == want.tokens
                 assert got.vectors.dtype == want.vectors.dtype
                 assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+@pytest.mark.parametrize("blas_threads", ["1", None], ids=["one-blas-thread", "default-blas"])
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_criterion_5_toy_chain_under_a_hostile_interpreter(tmp_path, hash_seed, blas_threads):
+    """The toy chain, in process and over remote, gives the frozen hashes in
+    dev mode with every warning an error, whatever the hash seed and however
+    many threads BLAS (which the batched greedy screen goes through) runs."""
+    # The flags hold for the chain's process, the environment also for the
+    # remote server it starts.
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONDEVMODE": "1",
+           "PYTHONWARNINGS": "error"}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+        if blas_threads is not None:
+            env[name] = blas_threads
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                           str(Path(__file__).with_name("toy_chain.py")), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"in process": TOY_HASHES,
+                                                         "remote": TOY_HASHES}
 
 
 def _synthetic_annotations(rng, n: int, flag_rate: float = 0.3,

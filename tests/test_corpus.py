@@ -87,6 +87,21 @@ class TestPairInvariants:
         with pytest.raises(IntegrityError):
             Corpus(name="c", pairs=(pair, pair))
 
+    def test_with_meta_keeps_every_field_and_merges_meta_without_checking_again(
+            self, monkeypatch):
+        pair = make_pair("a", "doc words", "sum words", split="test", source="x", n=1)
+        checks = []
+        monkeypatch.setattr(Pair, "__post_init__", lambda self: checks.append(self))
+        copy = pair.with_meta(n=2, manifest="m")
+        assert checks == []
+        assert type(copy) is Pair and copy is not pair
+        assert (copy.id, copy.document, copy.summary, copy.split) == \
+            (pair.id, pair.document, pair.summary, pair.split)
+        assert copy.meta == {"source": "x", "n": 2, "manifest": "m"}
+        assert pair.meta == {"source": "x", "n": 1}
+        assert copy == Pair(id="a", document="doc words", summary="sum words", split="test",
+                            meta={"source": "x", "n": 2, "manifest": "m"})
+
 
 class TestWordCount:
     @pytest.mark.parametrize("text,expected", [

@@ -5,12 +5,14 @@ import math
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from factfilter import (
     SCORERS,
+    evaluate_outputs,
     Corpus,
     MockBackend,
     ScoreTable,
@@ -29,6 +31,7 @@ from factfilter.errors import (
     NoArcsError,
     ParseError,
 )
+from factfilter import chunkmath, scorers
 from factfilter.scorers import (
     FactualityScore,
     ScoreFailure,
@@ -204,6 +207,18 @@ class TestGreedyScreen:
         assert cell.value == 1.0
         # 512 x 512 candidates gathered at once would need 1.6 GB.
         assert peak < 32 * 2 ** 20
+        # So does a chunk of such pairs, whose embeddings it holds at once.
+        corpus = make_corpus("c", *(make_pair(f"p{k}", text, " ".join(["t0"] * n))
+                                    for k, n in enumerate([512, 3, 511])))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(scorers, "_CHUNK_CHARS", 10 ** 9):
+                cells = score_corpus(corpus, ["greedy"], backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [cell.value for cell in cells] == [1.0] * len(corpus)
+        assert peak < 32 * 2 ** 20
 
     def test_width_mismatch_becomes_sentinel(self):
         corpus = make_corpus("c", make_pair("p1", "alpha beta gamma delta", "alpha beta"))
@@ -211,6 +226,98 @@ class TestGreedyScreen:
         assert isinstance(cell, ScoreFailure)
         assert cell.reason.startswith("BackendError:")
         assert "16-wide" in cell.reason and "8-wide" in cell.reason
+
+
+class TableFaultBackend(FaultBackend):
+    """A `FaultBackend` that embeds a text of `t<i>` tokens as rows i of `table`."""
+
+    def __init__(self, table: np.ndarray):
+        super().__init__()
+        self._table = table
+
+    def embed_tokens(self, text: str) -> TokenEmbeddings:
+        tokens = tuple(text.split())
+        if not all(token[0] == "t" and token[1:].isdigit() for token in tokens):
+            return super().embed_tokens(text)
+        self._record("embed_tokens", text)
+        return TokenEmbeddings(tokens=tokens, vectors=self._table[[int(t[1:]) for t in tokens]])
+
+
+def _composed_corpus() -> tuple[Corpus, np.ndarray]:
+    """Pairs that put every edge of the chunk arithmetic in one chunk: near
+    ties where the Gram argmax loses, over- and underflowing norms and
+    all-negative cosines next to longer documents, summaries at numpy's
+    pairwise-sum block edges (two pairs each, with documents of other
+    lengths), and fault markers between them. The embedding table covers
+    the `t<i>` tokens."""
+    rng = np.random.default_rng(16)
+    cases = []
+    while len(cases) < 10:
+        doc = rng.standard_normal(16) + 1e-15 * rng.standard_normal((8, 16))
+        summary_row = rng.standard_normal(16)
+        if _gram_argmax_loses(doc, summary_row):
+            cases.append(np.vstack([doc, summary_row]))
+    # An overflowing and an underflowing norm (delta = inf), and documents
+    # that only point away from their summary: a padded column (Gram 0.0,
+    # difference form 0.5) would beat each of their rows.
+    edges = np.zeros((6, 16))
+    edges[0], edges[1, :2], edges[2, 0] = 1e200, (0.28, 0.96), 1.0
+    edges[3, 0], edges[4, :2], edges[5, :2] = -1.0, (-0.96, 0.28), (-0.96e-160, 0.28e-160)
+    table = np.vstack([*cases, edges])
+    texts = [(_tokens(range(9 * k, 9 * k + 8)), f"t{9 * k + 8}") for k in range(len(cases))]
+    base = 9 * len(cases)
+    texts += [(f"t{base} t{base + 1}", f"t{base + 2}"),
+              (f"t{base + 3} t{base + 4}", f"t{base + 2}"),
+              (f"t{base + 4} t{base + 5}", f"t{base + 2}")]
+    words = [f"w{i}" for i in range(40)]
+    markers = [("alpha beta gamma", "alpha NARROW"), ("alpha beta", "alpha LPFAIL"),
+               ("alpha beta", "beta POSLP gamma"), ("SHORTENT alpha beta", "alpha beta"),
+               ("NANENT alpha beta", "alpha beta gamma")]
+    for k, length in enumerate([1, 7, 8, 9, 127, 128, 129, 300]):
+        for doc_length in (3 + length % 50, min(600, 40 + 3 * length)):
+            texts.append((" ".join(rng.choice(words, doc_length)),
+                          " ".join(rng.choice(words, length))))
+        texts.append(markers[k % len(markers)])
+    pairs = [make_pair(f"p{k}", *pair, split="test") for k, pair in enumerate(texts)]
+    return make_corpus("c", *pairs), table
+
+
+def _bits(cells):
+    return [(pair_id, scorer, value.hex() if isinstance(value, float) else value, truncated)
+            for pair_id, scorer, value, truncated in cells]
+
+
+class TestChunkComposition:
+    """However pairs share a chunk, each cell is its one-pair outcome, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_score_and_evaluate_give_the_one_pair_outcomes_at_any_chunk_size(self):
+        corpus, table = _composed_corpus()
+        oracle = TableFaultBackend(table)
+        expected = _bits(reference.score_corpus(corpus, ALL_SCORERS, oracle))
+        generated = {pair.id: pair.summary for pair in corpus}
+        expected_report = reference.evaluate(generated, corpus, ALL_SCORERS, oracle)
+        reasons = {value.split(":")[0] for _, _, value, _ in expected if " " in value}
+        assert reasons == {"BackendError", "DomainError", "NoArcsError"}
+        blocks = []
+        means = chunkmath.greedy_means
+
+        def recorded(docs, sums):
+            blocks.append([(len(summ), len(doc)) for doc, summ in zip(docs, sums)])
+            return means(docs, sums)
+
+        for chunk_chars in (1, scorers._CHUNK_CHARS, 10 ** 9):
+            backend = TableFaultBackend(table)
+            with mock.patch.object(scorers, "_CHUNK_CHARS", chunk_chars), \
+                    mock.patch.object(chunkmath, "greedy_means", recorded):
+                assert _bits(reference.as_cells(
+                    score_corpus(corpus, ALL_SCORERS, backend))) == expected, chunk_chars
+                report = evaluate_outputs(generated, corpus, backend, metrics=ALL_SCORERS)
+            assert (report.per_pair, report.failures) == expected_report, chunk_chars
+        # The three edge pairs (one summary row, two document rows) were
+        # screened next to longer documents, so with padding.
+        assert any(lengths.count((1, 2)) == 3 and max(d for _, d in lengths) > 2
+                   for lengths in blocks)
 
 
 class TestConditionalLikelihood:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from factfilter import partial_pearson, pearson, wilcoxon_signed_rank
 from factfilter.errors import DegenerateInputError, DomainError
-from factfilter.stats import EXACT_ENUMERATION_CUTOFF
+from factfilter.stats import EXACT_ENUMERATION_CUTOFF, partial_pearsons
 
 
 def oracle_partial_pearson(x, y, z) -> float:
@@ -135,6 +135,49 @@ class TestPartialPearson:
         partial = partial_pearson(x, y, c.reshape(-1, 1)).r
         assert raw > 0.9
         assert abs(partial) < 0.2
+
+
+def one_call_partial_pearson(x, y, z) -> float:
+    """One (x, y) pair's partial r as `partial_pearson` computed it alone:
+    the rank-checked design, then x's and y's least-squares residuals."""
+    design = np.column_stack([np.ones(len(x)), z])
+    rx = x - design @ np.linalg.lstsq(design, x, rcond=None)[0]
+    ry = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    r = float(np.dot(rx, ry)) / np.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
+    return max(-1.0, min(1.0, r))
+
+
+class TestPartialPearsons:
+    """One design and one x, many y: each result is `partial_pearson`'s."""
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_bit_equal_to_one_call_per_y(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            n = int(rng.integers(k + 3, 60))
+            x = rng.normal(size=n)
+            ys = [rng.normal(size=n), np.round(rng.uniform(size=n), 1), x + rng.normal(size=n)]
+            z = (rng.integers(0, 2, size=(n, k)) + 0.0) if k else None
+            if k and np.linalg.matrix_rank(np.column_stack([np.ones(n), z])) < k + 1:
+                continue
+            got = partial_pearsons(x, ys, z)
+            want = [partial_pearson(x, y, z) for y in ys]
+            assert got == want
+            assert [r.r.hex() for r in got] == [r.r.hex() for r in want]
+            if k:
+                assert [r.r.hex() for r in got] == \
+                    [one_call_partial_pearson(x, y, z).hex() for y in ys]
+
+    def test_a_degenerate_y_raises_as_its_own_call_does(self):
+        rng = np.random.default_rng(6)
+        x, z = rng.normal(size=12), rng.normal(size=(12, 2))
+        ys = [rng.normal(size=12), z[:, 0] * 2.0 + 1.0]
+        with pytest.raises(DegenerateInputError, match="zero variance after regression"):
+            partial_pearson(x, ys[1], z)
+        with pytest.raises(DegenerateInputError, match="zero variance after regression"):
+            partial_pearsons(x, ys, z)
+        with pytest.raises(DomainError, match="length mismatch: 12 vs 11"):
+            partial_pearsons(x, [ys[0], ys[0][:11]], z)
 
 
 class TestWilcoxon:

@@ -310,22 +310,22 @@ class TestFlipAnalysisMatchesReference:
                                if a.summary_id in scores}
         scored = list(annotation_by_score.values())
         calls = []
-        pearson = validation.partial_pearson
-        monkeypatch.setattr(validation, "partial_pearson",
-                            lambda x, y, z: calls.append((x, y, z)) or pearson(x, y, z))
+        pearsons = validation.partial_pearsons
+        monkeypatch.setattr(validation, "partial_pearsons",
+                            lambda x, ys, z: calls.append((x, ys, z)) or pearsons(x, ys, z))
         flip_analysis({"unique": scores}, annotations)
         datasets = sorted({a.source_dataset for a in annotations})
-        step = 1 + len(CATEGORIES)
-        assert len(calls) == len(datasets) * step
-        for dataset, start in zip(datasets, range(0, len(calls), step)):
-            (x, y, z), *flipped = calls[start:start + step]
+        # One call per slice: its x and system indicators serve every y.
+        assert len(calls) == len(datasets)
+        for dataset, (x, (y, *flipped), z) in zip(datasets, calls):
             rows = [annotation_by_score[value] for value in x.tolist()]
             assert {a.source_dataset for a in rows} == {dataset}
             assert len(rows) == sum(a.source_dataset == dataset for a in scored)
             assert y.tolist() == [a.factuality for a in rows]
-            for category, (x_flipped, y_flipped, z_flipped) in zip(CATEGORIES, flipped):
-                assert np.array_equal(x_flipped, x)
-                assert np.array_equal(z_flipped, z)
+            assert np.array_equal(z, validation._system_indicators(
+                np.array([a.system_id for a in rows], dtype=object)))
+            assert len(flipped) == len(CATEGORIES)
+            for category, y_flipped in zip(CATEGORIES, flipped):
                 assert y_flipped.tolist() == \
                     [a.factuality for a in reference_flip_labels(rows, category)]
 
