@@ -55,10 +55,11 @@ class TokenEmbeddings:
                 f"token/vector mismatch: {len(self.tokens)} tokens, "
                 f"{self.vectors.shape[0]} vectors"
             )
-        if not np.all(np.isfinite(self.vectors)):
+        if not np.isfinite(self.vectors).all():
             raise DomainError("embedding vectors contain non-finite entries")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(norms == 0.0):
+        # A zero norm is all-zero squares in the dtype `np.linalg.norm` squares in.
+        v = self.vectors if self.vectors.dtype.kind in "fc" else self.vectors.astype(float)
+        if not (v * v).any(axis=1).all():
             raise DomainError("embedding vectors must have nonzero norm")
 
 
@@ -145,9 +146,9 @@ class MockBackend(Backend):
       * tokens are whitespace-split, case-sensitive;
       * each token embeds to a unit vector derived from a seeded hash of the
         token string (context-free), so identical tokens embed identically;
-        each `embed_tokens` call embeds its tokens in one batch, normalising
-        all rows with one batched matmul that is bit-equal to normalising
-        each row alone, and keeps no state across calls;
+        an `embed_tokens` request (one `map`, or a lone call) hashes each
+        distinct token once into a table that lives only for the request,
+        normalising rows bit-equal to normalising each alone;
       * a target token gets log(0.9) if its string occurs among the source
         tokens, else log(0.1);
       * an arc is entailed (prob 1.0) iff both its head and child token
@@ -158,6 +159,7 @@ class MockBackend(Backend):
 
     LOGPROB_PRESENT = math.log(0.9)
     LOGPROB_ABSENT = math.log(0.1)
+    _request_rows: _TokenRows | None = None  # the current `map` request's token table
 
     def __init__(self, dim: int = 16, max_tokens: int = 512):
         if dim < 2 or dim > 16:
@@ -182,16 +184,21 @@ class MockBackend(Backend):
         if len(tokens) > self._max_tokens:
             raise SequenceLengthError(f"{what} has {len(tokens)} tokens", self._max_tokens)
 
+    def map(self, op: str, calls: Sequence[tuple]) -> list:
+        """`Backend.map`; the `embed_tokens` calls of a request share a token table."""
+        self._request_rows = _TokenRows(self._dim)
+        try:
+            return super().map(op, calls)
+        finally:
+            del self._request_rows
+
     def embed_tokens(self, text: str) -> TokenEmbeddings:
         tokens = self.tokenize(text)
         if not tokens:
             raise DomainError("cannot embed empty text")
         self._check_length(tokens, "text")
-        # blake2b with a fixed person tag: stable across runs, platforms and
-        # Python versions.
-        digest = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=4 * self._dim,
-                                          person=b"tokvec").digest() for t in tokens)
-        return TokenEmbeddings(tokens=tuple(tokens), vectors=_digest_rows(digest, self._dim))
+        rows = self._request_rows or _TokenRows(self._dim)
+        return TokenEmbeddings(tokens=tuple(tokens), vectors=rows.gather(tokens))
 
     def conditional_token_logprobs(self, source: str, target: str) -> list[float]:
         source_tokens = self.tokenize(source)
@@ -263,6 +270,32 @@ def _digest_rows(digest: bytes, dim: int) -> np.ndarray:
     vecs[vanishing, 0] = 1.0
     norms[vanishing] = 1.0
     return vecs / norms[:, None]
+
+
+class _TokenRows:
+    """The unit rows of the distinct tokens one request has seen, each hashed once."""
+
+    def __init__(self, dim: int):
+        self._dim = dim
+        self._row_of: dict[str, int] = {}
+        self._rows = np.empty((0, dim))
+
+    def gather(self, tokens: list[str]) -> np.ndarray:
+        """The rows of `tokens`, in order; a token new to the table is hashed first."""
+        row_of = self._row_of
+        try:
+            return self._rows[np.fromiter(map(row_of.__getitem__, tokens), np.intp, len(tokens))]
+        except KeyError:
+            new = [t for t in dict.fromkeys(tokens) if t not in row_of]
+        start, stop = len(row_of), len(row_of) + len(new)
+        if stop > len(self._rows):  # amortised growth: the table at least doubles
+            self._rows = np.resize(self._rows, (2 * stop, self._dim))
+        # blake2b with a fixed person tag is stable across runs, platforms and Pythons.
+        self._rows[start:stop] = _digest_rows(b"".join(
+            hashlib.blake2b(t.encode("utf-8"), digest_size=4 * self._dim,
+                            person=b"tokvec").digest() for t in new), self._dim)
+        row_of.update(zip(new, range(start, stop)))
+        return self.gather(tokens)
 
 
 _BACKENDS: dict[str, Callable[..., Backend]] = {}

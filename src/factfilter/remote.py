@@ -9,8 +9,8 @@ one response per line on stdout.
 
 Embedding vectors travel as the base64 of their little-endian float64 bytes,
 row after row, so they decode to the same bits. A `batch` request runs one op
-over many argument objects and answers with one reply object per call, in
-order:
+over many argument objects, through one `map` of the served backend, and
+answers with one reply object per call, in order:
 
     {"op": "batch", "args": {"op": "tokenize", "calls": [{"text": "a"}, ...]}}
     -> {"result": [{"result": {"tokens": ["a"]}}, {"error": {...}}, ...]}
@@ -51,13 +51,11 @@ PROTOCOL = 2
 # Seconds `RemoteBackend.close` waits for the server to exit once its input closes.
 _CLOSE_TIMEOUT_S = 10
 
-_ERROR_TYPES = {
-    "DomainError": errors.DomainError,
-    "DegenerateInputError": errors.DegenerateInputError,
-    "BackendError": errors.BackendError,
-    "SequenceLengthError": errors.SequenceLengthError,
-    "ConfigurationError": errors.ConfigurationError,
-}
+# Error replies by type; any other type reads as a BackendError.
+_ERROR_TYPES = {cls.__name__: cls for cls in (
+    errors.DomainError, errors.DegenerateInputError, errors.BackendError,
+    errors.SequenceLengthError, errors.ConfigurationError, errors.IntegrityError,
+    errors.ScoringError, errors.EmptySummaryError, errors.NoArcsError)}
 
 
 _ARC_FIELDS = ("head_token", "child_token", "relation_label", "head_index", "child_index")
@@ -87,36 +85,43 @@ def _embeddings_result(emb: TokenEmbeddings) -> dict[str, Any]:
             "vectors": base64.b64encode(vectors.tobytes()).decode("ascii")}
 
 
+# Each op's positional arguments from its argument object, and its result
+# object from its value: the server's mirror of the client's `_CODECS`.
+_SERVER_CODECS: dict[str, tuple[Callable[[Any], tuple], Callable[[Any], Any]]] = {
+    "tokenize": (lambda a: (a["text"],), lambda tokens: {"tokens": tokens}),
+    "embed_tokens": (lambda a: (a["text"],), _embeddings_result),
+    "conditional_token_logprobs": (lambda a: (a["source"], a["target"]),
+                                   lambda logprobs: {"logprobs": logprobs}),
+    "arc_entailment_probs": (
+        lambda a: (a["document"], [_arc_from_dict(arc) for arc in a["arcs"]]),
+        lambda probs: {"probs": probs}),
+    "masked_fill_accuracy": (lambda a: (a["prefix"], a["sentence"], a["mask_positions"]),
+                             lambda accuracy: {"accuracy": accuracy}),
+    "parse_dependencies": (lambda a: (a["summary"],),
+                           lambda arcs: {"arcs": [_arc_to_dict(arc) for arc in arcs]}),
+}
+
+
 def _parse_request(op: Any, args: Any) -> Callable[[Backend], Any]:
     """The request as a function that runs its op on a backend and encodes the
-    result. Every field of the request is read here, before any op runs."""
+    result. Every field of the request is read here, before any op runs. A
+    `batch` runs as one `backend.map`; a per-pair error it returns is that
+    call's error reply, and any other error aborts the request."""
     if op == "descriptor":
         return _descriptor_result
-    if op == "batch":
-        calls = [_parse_request(args["op"], call) for call in args["calls"]]
-        return lambda backend: [_reply(backend, call) for call in calls]
-    if op == "tokenize":
-        text = args["text"]
-        return lambda backend: {"tokens": backend.tokenize(text)}
-    if op == "embed_tokens":
-        text = args["text"]
-        return lambda backend: _embeddings_result(backend.embed_tokens(text))
-    if op == "conditional_token_logprobs":
-        source, target = args["source"], args["target"]
-        return lambda backend: {
-            "logprobs": backend.conditional_token_logprobs(source, target)}
-    if op == "arc_entailment_probs":
-        document, arcs = args["document"], [_arc_from_dict(a) for a in args["arcs"]]
-        return lambda backend: {"probs": backend.arc_entailment_probs(document, arcs)}
-    if op == "masked_fill_accuracy":
-        prefix, sentence, positions = args["prefix"], args["sentence"], args["mask_positions"]
-        return lambda backend: {
-            "accuracy": backend.masked_fill_accuracy(prefix, sentence, positions)}
-    if op == "parse_dependencies":
-        summary = args["summary"]
-        return lambda backend: {
-            "arcs": [_arc_to_dict(a) for a in backend.parse_dependencies(summary)]}
-    raise errors.BackendError(f"unknown op {op!r}")
+    batch = op == "batch"
+    if batch:
+        op, args = args["op"], args["calls"]
+    if not isinstance(op, str) or op not in _SERVER_CODECS:
+        raise errors.BackendError(f"unknown op {op!r}")
+    read, encode = _SERVER_CODECS[op]
+    if not batch:
+        call = read(args)
+        return lambda backend: encode(getattr(backend, op)(*call))
+    calls = [read(call) for call in args]
+    return lambda backend: [
+        _error(value) if isinstance(value, errors.PER_PAIR_ERRORS) else {"result": encode(value)}
+        for value in backend.map(op, calls)]
 
 
 def _error(exc: errors.FactFilterError) -> dict[str, Any]:
@@ -124,14 +129,6 @@ def _error(exc: errors.FactFilterError) -> dict[str, Any]:
     if isinstance(exc, errors.SequenceLengthError):
         payload["limit"] = exc.limit
     return {"error": payload}
-
-
-def _reply(backend: Backend, call: Callable[[Backend], Any]) -> dict[str, Any]:
-    """`{"result": ...}`, or `{"error": ...}` for a toolkit error."""
-    try:
-        return {"result": call(backend)}
-    except errors.FactFilterError as exc:
-        return _error(exc)
 
 
 def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
@@ -147,8 +144,8 @@ def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
         try:
             request = json.loads(line)
             call = _parse_request(request.get("op"), request.get("args", {}))
-            response = _reply(backend, call)
-        except errors.FactFilterError as exc:  # an unknown op, or an arc DependencyArc rejects
+            response = {"result": call(backend)}
+        except errors.FactFilterError as exc:  # an unknown op, a rejected arc, an op's error
             response = _error(exc)
         except Exception as exc:
             fault = "bad request" if call is None else type(exc).__name__

@@ -14,7 +14,7 @@ import types
 import numpy as np
 
 from factfilter.backend import Backend, MockBackend
-from factfilter.errors import BackendError, DomainError
+from factfilter.errors import BackendError, DomainError, NoArcsError
 from factfilter.metrics import FILLER_TOKEN
 from factfilter.remote import serve
 
@@ -34,7 +34,8 @@ class FaultBackend(Backend):
     greedy's arithmetic fails; FLAT makes embed_tokens return 1-D vectors, and
     ARCLESS parse_dependencies return pairs, results the remote server cannot
     encode; LPFAIL fails conditional_token_logprobs and
-    POSLP makes a log-prob positive; PARSEFAIL fails parse_dependencies;
+    POSLP makes a log-prob positive; PARSEFAIL fails parse_dependencies and
+    NOARCS makes it raise a `NoArcsError`;
     ENTFAIL in the document fails arc_entailment_probs, SHORTENT drops one
     of its probabilities and NANENT makes the first one NaN; SUMFAIL in a
     sentence fails its fill after the summary, FILLFAIL its fill after the
@@ -97,6 +98,8 @@ class FaultBackend(Backend):
         self._record("parse_dependencies", summary)
         if "PARSEFAIL" in summary.split():
             raise DomainError(f"cannot parse {summary!r}")
+        if "NOARCS" in summary.split():
+            raise NoArcsError(f"no arcs in {summary!r}")
         if "ARCLESS" in summary.split():
             return [("ARCLESS", "root")]
         return self._mock.parse_dependencies(_plain(summary))

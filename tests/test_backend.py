@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factfilter import (
     DependencyArc,
@@ -154,6 +156,158 @@ class TestTokenEmbeddingsShape:
     def test_zero_rows_rejected(self):
         with pytest.raises(DomainError, match="no token rows"):
             TokenEmbeddings(tokens=(), vectors=np.zeros((0, 16)))
+
+
+def _old_verdict(tokens: tuple, vectors: np.ndarray) -> str | None:
+    """The message of the checks `TokenEmbeddings` made with `np.linalg.norm`,
+    or None where they accepted."""
+    if vectors.ndim != 2:
+        return f"embedding vectors must be 2-D (n_tokens, dim), got shape {vectors.shape}"
+    if vectors.shape[0] == 0:
+        return "embedding has no token rows"
+    if len(tokens) != vectors.shape[0]:
+        return f"token/vector mismatch: {len(tokens)} tokens, {vectors.shape[0]} vectors"
+    if not np.all(np.isfinite(vectors)):
+        return "embedding vectors contain non-finite entries"
+    if np.any(np.linalg.norm(vectors, axis=1) == 0.0):
+        return "embedding vectors must have nonzero norm"
+    return None
+
+
+# Per dtype: ordinary entries, entries whose squares underflow or overflow in
+# that dtype (or wrap, for integers squared in their own dtype), zero and,
+# for floats, NaN and infinity.
+_ENTRIES = {
+    np.float16: [1.5, -2.0, 1e-4, -3e-5, 300.0, 6e4, 0.0, np.nan, np.inf],
+    np.float32: [1.5, -2.0, 1e-30, -1e-25, 1e20, 3e38, 0.0, np.nan, -np.inf],
+    np.float64: [1.5, -2.0, 1e-200, -1e-170, 1e160, 1e300, 0.0, np.nan, np.inf],
+    np.int8: [1, -3, 16, -128, 0],
+    np.int32: [1, -3, 65536, -2 ** 31, 0],
+    np.int64: [1, -3, 2 ** 32, -2 ** 63, 0],
+}
+
+
+@st.composite
+def _embedding_arrays(draw):
+    dtype = draw(st.sampled_from(list(_ENTRIES)))
+    entries = st.sampled_from(_ENTRIES[dtype])
+    if draw(st.booleans()):
+        shape = (draw(st.integers(0, 4)),)
+    else:
+        shape = (draw(st.integers(0, 4)), draw(st.integers(1, 4)))
+    flat = draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    n_tokens = max(0, (shape[0] if len(shape) == 2 else len(flat)) + draw(st.sampled_from(
+        [0, 0, 0, -1, 1])))
+    return tuple(f"t{i}" for i in range(n_tokens)), np.array(flat, dtype=dtype).reshape(shape)
+
+
+class TestTokenEmbeddingsChecks:
+    @given(_embedding_arrays())
+    def test_same_verdicts_and_messages_as_the_norm_checks(self, drawn):
+        tokens, vectors = drawn
+        with np.errstate(over="ignore", under="ignore"):
+            expected = _old_verdict(tokens, vectors)
+            try:
+                TokenEmbeddings(tokens=tokens, vectors=vectors)
+                got = None
+            except DomainError as exc:
+                got = str(exc)
+        assert got == expected
+
+    @pytest.mark.parametrize("row, dtype", [([1e-4, 0.0], np.float16), ([1e-30], np.float32),
+                                            ([1e-200, -1e-200], np.float64)])
+    def test_a_row_whose_squares_underflow_is_rejected(self, row, dtype):
+        with pytest.raises(DomainError, match="nonzero norm"):
+            TokenEmbeddings(tokens=("a", "b"), vectors=np.array([[1.0] * len(row), row], dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_an_integer_row_whose_squares_wrap_is_accepted(self, dtype):
+        big = 16 if dtype is np.int8 else 2 ** 32  # its square wraps to 0 in its own dtype
+        TokenEmbeddings(tokens=("a",), vectors=np.array([[big, 0]], dtype))
+
+
+_WORDS = ["storm", "harbor", "mayor", "x", "éclair", "город", "城市", "🌊", "a-b", "storm."]
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_WORDS), max_size=9).map(" ".join),
+    st.sampled_from(["", "   ", "\t\n"]))
+
+
+class FatalTokenMock(MockBackend):
+    """A mock whose tokenize raises a `RuntimeError`, no per-pair error, on FATAL."""
+
+    def tokenize(self, text):
+        if "FATAL" in text.split():
+            raise RuntimeError(f"fatal on {text!r}")
+        return super().tokenize(text)
+
+
+class CountingEmbedMock(MockBackend):
+    """A mock whose own `embed_tokens` records each text and answers 3-wide."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts: list[str] = []
+        self._narrow = MockBackend(dim=3)
+
+    def embed_tokens(self, text):
+        self.texts.append(text)
+        return self._narrow.embed_tokens(text)
+
+
+def _outcome(item) -> tuple:
+    if isinstance(item, Exception):
+        return type(item), str(item)
+    return item.tokens, [[x.hex() for x in row] for row in item.vectors.tolist()]
+
+
+class TestEmbedRequestTable:
+    """One `embed_tokens` map shares a token table that lives only for the request."""
+
+    @given(texts=st.lists(_TEXTS, max_size=12), dim=st.sampled_from([2, 16]))
+    def test_map_equals_one_call_per_text(self, texts, dim):
+        backend = MockBackend(dim=dim, max_tokens=6)
+        singles = []
+        for text in texts:
+            try:
+                singles.append(backend.embed_tokens(text))
+            except (DomainError, SequenceLengthError) as exc:
+                singles.append(exc)
+        mapped = backend.map("embed_tokens", [(text,) for text in texts])
+        assert [_outcome(item) for item in mapped] == [_outcome(item) for item in singles]
+        for item in singles:
+            if not isinstance(item, Exception):
+                expected = np.stack([_reference_row(_token_digest(t, dim), dim)
+                                     for t in item.tokens])
+                assert np.array_equal(_bits(item.vectors), _bits(expected))
+        assert "_request_rows" not in vars(backend)
+
+    def test_a_repeated_token_is_hashed_once_per_request(self, monkeypatch):
+        from factfilter import backend as backend_module
+
+        hashed = []
+        blake2b = hashlib.blake2b
+        monkeypatch.setattr(backend_module.hashlib, "blake2b",
+                            lambda data, **kw: hashed.append(data) or blake2b(data, **kw))
+        backend = MockBackend()
+        backend.map("embed_tokens", [("storm harbor storm",), ("harbor mayor",), ("storm",)])
+        assert hashed == [b"storm", b"harbor", b"mayor"]
+        hashed.clear()
+        backend.embed_tokens("storm harbor storm")  # a lone call is a request of its own
+        assert hashed == [b"storm", b"harbor"]
+
+    def test_no_table_is_left_after_a_request_a_fatal_error_stopped(self):
+        backend = FatalTokenMock()
+        with pytest.raises(RuntimeError, match="fatal on"):
+            backend.map("embed_tokens", [("storm",), ("a FATAL b",), ("harbor",)])
+        assert "_request_rows" not in vars(backend)
+        (emb,) = backend.map("embed_tokens", [("harbor",)])
+        assert np.array_equal(emb.vectors, MockBackend().embed_tokens("harbor").vectors)
+
+    def test_an_overriding_embed_tokens_is_the_one_asked(self):
+        backend = CountingEmbedMock()
+        out = backend.map("embed_tokens", [("storm harbor",), ("mayor",)])
+        assert backend.texts == ["storm harbor", "mayor"]
+        assert [emb.vectors.shape for emb in out] == [(2, 3), (1, 3)]
 
 
 class TestMockConditional:

@@ -1020,6 +1020,92 @@ class TestServerFaults:
         assert not out.exists()
 
 
+class TestServedBatches:
+    """The server hands each `batch` request to the served backend's `map`."""
+
+    def test_one_map_request_per_batch(self):
+        import io
+
+        from factfilter.remote import serve
+        from faults import FaultBackend
+
+        requests = ['{"op": "batch", "args": {"op": "tokenize", '
+                    '"calls": [{"text": "a b"}, {"text": "TOKFAIL"}, {"text": "c"}]}}',
+                    '{"op": "embed_tokens", "args": {"text": "a"}}',
+                    '{"op": "batch", "args": {"op": "parse_dependencies", '
+                    '"calls": [{"summary": "a b c"}, {"summary": "a NOARCS"}]}}']
+        backend = FaultBackend()
+        out = io.StringIO()
+        serve(backend, io.StringIO("\n".join(requests) + "\n"), out)
+        assert backend.requests == ["tokenize", "parse_dependencies"]
+        assert [call[0] for call in backend.calls] == [
+            "tokenize", "tokenize", "tokenize", "embed_tokens", "parse_dependencies",
+            "parse_dependencies"]
+        tokens, _, arcs = [json.loads(line)["result"] for line in out.getvalue().splitlines()]
+        assert tokens == [{"result": {"tokens": ["a", "b"]}},
+                          {"error": {"type": "BackendError",
+                                     "message": "cannot tokenize 'TOKFAIL'"}},
+                          {"result": {"tokens": ["c"]}}]
+        assert len(arcs[0]["result"]["arcs"]) == 2
+        assert arcs[1] == {"error": {"type": "NoArcsError", "message": "no arcs in 'a NOARCS'"}}
+
+    def test_an_integrity_error_aborts_the_batch_as_in_process(self):
+        import io
+
+        from factfilter.errors import IntegrityError
+        from factfilter.remote import _decode, serve
+        from faults import FaultBackend
+
+        calls = [("a",), ("a FATAL",), ("b",)]
+        with pytest.raises(IntegrityError, match="fatal on 'a FATAL'"):
+            FaultBackend(fatal=IntegrityError).map("embed_tokens", calls)
+        out = io.StringIO()
+        request = {"op": "batch", "args": {"op": "embed_tokens",
+                                           "calls": [{"text": text} for text, in calls]}}
+        serve(FaultBackend(fatal=IntegrityError), io.StringIO(json.dumps(request) + "\n"), out)
+        reply = json.loads(out.getvalue())
+        assert reply == {"error": {"type": "IntegrityError", "message": "fatal on 'a FATAL'"}}
+        with pytest.raises(IntegrityError, match="fatal on 'a FATAL'"):
+            _decode("batch", reply)
+
+    @pytest.mark.parametrize("name", ["ScoringError", "EmptySummaryError", "NoArcsError",
+                                      "IntegrityError", "DomainError", "BackendError"])
+    def test_an_error_reply_keeps_its_class(self, name):
+        from factfilter import errors
+        from factfilter.remote import _decode
+
+        with pytest.raises(getattr(errors, name)) as excinfo:
+            _decode("parse_dependencies", {"error": {"type": name, "message": "m"}})
+        assert type(excinfo.value) is getattr(errors, name) and str(excinfo.value) == "m"
+
+    def test_per_pair_errors_score_the_same_bytes_in_process_and_over_remote(
+            self, tmp_path, monkeypatch):
+        import faults
+        from factfilter import backend as backend_module
+
+        monkeypatch.setitem(backend_module._BACKENDS, "fault", faults.FaultBackend)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": i, "document": d, "summary": s, "split": "test", "meta": {}})
+            + "\n" for i, d, s in [("ok", "alpha beta gamma", "alpha beta"),
+                                   ("no-arcs", "alpha beta gamma", "alpha NOARCS"),
+                                   ("one-token", "alpha beta", "alpha"),
+                                   ("parse", "alpha beta", "alpha PARSEFAIL"),
+                                   ("embed", "EMBFAIL alpha", "alpha beta"),
+                                   ("logprobs", "alpha beta", "beta LPFAIL")]),
+            encoding="utf-8")
+        outputs = []
+        for backend in (["--backend", "fault"],
+                        ["--backend", "remote", "--remote-command",
+                         f"{sys.executable} {faults.__file__} 512"]):
+            out = tmp_path / f"scores-{len(outputs)}.jsonl"
+            assert main(["score", "--in", str(corpus), "--out", str(out),
+                         "--scorers", "greedy,condll,dae", *backend]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"NoArcsError: no arcs in 'alpha NOARCS'" in outputs[0]
+
+
 def test_transport_error_is_never_per_pair():
     from factfilter.errors import PER_PAIR_ERRORS, TransportError
 
