@@ -2,9 +2,10 @@
 
 One subcommand per pipeline stage (scoring is hours-long with real backends
 and must be separately resumable). Progress goes to stderr; data goes only to
-the declared output files; every run writes a config echo next to its
-primary output. Exit codes: 0 success, 1 usage/configuration, 2
-data/integrity, 3 backend failure.
+the declared output files. Every flag is parsed and checked before the
+command runs; a run whose flags parse writes a config echo next to its
+primary output before it reads any input. Exit codes: 0 success, 1
+usage/configuration, 2 data/integrity, 3 backend failure.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .experiments import (
 from .filtration import FilterManifest, apply_manifest, intersect_filter
 from .metrics import ALL_METRICS, EvalReport, evaluate_outputs
 from .records import read_jsonl, write_csv
-from .scorers import SCORERS, ScoreTable, load_scores, score_corpus_to_file
+from .scorers import SCORERS, load_scores, score_corpus_to_file
 from .validation import flip_analysis, load_annotations, validate_slices
 
 logger = logging.getLogger("factfilter")
@@ -113,8 +114,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_config_echo(out_path: str | Path, args: argparse.Namespace) -> None:
-    """Every flag value the run used, as a `--config` file that reruns it."""
-    echo = {key: value for key, value in vars(args).items() if key not in ("func", "config")}
+    """Every flag value the run used, as a `--config` file that reruns it; a
+    parsed comma list goes back to its comma-joined text."""
+    echo = {key: ",".join(map(str, value)) if isinstance(value, list) else value
+            for key, value in vars(args).items() if key not in ("func", "config")}
     path = Path(str(out_path) + ".config.json")
     path.write_text(json.dumps(echo, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -122,26 +125,26 @@ def _write_config_echo(out_path: str | Path, args: argparse.Namespace) -> None:
 
 def _make_backend(args: argparse.Namespace) -> Backend:
     if args.backend == "remote":
-        if not args.remote_command:
-            raise ConfigurationError("--remote-command is required with --backend remote")
         return create_backend("remote", command=shlex.split(args.remote_command))
     return create_backend(args.backend)
 
 
-def _split_csv(value: str, flag: str, kind: Callable[[str], Any] = str) -> list:
-    """The non-empty items of a comma list, each converted by `kind`."""
-    try:
-        items = [kind(item.strip()) for item in value.split(",") if item.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"{flag}: {exc}") from None
-    if not items:
-        raise ConfigurationError(f"{flag} needs at least one comma-separated item")
-    return items
+def _comma_list(flag: str, kind: Callable[[str], Any] = str,
+                known: Sequence[str] | None = None) -> Callable[[str], list]:
+    """The `type=` of a comma-list flag: its non-empty items, each converted by
+    `kind` and, when `known` is given, one of those names."""
+    def parse(value: str) -> list:
+        try:
+            items = [kind(item.strip()) for item in value.split(",") if item.strip()]
+        except ValueError as exc:
+            raise ConfigurationError(f"{flag}: {exc}") from None
+        if not items:
+            raise ConfigurationError(f"{flag} needs at least one comma-separated item")
+        if known is not None and (unknown := [item for item in items if item not in known]):
+            raise ConfigurationError(f"unknown {flag[2:]} {unknown}; available: {list(known)}")
+        return items
 
-
-def _scorer_names(args: argparse.Namespace, table: ScoreTable) -> list[str]:
-    """The `--scorers` list, or every scorer in `table` when the flag is absent."""
-    return table.scorers if args.scorers is None else _split_csv(args.scorers, "--scorers")
+    return parse
 
 
 def _load_generated(path: str | Path) -> dict[str, str]:
@@ -164,29 +167,21 @@ def _load_generated(path: str | Path) -> dict[str, str]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
-    corpus = load_corpus(args.in_path, name=args.name or None)
-    _write_config_echo(args.out, args)
+    corpus = load_corpus(args.in_path)
     save_corpus(corpus, args.out)
     logger.info("ingested %d pairs into %s", len(corpus), args.out)
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
-    scorer_names = _split_csv(args.scorers, "--scorers")
-    unknown = [s for s in scorer_names if s not in SCORERS]
-    if unknown:
-        raise ConfigurationError(f"unknown scorers {unknown}; available: {sorted(SCORERS)}")
-    corpus = load_corpus(args.in_path, name=args.corpus_name or None)
-    _write_config_echo(args.out, args)
+    corpus = load_corpus(args.in_path)
     with _make_backend(args) as backend:
-        added = score_corpus_to_file(corpus, scorer_names, backend, args.out)
+        added = score_corpus_to_file(corpus, args.scorers, backend, args.out)
     logger.info("wrote %d new score rows to %s", added, args.out)
 
 
 def _cmd_filter(args: argparse.Namespace) -> None:
     table = load_scores(args.scores, args.corpus_name or Path(args.scores).stem)
-    scorers = _scorer_names(args, table)
-    _write_config_echo(args.out, args)
-    manifest = intersect_filter(table, args.q, scorers=scorers)
+    manifest = intersect_filter(table, args.q, scorers=args.scorers or table.scorers)
     manifest.save(args.out)
     logger.info("kept %d / %d pairs (ratio %.4f); manifest %s",
                 len(manifest.kept_ids), manifest.n_pairs,
@@ -203,7 +198,6 @@ def _stats_row(label: str, corpus: Corpus, ratio: float | None) -> list[str]:
 
 def _cmd_stats(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.in_path, name=args.corpus_name or None)
-    _write_config_echo(args.out, args)
     rows = [_stats_row("full", corpus, None)]
     if args.manifest:
         manifest = FilterManifest.load(args.manifest)
@@ -224,10 +218,8 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 def _cmd_validate_frank(args: argparse.Namespace) -> None:
     annotations = load_annotations(args.annotations)
     table = load_scores(args.scores, "annotations")
-    scorer_names = _scorer_names(args, table)
-    results = validate_slices(((name, table.values(name)) for name in scorer_names),
-                              annotations)
-    _write_config_echo(args.out, args)
+    results = validate_slices(((name, table.values(name))
+                               for name in args.scorers or table.scorers), annotations)
     write_csv(args.out, ["scorer", "dataset", "r", "n", "n_covariates"],
               ([scorer, dataset or "all", repr(float(result.r)), str(result.n),
                 str(result.n_covariates)] for scorer, dataset, result in results))
@@ -237,21 +229,18 @@ def _cmd_validate_frank(args: argparse.Namespace) -> None:
 def _cmd_flip_analysis(args: argparse.Namespace) -> None:
     annotations = load_annotations(args.annotations)
     table = load_scores(args.scores, "annotations")
-    scores_by_scorer = {name: table.values(name) for name in _scorer_names(args, table)}
-    _write_config_echo(args.out, args)
+    scores_by_scorer = {name: table.values(name) for name in args.scorers or table.scorers}
     report = flip_analysis(scores_by_scorer, annotations)
     report.to_csv(args.out)
     logger.info("wrote flip analysis to %s", args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    corpus = load_corpus(args.in_path, name=args.corpus_name or None)
-    table = load_scores(args.scores, corpus.name)
-    spec = SweepSpec(thresholds=tuple(_split_csv(args.thresholds, "--thresholds", float)),
-                     strategies=tuple(_split_csv(args.strategies, "--strategies")),
+    spec = SweepSpec(thresholds=tuple(args.thresholds), strategies=tuple(args.strategies),
                      seed=args.seed)
+    corpus = load_corpus(args.in_path)
+    table = load_scores(args.scores, corpus.name)
     spec.check_columns(table)  # before the hook asks the backend for work
-    _write_config_echo(args.out, args)
     with _make_backend(args) as backend:
         rows = run_sweep(corpus, table, spec, table_eval_hook(corpus, table, backend))
     write_sweep_csv(rows, args.out)
@@ -261,12 +250,10 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.in_path, name=args.corpus_name or None)
     generated = _load_generated(args.generated)
-    metrics = _split_csv(args.metrics, "--metrics")
     manifest = FilterManifest.load(args.manifest) if args.manifest else None
-    _write_config_echo(args.out, args)
     with _make_backend(args) as backend:
         report = evaluate_outputs(generated, corpus, backend=backend,
-                                  manifest=manifest, metrics=metrics)
+                                  manifest=manifest, metrics=args.metrics)
     report.to_csv(args.out)
     for metric in report.metrics:
         if report.per_pair[metric]:
@@ -278,7 +265,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 def _cmd_compare(args: argparse.Namespace) -> None:
     report_a = EvalReport.from_csv(args.report_a)
     report_b = EvalReport.from_csv(args.report_b)
-    _write_config_echo(args.out, args)
     comparison = compare_selections(report_a, report_b)
     comparison.to_csv(args.out)
     logger.info("wrote comparison to %s", args.out)
@@ -308,15 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate and canonicalize a corpus JSONL")
     p.add_argument("--in", dest="in_path", required=True, help="input corpus JSONL")
     p.add_argument("--out", required=True, help="output corpus JSONL")
-    p.add_argument("--name", help="corpus name (default: file stem)")
     _add_common(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("score", help="score pairs with factual-consistency scorers")
     p.add_argument("--in", dest="in_path", required=True, help="corpus JSONL")
     p.add_argument("--out", required=True, help="scores JSONL (appended on resume)")
-    p.add_argument("--scorers", required=True, help="comma list: greedy,condll,dae")
-    p.add_argument("--corpus-name", dest="corpus_name", help="(default: file stem)")
+    p.add_argument("--scorers", required=True,
+                   type=_comma_list("--scorers", known=sorted(SCORERS)),
+                   help="comma list: greedy,condll,dae")
     _add_backend_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_score)
@@ -325,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="scores JSONL")
     p.add_argument("--out", required=True, help="manifest JSON")
     p.add_argument("--q", default=0.25, type=float, help="drop fraction (default %(default)s)")
-    p.add_argument("--scorers", help="comma list (default: all in file)")
+    p.add_argument("--scorers", type=_comma_list("--scorers"),
+                   help="comma list (default: all in file)")
     p.add_argument("--corpus-name", dest="corpus_name",
                    help="corpus the manifest applies to (default: scores file stem)")
     _add_common(p)
@@ -344,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partial correlation of scorers vs human annotations")
     p.add_argument("--annotations", required=True, help="annotation JSONL")
     p.add_argument("--scores", required=True, help="scores JSONL keyed by summary id")
-    p.add_argument("--scorers", help="comma list (default: all in file)")
+    p.add_argument("--scorers", type=_comma_list("--scorers"),
+                   help="comma list (default: all in file)")
     p.add_argument("--out", required=True, help="correlation CSV")
     _add_common(p)
     p.set_defaults(func=_cmd_validate_frank)
@@ -353,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-error-category label-flip sensitivity")
     p.add_argument("--annotations", required=True, help="annotation JSONL")
     p.add_argument("--scores", required=True, help="scores JSONL keyed by summary id")
-    p.add_argument("--scorers", help="comma list (default: all in file)")
+    p.add_argument("--scorers", type=_comma_list("--scorers"),
+                   help="comma list (default: all in file)")
     p.add_argument("--out", required=True, help="flip report CSV")
     _add_common(p)
     p.set_defaults(func=_cmd_flip_analysis)
@@ -363,12 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="scores JSONL")
     p.add_argument("--out", required=True, help="sweep CSV")
     p.add_argument("--thresholds", default=",".join(map(str, SweepSpec.thresholds)),
+                   type=_comma_list("--thresholds", float),
                    help="comma list of drop fractions (default: %(default)s)")
     p.add_argument("--strategies", default=",".join(SweepSpec.strategies),
+                   type=_comma_list("--strategies"),
                    help="comma list: combined,random,single:<scorer> (default: %(default)s)")
     p.add_argument("--seed", default=SweepSpec.seed, type=int,
                    help="seed of the random strategy (default: %(default)s)")
-    p.add_argument("--corpus-name", dest="corpus_name", help="(default: file stem)")
     _add_backend_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
@@ -378,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generated", required=True, help="JSONL of {id, summary}")
     p.add_argument("--out", required=True, help="evaluation report CSV")
     p.add_argument("--metrics", default=",".join(ALL_METRICS),
+                   type=_comma_list("--metrics", known=ALL_METRICS),
                    help="comma list (default: %(default)s)")
     p.add_argument("--manifest",
                    help="restrict the reference-based metric to kept test pairs")
@@ -402,6 +393,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "backend", None) == "remote" and not args.remote_command:
+            raise ConfigurationError("--remote-command is required with --backend remote")
+        _write_config_echo(args.out, args)
         if (registry := load_extra_backends()) is not None:
             logger.info("loaded extra backends from %s", registry)
         args.func(args)

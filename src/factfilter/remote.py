@@ -51,11 +51,10 @@ PROTOCOL = 2
 # Seconds `RemoteBackend.close` waits for the server to exit once its input closes.
 _CLOSE_TIMEOUT_S = 10
 
-# Error replies by type; any other type reads as a BackendError.
-_ERROR_TYPES = {cls.__name__: cls for cls in (
-    errors.DomainError, errors.DegenerateInputError, errors.BackendError,
-    errors.SequenceLengthError, errors.ConfigurationError, errors.IntegrityError,
-    errors.ScoringError, errors.EmptySummaryError, errors.NoArcsError)}
+# Error replies by type: every toolkit error class, so an error crosses the
+# link as it was raised; any other type reads as a BackendError.
+_ERROR_TYPES = {cls.__name__: cls for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, errors.FactFilterError)}
 
 
 _ARC_FIELDS = ("head_token", "child_token", "relation_label", "head_index", "child_index")

@@ -8,7 +8,7 @@ the generating system, sliced by source dataset. Flip analysis measures a
 scorer's sensitivity to one category by negating that category's flags and
 observing the correlation drop.
 
-Annotation JSONL schema (field names remappable via a column map):
+Annotation JSONL schema:
 
     {"summary_id": str, "dataset": "cnndm"|"xsum", "system": str,
      "factuality": float, "errors": {"semantic_frame": bool,
@@ -29,14 +29,6 @@ from .stats import PartialCorrelationResult, partial_pearson, partial_pearsons
 
 CATEGORIES = ("semantic_frame", "discourse", "content_verifiability")
 DATASETS = ("cnndm", "xsum")
-
-_DEFAULT_COLUMNS = {
-    "summary_id": "summary_id",
-    "dataset": "dataset",
-    "system": "system",
-    "factuality": "factuality",
-    "errors": "errors",
-}
 
 COVERAGE_FLOOR = 0.95
 
@@ -72,38 +64,32 @@ class FactualityAnnotation:
             )
 
 
-def load_annotations(path: str | Path,
-                     column_map: Mapping[str, str] | None = None) -> list[FactualityAnnotation]:
+def load_annotations(path: str | Path) -> list[FactualityAnnotation]:
     """Load annotations from JSONL, validating the no-flags-implies-factual rule.
 
-    `column_map` remaps our canonical field names onto the file's column
-    names, so externally published annotation releases can be adapted
-    without rewriting them. The summary id, dataset and system must be JSON
-    strings, flags JSON booleans and factuality a JSON number. Each malformed
-    record, out-of-domain value or duplicate summary id names its
-    `path:line`; records violating no-flags-implies-factual are collected and
-    reported together.
+    The summary id, dataset and system must be JSON strings, flags JSON
+    booleans and factuality a JSON number. Each malformed record,
+    out-of-domain value or duplicate summary id names its `path:line`;
+    records violating no-flags-implies-factual are collected and reported
+    together.
     """
-    columns = dict(_DEFAULT_COLUMNS)
-    if column_map:
-        columns.update(column_map)
     annotations: list[FactualityAnnotation] = []
     seen: set[str] = set()
     bad_ids: list[str] = []
 
     def consume(record: Mapping[str, Any]) -> None:
-        flags_raw = record[columns["errors"]]
+        flags_raw = record["errors"]
         flags = {cat: flags_raw[cat] for cat in CATEGORIES}
         for cat, flag in flags.items():
             if not isinstance(flag, bool):
                 raise TypeError(f"flag {cat!r} must be true or false, got {flag!r}")
-        factuality = record[columns["factuality"]]
+        factuality = record["factuality"]
         if type(factuality) not in (float, int):  # rejects bool, an int subclass
             raise TypeError(f"factuality must be a number, got {factuality!r}")
-        texts = {key: record[columns[key]] for key in ("summary_id", "dataset", "system")}
+        texts = {key: record[key] for key in ("summary_id", "dataset", "system")}
         for key, value in texts.items():
             if not isinstance(value, str):
-                raise TypeError(f"{columns[key]!r} must be a string, got {value!r}")
+                raise TypeError(f"{key!r} must be a string, got {value!r}")
         summary_id, dataset, system = texts.values()
         if summary_id in seen:
             raise IntegrityError(f"duplicate annotation for summary {summary_id!r}")

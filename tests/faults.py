@@ -33,13 +33,12 @@ class FaultBackend(Backend):
     embed_tokens and NARROW embeds 8-wide, so
     greedy's arithmetic fails; FLAT makes embed_tokens return 1-D vectors, and
     ARCLESS parse_dependencies return pairs, results the remote server cannot
-    encode; LPFAIL fails conditional_token_logprobs and
-    POSLP makes a log-prob positive; PARSEFAIL fails parse_dependencies and
-    NOARCS makes it raise a `NoArcsError`;
-    ENTFAIL in the document fails arc_entailment_probs, SHORTENT drops one
-    of its probabilities and NANENT makes the first one NaN; SUMFAIL in a
-    sentence fails its fill after the summary, FILLFAIL its fill after the
-    filler. The mock sees text without NIL.
+    encode; LPFAIL fails conditional_token_logprobs, POSLP makes a log-prob
+    positive and NOLP makes the list empty; PARSEFAIL fails parse_dependencies
+    and NOARCS makes it raise a `NoArcsError`; ENTFAIL in the document fails
+    arc_entailment_probs, SHORTENT drops one of its probabilities, NANENT
+    makes the first one NaN and HIGHENT makes it 1.5; SUMFAIL in a sentence
+    fails its fill after the summary, FILLFAIL its fill after the filler. The mock sees text without NIL.
 
     `calls` holds the `(op, *args)` of every single op asked of it, those a
     `map` loops over included; `requests` the op of every `map` request.
@@ -91,6 +90,8 @@ class FaultBackend(Backend):
         self._record("conditional_token_logprobs", source, target)
         if "LPFAIL" in target.split():
             raise BackendError(f"no log-probs for {target!r}")
+        if "NOLP" in target.split():
+            return []
         logprobs = self._mock.conditional_token_logprobs(_plain(source), _plain(target))
         return [0.5, *logprobs[1:]] if "POSLP" in target.split() else logprobs
 
@@ -111,6 +112,8 @@ class FaultBackend(Backend):
         probs = self._mock.arc_entailment_probs(_plain(document), arcs)
         if "NANENT" in document.split():
             probs[0] = float("nan")
+        if "HIGHENT" in document.split():
+            probs[0] = 1.5
         return probs[:-1] if "SHORTENT" in document.split() else probs
 
     def masked_fill_accuracy(self, prefix, sentence, mask_positions):
@@ -139,10 +142,12 @@ STEP_FAIL_PAIRS = [
     ("greedy-arithmetic", "alpha beta gamma", "alpha NARROW"),
     ("condll-op", "alpha beta", "alpha LPFAIL"),
     ("condll-arithmetic", "alpha beta", "alpha POSLP"),
+    ("condll-no-logprobs", "alpha beta", "alpha NOLP"),
     ("dae-parse", "alpha beta", "alpha PARSEFAIL"),
     ("dae-no-arcs", "alpha beta", "alpha"),
     ("dae-entailment", "ENTFAIL alpha beta", "alpha beta"),
     ("dae-arithmetic", "SHORTENT alpha beta", "alpha beta"),
+    ("dae-out-of-range", "HIGHENT alpha beta", "alpha beta"),
     ("marker-past-the-limit", "one two three four five six ENTFAIL", "two three four"),
     ("healthy-2", "one two three four", "two three four"),
 ]

@@ -84,6 +84,54 @@ class TestExitCodes:
         assert "configuration error: unknown" in capsys.readouterr().err
 
 
+class TestFlagsParseBeforeTheRun:
+    """Every flag is parsed and checked before the command reads an input,
+    starts a backend or writes its config echo."""
+
+    @pytest.mark.parametrize("command, message", [
+        (["evaluate", "--generated", "{generated}", "--metrics", "rouge2,bogus",
+          "--backend", "remote", "--remote-command", "{server}"],
+         "configuration error: unknown metrics ['bogus']"),
+        (["score", "--scorers", "greedy", "--backend", "remote"],
+         "configuration error: --remote-command is required with --backend remote"),
+        (["score", "--scorers", "greedy", "--corpus-name", "toy"],
+         "unrecognized arguments: --corpus-name toy"),
+        (["sweep", "--scores", "scores.jsonl", "--corpus-name", "toy"],
+         "unrecognized arguments: --corpus-name toy"),
+        (["ingest", "--name", "toy"], "unrecognized arguments: --name toy"),
+    ], ids=["unknown-metric", "remote-without-command", "score-corpus-name",
+            "sweep-corpus-name", "ingest-name"])
+    def test_a_rejected_flag_starts_no_server_and_writes_no_echo(self, tmp_path, toy, capsys,
+                                                                 monkeypatch, command, message):
+        from factfilter import remote
+
+        spawned = []
+        popen = subprocess.Popen
+        monkeypatch.setattr(remote.subprocess, "Popen",
+                            lambda *args, **kwargs: spawned.append(popen(*args, **kwargs))
+                            or spawned[-1])
+        inputs = {"generated": _generated(tmp_path, toy),
+                  "server": f"{sys.executable} -m factfilter.remote --backend mock"}
+        before = sorted(tmp_path.iterdir())
+        argv = [arg.format(**inputs) for arg in command]
+        assert main([*argv, "--in", str(toy), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert spawned == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_descending_thresholds_fail_before_the_inputs_are_read(self, tmp_path, capsys):
+        code = main(["sweep", "--in", str(tmp_path / "missing.jsonl"),
+                     "--scores", str(tmp_path / "missing_scores.jsonl"),
+                     "--out", str(tmp_path / "sweep.csv"), "--thresholds", "0.4,0.1"])
+        assert code == 2
+        assert "data error: thresholds must be strictly ascending" in capsys.readouterr().err
+
+    def test_an_out_in_a_missing_directory_is_an_io_error(self, tmp_path, toy, capsys):
+        assert main(["ingest", "--in", str(toy),
+                     "--out", str(tmp_path / "missing" / "c.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+
 class TestIngest:
     def test_canonicalizes(self, tmp_path, toy):
         out = tmp_path / "canonical.jsonl"
@@ -282,6 +330,15 @@ class TestStatsCommand:
         assert dist.exists()
         assert len(dist.read_text().splitlines()) == 1 + 3 * (5 + 10)
 
+    def test_scores_missing_a_corpus_pair_exit_two(self, tmp_path, toy, capsys):
+        scores = _score(tmp_path, toy)
+        first = json.loads(scores.read_text().splitlines()[0])["pair_id"]
+        scores.write_text("".join(line for line in scores.read_text().splitlines(keepends=True)
+                                  if json.loads(line)["pair_id"] != first))
+        assert main(["stats", "--in", str(toy), "--scores", str(scores),
+                     "--out", str(tmp_path / "stats.csv")]) == 2
+        assert "missing 1 pairs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt", [
         lambda text: "[1, 2]",
         lambda text: json.dumps({**json.loads(text), "scorer_names": 5}),
@@ -348,6 +405,22 @@ class TestEvaluateAndCompare:
         lines = comparison.read_text().strip().splitlines()
         assert lines[0].startswith("metric,mean_a,mean_b")
         assert len(lines) == 6  # five metrics
+
+    @pytest.mark.parametrize("corpus_name, split, message", [
+        ("other", "test", "manifest is for corpus 'other', got 'toy'"),
+        ("toy", "train", "manifest keeps no test pairs"),
+    ], ids=["other-corpus", "no-test-pair"])
+    def test_a_manifest_that_does_not_fit_exits_two(self, tmp_path, toy, capsys,
+                                                    corpus_name, split, message):
+        kept = tuple(sorted(pair.id for pair in load_corpus(toy).split_pairs(split)))
+        manifest = tmp_path / "manifest.json"
+        FilterManifest(corpus_name=corpus_name, scorer_names=(), q=0.25,
+                       per_scorer_thresholds={}, kept_ids=kept, n_pairs=50,
+                       selection_ratio=len(kept) / 50, created_with={}).save(manifest)
+        assert main(["evaluate", "--in", str(toy), "--generated", str(_generated(tmp_path, toy)),
+                     "--out", str(tmp_path / "r.csv"), "--manifest", str(manifest),
+                     "--metrics", "rouge2"]) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
 
     def test_missing_generated_id_exits_two(self, tmp_path, toy):
         gen = tmp_path / "gen.jsonl"
@@ -1069,7 +1142,9 @@ class TestServedBatches:
             _decode("batch", reply)
 
     @pytest.mark.parametrize("name", ["ScoringError", "EmptySummaryError", "NoArcsError",
-                                      "IntegrityError", "DomainError", "BackendError"])
+                                      "IntegrityError", "DomainError", "BackendError",
+                                      "ParseError", "CoverageError", "TransportError",
+                                      "FactFilterError"])
     def test_an_error_reply_keeps_its_class(self, name):
         from factfilter import errors
         from factfilter.remote import _decode

@@ -320,6 +320,13 @@ class TestChunkComposition:
                    for lengths in blocks)
 
 
+class NestedLogprobMock(MockBackend):
+    """Answers each log-prob as a one-item list."""
+
+    def conditional_token_logprobs(self, source, target):
+        return [[lp] for lp in super().conditional_token_logprobs(source, target)]
+
+
 class TestConditionalLikelihood:
     def test_all_present_is_log_point_nine(self, mock_backend):
         pair = make_pair("p", "storm hit the harbor town", "storm hit the harbor")
@@ -336,6 +343,16 @@ class TestConditionalLikelihood:
     def test_value_nonpositive_always(self, mock_backend):
         pair = make_pair("p", "a b c", "q w e r t y")
         assert score_one("condll", pair.document, pair.summary, mock_backend).value <= 0.0
+
+    def test_nested_logprob_lists_get_the_reference_value(self):
+        """Replies that are no flat lists of numbers skip the chunk arithmetic
+        and each take the per-pair check."""
+        backend = NestedLogprobMock()
+        corpus = make_corpus("c", make_pair("a", "storm hit the harbor", "storm comet"),
+                             make_pair("b", "mayor opened the bridge", "mayor bridge"))
+        cells = score_corpus(corpus, ["condll"], backend)
+        assert [cell.value for cell in cells] == [
+            reference.condll(pair.document, pair.summary, backend) for pair in corpus]
 
 
 class TestArcEntailment:

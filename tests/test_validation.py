@@ -69,17 +69,6 @@ class TestLoadAnnotations:
         with pytest.raises(ParseError):
             load_annotations(path)
 
-    def test_column_map_adapter(self, tmp_path):
-        path = tmp_path / "external.jsonl"
-        row = {"hash": "s1", "corpus": "xsum", "model_name": "bart",
-               "score": 0.5, "error_flags": dict(zip(CATEGORIES, (False, True, False)))}
-        path.write_text(json.dumps(row) + "\n")
-        annotations = load_annotations(path, column_map={
-            "summary_id": "hash", "dataset": "corpus", "system": "model_name",
-            "factuality": "score", "errors": "error_flags"})
-        assert annotations[0].summary_id == "s1"
-        assert annotations[0].category_flags["discourse"]
-
 
 class TestValidateScorer:
     def test_score_equal_to_factuality_gives_r_one(self):
