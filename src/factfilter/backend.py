@@ -308,14 +308,17 @@ def register_backend(name: str, factory: Callable[..., Backend], *, replace: boo
     _BACKENDS[name] = factory
 
 
+def registered_backend(name: str) -> str:
+    """`name`; a ConfigurationError unless a backend is registered under it."""
+    if name not in _BACKENDS:
+        known = ", ".join(sorted(_BACKENDS)) or "(none)"
+        raise ConfigurationError(f"unknown backend {name!r}; registered: {known}")
+    return name
+
+
 def create_backend(name: str, **options) -> Backend:
     """Instantiate a registered backend; ConfigurationError on unknown names."""
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS)) or "(none)"
-        raise ConfigurationError(f"unknown backend {name!r}; registered: {known}") from None
-    return factory(**options)
+    return _BACKENDS[registered_backend(name)](**options)
 
 
 # Names a Python file whose import registers more backends.

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import remote  # noqa: F401  (registers the remote backend)
-from .backend import Backend, create_backend, load_extra_backends
+from .backend import Backend, create_backend, load_extra_backends, registered_backend
 from .corpus import SPLITS, Corpus, corpus_stats, load_corpus, save_corpus
 from .errors import (
     BackendError,
@@ -130,9 +130,11 @@ def _make_backend(args: argparse.Namespace) -> Backend:
 
 
 def _comma_list(flag: str, kind: Callable[[str], Any] = str,
-                known: Sequence[str] | None = None) -> Callable[[str], list]:
+                known: Sequence[str] | None = None,
+                distinct: bool = True) -> Callable[[str], list]:
     """The `type=` of a comma-list flag: its non-empty items, each converted by
-    `kind` and, when `known` is given, one of those names."""
+    `kind`, none repeated when `distinct` and, when `known` is given, each one
+    of those names."""
     def parse(value: str) -> list:
         try:
             items = [kind(item.strip()) for item in value.split(",") if item.strip()]
@@ -140,6 +142,8 @@ def _comma_list(flag: str, kind: Callable[[str], Any] = str,
             raise ConfigurationError(f"{flag}: {exc}") from None
         if not items:
             raise ConfigurationError(f"{flag} needs at least one comma-separated item")
+        if distinct and len(set(items)) != len(items):
+            raise ConfigurationError(f"{flag} repeats an item: {items}")
         if known is not None and (unknown := [item for item in items if item not in known]):
             raise ConfigurationError(f"unknown {flag[2:]} {unknown}; available: {list(known)}")
         return items
@@ -201,15 +205,17 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     rows = [_stats_row("full", corpus, None)]
     if args.manifest:
         manifest = FilterManifest.load(args.manifest)
-        filtered = apply_manifest(corpus, manifest)
-        rows.append(_stats_row("selection", filtered, manifest.selection_ratio))
-    write_csv(args.out, ["record", "corpus", "n_pairs", "n_train", "n_validation", "n_test",
-                         "mean_doc_words", "mean_sum_words", "selection_ratio"], rows)
-    logger.info("wrote corpus stats to %s", args.out)
-    if args.scores:
+        rows.append(_stats_row("selection", apply_manifest(corpus, manifest),
+                               manifest.selection_ratio))
+    summaries = None
+    if args.scores:  # every input is read and checked before either CSV is written
         table = load_scores(args.scores, corpus.name)
         table.ensure_complete(corpus.ids())
         summaries = distribution_report(table)
+    write_csv(args.out, ["record", "corpus", "n_pairs", "n_train", "n_validation", "n_test",
+                         "mean_doc_words", "mean_sum_words", "selection_ratio"], rows)
+    logger.info("wrote corpus stats to %s", args.out)
+    if summaries is not None:
         dist_path = Path(args.out).with_name(Path(args.out).stem + "_distributions.csv")
         write_distribution_csv(summaries, dist_path)
         logger.info("wrote score distributions to %s", dist_path)
@@ -279,7 +285,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default="mock",
+    parser.add_argument("--backend", default="mock", type=registered_backend,
                         help="backend id (default: %(default)s); 'remote' uses --remote-command")
     parser.add_argument("--remote-command", dest="remote_command",
                         help="command line of an out-of-process backend server")
@@ -352,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="scores JSONL")
     p.add_argument("--out", required=True, help="sweep CSV")
     p.add_argument("--thresholds", default=",".join(map(str, SweepSpec.thresholds)),
-                   type=_comma_list("--thresholds", float),
+                   type=_comma_list("--thresholds", float, distinct=False),
                    help="comma list of drop fractions (default: %(default)s)")
     p.add_argument("--strategies", default=",".join(SweepSpec.strategies),
-                   type=_comma_list("--strategies"),
+                   type=_comma_list("--strategies", distinct=False),
                    help="comma list: combined,random,single:<scorer> (default: %(default)s)")
     p.add_argument("--seed", default=SweepSpec.seed, type=int,
                    help="seed of the random strategy (default: %(default)s)")
@@ -392,12 +398,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
+        if (registry := load_extra_backends()) is not None:  # `--backend` checks its names
+            logger.info("loaded extra backends from %s", registry)
         args = parser.parse_args(argv)
         if getattr(args, "backend", None) == "remote" and not args.remote_command:
             raise ConfigurationError("--remote-command is required with --backend remote")
         _write_config_echo(args.out, args)
-        if (registry := load_extra_backends()) is not None:
-            logger.info("loaded extra backends from %s", registry)
         args.func(args)
         return EXIT_OK
     except _UsageError as exc:

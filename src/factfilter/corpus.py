@@ -44,15 +44,6 @@ class Pair:
                 f"pair {self.id!r}: split {self.split!r} not one of {SPLITS}"
             )
 
-    def with_meta(self, **extra: Any) -> "Pair":
-        """Copy of this pair with extra meta keys merged in. The other fields
-        were checked when this pair was made and are copied unchecked."""
-        copy = object.__new__(type(self))
-        for name in self.__dataclass_fields__:
-            object.__setattr__(copy, name, getattr(self, name))
-        object.__setattr__(copy, "meta", {**self.meta, **extra})
-        return copy
-
 
 @dataclass(frozen=True)
 class Corpus:

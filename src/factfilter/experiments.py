@@ -27,9 +27,9 @@ from .errors import (
     failure_reason,
 )
 from .filtration import intersect_filter, percentile_keep_set, random_selection
-from .metrics import REFERENCE_FREE_METRICS, EvalReport, reference_free_outcomes
+from .metrics import REFERENCE_FREE_METRICS, EvalReport
 from .records import write_csv
-from .scorers import SCORERS, ScoreTable
+from .scorers import SCORERS, ScoreTable, score_texts
 from .stats import WilcoxonResult, wilcoxon_signed_rank
 
 logger = logging.getLogger(__name__)
@@ -156,9 +156,8 @@ def mock_train_eval_hook(backend: Backend,
     occurs twice in one selection is computed once too. The means are taken
     over the same floats in the same order as without reuse. A
     non-deterministic backend is asked again on every call, for every pair.
-    The pairs a call computes are scored in chunks
-    (`metrics.reference_free_outcomes`), each outcome the one the pair gets
-    alone.
+    The pairs a call computes are scored in chunks (`scorers.score_texts`),
+    each outcome the one the pair gets alone.
     """
     unknown = [m for m in metrics if m not in REFERENCE_FREE_METRICS]
     if unknown:
@@ -180,10 +179,10 @@ def mock_train_eval_hook(backend: Backend,
         for key, pair in zip(keys, pairs):
             if key not in todo and (needed := [m for m in metrics if key not in seen[m]]):
                 todo[key] = (pair, needed)
-        outcomes = reference_free_outcomes(
+        scored = score_texts(
             [((pair.document, pair.summary), needed) for pair, needed in todo.values()],
             backend)
-        for (key, (pair, _)), outcome in zip(todo.items(), outcomes):
+        for (key, (pair, _)), (_, outcome) in zip(todo.items(), scored):
             for metric, result in outcome.items():
                 if isinstance(result, Exception):
                     result = failure_reason(result)
@@ -220,9 +219,8 @@ def table_eval_hook(corpus: Corpus, table: ScoreTable, backend: Backend) -> Eval
               == owner and all(pair.id in table.column(m) for pair in corpus)]
     n = min(SPOT_CHECK_PAIRS, len(corpus))
     sample = [corpus.pairs[(2 * k + 1) * len(corpus) // (2 * n)] for k in range(n)]
-    checks = reference_free_outcomes([((p.document, p.summary), reused) for p in sample],
-                                     backend)
-    for pair, outcome in zip(sample, checks):
+    checks = score_texts([((p.document, p.summary), reused) for p in sample], backend)
+    for pair, (_, outcome) in zip(sample, checks):
         for metric, result in outcome.items():
             now = failure_reason(result) if isinstance(result, Exception) else float(result)
             # A float's repr tells every bit; a table cell is a float or a reason.

@@ -52,6 +52,8 @@ class FilterManifest:
             raise DomainError(f"drop fraction q={self.q} outside (0, 1)")
         if self.n_pairs <= 0:
             raise DomainError("manifest population must be positive")
+        if len(set(self.scorer_names)) != len(self.scorer_names):
+            raise IntegrityError(f"manifest scorer names repeat: {list(self.scorer_names)}")
         if list(self.kept_ids) != sorted(self.kept_ids):
             raise IntegrityError("manifest kept_ids must be sorted")
         ratio = len(self.kept_ids) / self.n_pairs
@@ -233,7 +235,7 @@ def random_selection(corpus: Corpus, size: int, seed: int) -> set[str]:
 
 
 def apply_manifest(corpus: Corpus, manifest: FilterManifest) -> Corpus:
-    """Filtered corpus in original pair order; pairs gain a manifest reference.
+    """The corpus's own pairs that the manifest keeps, in corpus order.
 
     Re-applying the same manifest to its own output is the identity.
     """
@@ -243,14 +245,10 @@ def apply_manifest(corpus: Corpus, manifest: FilterManifest) -> Corpus:
         )
     if not manifest.kept_ids:
         raise DomainError("manifest keeps no pairs; refusing to emit an empty corpus")
-    corpus_ids = set(corpus.ids())
-    unknown = manifest.kept_id_set() - corpus_ids
+    kept = manifest.kept_id_set()
+    unknown = kept - set(corpus.ids())
     if unknown:
         raise IntegrityError(
             f"manifest ids not present in corpus: {sorted(unknown)[:10]}"
         )
-    reference = manifest.content_hash()
-    kept = manifest.kept_id_set()
-    pairs = tuple(pair.with_meta(filter_manifest=reference)
-                  for pair in corpus if pair.id in kept)
-    return Corpus(name=corpus.name, pairs=pairs)
+    return Corpus(name=corpus.name, pairs=tuple(pair for pair in corpus if pair.id in kept))

@@ -22,7 +22,7 @@ import numpy as np
 from .backend import Backend
 from .corpus import Corpus
 from .errors import (
-    PER_PAIR_ERRORS,
+    BackendError,
     ConfigurationError,
     CoverageError,
     DomainError,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .filtration import FilterManifest
 from .records import utf8_lines, write_csv
-from .scorers import SCORERS, ScoringItem, score_texts
+from .scorers import SCORERS, score_texts
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
 # content; the filler is shorter than any maskable token, so it can never
@@ -118,7 +118,8 @@ def blanc_help(document: str, summary: str, backend: Backend) -> BlancScore:
     where the filler repeats a fixed neutral token, length-matched to the
     summary. Sentences with no maskable token are skipped; if none remain the
     score is 0 with zero masked tokens. Two `map` requests serve a pair; a
-    per-pair failure raises the error a loop asking one op at a time meets first.
+    per-pair failure raises the error a loop asking one op at a time meets
+    first, and a fill accuracy outside [0, 1] then raises a `BackendError`.
     """
     sentences = split_sentences(document)
     summary_tokens, *sentence_tokens = backend.map("tokenize",
@@ -141,6 +142,8 @@ def blanc_help(document: str, summary: str, backend: Backend) -> BlancScore:
     for outcome in (*fills, *sentence_tokens):
         if isinstance(outcome, Exception):
             raise outcome
+    if not all(0.0 <= fill <= 1.0 for fill in fills):
+        raise BackendError("masked fill accuracies must lie in [0, 1]")
     if not masked:
         return BlancScore(value=0.0, n_sentences=len(sentences), n_masked_tokens=0)
     gains = [with_summary - with_filler
@@ -246,31 +249,6 @@ class EvalReport:
         return report
 
 
-def reference_free_outcomes(todo: Sequence[ScoringItem],
-                            backend: Backend) -> list[dict[str, float | Exception]]:
-    """Each named metric's value, or the per-pair error that stopped it, for
-    each `((document, summary), metrics)` item of `todo`, in order.
-
-    The scorer metrics of all items are scored in chunks
-    (`scorers.score_texts`), each pair prepared once for all of them; blanc
-    is scored one pair at a time. Each outcome is the one the pair gets alone.
-    An error outside `errors.PER_PAIR_ERRORS` propagates.
-    """
-    out: list[dict[str, float | Exception]] = [{} for _ in todo]
-    scoring = [(k, names) for k, (_, metrics) in enumerate(todo)
-               if (names := [m for m in metrics if m in SCORERS])]
-    scored = score_texts([(todo[k][0], names) for k, names in scoring], backend)
-    for (k, _), (_, outcomes) in zip(scoring, scored):
-        out[k].update(outcomes)
-    for ((document, summary), metrics), outcomes in zip(todo, out):
-        if "blanc" in metrics:
-            try:
-                outcomes["blanc"] = blanc_help(document, summary, backend).value
-            except PER_PAIR_ERRORS as exc:
-                outcomes["blanc"] = exc
-    return out
-
-
 def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
                      backend: Backend | None = None,
                      manifest: FilterManifest | None = None,
@@ -281,7 +259,7 @@ def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
     pairs when a manifest is supplied (misleading references would otherwise
     contaminate it); reference-free metrics always cover the full test split,
     so per-metric sample counts can legitimately differ. The reference-free
-    metrics are scored in chunks (`reference_free_outcomes`).
+    metrics are scored in chunks (`scorers.score_texts`).
     """
     metric_list = list(metrics)
     unknown = [m for m in metric_list if m not in ALL_METRICS]
@@ -309,15 +287,13 @@ def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
             raise DomainError("manifest keeps no test pairs; bigram metric undefined")
 
     report = EvalReport(corpus.name, metric_list)
-    outcomes = reference_free_outcomes(
-        [((pair.document, generated[pair.id]), needs_backend) for pair in test_pairs], backend)
-    for metric in metric_list:
-        if metric == "rouge2":
-            for pair in rouge_pairs:
-                report.add(metric, pair.id, rouge2(generated[pair.id], pair.summary).f1)
-            continue
-        for pair, outcome in zip(test_pairs, outcomes, strict=True):
-            value = outcome[metric]
+    if "rouge2" in metric_list:
+        for pair in rouge_pairs:
+            report.add("rouge2", pair.id, rouge2(generated[pair.id], pair.summary).f1)
+    scored = score_texts([((pair.document, generated[pair.id]), needs_backend)
+                          for pair in test_pairs], backend)
+    for pair, (_, outcomes) in zip(test_pairs, scored):
+        for metric, value in outcomes.items():
             if isinstance(value, Exception):
                 report.add_failure(metric, pair.id, failure_reason(value))
             else:

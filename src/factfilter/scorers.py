@@ -11,6 +11,7 @@ Scorers (all reference-free; they compare a summary to its source document):
 Documents longer than the backend's token limit are truncated (summaries
 never are) and the truncation is recorded on the score. Per-pair failures at
 corpus scale become explicit sentinel rows instead of aborting the run.
+`score_texts` scores BLANC (defined in `metrics`) in the same loop.
 """
 
 from __future__ import annotations
@@ -75,13 +76,15 @@ class ScoreFailure:
 ScoreCell = Union[FactualityScore, ScoreFailure]
 _TEXT_FIELDS = ("pair_id", "scorer", "backend_name", "backend_version", "error")
 
-# The closed value range of each built-in scorer; other scorers take any finite
-# value. Every end is finite, so one chained comparison also rejects inf and NaN.
+# The closed value range of each built-in scorer and of BLANC; other scorers
+# take any finite value. Every end is finite, so one chained comparison also
+# rejects inf and NaN.
 _FLOAT_MAX = sys.float_info.max
 _VALUE_RANGES: dict[str, tuple[float, float]] = {
     "greedy": (-1.0, 1.0),
     "condll": (-_FLOAT_MAX, 0.0),
     "dae": (0.0, 1.0),
+    "blanc": (-1.0, 1.0),
 }
 _ANY_FINITE = (-_FLOAT_MAX, _FLOAT_MAX)
 
@@ -364,11 +367,7 @@ class ScoreTable:
         if pair_id in index:
             raise IntegrityError(f"duplicate score for pair {pair_id!r}, scorer {scorer!r}")
         if column.provenance != provenance:
-            existing = column.provenance
-            raise IntegrityError(
-                f"column {scorer!r} mixes backends "
-                f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}"
-            )
+            raise _mixed_backends(scorer, column.provenance, provenance)
         if value is None:
             column.reasons[len(index)] = reason
             value = math.nan
@@ -440,6 +439,12 @@ class ScoreTable:
                 )
 
 
+def _mixed_backends(scorer: str, existing: tuple[str, str],
+                    provenance: tuple[str, str]) -> IntegrityError:
+    return IntegrityError(f"column {scorer!r} mixes backends "
+                          f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}")
+
+
 def _cell_to_row(cell: ScoreCell) -> dict:
     row = {
         "pair_id": cell.pair_id,
@@ -484,7 +489,7 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
 # small next to the corpus.
 _CHUNK_CHARS = 2 ** 14
 
-# One item to score: its `(document, summary)` texts and the scorers it needs.
+# One item to score: its `(document, summary)` texts and the metrics it needs.
 ScoringItem = tuple[tuple[str, str], Sequence[str]]
 
 
@@ -504,28 +509,41 @@ def _chunks(todo: Sequence[ScoringItem]) -> Iterator[Sequence[ScoringItem]]:
 
 
 def score_texts(todo: Sequence[ScoringItem], backend: Backend,
-                ) -> Iterator[tuple[PreparedPair | Exception, dict[str, float | Exception]]]:
-    """Score each `((document, summary), scorer_names)` item of `todo`, in order.
+                ) -> Iterator[tuple[PreparedPair | Exception | None,
+                                    dict[str, float | Exception]]]:
+    """Score each `((document, summary), names)` item of `todo`, in order; a
+    name is a `SCORERS` entry or "blanc".
 
-    Yields, per item, its prepared pair or the per-pair error that stopped its
-    preparation, and each named scorer's value or per-pair error (the
-    preparation error, if there was one); a value that is not finite or lies
-    outside the scorer's range is a `DomainError`. The items are scored in
-    chunks of at most `_CHUNK_CHARS` characters of text: each pair of a chunk
-    is prepared (tokenized and truncated) once for all its scorers, and each
-    scorer asks the backend for one op over the chunk at a time.
+    Yields, per item, its prepared pair (None if it names no scorer) or the
+    per-pair error that stopped it, and each name's value or per-pair error (a
+    scorer's is that preparation error, if there was one); a value that is not
+    finite or outside the metric's range is a `DomainError`. Items go in
+    chunks of at most `_CHUNK_CHARS` characters of text: a chunk's pairs are
+    prepared (tokenized and truncated) once for all their scorers, and each
+    scorer asks the backend for one op over the chunk at a time. BLANC reads
+    the untruncated texts, one pair at a time (`metrics.blanc_help`).
     """
+    from . import metrics  # it imports this module; `blanc_help` is looked up per call
+
     for chunk in _chunks(todo):
-        prepared = prepare_pairs([texts for texts, _ in chunk], backend)
-        outcomes: list[dict[str, float | Exception]] = [{} for _ in chunk]
-        for scorer in dict.fromkeys(name for _, names in chunk for name in names):
-            ready = [k for k, (_, names) in enumerate(chunk)
-                     if scorer in names and not isinstance(prepared[k], Exception)]
+        scoring = [k for k, (_, names) in enumerate(chunk) if set(names) - {"blanc"}]
+        prepared = dict(zip(scoring, prepare_pairs([chunk[k][0] for k in scoring], backend)
+                            if scoring else []))
+        outcomes: list[dict[str, Any]] = [{} for _ in chunk]
+        for scorer in dict.fromkeys(name for k in scoring for name in chunk[k][1]
+                                    if name != "blanc"):
+            ready = [k for k in scoring
+                     if scorer in chunk[k][1] and not isinstance(prepared[k], Exception)]
             values = SCORERS[scorer]([prepared[k] for k in ready], backend)
             for k, value in zip(ready, values, strict=True):
-                outcomes[k][scorer] = _per_pair(_check_value, scorer, value)
-        for k, (_, names) in enumerate(chunk):
-            yield prepared[k], {name: outcomes[k].get(name, prepared[k]) for name in names}
+                outcomes[k][scorer] = value
+        for k, ((document, summary), names) in enumerate(chunk):
+            if "blanc" in names:
+                outcomes[k]["blanc"] = _per_pair(
+                    lambda: metrics.blanc_help(document, summary, backend).value)
+            yield prepared.get(k), {
+                name: _per_pair(_check_value, name, outcomes[k].get(name, prepared.get(k)))
+                for name in names}
 
 
 def _cell(scorer: str, pair_id: str, d: BackendDescriptor,
@@ -551,6 +569,8 @@ def score_corpus(corpus: Corpus, scorer_names: Sequence[str], backend: Backend,
         raise ConfigurationError(
             f"unknown scorers {unknown}; available: {sorted(SCORERS)}"
         )
+    if len(set(scorer_names)) != len(scorer_names):
+        raise ConfigurationError(f"scorers repeat: {list(scorer_names)}")
     descriptor = backend.descriptor
     cells: dict[str, list[ScoreCell]] = {scorer: [] for scorer in scorer_names}
     todo = [(pair, needed) for pair in corpus
@@ -568,7 +588,9 @@ def score_corpus_to_file(corpus: Corpus, scorer_names: Sequence[str], backend: B
                          path: str | Path) -> int:
     """Resumable scoring: skip (pair, scorer) keys already present in `path`.
 
-    Returns the number of newly scored cells appended.
+    Before any pair is scored, a column of `path` that lacks a pair of
+    `corpus` must carry the backend's `(name, version)`: an `IntegrityError`
+    otherwise. Returns the number of newly scored cells appended.
     """
     p = Path(path)
     existing = ScoreTable(corpus.name)
@@ -576,9 +598,13 @@ def score_corpus_to_file(corpus: Corpus, scorer_names: Sequence[str], backend: B
         existing = load_scores(p, corpus.name)
         done = sum(len(existing.column(s)) for s in existing.scorers)
         logger.info("resuming: %d cells already scored in %s", done, p)
+    d = backend.descriptor
+    for scorer in existing.scorers:
+        column = existing.column(scorer)
+        if scorer in scorer_names and column.provenance != (d.name, d.version) and \
+                any(pair.id not in column for pair in corpus):
+            raise _mixed_backends(scorer, column.provenance, (d.name, d.version))
     cells = score_corpus(corpus, scorer_names, backend, skip=existing.has)
-    for cell in cells:  # refuses duplicates and mixed backend provenance
-        existing.add(cell)
     write_scores(cells, p, append=p.exists())
     logger.info("scored %d new cells for corpus %s", len(cells), corpus.name)
     return len(cells)

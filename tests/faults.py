@@ -38,7 +38,8 @@ class FaultBackend(Backend):
     and NOARCS makes it raise a `NoArcsError`; ENTFAIL in the document fails
     arc_entailment_probs, SHORTENT drops one of its probabilities, NANENT
     makes the first one NaN and HIGHENT makes it 1.5; SUMFAIL in a sentence
-    fails its fill after the summary, FILLFAIL its fill after the filler. The mock sees text without NIL.
+    fails its fill after the summary, FILLFAIL its fill after the filler, and
+    HIGHFILL makes its fills 1.5 and NANFILL NaN. The mock sees text without NIL.
 
     `calls` holds the `(op, *args)` of every single op asked of it, those a
     `map` loops over included; `requests` the op of every `map` request.
@@ -121,6 +122,10 @@ class FaultBackend(Backend):
         marker = "FILLFAIL" if set(prefix.split()) == {FILLER_TOKEN} else "SUMFAIL"
         if marker in sentence.split():
             raise DomainError(f"cannot fill {sentence!r} after {prefix!r}")
+        if "HIGHFILL" in sentence.split():
+            return 1.5
+        if "NANFILL" in sentence.split():
+            return float("nan")
         return self._mock.masked_fill_accuracy(_plain(prefix), _plain(sentence),
                                                mask_positions)
 
@@ -168,6 +173,10 @@ BLANC_CASES = {
     "summary-fill-before-filler-fill": (f"FILLFAIL SUMFAIL {S1} {S2}", "storm mayor"),
     "fill-before-later-tokenize": (f"{S1} SUMFAIL {S2} TOKFAIL {S3}", "storm mayor"),
     "tokenize-before-later-fill": (f"TOKFAIL {S1} SUMFAIL {S2}", "storm mayor"),
+    "fill-above-one": (f"{S1} HIGHFILL {S2}", "storm mayor"),
+    "fill-nan": (f"{S1} {S2} NANFILL {S3}", "storm mayor"),
+    "later-fill-before-fill-out-of-range": (f"HIGHFILL {S1} FILLFAIL {S2}", "storm mayor"),
+    "later-tokenize-before-fill-out-of-range": (f"NANFILL {S1} TOKFAIL {S2}", "storm mayor"),
     "empty-summary": (f"{S1} {S2}", "NIL NIL"),
     "empty-summary-before-sentence-tokenize": (f"TOKFAIL {S1}", "NIL"),
     "no-sentences": ("   ", "storm mayor"),

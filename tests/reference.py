@@ -87,18 +87,18 @@ def dae(document: str, summary: str, backend: Backend) -> float:
 # Each scorer on a prepared pair: the clipped document and the summary.
 SCORERS: dict[str, Callable[[str, str, Backend], float]] = {
     "greedy": greedy, "condll": condll, "dae": dae}
-# Each scorer's closed value range.
-RANGES = {"greedy": (-1.0, 1.0), "condll": (-np.inf, 0.0), "dae": (0.0, 1.0)}
+# Each metric's closed value range.
+RANGES = {"greedy": (-1.0, 1.0), "condll": (-np.inf, 0.0), "dae": (0.0, 1.0),
+          "blanc": (-1.0, 1.0)}
 
 
-def checked(scorer: str, document: str, summary: str, backend: Backend) -> float:
-    """The scorer's value; a `DomainError` if it is not finite or out of range."""
-    value = SCORERS[scorer](document, summary, backend)
+def checked(metric: str, value: float) -> float:
+    """`value`; a `DomainError` if it is not finite or out of the metric's range."""
     if not np.isfinite(value):
-        raise DomainError(f"score {value} for scorer {scorer!r} is not finite")
-    low, high = RANGES[scorer]
+        raise DomainError(f"score {value} for scorer {metric!r} is not finite")
+    low, high = RANGES[metric]
     if not low <= value <= high:
-        raise DomainError(f"score {value} outside the valid range for scorer {scorer!r}")
+        raise DomainError(f"score {value} outside the valid range for scorer {metric!r}")
     return value
 
 
@@ -113,6 +113,7 @@ def blanc(document: str, summary: str, backend: Backend) -> BlancScore:
     filler = " ".join([FILLER_TOKEN] * len(summary_tokens))
     gains = []
     n_masked = 0
+    accuracies = []
     for sentence in sentences:
         positions = mask_schedule(backend.tokenize(sentence))
         if not positions:
@@ -120,7 +121,11 @@ def blanc(document: str, summary: str, backend: Backend) -> BlancScore:
         with_summary = backend.masked_fill_accuracy(summary, sentence, positions)
         with_filler = backend.masked_fill_accuracy(filler, sentence, positions)
         gains.append(with_summary - with_filler)
+        accuracies += [with_summary, with_filler]
         n_masked += len(positions)
+    # Checked once every sentence has been asked, so any tokenize or fill error wins.
+    if not all(0.0 <= accuracy <= 1.0 for accuracy in accuracies):
+        raise BackendError("masked fill accuracies must lie in [0, 1]")
     return BlancScore(value=float(np.mean(gains)) if gains else 0.0,
                       n_sentences=len(sentences), n_masked_tokens=n_masked)
 
@@ -144,11 +149,13 @@ def outcomes(document: str, summary: str, metrics: Iterable[str],
     out: dict[str, float | str] = {}
     for metric in metrics:
         if metric == "blanc":
-            out[metric] = value_or_reason(lambda: blanc(document, summary, backend).value)
+            out[metric] = value_or_reason(
+                lambda: checked(metric, blanc(document, summary, backend).value))
         elif isinstance(prepared, str):
             out[metric] = prepared
         else:
-            out[metric] = value_or_reason(checked, metric, prepared[0], summary, backend)
+            out[metric] = value_or_reason(
+                lambda: checked(metric, SCORERS[metric](prepared[0], summary, backend)))
     return out, isinstance(prepared, tuple) and prepared[1]
 
 

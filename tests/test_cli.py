@@ -89,18 +89,28 @@ class TestFlagsParseBeforeTheRun:
     starts a backend or writes its config echo."""
 
     @pytest.mark.parametrize("command, message", [
-        (["evaluate", "--generated", "{generated}", "--metrics", "rouge2,bogus",
+        (["evaluate", "--in", "{toy}", "--generated", "{generated}", "--metrics", "rouge2,bogus",
           "--backend", "remote", "--remote-command", "{server}"],
          "configuration error: unknown metrics ['bogus']"),
-        (["score", "--scorers", "greedy", "--backend", "remote"],
+        (["score", "--in", "{toy}", "--scorers", "greedy", "--backend", "remote"],
          "configuration error: --remote-command is required with --backend remote"),
-        (["score", "--scorers", "greedy", "--corpus-name", "toy"],
+        (["score", "--in", "{toy}", "--scorers", "greedy", "--corpus-name", "toy"],
          "unrecognized arguments: --corpus-name toy"),
-        (["sweep", "--scores", "scores.jsonl", "--corpus-name", "toy"],
+        (["sweep", "--in", "{toy}", "--scores", "scores.jsonl", "--corpus-name", "toy"],
          "unrecognized arguments: --corpus-name toy"),
-        (["ingest", "--name", "toy"], "unrecognized arguments: --name toy"),
+        (["ingest", "--in", "{toy}", "--name", "toy"], "unrecognized arguments: --name toy"),
+        (["score", "--in", "{toy}", "--scorers", "greedy,greedy"],
+         "configuration error: --scorers repeats an item: ['greedy', 'greedy']"),
+        (["filter", "--scores", "scores.jsonl", "--scorers", "dae,greedy,dae"],
+         "configuration error: --scorers repeats an item: ['dae', 'greedy', 'dae']"),
+        (["evaluate", "--in", "{toy}", "--generated", "{generated}",
+          "--metrics", "greedy,greedy"],
+         "configuration error: --metrics repeats an item: ['greedy', 'greedy']"),
+        (["score", "--in", "{toy}", "--scorers", "greedy", "--backend", "nope"],
+         "configuration error: unknown backend 'nope'; registered: "),
     ], ids=["unknown-metric", "remote-without-command", "score-corpus-name",
-            "sweep-corpus-name", "ingest-name"])
+            "sweep-corpus-name", "ingest-name", "score-repeated-scorer",
+            "filter-repeated-scorer", "evaluate-repeated-metric", "unknown-backend"])
     def test_a_rejected_flag_starts_no_server_and_writes_no_echo(self, tmp_path, toy, capsys,
                                                                  monkeypatch, command, message):
         from factfilter import remote
@@ -110,11 +120,11 @@ class TestFlagsParseBeforeTheRun:
         monkeypatch.setattr(remote.subprocess, "Popen",
                             lambda *args, **kwargs: spawned.append(popen(*args, **kwargs))
                             or spawned[-1])
-        inputs = {"generated": _generated(tmp_path, toy),
+        inputs = {"generated": _generated(tmp_path, toy), "toy": str(toy),
                   "server": f"{sys.executable} -m factfilter.remote --backend mock"}
         before = sorted(tmp_path.iterdir())
         argv = [arg.format(**inputs) for arg in command]
-        assert main([*argv, "--in", str(toy), "--out", str(tmp_path / "out")]) == 1
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
         assert spawned == []
         assert sorted(tmp_path.iterdir()) == before
@@ -338,6 +348,7 @@ class TestStatsCommand:
         assert main(["stats", "--in", str(toy), "--scores", str(scores),
                      "--out", str(tmp_path / "stats.csv")]) == 2
         assert "missing 1 pairs" in capsys.readouterr().err
+        assert not (tmp_path / "stats.csv").exists()
 
     @pytest.mark.parametrize("corrupt", [
         lambda text: "[1, 2]",

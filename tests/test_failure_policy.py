@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import reference
-from factfilter import MockBackend, evaluate_outputs, score_corpus
+from factfilter import MockBackend, evaluate_outputs, metrics, score_corpus
 from factfilter.cli import main
 from factfilter.errors import PER_PAIR_ERRORS, TransportError
 from factfilter.experiments import mock_train_eval_hook
+from factfilter.metrics import BlancScore
 from factfilter.scorers import ScoreFailure
 from faults import FaultBackend
 
@@ -104,10 +105,26 @@ def test_a_non_finite_value_fails_alike_in_every_consumer(tmp_path, caplog):
                  "--out", str(tmp_path / "comparison.csv")]) == 0
 
 
-def _broad_handlers() -> tuple[list[str], list[str]]:
-    """(`except Exception`/`BaseException` sites, bare `except:` sites) in src."""
-    broad: list[str] = []
-    bare: list[str] = []
+def test_a_nan_blanc_value_fails_alike_in_evaluate_and_the_hook(tmp_path, caplog,
+                                                                  monkeypatch):
+    corpus = _corpus("the storm hit the harbor")
+    generated = {pair.id: pair.summary for pair in corpus}
+    monkeypatch.setattr(metrics, "blanc_help", lambda document, summary, backend: BlancScore(
+        math.nan if "storm" in document.split() else 0.5, 1, 1))
+    reason = "DomainError: score nan for scorer 'blanc' is not finite"
+    evaluate_outputs(generated, corpus, MockBackend(),
+                     metrics=["blanc"]).to_csv(tmp_path / "report.csv")
+    assert f"failure,bad,blanc,,,,{reason}\n" in (tmp_path / "report.csv").read_text()
+    with caplog.at_level(logging.DEBUG, logger="factfilter.experiments"):
+        means = mock_train_eval_hook(MockBackend(), ["blanc"])(corpus)
+    assert (means, caplog.messages) == (
+        {"blanc": 0.5}, [f"pair bad excluded from the blanc mean: {reason}"])
+
+
+def _handlers() -> list[tuple[str, list[str] | None]]:
+    """(`module.function` site, names caught) of every `except` clause in src;
+    a bare `except:` catches None."""
+    handlers: list[tuple[str, list[str] | None]] = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         enclosing: dict[ast.AST, str] = {}
@@ -122,19 +139,24 @@ def _broad_handlers() -> tuple[list[str], list[str]]:
                 continue
             site = f"{path.stem}.{enclosing[node]}"
             if node.type is None:
-                bare.append(site)
+                handlers.append((site, None))
                 continue
             caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            if any(isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
-                   for t in caught):
-                broad.append(site)
-    return broad, bare
+            handlers.append((site, [t.id if isinstance(t, ast.Name) else getattr(t, "attr", "")
+                                    for t in caught]))
+    return handlers
 
 
 def test_only_the_remote_keep_alive_guard_catches_everything():
-    broad, bare = _broad_handlers()
-    assert broad == ["remote.serve"]
-    assert bare == []
+    handlers = _handlers()
+    assert [site for site, caught in handlers
+            if caught and {"Exception", "BaseException"} & set(caught)] == ["remote.serve"]
+    assert [site for site, caught in handlers if caught is None] == []
+
+
+def test_only_the_backend_maps_and_the_scoring_loop_catch_per_pair_errors():
+    assert [site for site, caught in _handlers() if caught and "PER_PAIR_ERRORS" in caught] \
+        == ["backend.map", "remote.map", "scorers._per_pair"]
 
 
 SINGLE_OPS = ("tokenize", "embed_tokens", "conditional_token_logprobs",

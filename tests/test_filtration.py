@@ -182,6 +182,15 @@ class TestIntersectFilter:
         with pytest.raises(IntegrityError, match="violates the intersection bounds"):
             FilterManifest.load(path)
 
+    def test_a_loaded_manifest_with_a_repeated_scorer_is_rejected(self, tmp_path):
+        table = build_table("c", {"s1": {"1": 0.1, "2": 0.2}, "s2": {"1": 0.2, "2": 0.1}})
+        obj = json.loads(intersect_filter(table, 0.25).to_canonical_json())
+        obj["scorer_names"] = ["s1", "s1"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(IntegrityError, match="manifest scorer names repeat"):
+            FilterManifest.load(path)
+
     @pytest.mark.parametrize("field, value, named", [
         ("q", "0.25", "q"), ("q", True, "q"),
         ("selection_ratio", "0.5", "selection_ratio"),
@@ -312,7 +321,7 @@ class TestApplyManifest:
         corpus, manifest = self._setup()
         filtered = apply_manifest(corpus, manifest)
         assert filtered.ids() == ("2", "3")
-        assert all(p.meta["filter_manifest"] == manifest.content_hash() for p in filtered)
+        assert all(p is corpus.pairs[int(p.id) - 1] for p in filtered)  # not copies
 
     def test_keep_all_preserves_pairs(self):
         corpus, _ = self._setup()

@@ -30,7 +30,7 @@ METRICS = list(REFERENCE_FREE_METRICS)
 
 _WORDS = ["alpha", "beta", "storm", "harbor", "mayor", "quickly", "bridge", "ab", "cd"]
 _MARKERS = ["TOKFAIL", "NIL", "EMBFAIL", "NARROW", "LPFAIL", "POSLP", "NOLP", "PARSEFAIL",
-            "ENTFAIL", "SHORTENT", "HIGHENT", "SUMFAIL", "FILLFAIL"]
+            "ENTFAIL", "SHORTENT", "HIGHENT", "SUMFAIL", "FILLFAIL", "HIGHFILL", "NANFILL"]
 _TOKENS = st.sampled_from(_WORDS * 6 + _MARKERS)  # most pairs get past a few steps
 _SENTENCES = st.lists(_TOKENS, min_size=1, max_size=4).map(lambda words: " ".join(words) + " .")
 _DOCUMENTS = st.lists(_SENTENCES, min_size=1, max_size=3).map(" ".join)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -449,6 +450,12 @@ class TestScoreCorpus:
         with pytest.raises(ConfigurationError):
             score_corpus(self._corpus(), ["greedy", "nope"], mock_backend)
 
+    def test_repeated_scorer_rejected_before_scoring(self):
+        backend = FaultBackend()
+        with pytest.raises(ConfigurationError, match="scorers repeat"):
+            score_corpus(self._corpus(), ["greedy", "dae", "greedy"], backend)
+        assert backend.requests == []
+
     def test_empty_corpus_rejected(self, mock_backend):
         with pytest.raises(DomainError):
             score_corpus(Corpus(name="c", pairs=()), ["greedy"], mock_backend)
@@ -540,6 +547,24 @@ class TestScoresFile:
         before = path.read_bytes()
         with pytest.raises(IntegrityError):
             score_corpus_to_file(bigger, ["greedy"], OtherVersion(), path)
+        assert path.read_bytes() == before
+
+    def test_a_column_of_another_backend_is_refused_before_any_scoring(self, tmp_path):
+        corpus = make_corpus("c", make_pair("p1", "alpha beta gamma", "alpha beta"),
+                             make_pair("p2", "storm harbor town", "storm harbor"))
+        path = tmp_path / "scores.jsonl"
+        score_corpus_to_file(corpus, ["greedy", "dae"], MockBackend(), path)
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if json.loads(line)["scorer"] == "greedy"
+                                or json.loads(line)["pair_id"] == "p1"))
+        before = path.read_bytes()
+        other = FaultBackend()
+        other._descriptor = dataclasses.replace(other.descriptor, version="2")
+        # The complete greedy column takes no new cell, so its provenance is no obstacle.
+        assert score_corpus_to_file(corpus, ["greedy"], other, path) == 0
+        with pytest.raises(IntegrityError, match="column 'dae' mixes backends mock:1 and mock:2"):
+            score_corpus_to_file(corpus, ["greedy", "dae"], other, path)
+        assert other.requests == []
         assert path.read_bytes() == before
 
 
