@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DomainError, IntegrityError, ParseError
+from .errors import ConfigurationError, DomainError, IntegrityError, ParseError
 from .records import (
     JSON_NUMBERS,
     JSON_OBJECTS,
@@ -171,11 +171,14 @@ def intersect_filter(table: ScoreTable, q: float,
     Pairs with a failure sentinel in any requested scorer column are dropped
     before percentiles are computed; each scorer's threshold is the score of
     its lowest-ranked kept pair, so a tie of -0.0 and 0.0 at the cut records
-    the same zero under every hash seed.
+    the same zero under every hash seed. A scorer named twice is a
+    `ConfigurationError`, raised before any column is read.
     """
     names = list(scorers) if scorers is not None else table.scorers
     if len(names) < 2:
         raise DomainError("intersection filtering needs at least two scorers")
+    if len(set(names)) != len(names):
+        raise ConfigurationError(f"scorers repeat: {names}")
     table.ensure_aligned()
     ids, values = table.aligned(names)
     scored = ~np.isnan(values)
@@ -235,7 +238,8 @@ def random_selection(corpus: Corpus, size: int, seed: int) -> set[str]:
 
 
 def apply_manifest(corpus: Corpus, manifest: FilterManifest) -> Corpus:
-    """The corpus's own pairs that the manifest keeps, in corpus order.
+    """The corpus's own pairs that the manifest keeps, in corpus order
+    (`Corpus.subset`, which rejects an id the corpus lacks).
 
     Re-applying the same manifest to its own output is the identity.
     """
@@ -245,10 +249,4 @@ def apply_manifest(corpus: Corpus, manifest: FilterManifest) -> Corpus:
         )
     if not manifest.kept_ids:
         raise DomainError("manifest keeps no pairs; refusing to emit an empty corpus")
-    kept = manifest.kept_id_set()
-    unknown = kept - set(corpus.ids())
-    if unknown:
-        raise IntegrityError(
-            f"manifest ids not present in corpus: {sorted(unknown)[:10]}"
-        )
-    return Corpus(name=corpus.name, pairs=tuple(pair for pair in corpus if pair.id in kept))
+    return corpus.subset(manifest.kept_ids)

@@ -259,12 +259,15 @@ def evaluate_outputs(generated: Mapping[str, str], corpus: Corpus,
     pairs when a manifest is supplied (misleading references would otherwise
     contaminate it); reference-free metrics always cover the full test split,
     so per-metric sample counts can legitimately differ. The reference-free
-    metrics are scored in chunks (`scorers.score_texts`).
+    metrics are scored in chunks (`scorers.score_texts`). An unknown or
+    repeated metric is a `ConfigurationError`, raised before any backend request.
     """
     metric_list = list(metrics)
     unknown = [m for m in metric_list if m not in ALL_METRICS]
     if unknown:
         raise ConfigurationError(f"unknown metrics {unknown}; available: {list(ALL_METRICS)}")
+    if len(set(metric_list)) != len(metric_list):
+        raise ConfigurationError(f"metrics repeat: {metric_list}")
     needs_backend = [m for m in metric_list if m in REFERENCE_FREE_METRICS]
     if needs_backend and backend is None:
         raise DomainError(f"metrics {needs_backend} require a backend")

@@ -4,12 +4,15 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from factfilter import Corpus, MockBackend, Pair, score_corpus
 
 # Every run draws the same examples, and a slow one is no failure.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+# `scripts/mutants.py` needs a failing example, not the smallest one.
+settings.register_profile("mutants", settings.get_profile("tier1"),
+                          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 settings.load_profile("tier1")
 
 # Child processes (the remote backend server, `python -m factfilter.cli`)

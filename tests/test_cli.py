@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import json
 import os
 import re
@@ -11,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from factfilter import DependencyArc, FilterManifest, load_corpus
+from factfilter import FilterManifest, load_corpus
 from factfilter.cli import main
 from factfilter.corpus import toy_corpus_path
 from factfilter.validation import CATEGORIES
@@ -65,11 +64,6 @@ class TestExitCodes:
                      "--scorers", "greedy", "--backend", "remote",
                      "--remote-command", f"{sys.executable} -c pass"])
         assert code == 3
-
-    def test_unknown_backend_is_configuration_error(self, tmp_path, toy):
-        code = main(["score", "--in", str(toy), "--out", str(tmp_path / "s.jsonl"),
-                     "--scorers", "greedy", "--backend", "nope"])
-        assert code == 1
 
     @pytest.mark.parametrize("command", [
         ["evaluate", "--metrics", "bogus"], ["sweep", "--strategies", "bogus"],
@@ -148,43 +142,14 @@ class TestIngest:
         assert main(["ingest", "--in", str(toy), "--out", str(out)]) == 0
         assert load_corpus(out).ids() == load_corpus(toy).ids()
 
-    def test_writes_config_echo(self, tmp_path, toy):
-        out = tmp_path / "c.jsonl"
-        main(["ingest", "--in", str(toy), "--out", str(out)])
-        echo = json.loads((tmp_path / "c.jsonl.config.json").read_text())
-        assert echo["command"] == "ingest"
-        assert echo["in_path"] == str(toy)
-
 
 class TestScore:
-    def test_toy_corpus_yields_150_rows(self, tmp_path, toy):
-        scores = _score(tmp_path, toy)
-        rows = [json.loads(line) for line in scores.read_text().splitlines()]
-        assert len(rows) == 150
-        assert {row["scorer"] for row in rows} == {"greedy", "condll", "dae"}
-
     def test_rerun_is_resumable_and_byte_stable(self, tmp_path, toy):
         scores = _score(tmp_path, toy)
         before = scores.read_bytes()
         assert main(["score", "--in", str(toy), "--out", str(scores),
                      "--scorers", "greedy,condll,dae", "--backend", "mock"]) == 0
         assert scores.read_bytes() == before
-
-    def test_remote_backend_matches_local(self, tmp_path, toy):
-        local = _score(tmp_path, toy)
-        remote_dir = tmp_path / "remote"
-        remote_dir.mkdir()
-        remote_out = remote_dir / "scores.jsonl"
-        code = main(["score", "--in", str(toy), "--out", str(remote_out),
-                     "--scorers", "greedy,condll,dae", "--backend", "remote",
-                     "--remote-command",
-                     f"{sys.executable} -m factfilter.remote --backend mock"])
-        assert code == 0
-        local_rows = [json.loads(l) for l in local.read_text().splitlines()]
-        remote_rows = [json.loads(l) for l in remote_out.read_text().splitlines()]
-        for row in local_rows + remote_rows:
-            row["backend_name"] = "x"  # provenance differs; values must not
-        assert remote_rows == local_rows
 
     def test_env_registered_backend(self, tmp_path, toy, monkeypatch):
         registry = tmp_path / "extra_backends.py"
@@ -308,19 +273,6 @@ class TestFilterCommand:
         assert main(["filter", "--scores", str(scores), "--out", str(manifest_path),
                      "--corpus-name", "toy"]) == 0
         assert FilterManifest.load(manifest_path).q == 0.25
-
-    @pytest.mark.parametrize("change", [
-        {}, {"backend_version": "2", "pair_id": "b"}, {"value": -1.5, "pair_id": "b"},
-        {"value": float("inf"), "pair_id": "b"}, {"truncated": "false", "pair_id": "b"},
-    ], ids=["duplicate", "mixed-provenance", "out-of-range", "non-finite", "string-flag"])
-    def test_bad_score_row_exits_two_naming_its_line(self, tmp_path, capsys, change):
-        row = {"pair_id": "a", "scorer": "greedy", "backend_name": "mock",
-               "backend_version": "1", "value": 0.5, "truncated": False}
-        scores = tmp_path / "scores.jsonl"
-        scores.write_text(json.dumps(row) + "\n" + json.dumps({**row, **change}) + "\n")
-        assert main(["filter", "--scores", str(scores), "--out", str(tmp_path / "m.json"),
-                     "--corpus-name", "c"]) == 2
-        assert f"{scores}:2: " in capsys.readouterr().err
 
 
 class TestStatsCommand:
@@ -588,24 +540,6 @@ class TestSweepCommand:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path, toy):
-        config = tmp_path / "run.json"
-        scores = tmp_path / "scores.jsonl"
-        config.write_text(json.dumps({
-            "in": str(toy), "out": str(scores),
-            "scorers": "greedy", "backend": "mock"}).replace('"in"', '"in_path"'))
-        assert main(["score", "--config", str(config)]) == 0
-        assert scores.exists()
-
-    def test_cli_flags_override_config(self, tmp_path, toy):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"in_path": str(toy), "scorers": "greedy,condll"}))
-        out = tmp_path / "scores.jsonl"
-        assert main(["score", "--config", str(config), "--out", str(out),
-                     "--scorers", "greedy"]) == 0
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        assert {row["scorer"] for row in rows} == {"greedy"}
-
     def test_unknown_config_key_rejected(self, tmp_path, toy):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"frobnicate": 1}))
@@ -706,493 +640,3 @@ def test_console_entry_point_runs():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "factfilter" in result.stdout
-
-
-_FAULTY_SERVER = """
-import itertools, json, sys
-sys.path.insert(0, {src!r})
-from factfilter.backend import MockBackend
-from factfilter.remote import serve
-
-k, reply = int(sys.argv[1]), sys.argv[2]
-serve(MockBackend(), itertools.islice(sys.stdin, k), sys.stdout)
-if reply != "exit":
-    request = json.loads(sys.stdin.readline())
-    if reply == "invalid-utf8":
-        sys.stdout.buffer.write(b"\\xff\\xfe\\n")
-    elif reply == "non-object-item":
-        calls = len(request["args"]["calls"])
-        sys.stdout.buffer.write(json.dumps({{"result": [1] * calls}}).encode() + b"\\n")
-    elif reply.startswith("item:"):  # every item of the batch reply is this object
-        calls = len(request["args"]["calls"])
-        item = json.loads(reply[len("item:"):])
-        sys.stdout.buffer.write(json.dumps({{"result": [item] * calls}}).encode() + b"\\n")
-    else:
-        sys.stdout.buffer.write(reply.encode() + b"\\n")
-    sys.stdout.flush()
-    serve(MockBackend(), sys.stdin, sys.stdout)
-"""
-
-# (op, argument tuple, reply object) of replies whose fields the client cannot
-# read: a missing key, a mistyped value (a string or an object where a list is
-# due included), a number that does not parse, or a value the client's own
-# checks reject (NaN vectors, one token with two rows, a self-attached arc).
-MALFORMED_FIELDS = [
-    ("tokenize", ("a",), '{"result": {}}'),
-    ("tokenize", ("a",), '{"result": {"tokens": 5}}'),
-    ("tokenize", ("a",), '{"result": {"tokens": "abc"}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": "12"}}'),
-    ("arc_entailment_probs", ("a b", [DependencyArc("a", "b", "dep", 0, 1)]),
-     '{"result": {"probs": {"0.5": 1}}}'),
-    ("parse_dependencies", ("a b",), '{"result": {"arcs": {}}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": ["x"]}}'),
-    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2}}'),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
-     '"relation_label": "dep", "child_index": 1}]}}'),
-    ("tokenize", ("a",), '{"error": {"type": "SequenceLengthError", "limit": 512}}'),
-    ("tokenize", ("a",), '{"result": {"tokens": [1, null]}}'),
-    ("embed_tokens", ("a",),
-     '{"result": {"tokens": [1], "dim": 2, "vectors": "AAAAAAAA8D8AAAAAAAAAAA=="}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": ["-0.5"]}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": [-0.5, true]}}'),
-    ("arc_entailment_probs", ("a b", [DependencyArc("a", "b", "dep", 0, 1)]),
-     '{"result": {"probs": ["0.5"]}}'),
-    ("masked_fill_accuracy", ("a", "b c", [0]), '{"result": {"accuracy": "0.5"}}'),
-    ("masked_fill_accuracy", ("a", "b c", [0]), '{"result": {"accuracy": true}}'),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
-     '"relation_label": "dep", "head_index": "0", "child_index": 1}]}}'),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
-     '"relation_label": "dep", "head_index": false, "child_index": 1}]}}'),
-    ("parse_dependencies", ("a b",), '{"result": {"arcs": [5]}}'),
-    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2, "vectors": "%s"}}'
-     % base64.b64encode(np.array([np.nan, 1.0], dtype="<f8").tobytes()).decode()),
-    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2, "vectors": "%s"}}'
-     % base64.b64encode(np.eye(2, dtype="<f8").tobytes()).decode()),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "a", '
-     '"relation_label": "dep", "head_index": 0, "child_index": 0}]}}'),
-]
-
-# A `score` resuming the 25-line partial toy file sends the handshake and then
-# seven batches (the whole toy corpus is one chunk): two tokenize, two
-# embed_tokens, then conditional_token_logprobs, parse_dependencies and
-# arc_entailment_probs. A fault after request 4 lands on the fifth, after three
-# batches succeeded and before the last one.
-_FAULT_AFTER = 4
-
-
-class TestTransportFailures:
-    """A dead or garbled server aborts `score` and leaves the scores file as it was."""
-
-    @pytest.fixture()
-    def server(self, tmp_path):
-        path = tmp_path / "server.py"
-        path.write_text(_FAULTY_SERVER.format(src=str(toy_corpus_path().parents[2])),
-                        encoding="utf-8")
-        return path
-
-    @pytest.fixture()
-    def partial(self, tmp_path, toy):
-        full = _score(tmp_path, toy)
-        partial = tmp_path / "partial.jsonl"
-        partial.write_bytes(b"".join(full.read_bytes().splitlines(keepends=True)[:25]))
-        return full, partial
-
-    @pytest.mark.parametrize("k, reply", [
-        (1, "exit"), (_FAULT_AFTER, "exit"), (_FAULT_AFTER, "not json"),
-        (_FAULT_AFTER, "{}"), (_FAULT_AFTER, '{"error": "boom"}'), (_FAULT_AFTER, "[1]"),
-        (_FAULT_AFTER, "invalid-utf8"), (_FAULT_AFTER, '{"result": {}}'),
-        (_FAULT_AFTER, '{"result": []}'), (_FAULT_AFTER, "non-object-item"),
-        (_FAULT_AFTER, 'item:{"result": {}}'),
-    ], ids=["exit-after-handshake", "exit-mid-run", "not-json", "no-result",
-            "non-object-error", "non-object-reply", "invalid-utf8", "batch-not-a-list",
-            "batch-wrong-count", "batch-non-object-item", "batch-item-missing-field"])
-    def test_score_exits_three_and_keeps_the_scores_file(self, toy, capsys, server,
-                                                         partial, k, reply):
-        full, partial = partial
-        before = partial.read_bytes()
-        command = f"{sys.executable} {server} {k} '{reply}'"
-        code = main(["score", "--in", str(toy), "--out", str(partial), "--scorers",
-                     "greedy,condll,dae", "--backend", "remote", "--remote-command", command])
-        assert code == 3
-        assert "backend error: " in capsys.readouterr().err
-        assert partial.read_bytes() == before
-        # The run resumes from the untouched file to the uninterrupted bytes.
-        healthy = f"{sys.executable} -m factfilter.remote --backend mock"
-        assert main(["score", "--in", str(toy), "--out", str(partial), "--scorers",
-                     "greedy,condll,dae", "--backend", "remote",
-                     "--remote-command", healthy]) == 0
-        assert partial.read_bytes() == full.read_bytes()
-
-    @pytest.mark.parametrize("reply, message", [
-        ('{"result": {"a": {"result": {"tokens": ["a"]}}, "b": {"result": {"tokens": ["b"]}}}}',
-         "is not a list of 2 items"),
-        ('{"result": [{"result": {"tokens": ["a"]}}]}', "is not a list of 2 items"),
-        ("non-object-item", "neither a result nor an error"),
-    ], ids=["not-a-list", "wrong-count", "non-object-item"])
-    def test_malformed_batch_reply_is_a_transport_error(self, server, reply, message):
-        from factfilter.errors import TransportError
-        from factfilter.remote import RemoteBackend
-
-        backend = RemoteBackend([sys.executable, str(server), "1", reply])
-        try:
-            with pytest.raises(TransportError, match=message):
-                backend.map("tokenize", [("a",), ("b",)])
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("path", ["single", "map"])
-    @pytest.mark.parametrize("op, args, reply", MALFORMED_FIELDS,
-                             ids=["tokenize-no-tokens", "tokenize-int-tokens",
-                                  "tokenize-string-tokens", "logprobs-string", "probs-object",
-                                  "arcs-object", "logprobs-not-numbers", "embed-no-vectors",
-                                  "arc-no-head-index", "length-error-no-message",
-                                  "tokenize-non-string-items", "embed-int-tokens",
-                                  "logprobs-quoted", "logprobs-bool", "probs-quoted",
-                                  "accuracy-quoted", "accuracy-bool", "arc-string-index",
-                                  "arc-bool-index", "arcs-non-object-item",
-                                  "embed-nan-vectors", "embed-one-token-two-rows",
-                                  "arc-self-attached"])
-    def test_malformed_reply_field_is_a_transport_error(self, server, path, op, args, reply):
-        from factfilter.errors import TransportError
-        from factfilter.remote import RemoteBackend
-
-        if path == "map":
-            reply = f'{{"result": [{reply}]}}'
-        backend = RemoteBackend([sys.executable, str(server), "1", reply])
-        try:
-            with pytest.raises(TransportError,
-                               match=f"reply to '{op}' has a missing or mistyped field"):
-                if path == "map":
-                    backend.map(op, [args])
-                else:
-                    getattr(backend, op)(*args)
-        finally:
-            backend.close()
-        assert backend._proc.poll() is not None
-
-    def test_malformed_reply_field_exits_three_and_stops_the_server(
-            self, toy, tmp_path, capsys, monkeypatch, server):
-        from factfilter import remote
-
-        spawned = []
-        popen = subprocess.Popen
-        monkeypatch.setattr(remote.subprocess, "Popen",
-                            lambda *args, **kwargs: spawned.append(popen(*args, **kwargs))
-                            or spawned[-1])
-        out = tmp_path / "scores.jsonl"
-        code = main(["score", "--in", str(toy), "--out", str(out), "--scorers", "greedy",
-                     "--backend", "remote", "--remote-command",
-                     f"{sys.executable} {server} 1 'item:{{\"result\": {{\"tokens\": 5}}}}'"])
-        assert code == 3
-        assert "backend error: reply to 'tokenize' has a missing or mistyped field: " \
-            "TypeError" in capsys.readouterr().err
-        assert not out.exists()
-        assert spawned[0].poll() is not None
-
-    def test_blanc_over_integer_tokens_exits_three(self, toy, tmp_path, capsys, server):
-        out = tmp_path / "report.csv"
-        code = main(["evaluate", "--in", str(toy), "--generated", str(_generated(tmp_path, toy)),
-                     "--out", str(out), "--metrics", "blanc", "--backend", "remote",
-                     "--remote-command",
-                     f"{sys.executable} {server} 1 'item:{{\"result\": {{\"tokens\": [1]}}}}'"])
-        assert code == 3
-        assert "backend error: reply to 'tokenize' has a missing or mistyped field: " \
-            "TypeError" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("vectors", ['"not base64!"', '"AAAAAAAAAAA="', "[[0.5, 0.5]]"],
-                             ids=["bad-base64", "partial-row", "json-floats"])
-    def test_undecodable_vectors_are_a_transport_error(self, server, vectors):
-        from factfilter.errors import TransportError
-        from factfilter.remote import RemoteBackend
-
-        reply = f'{{"result": {{"tokens": ["a"], "dim": 2, "vectors": {vectors}}}}}'
-        backend = RemoteBackend([sys.executable, str(server), "1", reply])
-        try:
-            with pytest.raises(TransportError, match="undecodable embedding vectors"):
-                backend.embed_tokens("a")
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("reply", [
-        '{"result": {}}',
-        '{"result": [1]}',
-        '{"result": {"version": "1", "deterministic": true, "max_tokens": 512}}',
-        '{"result": {"name": "mock", "version": 1, "deterministic": true, "max_tokens": 512}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": 1, "max_tokens": 512}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": "512"}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": true}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": 512}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": 512, '
-        '"protocol": 1}}',
-    ], ids=["empty", "non-object", "no-name", "int-version", "int-deterministic",
-            "string-max-tokens", "bool-max-tokens", "no-protocol", "protocol-1"])
-    def test_malformed_handshake_exits_three(self, toy, tmp_path, capsys, monkeypatch,
-                                             server, reply):
-        from factfilter import remote
-        from factfilter.errors import TransportError
-
-        spawned = []
-        popen = subprocess.Popen
-        monkeypatch.setattr(remote.subprocess, "Popen",
-                            lambda *args, **kwargs: spawned.append(popen(*args, **kwargs))
-                            or spawned[-1])
-        with pytest.raises(TransportError, match="descriptor reply"):
-            remote.RemoteBackend([sys.executable, str(server), "0", reply])
-        assert spawned[0].poll() is not None  # the server was stopped
-        monkeypatch.undo()
-        out = tmp_path / "scores.jsonl"
-        code = main(["score", "--in", str(toy), "--out", str(out), "--scorers", "greedy",
-                     "--backend", "remote", "--remote-command",
-                     f"{sys.executable} {server} 0 '{reply}'"])
-        assert code == 3
-        assert "backend error: descriptor reply" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_request_to_an_exited_server_is_a_transport_error(self, server):
-        from factfilter.errors import TransportError
-        from factfilter.remote import RemoteBackend
-
-        backend = RemoteBackend([sys.executable, str(server), "1", "exit"])
-        assert backend._proc.wait(timeout=30) == 0
-        with pytest.raises(TransportError, match="exited with 0"):
-            backend.tokenize("a b")
-        backend.close()
-
-
-def test_over_long_summary_scores_the_same_bytes_over_remote(tmp_path):
-    corpus = tmp_path / "long.jsonl"
-    pairs = [("short", "storm hit the harbor town", "storm harbor"),
-             ("long-summary", "storm hit the harbor town", " ".join(["storm"] * 600)),
-             ("long-document", " ".join(["harbor"] * 600), "harbor town")]
-    corpus.write_text("".join(json.dumps({"id": i, "document": d, "summary": s,
-                                          "split": "test", "meta": {}}) + "\n"
-                              for i, d, s in pairs), encoding="utf-8")
-    outputs = []
-    for backend in (["--backend", "mock"],
-                    ["--backend", "remote", "--remote-command",
-                     f"{sys.executable} -m factfilter.remote --backend mock"]):
-        out = tmp_path / f"scores-{len(outputs)}.jsonl"
-        assert main(["score", "--in", str(corpus), "--out", str(out),
-                     "--scorers", "greedy,condll,dae", *backend]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"(limit: 512 tokens)\"") == 3  # the summary's three cells
-
-
-_LINGERING_SERVER = """
-import sys, time
-sys.path.insert(0, {src!r})
-from factfilter.backend import MockBackend
-from factfilter.remote import serve
-serve(MockBackend(), sys.stdin, sys.stdout)
-time.sleep(60)  # keeps running after its input closed
-"""
-
-
-class TestLingeringServer:
-    """A server still running after its input closed is killed, and the run exits 3."""
-
-    @pytest.fixture()
-    def command(self, tmp_path, monkeypatch):
-        from factfilter import remote
-
-        monkeypatch.setattr(remote, "_CLOSE_TIMEOUT_S", 0.2)
-        path = tmp_path / "server.py"
-        path.write_text(_LINGERING_SERVER.format(src=str(toy_corpus_path().parents[2])),
-                        encoding="utf-8")
-        return [sys.executable, str(path)]
-
-    def test_close_kills_it_and_raises_a_transport_error(self, command):
-        from factfilter.errors import TransportError
-        from factfilter.remote import RemoteBackend
-
-        backend = RemoteBackend(command)
-        assert backend.tokenize("a b") == ["a", "b"]
-        with pytest.raises(TransportError, match="still running"):
-            backend.close()
-        assert backend._proc.poll() is not None
-
-    def test_score_exits_three(self, tmp_path, toy, capsys, command):
-        out = tmp_path / "scores.jsonl"
-        code = main(["score", "--in", str(toy), "--out", str(out), "--scorers", "greedy",
-                     "--backend", "remote", "--remote-command", " ".join(command)])
-        assert code == 3
-        assert "still running" in capsys.readouterr().err
-
-
-def test_remote_runs_release_every_pipe(tmp_path, toy, monkeypatch):
-    """A remote `score` and a failed handshake leave no unclosed pipe and no
-    running server for the garbage collector to find."""
-    import gc
-    import warnings
-
-    from factfilter.errors import TransportError
-    from factfilter.remote import RemoteBackend
-
-    unraisable = []
-    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ResourceWarning)
-        assert main(["score", "--in", str(toy), "--out", str(tmp_path / "scores.jsonl"),
-                     "--scorers", "greedy", "--backend", "remote", "--remote-command",
-                     f"{sys.executable} -m factfilter.remote --backend mock"]) == 0
-        with pytest.raises(TransportError, match="unparseable reply"):
-            RemoteBackend([sys.executable, "-c", "print('no handshake')"])
-        gc.collect()
-    assert [f"{u.exc_type.__name__}: {u.exc_value}" for u in unraisable] == []
-
-
-class TestServerFaults:
-    """The server names an exception a backend op raises by its type; only a
-    request that does not decode is a bad request. Both are `BackendError`
-    replies, and the client exits 3."""
-
-    def test_replies(self):
-        import io
-
-        from factfilter.remote import serve
-        from faults import FaultBackend
-
-        requests = ['{"op": "embed_tokens", "args": {"text": "a FATAL b"}}',
-                    '{"op": "batch", "args": {"op": "tokenize", '
-                    '"calls": [{"text": "a"}, {"text": "TOKFATAL"}]}}',
-                    '{"op": "embed_tokens", "args": {"text": "a FLAT"}}',
-                    '{"op": "parse_dependencies", "args": {"summary": "ARCLESS"}}',
-                    "not json", '["op"]', '{"op": "tokenize", "args": {}}',
-                    '{"op": "batch", "args": {"op": "tokenize", "calls": [{"text": "a"}, 7]}}',
-                    '{"op": "arc_entailment_probs", "args": {"document": "a", "arcs": [{}]}}',
-                    '{"op": "tokenize", "args": {"text": "TOKFAIL"}}',
-                    '{"op": "nope", "args": {}}']
-        out = io.StringIO()
-        serve(FaultBackend(), io.StringIO("\n".join(requests) + "\n"), out)
-        errors = [json.loads(line)["error"] for line in out.getvalue().splitlines()]
-        assert {error["type"] for error in errors} == {"BackendError"}
-        assert [error["message"] for error in errors] == [
-            "RuntimeError: fatal on 'a FATAL b'",
-            "RuntimeError: fatal on 'TOKFATAL'",
-            "IndexError: tuple index out of range",
-            "AttributeError: 'tuple' object has no attribute 'head_token'",
-            "bad request: Expecting value: line 1 column 1 (char 0)",
-            "bad request: 'list' object has no attribute 'get'",
-            "bad request: 'text'",
-            "bad request: 'int' object is not subscriptable",
-            "bad request: 'head_token'",
-            "cannot tokenize 'TOKFAIL'",
-            "unknown op 'nope'"]
-
-    def test_score_exits_three_naming_the_fault(self, tmp_path, capsys):
-        import faults
-
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(json.dumps({"id": i, "document": d, "summary": s,
-                                              "split": "test", "meta": {}}) + "\n"
-                                  for i, d, s in [("ok", "alpha beta", "alpha"),
-                                                  ("oom", "alpha FATAL beta", "alpha")]),
-                          encoding="utf-8")
-        out = tmp_path / "scores.jsonl"
-        code = main(["score", "--in", str(corpus), "--out", str(out), "--scorers", "greedy",
-                     "--backend", "remote", "--remote-command",
-                     f"{sys.executable} {faults.__file__} 512"])
-        assert code == 3
-        assert "backend error: RuntimeError: fatal on 'alpha FATAL beta'" in \
-            capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestServedBatches:
-    """The server hands each `batch` request to the served backend's `map`."""
-
-    def test_one_map_request_per_batch(self):
-        import io
-
-        from factfilter.remote import serve
-        from faults import FaultBackend
-
-        requests = ['{"op": "batch", "args": {"op": "tokenize", '
-                    '"calls": [{"text": "a b"}, {"text": "TOKFAIL"}, {"text": "c"}]}}',
-                    '{"op": "embed_tokens", "args": {"text": "a"}}',
-                    '{"op": "batch", "args": {"op": "parse_dependencies", '
-                    '"calls": [{"summary": "a b c"}, {"summary": "a NOARCS"}]}}']
-        backend = FaultBackend()
-        out = io.StringIO()
-        serve(backend, io.StringIO("\n".join(requests) + "\n"), out)
-        assert backend.requests == ["tokenize", "parse_dependencies"]
-        assert [call[0] for call in backend.calls] == [
-            "tokenize", "tokenize", "tokenize", "embed_tokens", "parse_dependencies",
-            "parse_dependencies"]
-        tokens, _, arcs = [json.loads(line)["result"] for line in out.getvalue().splitlines()]
-        assert tokens == [{"result": {"tokens": ["a", "b"]}},
-                          {"error": {"type": "BackendError",
-                                     "message": "cannot tokenize 'TOKFAIL'"}},
-                          {"result": {"tokens": ["c"]}}]
-        assert len(arcs[0]["result"]["arcs"]) == 2
-        assert arcs[1] == {"error": {"type": "NoArcsError", "message": "no arcs in 'a NOARCS'"}}
-
-    def test_an_integrity_error_aborts_the_batch_as_in_process(self):
-        import io
-
-        from factfilter.errors import IntegrityError
-        from factfilter.remote import _decode, serve
-        from faults import FaultBackend
-
-        calls = [("a",), ("a FATAL",), ("b",)]
-        with pytest.raises(IntegrityError, match="fatal on 'a FATAL'"):
-            FaultBackend(fatal=IntegrityError).map("embed_tokens", calls)
-        out = io.StringIO()
-        request = {"op": "batch", "args": {"op": "embed_tokens",
-                                           "calls": [{"text": text} for text, in calls]}}
-        serve(FaultBackend(fatal=IntegrityError), io.StringIO(json.dumps(request) + "\n"), out)
-        reply = json.loads(out.getvalue())
-        assert reply == {"error": {"type": "IntegrityError", "message": "fatal on 'a FATAL'"}}
-        with pytest.raises(IntegrityError, match="fatal on 'a FATAL'"):
-            _decode("batch", reply)
-
-    @pytest.mark.parametrize("name", ["ScoringError", "EmptySummaryError", "NoArcsError",
-                                      "IntegrityError", "DomainError", "BackendError",
-                                      "ParseError", "CoverageError", "TransportError",
-                                      "FactFilterError"])
-    def test_an_error_reply_keeps_its_class(self, name):
-        from factfilter import errors
-        from factfilter.remote import _decode
-
-        with pytest.raises(getattr(errors, name)) as excinfo:
-            _decode("parse_dependencies", {"error": {"type": name, "message": "m"}})
-        assert type(excinfo.value) is getattr(errors, name) and str(excinfo.value) == "m"
-
-    def test_per_pair_errors_score_the_same_bytes_in_process_and_over_remote(
-            self, tmp_path, monkeypatch):
-        import faults
-        from factfilter import backend as backend_module
-
-        monkeypatch.setitem(backend_module._BACKENDS, "fault", faults.FaultBackend)
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"id": i, "document": d, "summary": s, "split": "test", "meta": {}})
-            + "\n" for i, d, s in [("ok", "alpha beta gamma", "alpha beta"),
-                                   ("no-arcs", "alpha beta gamma", "alpha NOARCS"),
-                                   ("one-token", "alpha beta", "alpha"),
-                                   ("parse", "alpha beta", "alpha PARSEFAIL"),
-                                   ("embed", "EMBFAIL alpha", "alpha beta"),
-                                   ("logprobs", "alpha beta", "beta LPFAIL")]),
-            encoding="utf-8")
-        outputs = []
-        for backend in (["--backend", "fault"],
-                        ["--backend", "remote", "--remote-command",
-                         f"{sys.executable} {faults.__file__} 512"]):
-            out = tmp_path / f"scores-{len(outputs)}.jsonl"
-            assert main(["score", "--in", str(corpus), "--out", str(out),
-                         "--scorers", "greedy,condll,dae", *backend]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert b"NoArcsError: no arcs in 'alpha NOARCS'" in outputs[0]
-
-
-def test_transport_error_is_never_per_pair():
-    from factfilter.errors import PER_PAIR_ERRORS, TransportError
-
-    assert not issubclass(TransportError, PER_PAIR_ERRORS)

@@ -5,7 +5,6 @@ import json
 import math
 import random
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,6 @@ from factfilter import (
     evaluate_outputs,
     Corpus,
     MockBackend,
-    ScoreTable,
     load_scores,
     score_corpus,
     write_scores,
@@ -43,18 +41,246 @@ from faults import FaultBackend
 from conftest import make_corpus, make_pair, score_one
 
 
+class TestScoreTable:
+    def _score(self, pair_id="p", scorer="greedy", backend_name="mock",
+               backend_version="1", value=0.5) -> FactualityScore:
+        return FactualityScore(pair_id=pair_id, scorer=scorer, backend_name=backend_name,
+                               backend_version=backend_version, value=value, truncated=False)
+
+    def test_value_range_validated(self):
+        with pytest.raises(DomainError):
+            self._score(scorer="dae", value=1.5)
+        with pytest.raises(DomainError):
+            self._score(scorer="condll", value=0.25)
+
+
+class TestScoresFile:
+    def test_resume_skips_done_cells(self, tmp_path, mock_backend):
+        corpus = make_corpus(
+            "c",
+            make_pair("p1", "alpha beta gamma", "alpha beta"),
+            make_pair("p2", "storm harbor town", "storm harbor"),
+        )
+        path = tmp_path / "scores.jsonl"
+        added_first = score_corpus_to_file(corpus, ["greedy"], mock_backend, path)
+        assert added_first == 2
+        before = path.read_bytes()
+        added_again = score_corpus_to_file(corpus, ["greedy"], mock_backend, path)
+        assert added_again == 0
+        assert path.read_bytes() == before
+        added_new_scorer = score_corpus_to_file(corpus, ["greedy", "condll"],
+                                                mock_backend, path)
+        assert added_new_scorer == 2
+        table = load_scores(path, "c")
+        assert set(table.scorers) == {"greedy", "condll"}
+
+    def test_a_column_of_another_backend_is_refused_before_any_scoring(self, tmp_path):
+        corpus = make_corpus("c", make_pair("p1", "alpha beta gamma", "alpha beta"),
+                             make_pair("p2", "storm harbor town", "storm harbor"))
+        path = tmp_path / "scores.jsonl"
+        score_corpus_to_file(corpus, ["greedy", "dae"], MockBackend(), path)
+        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if json.loads(line)["scorer"] == "greedy"
+                                or json.loads(line)["pair_id"] == "p1"))
+        before = path.read_bytes()
+        other = FaultBackend()
+        other._descriptor = dataclasses.replace(other.descriptor, version="2")
+        # The complete greedy column takes no new cell, so its provenance is no obstacle.
+        assert score_corpus_to_file(corpus, ["greedy"], other, path) == 0
+        with pytest.raises(IntegrityError, match="column 'dae' mixes backends mock:1 and mock:2"):
+            score_corpus_to_file(corpus, ["greedy", "dae"], other, path)
+        assert other.requests == []
+        assert path.read_bytes() == before
+
+
+def _table_cells(table):
+    """Each column in load order, with exact value bits, and its provenance."""
+    return [(scorer,
+             [(pair_id, type(v), v.hex() if isinstance(v, float) else v)
+              for pair_id, v in table.column(scorer).items()],
+             table.backend_descriptors()[scorer])
+            for scorer in table.scorers]
+
+
+def _cells_as_columns(cells):
+    """What `_table_cells` gives for a table holding `cells`, added in order."""
+    columns = {}
+    for c in cells:
+        entries, _ = columns.setdefault(
+            c.scorer, ([], {"name": c.backend_name, "version": c.backend_version}))
+        if isinstance(c, FactualityScore):
+            entries.append((c.pair_id, float, c.value.hex()))
+        else:
+            entries.append((c.pair_id, str, c.reason))
+    return [(scorer, *column) for scorer, column in columns.items()]
+
+
+def _generated_cells(seed: int, n_pairs: int):
+    rng = random.Random(seed)
+    ranges = {"greedy": (-1.0, 1.0), "condll": (-30.0, 0.0), "dae": (0.0, 1.0)}
+    edges = {"greedy": [-1.0, 1.0, 0.0, -0.0, 5e-324], "condll": [0.0, -0.0, -1e300],
+             "dae": [0.0, 1.0, 1e-310]}
+    cells = []
+    for scorer, (low, high) in ranges.items():
+        for i in range(n_pairs):
+            pair_id = f"p{i:04d}-\u00e9\u4e2d" if i % 7 == 0 else f"p{i:04d}"
+            if rng.random() < 0.1:
+                reason = rng.choice(['NoArcsError: summary yields "no" arcs',
+                                     "DomainError: r\u00e9sum\u00e9 \\ tab\t"])
+                cells.append(ScoreFailure(pair_id, scorer, "mock", "1", reason))
+                continue
+            value = edges[scorer][i] if i < len(edges[scorer]) else rng.uniform(low, high)
+            cells.append(FactualityScore(pair_id, scorer, "mock", "1", value,
+                                         rng.random() < 0.2))
+    return cells
+
+
+class TestLoadedColumns:
+    def test_rows_the_writer_never_writes_take_the_schema_defaults(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        # Padding, blank lines, a missing 'truncated' or 'error', an integer
+        # value and a field the schema does not name.
+        head = '"pair_id": "x1", "backend_name": "mock", "backend_version": "1"'
+        path.write_text(f'\n   \n {{{head}, "scorer": "greedy", "value": 1}} \t\n'
+                        f'{{{head}, "scorer": "dae", "value": null}}\n'
+                        f'{{{head}, "scorer": "condll", "value": -2.5e-3, "truncated": true, '
+                        '"extra": [1, {"k": null}]}', encoding="utf-8")
+        assert _table_cells(load_scores(path, "c")) == [
+            (scorer, [("x1", type(v), v.hex() if isinstance(v, float) else v)],
+             {"name": "mock", "version": "1"})
+            for scorer, v in (("greedy", 1.0), ("dae", "unknown failure"), ("condll", -2.5e-3))]
+
+    def test_round_trip_equals_written_cells(self, tmp_path):
+        cells = _generated_cells(seed=6, n_pairs=200)
+        path = tmp_path / "scores.jsonl"
+        write_scores(cells, path)
+        assert _table_cells(load_scores(path, "c")) == _cells_as_columns(cells)
+
+    def test_columns_hold_exact_floats_and_reasons_that_values_and_failures_split(
+            self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_scores(_generated_cells(seed=8, n_pairs=300), path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({**_GOOD_ROW, "pair_id": "int", "value": 1}) + "\n")
+        table = load_scores(path, "c")
+        table.add(FactualityScore("x", "dae", "mock", "1", 0, False))
+        for scorer in table.scorers:
+            column = table.column(scorer)
+            assert {type(v) for v in column.values()} == {float, str}
+            values, failures = table.values(scorer), table.failures(scorer)
+            assert values.keys().isdisjoint(failures)
+            assert {**values, **failures} == column
+
+
+_GOOD_ROW = {"pair_id": "a", "scorer": "greedy", "backend_name": "mock",
+             "backend_version": "1", "value": 0.5, "truncated": False}
+
+
+def _write_rows(path, *rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+class TestScoreRowErrors:
+    @pytest.mark.parametrize("bad_row, error, message", [
+        (_GOOD_ROW, IntegrityError, "duplicate score for pair 'a'"),
+        ({**_GOOD_ROW, "pair_id": "b", "backend_version": "2"}, IntegrityError,
+         "mixes backends mock:1 and mock:2"),
+        ({**_GOOD_ROW, "pair_id": "b", "scorer": "dae", "value": 1.5}, DomainError,
+         "outside the valid range"),
+        ({**_GOOD_ROW, "pair_id": "b", "value": float("nan")}, DomainError, "not finite"),
+        ({**_GOOD_ROW, "pair_id": "b", "value": float("inf")}, DomainError, "not finite"),
+        ({**_GOOD_ROW, "pair_id": 7}, ParseError, "'pair_id' must be a string, got 7"),
+        ({**_GOOD_ROW, "pair_id": "b", "value": None, "error": 3}, ParseError,
+         "'error' must be a string, got 3"),
+    ], ids=["duplicate", "mixed-provenance", "out-of-range", "nan", "infinite",
+            "integer-pair-id", "integer-error"])
+    def test_error_names_its_line(self, tmp_path, bad_row, error, message):
+        path = tmp_path / "scores.jsonl"
+        _write_rows(path, _GOOD_ROW, {**_GOOD_ROW, "pair_id": "c"}, bad_row)
+        with pytest.raises(error, match=message) as excinfo:
+            load_scores(path, "c")
+        assert type(excinfo.value) is error
+        assert str(excinfo.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("truncated", "false"), ("truncated", "true"), ("truncated", 0),
+        ("truncated", 1), ("truncated", None), ("value", True), ("value", False),
+        ("pair_id", 7), ("scorer", None), ("backend_name", 1), ("backend_version", 1.0),
+        ("error", 3), ("error", None),
+    ])
+    def test_wrongly_typed_field_is_parse_error(self, tmp_path, field, value):
+        path = tmp_path / "scores.jsonl"
+        _write_rows(path, {**_GOOD_ROW, "pair_id": "c"}, {**_GOOD_ROW, field: value})
+        with pytest.raises(ParseError, match=repr(field)) as excinfo:
+            load_scores(path, "c")
+        assert excinfo.value.line == 2
+
+    def test_wrongly_typed_truncated_on_sentinel_is_parse_error(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        _write_rows(path, {**_GOOD_ROW, "value": None, "truncated": "false", "error": "x"})
+        with pytest.raises(ParseError, match="'truncated'") as excinfo:
+            load_scores(path, "c")
+        assert excinfo.value.line == 1
+
+
+ALL_SCORERS = ["greedy", "condll", "dae"]
+
+
+class TestChunkedOutcomes:
+    """Chunked scoring asks the backend for what it must and no more (the
+    outcomes themselves are `test_oracle.py`'s)."""
+
+    def test_two_tokenize_calls_per_pair_that_needs_a_cell(self):
+        corpus = load_corpus(toy_corpus_path(), name="toy")
+        done = {pair.id for pair in corpus.pairs[:10]}
+        for skip, needing in ((None, len(corpus)),
+                              (lambda pid, scorer: scorer == "greedy" or pid in done,
+                               len(corpus) - len(done))):
+            backend = FaultBackend()
+            score_corpus(corpus, ALL_SCORERS, backend, skip=skip)
+            assert sum(call[0] == "tokenize" for call in backend.calls) == 2 * needing
+
+
+class TestScoreCorpus:
+    def _corpus(self) -> Corpus:
+        return make_corpus(
+            "c",
+            make_pair("p1", "alpha beta gamma delta", "alpha beta"),
+            make_pair("p2", "storm hit the harbor", "storm comet"),
+            make_pair("p3", "one two three four", "two three four"),
+        )
+
+    def test_single_token_summary_gets_sentinel_for_dae_only(self, mock_backend):
+        corpus = make_corpus("c", make_pair("p1", "the mayor opened the bridge", "mayor"))
+        cells = score_corpus(corpus, ["greedy", "condll", "dae"], mock_backend)
+        by_scorer = {c.scorer: c for c in cells}
+        assert isinstance(by_scorer["greedy"], FactualityScore)
+        assert isinstance(by_scorer["condll"], FactualityScore)
+        assert isinstance(by_scorer["dae"], ScoreFailure)
+        assert "NoArcsError" in by_scorer["dae"].reason
+
+    def test_out_of_range_value_becomes_sentinel(self, mock_backend, monkeypatch):
+        monkeypatch.setitem(SCORERS, "dae", lambda pairs, backend: [1.5] * len(pairs))
+        (cell,) = score_corpus(self._corpus().subset(["p1"]), ["dae"], mock_backend)
+        assert isinstance(cell, ScoreFailure)
+        assert cell.reason == "DomainError: score 1.5 outside the valid range for scorer 'dae'"
+
+    def test_unknown_scorer_rejected_before_scoring(self, mock_backend):
+        with pytest.raises(ConfigurationError):
+            score_corpus(self._corpus(), ["greedy", "nope"], mock_backend)
+
+    def test_repeated_scorer_rejected_before_scoring(self):
+        backend = FaultBackend()
+        with pytest.raises(ConfigurationError, match="scorers repeat"):
+            score_corpus(self._corpus(), ["greedy", "dae", "greedy"], backend)
+        assert backend.requests == []
+
+    def test_empty_corpus_rejected(self, mock_backend):
+        with pytest.raises(DomainError):
+            score_corpus(Corpus(name="c", pairs=()), ["greedy"], mock_backend)
+
+
 class TestGreedyPrecision:
-    def test_copied_summary_scores_exactly_one(self, mock_backend):
-        pair = make_pair("p", "the mayor opened the bridge on friday", "mayor opened the bridge")
-        assert score_one("greedy", pair.document, pair.summary, mock_backend).value == 1.0
-
-    def test_mixed_case_matches_oracle(self, mock_backend):
-        pair = make_pair("p", "alpha beta gamma", "alpha beta zzzz")
-        value = score_one("greedy", pair.document, pair.summary, mock_backend).value
-        assert value < 1.0
-        expected = reference.greedy(pair.document, pair.summary, mock_backend)
-        assert value == pytest.approx(expected, abs=1e-12)
-
     def test_document_order_irrelevant(self, mock_backend):
         a = make_pair("p", "alpha beta gamma delta", "beta zzzz")
         b = make_pair("p", "delta gamma beta alpha", "beta zzzz")
@@ -186,15 +412,12 @@ class TestGreedyScreen:
         for pair, cell in zip(pairs, cells):
             assert cell.value == reference.greedy(pair.document, pair.summary, backend)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_norm_turns_the_screen_off(self):
-        # t0's norm overflows, so `_unit_rows` makes it a zero row: its Gram
-        # entry is 0.0 but its difference form 0.5, above t1's 0.28.
-        table = np.zeros((3, 16))
-        table[0] = 1e200
-        table[1, :2] = (0.28, 0.96)
-        table[2, 0] = 1.0
-        assert self._assert_reference(TableMock(table), "t0 t1", "t2") == 0.5
+    def test_width_mismatch_becomes_sentinel(self):
+        corpus = make_corpus("c", make_pair("p1", "alpha beta gamma delta", "alpha beta"))
+        (cell,) = score_corpus(corpus, ["greedy"], SplitWidthMock())
+        assert isinstance(cell, ScoreFailure)
+        assert cell.reason.startswith("BackendError:")
+        assert "16-wide" in cell.reason and "8-wide" in cell.reason
 
     def test_all_ties_stay_within_the_gather_budget(self):
         backend = TableMock(np.ones((1, 768)))
@@ -220,13 +443,6 @@ class TestGreedyScreen:
             tracemalloc.stop()
         assert [cell.value for cell in cells] == [1.0] * len(corpus)
         assert peak < 32 * 2 ** 20
-
-    def test_width_mismatch_becomes_sentinel(self):
-        corpus = make_corpus("c", make_pair("p1", "alpha beta gamma delta", "alpha beta"))
-        (cell,) = score_corpus(corpus, ["greedy"], SplitWidthMock())
-        assert isinstance(cell, ScoreFailure)
-        assert cell.reason.startswith("BackendError:")
-        assert "16-wide" in cell.reason and "8-wide" in cell.reason
 
 
 class TableFaultBackend(FaultBackend):
@@ -379,383 +595,3 @@ class TestArcEntailment:
         cell = score_one("dae", pair.document, pair.summary, mock_backend)
         assert cell.reason.startswith(f"{NoArcsError.__name__}: ")
         assert not issubclass(EmptySummaryError, NoArcsError)
-
-
-class RowlessMock(MockBackend):
-    """Returns zero embedding rows for any text that mentions 'void'."""
-
-    def embed_tokens(self, text: str) -> TokenEmbeddings:
-        if "void" in text.split():
-            return TokenEmbeddings(tokens=(), vectors=np.zeros((0, 16)))
-        return super().embed_tokens(text)
-
-
-class TestZeroRowEmbeddings:
-    def test_zero_rows_become_sentinel(self):
-        corpus = make_corpus("c", make_pair("p1", "void of stars", "stars"),
-                             make_pair("p2", "alpha beta gamma", "alpha beta"))
-        cells = score_corpus(corpus, ["greedy"], RowlessMock())
-        assert isinstance(cells[0], ScoreFailure)
-        assert cells[0].reason.startswith("DomainError:")
-        assert isinstance(cells[1], FactualityScore) and cells[1].value == 1.0
-
-
-ALL_SCORERS = ["greedy", "condll", "dae"]
-
-
-class TestChunkedOutcomes:
-    """Chunked scoring asks the backend for what it must and no more (the
-    outcomes themselves are `test_oracle.py`'s)."""
-
-    def test_two_tokenize_calls_per_pair_that_needs_a_cell(self):
-        corpus = load_corpus(toy_corpus_path(), name="toy")
-        done = {pair.id for pair in corpus.pairs[:10]}
-        for skip, needing in ((None, len(corpus)),
-                              (lambda pid, scorer: scorer == "greedy" or pid in done,
-                               len(corpus) - len(done))):
-            backend = FaultBackend()
-            score_corpus(corpus, ALL_SCORERS, backend, skip=skip)
-            assert sum(call[0] == "tokenize" for call in backend.calls) == 2 * needing
-
-
-class TestScoreCorpus:
-    def _corpus(self) -> Corpus:
-        return make_corpus(
-            "c",
-            make_pair("p1", "alpha beta gamma delta", "alpha beta"),
-            make_pair("p2", "storm hit the harbor", "storm comet"),
-            make_pair("p3", "one two three four", "two three four"),
-        )
-
-    def test_shape(self, mock_backend):
-        cells = score_corpus(self._corpus(), ["greedy", "condll", "dae"], mock_backend)
-        assert len(cells) == 9
-
-    def test_single_token_summary_gets_sentinel_for_dae_only(self, mock_backend):
-        corpus = make_corpus("c", make_pair("p1", "the mayor opened the bridge", "mayor"))
-        cells = score_corpus(corpus, ["greedy", "condll", "dae"], mock_backend)
-        by_scorer = {c.scorer: c for c in cells}
-        assert isinstance(by_scorer["greedy"], FactualityScore)
-        assert isinstance(by_scorer["condll"], FactualityScore)
-        assert isinstance(by_scorer["dae"], ScoreFailure)
-        assert "NoArcsError" in by_scorer["dae"].reason
-
-    def test_out_of_range_value_becomes_sentinel(self, mock_backend, monkeypatch):
-        monkeypatch.setitem(SCORERS, "dae", lambda pairs, backend: [1.5] * len(pairs))
-        (cell,) = score_corpus(self._corpus().subset(["p1"]), ["dae"], mock_backend)
-        assert isinstance(cell, ScoreFailure)
-        assert cell.reason == "DomainError: score 1.5 outside the valid range for scorer 'dae'"
-
-    def test_unknown_scorer_rejected_before_scoring(self, mock_backend):
-        with pytest.raises(ConfigurationError):
-            score_corpus(self._corpus(), ["greedy", "nope"], mock_backend)
-
-    def test_repeated_scorer_rejected_before_scoring(self):
-        backend = FaultBackend()
-        with pytest.raises(ConfigurationError, match="scorers repeat"):
-            score_corpus(self._corpus(), ["greedy", "dae", "greedy"], backend)
-        assert backend.requests == []
-
-    def test_empty_corpus_rejected(self, mock_backend):
-        with pytest.raises(DomainError):
-            score_corpus(Corpus(name="c", pairs=()), ["greedy"], mock_backend)
-
-
-class TestScoreTable:
-    def _score(self, pair_id="p", scorer="greedy", backend_name="mock",
-               backend_version="1", value=0.5) -> FactualityScore:
-        return FactualityScore(pair_id=pair_id, scorer=scorer, backend_name=backend_name,
-                               backend_version=backend_version, value=value, truncated=False)
-
-    def test_rejects_mixed_backends_in_column(self):
-        table = ScoreTable("c")
-        table.add(self._score(pair_id="a"))
-        with pytest.raises(IntegrityError):
-            table.add(self._score(pair_id="b", backend_version="2"))
-
-    def test_rejects_duplicate_cell(self):
-        table = ScoreTable("c")
-        table.add(self._score())
-        with pytest.raises(IntegrityError):
-            table.add(self._score())
-
-    def test_values_excludes_sentinels(self):
-        table = ScoreTable("c")
-        table.add(self._score(pair_id="a"))
-        table.add(ScoreFailure(pair_id="b", scorer="greedy", backend_name="mock",
-                               backend_version="1", reason="boom"))
-        assert set(table.values("greedy")) == {"a"}
-        assert table.failures("greedy") == {"b": "boom"}
-
-    def test_value_range_validated(self):
-        with pytest.raises(DomainError):
-            self._score(scorer="dae", value=1.5)
-        with pytest.raises(DomainError):
-            self._score(scorer="condll", value=0.25)
-
-
-class TestScoresFile:
-    def test_round_trip(self, tmp_path, mock_backend):
-        corpus = make_corpus(
-            "c",
-            make_pair("p1", "alpha beta gamma", "alpha beta"),
-            make_pair("p2", "storm harbor", "storm"),
-        )
-        cells = score_corpus(corpus, ["greedy", "dae"], mock_backend)
-        path = tmp_path / "scores.jsonl"
-        write_scores(cells, path)
-        table = load_scores(path, "c")
-        assert set(table.scorers) == {"greedy", "dae"}
-        assert table.values("greedy")["p1"] == 1.0
-        assert "p2" in table.failures("dae")
-
-    def test_resume_skips_done_cells(self, tmp_path, mock_backend):
-        corpus = make_corpus(
-            "c",
-            make_pair("p1", "alpha beta gamma", "alpha beta"),
-            make_pair("p2", "storm harbor town", "storm harbor"),
-        )
-        path = tmp_path / "scores.jsonl"
-        added_first = score_corpus_to_file(corpus, ["greedy"], mock_backend, path)
-        assert added_first == 2
-        before = path.read_bytes()
-        added_again = score_corpus_to_file(corpus, ["greedy"], mock_backend, path)
-        assert added_again == 0
-        assert path.read_bytes() == before
-        added_new_scorer = score_corpus_to_file(corpus, ["greedy", "condll"],
-                                                mock_backend, path)
-        assert added_new_scorer == 2
-        table = load_scores(path, "c")
-        assert set(table.scorers) == {"greedy", "condll"}
-
-    def test_resume_with_different_backend_rejected(self, tmp_path, mock_backend):
-        corpus = make_corpus(
-            "c",
-            make_pair("p1", "alpha beta gamma", "alpha beta"),
-        )
-        path = tmp_path / "scores.jsonl"
-        score_corpus_to_file(corpus, ["greedy"], mock_backend, path)
-        bigger = make_corpus("c", corpus.pairs[0],
-                             make_pair("p2", "storm harbor", "storm harbor"))
-
-        class OtherVersion(MockBackend):
-            @property
-            def descriptor(self):
-                from dataclasses import replace
-                return replace(super().descriptor, version="2")
-
-        before = path.read_bytes()
-        with pytest.raises(IntegrityError):
-            score_corpus_to_file(bigger, ["greedy"], OtherVersion(), path)
-        assert path.read_bytes() == before
-
-    def test_a_column_of_another_backend_is_refused_before_any_scoring(self, tmp_path):
-        corpus = make_corpus("c", make_pair("p1", "alpha beta gamma", "alpha beta"),
-                             make_pair("p2", "storm harbor town", "storm harbor"))
-        path = tmp_path / "scores.jsonl"
-        score_corpus_to_file(corpus, ["greedy", "dae"], MockBackend(), path)
-        path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
-                                if json.loads(line)["scorer"] == "greedy"
-                                or json.loads(line)["pair_id"] == "p1"))
-        before = path.read_bytes()
-        other = FaultBackend()
-        other._descriptor = dataclasses.replace(other.descriptor, version="2")
-        # The complete greedy column takes no new cell, so its provenance is no obstacle.
-        assert score_corpus_to_file(corpus, ["greedy"], other, path) == 0
-        with pytest.raises(IntegrityError, match="column 'dae' mixes backends mock:1 and mock:2"):
-            score_corpus_to_file(corpus, ["greedy", "dae"], other, path)
-        assert other.requests == []
-        assert path.read_bytes() == before
-
-
-def reference_cell_from_row(row):
-    """The per-row cell builder as it was before the positional rewrite."""
-    common = dict(
-        pair_id=row["pair_id"],
-        scorer=row["scorer"],
-        backend_name=row["backend_name"],
-        backend_version=row["backend_version"],
-    )
-    if row.get("value") is None:
-        return ScoreFailure(reason=str(row.get("error", "unknown failure")), **common)
-    return FactualityScore(value=float(row["value"]),
-                           truncated=bool(row.get("truncated", False)), **common)
-
-
-def reference_load_scores(path, corpus_name):
-    """The json.loads-per-line loader as it was before the raw_decode rewrite."""
-    table = ScoreTable(corpus_name)
-    p = Path(path)
-    with p.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                cell = reference_cell_from_row(row)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad score row: {exc}", path=str(p), line=lineno) from exc
-            table.add(cell)
-    return table
-
-
-def _table_cells(table):
-    """Each column in load order, with exact value bits, and its provenance."""
-    return [(scorer,
-             [(pair_id, type(v), v.hex() if isinstance(v, float) else v)
-              for pair_id, v in table.column(scorer).items()],
-             table.backend_descriptors()[scorer])
-            for scorer in table.scorers]
-
-
-def _cells_as_columns(cells):
-    """What `_table_cells` gives for a table holding `cells`, added in order."""
-    columns = {}
-    for c in cells:
-        entries, _ = columns.setdefault(
-            c.scorer, ([], {"name": c.backend_name, "version": c.backend_version}))
-        if isinstance(c, FactualityScore):
-            entries.append((c.pair_id, float, c.value.hex()))
-        else:
-            entries.append((c.pair_id, str, c.reason))
-    return [(scorer, *column) for scorer, column in columns.items()]
-
-
-def _generated_cells(seed: int, n_pairs: int):
-    rng = random.Random(seed)
-    ranges = {"greedy": (-1.0, 1.0), "condll": (-30.0, 0.0), "dae": (0.0, 1.0)}
-    edges = {"greedy": [-1.0, 1.0, 0.0, -0.0, 5e-324], "condll": [0.0, -0.0, -1e300],
-             "dae": [0.0, 1.0, 1e-310]}
-    cells = []
-    for scorer, (low, high) in ranges.items():
-        for i in range(n_pairs):
-            pair_id = f"p{i:04d}-\u00e9\u4e2d" if i % 7 == 0 else f"p{i:04d}"
-            if rng.random() < 0.1:
-                reason = rng.choice(['NoArcsError: summary yields "no" arcs',
-                                     "DomainError: r\u00e9sum\u00e9 \\ tab\t"])
-                cells.append(ScoreFailure(pair_id, scorer, "mock", "1", reason))
-                continue
-            value = edges[scorer][i] if i < len(edges[scorer]) else rng.uniform(low, high)
-            cells.append(FactualityScore(pair_id, scorer, "mock", "1", value,
-                                         rng.random() < 0.2))
-    return cells
-
-
-class TestLoaderMatchesReference:
-    def _assert_same(self, path):
-        assert _table_cells(load_scores(path, "c")) == _table_cells(
-            reference_load_scores(path, "c"))
-
-    def test_toy_scores_file(self, tmp_path):
-        corpus = load_corpus(toy_corpus_path(), name="toy")
-        path = tmp_path / "toy_scores.jsonl"
-        # A 40-token limit truncates the longer toy documents.
-        cells = score_corpus(corpus, ["greedy", "condll", "dae"], MockBackend(max_tokens=40))
-        assert any(isinstance(c, FactualityScore) and c.truncated for c in cells)
-        write_scores(cells, path)
-        table = load_scores(path, "toy")
-        assert sum(len(table.column(s)) for s in table.scorers) == 3 * len(corpus)
-        self._assert_same(path)
-
-    def test_generated_file_with_sentinels_and_truncation(self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        write_scores(_generated_cells(seed=5, n_pairs=400), path)
-        # Rows write_scores never produces but the schema allows: padding,
-        # blank lines, a missing 'truncated' or 'error', an integer value.
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("\n   \n")
-            handle.write(' {"pair_id": "x1", "scorer": "greedy", "backend_name": "mock", '
-                         '"backend_version": "1", "value": 1} \t\n')
-            handle.write('{"pair_id": "x1", "scorer": "dae", "backend_name": "mock", '
-                         '"backend_version": "1", "value": null}\n')
-            handle.write('{"pair_id": "x1", "scorer": "condll", "backend_name": "mock", '
-                         '"backend_version": "1", "value": -2.5e-3, "truncated": true, '
-                         '"extra": [1, {"k": null}]}')
-        self._assert_same(path)
-
-    def test_round_trip_equals_written_cells(self, tmp_path):
-        cells = _generated_cells(seed=6, n_pairs=200)
-        path = tmp_path / "scores.jsonl"
-        write_scores(cells, path)
-        assert _table_cells(load_scores(path, "c")) == _cells_as_columns(cells)
-
-    def test_columns_hold_exact_floats_and_reasons_that_values_and_failures_split(
-            self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        write_scores(_generated_cells(seed=8, n_pairs=300), path)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({**_GOOD_ROW, "pair_id": "int", "value": 1}) + "\n")
-        table = load_scores(path, "c")
-        table.add(FactualityScore("x", "dae", "mock", "1", 0, False))
-        for scorer in table.scorers:
-            column = table.column(scorer)
-            assert {type(v) for v in column.values()} == {float, str}
-            values, failures = table.values(scorer), table.failures(scorer)
-            assert values.keys().isdisjoint(failures)
-            assert {**values, **failures} == column
-
-    @pytest.mark.parametrize("second", ['{"a": 1}', "{}", "1", "null"])
-    def test_two_json_values_on_one_line_rejected(self, tmp_path, second):
-        path = tmp_path / "scores.jsonl"
-        write_scores(_generated_cells(seed=7, n_pairs=2), path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[1] = f"{lines[1]} {second}"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="Extra data") as excinfo:
-            load_scores(path, "c")
-        assert excinfo.value.line == 2
-        assert str(excinfo.value).startswith(f"{path}:2: ")
-        with pytest.raises(ParseError, match="Extra data"):
-            reference_load_scores(path, "c")
-
-
-_GOOD_ROW = {"pair_id": "a", "scorer": "greedy", "backend_name": "mock",
-             "backend_version": "1", "value": 0.5, "truncated": False}
-
-
-def _write_rows(path, *rows):
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-
-
-class TestScoreRowErrors:
-    @pytest.mark.parametrize("bad_row, error, message", [
-        (_GOOD_ROW, IntegrityError, "duplicate score for pair 'a'"),
-        ({**_GOOD_ROW, "pair_id": "b", "backend_version": "2"}, IntegrityError,
-         "mixes backends mock:1 and mock:2"),
-        ({**_GOOD_ROW, "pair_id": "b", "scorer": "dae", "value": 1.5}, DomainError,
-         "outside the valid range"),
-        ({**_GOOD_ROW, "pair_id": "b", "value": float("nan")}, DomainError, "not finite"),
-        ({**_GOOD_ROW, "pair_id": "b", "value": float("inf")}, DomainError, "not finite"),
-        ({**_GOOD_ROW, "pair_id": 7}, ParseError, "'pair_id' must be a string, got 7"),
-        ({**_GOOD_ROW, "pair_id": "b", "value": None, "error": 3}, ParseError,
-         "'error' must be a string, got 3"),
-    ], ids=["duplicate", "mixed-provenance", "out-of-range", "nan", "infinite",
-            "integer-pair-id", "integer-error"])
-    def test_error_names_its_line(self, tmp_path, bad_row, error, message):
-        path = tmp_path / "scores.jsonl"
-        _write_rows(path, _GOOD_ROW, {**_GOOD_ROW, "pair_id": "c"}, bad_row)
-        with pytest.raises(error, match=message) as excinfo:
-            load_scores(path, "c")
-        assert type(excinfo.value) is error
-        assert str(excinfo.value).startswith(f"{path}:3: ")
-
-    @pytest.mark.parametrize("field, value", [
-        ("truncated", "false"), ("truncated", "true"), ("truncated", 0),
-        ("truncated", 1), ("truncated", None), ("value", True), ("value", False),
-        ("pair_id", 7), ("scorer", None), ("backend_name", 1), ("backend_version", 1.0),
-        ("error", 3), ("error", None),
-    ])
-    def test_wrongly_typed_field_is_parse_error(self, tmp_path, field, value):
-        path = tmp_path / "scores.jsonl"
-        _write_rows(path, {**_GOOD_ROW, "pair_id": "c"}, {**_GOOD_ROW, field: value})
-        with pytest.raises(ParseError, match=repr(field)) as excinfo:
-            load_scores(path, "c")
-        assert excinfo.value.line == 2
-
-    def test_wrongly_typed_truncated_on_sentinel_is_parse_error(self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        _write_rows(path, {**_GOOD_ROW, "value": None, "truncated": "false", "error": "x"})
-        with pytest.raises(ParseError, match="'truncated'") as excinfo:
-            load_scores(path, "c")
-        assert excinfo.value.line == 1

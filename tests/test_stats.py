@@ -12,18 +12,7 @@ from factfilter import partial_pearson, pearson, wilcoxon_signed_rank
 from factfilter.errors import DegenerateInputError, DomainError
 from factfilter.stats import EXACT_ENUMERATION_CUTOFF, partial_pearsons
 
-
-def oracle_partial_pearson(x, y, z) -> float:
-    """Normal-equations residualization by explicit matrix inversion."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    design = np.column_stack([np.ones(len(x)), np.asarray(z, float)])
-    projector = np.linalg.inv(design.T @ design) @ design.T
-    rx = x - design @ (projector @ x)
-    ry = y - design @ (projector @ y)
-    rxc = rx - rx.mean()
-    ryc = ry - ry.mean()
-    return float((rxc * ryc).sum() / np.sqrt((rxc ** 2).sum() * (ryc ** 2).sum()))
+from test_acceptance import oracle_partial_pearson
 
 
 def oracle_exact_wilcoxon_p(diffs) -> float:
@@ -192,12 +181,6 @@ class TestWilcoxon:
         with pytest.raises(DegenerateInputError):
             wilcoxon_signed_rank([1, 2, 3], [1, 2, 3])
 
-    def test_two_sided_antisymmetry(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=15)
-        b = rng.normal(size=15)
-        assert wilcoxon_signed_rank(a, b).p_value == wilcoxon_signed_rank(b, a).p_value
-
     def test_zero_differences_discarded(self):
         result = wilcoxon_signed_rank([1, 2, 3, 7], [1, 2, 3, 5])
         assert result.n_effective == 1
@@ -228,25 +211,6 @@ class TestWilcoxon:
         above = wilcoxon_signed_rank(rng.normal(size=n + 1), rng.normal(size=n + 1))
         assert at.method == "exact"
         assert above.method == "normal_approx"
-
-    def test_exact_and_normal_agree_at_cutoff(self):
-        # sanity band: the approximation is already close where we stop enumerating
-        rng = np.random.default_rng(10)
-        from factfilter.stats import _average_ranks, _exact_two_sided_p, _normal_two_sided_p
-        for _ in range(50):
-            d = rng.normal(size=20)
-            ranks = _average_ranks(np.abs(d))
-            w = float(ranks[d > 0].sum())
-            exact = _exact_two_sided_p(ranks, w)
-            approx = _normal_two_sided_p(ranks, np.abs(d), w)
-            assert abs(exact - approx) < 0.02
-
-    def test_permutation_equivariant(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=18)
-        b = rng.normal(size=18)
-        perm = rng.permutation(18)
-        assert wilcoxon_signed_rank(a[perm], b[perm]) == wilcoxon_signed_rank(a, b)
 
     def test_large_n_against_scipy_approx(self):
         rng = np.random.default_rng(12)
