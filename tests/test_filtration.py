@@ -92,7 +92,8 @@ class TestIntersectFilter:
         assert math.copysign(1.0, threshold) == 1.0
 
     @pytest.mark.parametrize("scorers, error", [(["s1"], DomainError),
-                                                (["s1", "s1"], ConfigurationError)])
+                                                (["s1", "s1"], ConfigurationError)],
+                             ids=["single", "repeated"])
     def test_single_or_repeated_scorer_rejected(self, scorers, error):
         table = build_table("c", {"s1": {"1": 0.1, "2": 0.2}})
         with pytest.raises(error):

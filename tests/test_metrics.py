@@ -183,7 +183,8 @@ class TestEvaluateOutputs:
         assert report.n("blanc") == 2    # reference-free metrics see the full test split
 
     @pytest.mark.parametrize("metrics, message", [(["bogus"], "unknown metrics"),
-                                                  (["greedy", "greedy"], "metrics repeat")])
+                                                  (["greedy", "greedy"], "metrics repeat")],
+                             ids=["unknown", "repeated"])
     def test_unknown_metric_is_a_configuration_error(self, metrics, message):
         corpus = self._corpus()
         generated = {p.id: p.summary for p in corpus.split_pairs("test")}
