@@ -40,6 +40,16 @@ class TestMockEmbeddings:
         with pytest.raises(DomainError):
             mock_backend.embed_tokens("")
 
+    def test_unit_norm_and_finite(self, mock_backend):
+        emb = mock_backend.embed_tokens("alpha beta gamma")
+        norms = np.linalg.norm(emb.vectors, axis=1)
+        assert np.allclose(norms, 1.0, atol=1e-12)
+
+    def test_bit_deterministic_across_instances(self):
+        a = MockBackend().embed_tokens("storm harbor").vectors
+        b = MockBackend().embed_tokens("storm harbor").vectors
+        assert np.array_equal(a, b)
+
     def test_tokens_cover_input(self, mock_backend):
         text = "  a   b\tc  "
         emb = mock_backend.embed_tokens(text)
@@ -104,6 +114,34 @@ class TestMockEmbeddingReference:
         expected = np.stack([_reference_row(d, dim) for d in digests])
         assert np.array_equal(_bits(rows), _bits(expected))
         assert rows[1].tolist() == [1.0] + [0.0] * (dim - 1)
+
+
+class TestDigestRowNorms:
+    """`_digest_rows` divides each row by `np.sqrt(row.dot(row))`, bit for bit,
+    though it computes all the squared norms in one batch."""
+
+    @staticmethod
+    def _rows_alone(digest: bytes, dim: int) -> np.ndarray:
+        vecs = np.frombuffer(digest, dtype="<u4").reshape(-1, dim) / 2147483648.0 - 1.0
+        rows = []
+        for row in vecs:
+            norm = np.sqrt(row.dot(row))
+            rows.append(np.eye(dim)[0] if norm == 0.0 else row / norm)
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16])
+    @pytest.mark.parametrize("n_rows", [1, 36, 700])
+    @pytest.mark.parametrize("vanishing", [(), (0,), (0, -1)], ids=["none", "first", "ends"])
+    def test_each_row_is_bit_equal_to_normalising_it_alone(self, dim, n_rows, vanishing):
+        rng = np.random.default_rng(1000 * dim + n_rows)
+        words = rng.integers(0, 2 ** 32, size=(n_rows, dim), dtype=np.uint32)
+        for row in vanishing:
+            words[row] = 0x80000000  # every entry maps to 0.0
+        digest = words.astype("<u4").tobytes()
+        rows = _digest_rows(digest, dim)
+        assert np.array_equal(_bits(rows), _bits(self._rows_alone(digest, dim)))
+        for row in vanishing:
+            assert rows[row].tolist() == [1.0] + [0.0] * (dim - 1)
 
 
 class TestTokenEmbeddingsShape:
@@ -278,6 +316,11 @@ class TestMockConditional:
         assert logprobs[0] == math.log(0.9)
         assert logprobs[1] == math.log(0.1)
 
+    def test_all_outputs_nonpositive(self, mock_backend):
+        logprobs = mock_backend.conditional_token_logprobs("x y z", "x q y z w")
+        assert all(lp <= 0.0 for lp in logprobs)
+        assert len(logprobs) == 5
+
     def test_empty_inputs_rejected(self, mock_backend):
         with pytest.raises(DomainError):
             mock_backend.conditional_token_logprobs("", "x")
@@ -334,6 +377,9 @@ class TestMockParser:
     def test_deterministic(self, mock_backend):
         text = "one two three four five"
         assert mock_backend.parse_dependencies(text) == mock_backend.parse_dependencies(text)
+
+    def test_multi_token_gives_arcs(self, mock_backend):
+        assert len(mock_backend.parse_dependencies("x y")) == 1
 
 
 class TestArcInvariants:

@@ -65,6 +65,11 @@ class TestExitCodes:
                      "--remote-command", f"{sys.executable} -c pass"])
         assert code == 3
 
+    def test_unknown_backend_is_configuration_error(self, tmp_path, toy):
+        code = main(["score", "--in", str(toy), "--out", str(tmp_path / "s.jsonl"),
+                     "--scorers", "greedy", "--backend", "nope"])
+        assert code == 1
+
     @pytest.mark.parametrize("command", [
         ["evaluate", "--metrics", "bogus"], ["sweep", "--strategies", "bogus"],
         ["sweep", "--strategies", "single:"],
@@ -142,14 +147,43 @@ class TestIngest:
         assert main(["ingest", "--in", str(toy), "--out", str(out)]) == 0
         assert load_corpus(out).ids() == load_corpus(toy).ids()
 
+    def test_writes_config_echo(self, tmp_path, toy):
+        out = tmp_path / "c.jsonl"
+        main(["ingest", "--in", str(toy), "--out", str(out)])
+        echo = json.loads((tmp_path / "c.jsonl.config.json").read_text())
+        assert echo["command"] == "ingest"
+        assert echo["in_path"] == str(toy)
+
 
 class TestScore:
+    def test_toy_corpus_yields_150_rows(self, tmp_path, toy):
+        scores = _score(tmp_path, toy)
+        rows = [json.loads(line) for line in scores.read_text().splitlines()]
+        assert len(rows) == 150
+        assert {row["scorer"] for row in rows} == {"greedy", "condll", "dae"}
+
     def test_rerun_is_resumable_and_byte_stable(self, tmp_path, toy):
         scores = _score(tmp_path, toy)
         before = scores.read_bytes()
         assert main(["score", "--in", str(toy), "--out", str(scores),
                      "--scorers", "greedy,condll,dae", "--backend", "mock"]) == 0
         assert scores.read_bytes() == before
+
+    def test_remote_backend_matches_local(self, tmp_path, toy):
+        local = _score(tmp_path, toy)
+        remote_dir = tmp_path / "remote"
+        remote_dir.mkdir()
+        remote_out = remote_dir / "scores.jsonl"
+        code = main(["score", "--in", str(toy), "--out", str(remote_out),
+                     "--scorers", "greedy,condll,dae", "--backend", "remote",
+                     "--remote-command",
+                     f"{sys.executable} -m factfilter.remote --backend mock"])
+        assert code == 0
+        local_rows = [json.loads(l) for l in local.read_text().splitlines()]
+        remote_rows = [json.loads(l) for l in remote_out.read_text().splitlines()]
+        for row in local_rows + remote_rows:
+            row["backend_name"] = "x"  # provenance differs; values must not
+        assert remote_rows == local_rows
 
     def test_env_registered_backend(self, tmp_path, toy, monkeypatch):
         registry = tmp_path / "extra_backends.py"
@@ -273,6 +307,19 @@ class TestFilterCommand:
         assert main(["filter", "--scores", str(scores), "--out", str(manifest_path),
                      "--corpus-name", "toy"]) == 0
         assert FilterManifest.load(manifest_path).q == 0.25
+
+    @pytest.mark.parametrize("change", [
+        {}, {"backend_version": "2", "pair_id": "b"}, {"value": -1.5, "pair_id": "b"},
+        {"value": float("inf"), "pair_id": "b"}, {"truncated": "false", "pair_id": "b"},
+    ], ids=["duplicate", "mixed-provenance", "out-of-range", "non-finite", "string-flag"])
+    def test_bad_score_row_exits_two_naming_its_line(self, tmp_path, capsys, change):
+        row = {"pair_id": "a", "scorer": "greedy", "backend_name": "mock",
+               "backend_version": "1", "value": 0.5, "truncated": False}
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(json.dumps(row) + "\n" + json.dumps({**row, **change}) + "\n")
+        assert main(["filter", "--scores", str(scores), "--out", str(tmp_path / "m.json"),
+                     "--corpus-name", "c"]) == 2
+        assert f"{scores}:2: " in capsys.readouterr().err
 
 
 class TestStatsCommand:
@@ -540,6 +587,24 @@ class TestSweepCommand:
 
 
 class TestConfigFile:
+    def test_config_supplies_defaults(self, tmp_path, toy):
+        config = tmp_path / "run.json"
+        scores = tmp_path / "scores.jsonl"
+        config.write_text(json.dumps({
+            "in": str(toy), "out": str(scores),
+            "scorers": "greedy", "backend": "mock"}).replace('"in"', '"in_path"'))
+        assert main(["score", "--config", str(config)]) == 0
+        assert scores.exists()
+
+    def test_cli_flags_override_config(self, tmp_path, toy):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"in_path": str(toy), "scorers": "greedy,condll"}))
+        out = tmp_path / "scores.jsonl"
+        assert main(["score", "--config", str(config), "--out", str(out),
+                     "--scorers", "greedy"]) == 0
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert {row["scorer"] for row in rows} == {"greedy"}
+
     def test_unknown_config_key_rejected(self, tmp_path, toy):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"frobnicate": 1}))

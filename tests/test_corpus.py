@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from factfilter import Corpus, Pair, corpus_stats, load_corpus, save_corpus, word_count
 from factfilter.corpus import toy_corpus_path
-from factfilter.errors import DomainError, IntegrityError
+from factfilter.errors import DomainError, IntegrityError, ParseError
 
 from conftest import make_corpus, make_pair
 
@@ -39,11 +39,30 @@ class TestLoadCorpus:
         assert corpus.name == "corpus"
         assert {pair.id: pair for pair in corpus}["a"].meta == {"url": "http://x"}
 
+    def test_duplicate_id_names_offender(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        _write_jsonl(path, RECORDS + [RECORDS[0]])
+        with pytest.raises(IntegrityError, match="'a'"):
+            load_corpus(path)
+
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         corpus = load_corpus(path)
         assert len(corpus) == 0
+
+    def test_malformed_line_carries_line_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(RECORDS[0]) + "\n{not json\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line == 2
+
+    def test_missing_field_is_parse_error(self, tmp_path):
+        path = tmp_path / "missing.jsonl"
+        _write_jsonl(path, [{"id": "a", "document": "x", "split": "train"}])
+        with pytest.raises(ParseError, match="summary"):
+            load_corpus(path)
 
     def test_round_trip_reproduces_records(self, tmp_path):
         src = tmp_path / "src.jsonl"
@@ -98,9 +117,21 @@ class TestCorpusStats:
         assert stats.mean_sum_words == 2.5
         assert stats.per_split_counts == {"test": 1, "train": 1}
 
+    def test_single_pair_means_equal_counts(self):
+        corpus = make_corpus("c", make_pair("a", "one two three", "x y"))
+        stats = corpus_stats(corpus)
+        assert stats.mean_doc_words == 3.0
+        assert stats.mean_sum_words == 2.0
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(DomainError):
             corpus_stats(Corpus(name="c", pairs=()))
+
+    def test_permutation_invariant(self):
+        pairs = [make_pair(f"p{i}", f"word {'x ' * i}end", "a b") for i in range(5)]
+        forward = corpus_stats(make_corpus("c", *pairs))
+        backward = corpus_stats(make_corpus("c", *reversed(pairs)))
+        assert forward == backward
 
 
 class TestSubset:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
+import math
 from collections import Counter
 
 import numpy as np
@@ -32,11 +33,26 @@ from test_filtration import build_table
 
 
 class TestDistributionReport:
+    def test_linear_interpolation_quantiles(self):
+        table = build_table("c", {"s1": {str(i): float(i) for i in range(1, 6)},
+                                  "s2": {str(i): 0.5 for i in range(1, 6)}})
+        summaries = {s.scorer: s for s in distribution_report(table)}
+        s1 = summaries["s1"]
+        assert (s1.minimum, s1.q1, s1.median, s1.q3, s1.maximum) == (1.0, 2.0, 3.0, 4.0, 5.0)
+
     def test_constant_column_collapses(self):
         table = build_table("c", {"s1": {str(i): 0.7 for i in range(4)}})
         (summary,) = distribution_report(table)
         assert summary.minimum == summary.q1 == summary.median == summary.q3 == \
             summary.maximum == 0.7
+
+    def test_bin_counts_cover_population(self):
+        rng = np.random.default_rng(0)
+        table = build_table("c", {"s1": {f"p{i}": float(v) for i, v in
+                                         enumerate(rng.normal(size=100))}})
+        (summary,) = distribution_report(table)
+        assert len(summary.bins) == DEFAULT_HISTOGRAM_BINS
+        assert sum(count for _, _, count in summary.bins) == 100
 
     def test_summaries_do_not_depend_on_row_order(self):
         # The median of the last four cells is -0.0 or 0.0, by which zeros land
@@ -67,17 +83,25 @@ class TestDistributionReport:
 
 
 class TestSweepSpec:
-    @pytest.mark.parametrize("thresholds, strategies, error, match", [
-        ((0.4, 0.2), ("combined",), DomainError, "strictly ascending"),
-        ((0.2, 0.4, 0.4), ("combined",), DomainError, "strictly ascending"),
-        ((0.4,), ("random", "combined", "random"), ConfigurationError, "repeat"),
-        ((0.0, 0.5), ("combined",), DomainError, "lie in"),
-        ((0.25,), ("sorted",), ConfigurationError, "unknown sweep strategy"),
-    ], ids=["unsorted", "repeated-threshold", "repeated-strategy", "not-a-fraction",
-            "unknown-strategy"])
-    def test_a_bad_spec_is_rejected(self, thresholds, strategies, error, match):
-        with pytest.raises(error, match=match):
-            SweepSpec(thresholds=thresholds, strategies=strategies, seed=0)
+    def test_thresholds_must_be_sorted(self):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            SweepSpec(thresholds=(0.4, 0.2), strategies=("combined",), seed=0)
+
+    def test_repeated_threshold_rejected(self):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            SweepSpec(thresholds=(0.2, 0.4, 0.4), strategies=("combined",), seed=0)
+
+    def test_repeated_strategy_rejected(self):
+        with pytest.raises(ConfigurationError, match="repeat"):
+            SweepSpec(thresholds=(0.4,), strategies=("random", "combined", "random"), seed=0)
+
+    def test_thresholds_must_be_fractions(self):
+        with pytest.raises(DomainError, match="lie in"):
+            SweepSpec(thresholds=(0.0, 0.5), strategies=("combined",), seed=0)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown sweep strategy"):
+            SweepSpec(thresholds=(0.25,), strategies=("sorted",), seed=0)
 
     def test_single_scorer_strategy_accepted(self):
         spec = SweepSpec(thresholds=(0.25,), strategies=("single:greedy",), seed=0)
@@ -96,6 +120,23 @@ def _sweep_fixture():
 
 
 class TestRunSweep:
+    def test_combined_ratio_obeys_intersection_bound(self, mock_backend):
+        corpus, table = _sweep_fixture()
+        spec = SweepSpec(thresholds=(0.25,), strategies=("combined",), seed=0)
+        (row,) = run_sweep(corpus, table, spec, mock_train_eval_hook(mock_backend, ["greedy"]))
+        assert row.status == "ok"
+        assert 1 - 3 * 0.25 <= row.ratio <= math.ceil(0.75 * 12) / 12
+
+    def test_combined_never_larger_than_single(self, mock_backend):
+        corpus, table = _sweep_fixture()
+        spec = SweepSpec(
+            thresholds=(0.25,),
+            strategies=("combined", "single:s1", "single:s2", "single:s3"), seed=0)
+        rows = {r.strategy: r for r in
+                run_sweep(corpus, table, spec, mock_train_eval_hook(mock_backend, ["greedy"]))}
+        for name in ("single:s1", "single:s2", "single:s3"):
+            assert rows["combined"].ratio <= rows[name].ratio
+
     def test_ratios_monotone_in_threshold(self, mock_backend):
         corpus, table = _sweep_fixture()
         spec = SweepSpec(thresholds=(0.1, 0.25, 0.4, 0.55),
@@ -267,6 +308,19 @@ class TestHookMemo:
         assert hook(first) != hook(second)
 
 
+class DriftingMock(MockBackend):
+    """A non-deterministic mock: each log-prob answer is lower than the last."""
+
+    def __init__(self):
+        super().__init__()
+        self._descriptor = dataclasses.replace(self._descriptor, deterministic=False)
+        self.asked = 0
+
+    def conditional_token_logprobs(self, source, target):
+        self.asked += 1
+        return [-float(self.asked)] * len(target.split())
+
+
 class TestChunkedHook:
     """The hook scores the pairs it still needs in chunks, asking the backend
     for the oracle's single ops (the outcomes themselves are `test_oracle.py`'s)."""
@@ -282,7 +336,17 @@ class TestChunkedHook:
             hook = mock_train_eval_hook(chunked, metrics)
             for selection in (first, second, first):
                 hook(selection)
+            if len(metrics) == 3:
+                assert sum(call[0] == "tokenize" for call in chunked.calls) == 2 * len(distinct)
             assert Counter(chunked.calls) == _oracle_calls(distinct.values(), metrics)
+
+    def test_non_deterministic_backend_is_asked_on_every_call(self):
+        corpus, _ = _memo_fixture()
+        backend = DriftingMock()
+        hook = mock_train_eval_hook(backend, ["condll"])
+        means = [hook(corpus)["condll"] for _ in range(3)]
+        assert backend.asked == 3 * len(corpus)
+        assert means[0] > means[1] > means[2]
 
 
 SCORER_METRICS = ("greedy", "condll", "dae")

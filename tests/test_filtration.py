@@ -41,6 +41,18 @@ def build_table(corpus_name: str, columns: dict[str, dict[str, float]],
 
 
 class TestPercentileKeepSet:
+    def test_rank_enumeration(self):
+        scores = {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4}
+        assert percentile_keep_set(scores, 0.25) == {"b", "c", "d"}
+
+    def test_tie_break_by_ascending_id(self):
+        scores = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
+        assert percentile_keep_set(scores, 0.25) == {"b", "c", "d"}
+
+    def test_single_entry_always_kept(self):
+        for q in (0.01, 0.5, 0.99):
+            assert percentile_keep_set({"only": 1.0}, q) == {"only"}
+
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 2.0])
     def test_q_outside_unit_interval_rejected(self, q):
         with pytest.raises(DomainError):
@@ -49,6 +61,23 @@ class TestPercentileKeepSet:
     def test_empty_scores_rejected(self):
         with pytest.raises(DomainError):
             percentile_keep_set({}, 0.25)
+
+    @given(st.dictionaries(st.text(min_size=1, max_size=4), st.floats(-10, 10),
+                           min_size=1, max_size=40),
+           st.floats(0.05, 0.45), st.floats(0.5, 0.95))
+    @settings(max_examples=60)
+    def test_threshold_monotonicity(self, scores, q_low, q_high):
+        assert percentile_keep_set(scores, q_high) <= percentile_keep_set(scores, q_low)
+
+    @given(st.dictionaries(st.text(min_size=1, max_size=4),
+                           st.integers(-500, 500).map(lambda i: i / 100),
+                           min_size=2, max_size=30),
+           st.floats(0.1, 0.9))
+    @settings(max_examples=60)
+    def test_monotone_transform_invariance(self, scores, q):
+        # quantized inputs keep exp(v) + 3 strictly increasing in float64 too
+        transformed = {k: math.exp(v) + 3.0 for k, v in scores.items()}
+        assert percentile_keep_set(scores, q) == percentile_keep_set(transformed, q)
 
 
 class TestIntersectFilter:
@@ -63,6 +92,20 @@ class TestIntersectFilter:
         assert manifest.n_pairs == 4
         assert '"seed":null' in manifest.to_canonical_json()
         assert '"seedless":true' in manifest.to_canonical_json()
+
+    def test_perfectly_correlated_scorers(self):
+        scores = {"1": 0.1, "2": 0.2, "3": 0.3, "4": 0.4}
+        table = build_table("c", {"s1": dict(scores), "s2": dict(scores)})
+        manifest = intersect_filter(table, 0.25)
+        assert manifest.selection_ratio == 0.75
+
+    def test_thresholds_record_lowest_kept_score(self):
+        table = build_table("c", {
+            "s1": {"1": 0.1, "2": 0.2, "3": 0.3, "4": 0.4},
+            "s2": {"1": 0.4, "2": 0.3, "3": 0.2, "4": 0.1},
+        })
+        manifest = intersect_filter(table, 0.25)
+        assert manifest.per_scorer_thresholds == {"s1": 0.2, "s2": 0.2}
 
     def test_a_signed_zero_tie_at_the_cut_gives_the_same_bytes_under_every_hash_seed(
             self, tmp_path):
@@ -91,13 +134,25 @@ class TestIntersectFilter:
         threshold = FilterManifest.load(tmp_path / "manifest-0.json").per_scorer_thresholds["x"]
         assert math.copysign(1.0, threshold) == 1.0
 
-    @pytest.mark.parametrize("scorers, error", [(["s1"], DomainError),
-                                                (["s1", "s1"], ConfigurationError)],
-                             ids=["single", "repeated"])
-    def test_single_or_repeated_scorer_rejected(self, scorers, error):
+    def test_failures_dropped_before_percentiles(self):
+        table = build_table("c", {
+            "s1": {"1": 0.1, "2": 0.2, "3": 0.3, "4": 0.4},
+            "s2": {"1": 0.1, "2": 0.2, "3": 0.3},
+        }, failures={"s2": ["4"]})
+        manifest = intersect_filter(table, 0.25)
+        # population is {1,2,3}; each scorer keeps ceil(.75*3)=3 of them
+        assert manifest.n_pairs == 3
+        assert set(manifest.kept_ids) == {"1", "2", "3"}
+
+    def test_single_scorer_rejected(self):
         table = build_table("c", {"s1": {"1": 0.1, "2": 0.2}})
-        with pytest.raises(error):
-            intersect_filter(table, 0.25, scorers)
+        with pytest.raises(DomainError):
+            intersect_filter(table, 0.25)
+
+    def test_repeated_scorer_rejected(self):
+        table = build_table("c", {"s1": {"1": 0.1, "2": 0.2}})
+        with pytest.raises(ConfigurationError, match="scorers repeat"):
+            intersect_filter(table, 0.25, ["s1", "s1"])
 
     def test_misaligned_columns_rejected(self):
         table = build_table("c", {

@@ -33,8 +33,39 @@ from test_acceptance import oracle_rouge2
 
 
 class TestRouge2:
+    def test_identical_texts(self):
+        score = rouge2("the mayor opened the bridge", "the mayor opened the bridge")
+        assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
+
+    def test_worked_example(self):
+        score = rouge2("the cat sat", "the cat slept")
+        assert score.precision == 0.5
+        assert score.recall == 0.5
+        assert score.f1 == 0.5
+
+    def test_disjoint_vocabulary(self):
+        assert rouge2("alpha beta gamma", "delta epsilon zeta").f1 == 0.0
+
+    def test_short_texts_score_zero(self):
+        score = rouge2("word", "another word here")
+        assert (score.precision, score.recall, score.f1) == (0.0, 0.0, 0.0)
+
     def test_lowercasing(self):
         assert rouge2("The Cat SAT", "the cat sat").f1 == 1.0
+
+    def test_swap_transposes_precision_recall(self):
+        a, b = "one two three four", "two three five"
+        fwd = rouge2(a, b)
+        rev = rouge2(b, a)
+        assert fwd.precision == rev.recall
+        assert fwd.recall == rev.precision
+        assert fwd.f1 == rev.f1
+
+    def test_repeated_bigrams_clipped(self):
+        score = rouge2("go go go go", "go go")
+        # candidate has 3x (go,go), reference has 1 -> overlap clipped to 1
+        assert score.precision == pytest.approx(1 / 3)
+        assert score.recall == 1.0
 
     @given(st.lists(st.sampled_from("abcde"), min_size=0, max_size=12),
            st.lists(st.sampled_from("abcde"), min_size=0, max_size=12))
@@ -159,6 +190,12 @@ class TestEvaluateOutputs:
                       split="test"),
         )
 
+    def test_identical_generated_gives_perfect_rouge(self, mock_backend):
+        corpus = self._corpus()
+        generated = {p.id: p.summary for p in corpus.split_pairs("test")}
+        report = evaluate_outputs(generated, corpus, backend=mock_backend)
+        assert report.mean("rouge2") == 1.0
+
     def test_hand_computed_mean(self):
         corpus = self._corpus()
         generated = {
@@ -262,4 +299,6 @@ class TestChunkedEvaluate:
         report = evaluate_outputs(generated, corpus, chunked, metrics=metrics)
         assert (report.per_pair, report.failures) == reference.evaluate(
             generated, corpus, metrics, oracle)
+        if metrics == SCORER_METRICS:
+            assert sum(call[0] == "tokenize" for call in chunked.calls) == 2 * len(test_pairs)
         assert Counter(chunked.calls) == Counter(oracle.calls)

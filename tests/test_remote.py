@@ -78,6 +78,33 @@ class TestServedBatches:
             _decode("parse_dependencies", {"error": {"type": name, "message": "m"}})
         assert type(excinfo.value) is getattr(errors, name) and str(excinfo.value) == "m"
 
+    def test_per_pair_errors_score_the_same_bytes_in_process_and_over_remote(
+            self, tmp_path, monkeypatch):
+        import faults
+        from factfilter import backend as backend_module
+
+        monkeypatch.setitem(backend_module._BACKENDS, "fault", faults.FaultBackend)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": i, "document": d, "summary": s, "split": "test", "meta": {}})
+            + "\n" for i, d, s in [("ok", "alpha beta gamma", "alpha beta"),
+                                   ("no-arcs", "alpha beta gamma", "alpha NOARCS"),
+                                   ("one-token", "alpha beta", "alpha"),
+                                   ("parse", "alpha beta", "alpha PARSEFAIL"),
+                                   ("embed", "EMBFAIL alpha", "alpha beta"),
+                                   ("logprobs", "alpha beta", "beta LPFAIL")]),
+            encoding="utf-8")
+        outputs = []
+        for backend in (["--backend", "fault"],
+                        ["--backend", "remote", "--remote-command",
+                         f"{sys.executable} {faults.__file__} 512"]):
+            out = tmp_path / f"scores-{len(outputs)}.jsonl"
+            assert main(["score", "--in", str(corpus), "--out", str(out),
+                         "--scorers", "greedy,condll,dae", *backend]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"NoArcsError: no arcs in 'alpha NOARCS'" in outputs[0]
+
 class TestServerFaults:
     """The server names an exception a backend op raises by its type; only a
     request that does not decode is a bad request. Both are `BackendError`
@@ -462,3 +489,23 @@ class TestTransportFailures:
         finally:
             backend.close()
         assert backend._proc.poll() is not None
+
+
+def test_over_long_summary_scores_the_same_bytes_over_remote(tmp_path):
+    corpus = tmp_path / "long.jsonl"
+    pairs = [("short", "storm hit the harbor town", "storm harbor"),
+             ("long-summary", "storm hit the harbor town", " ".join(["storm"] * 600)),
+             ("long-document", " ".join(["harbor"] * 600), "harbor town")]
+    corpus.write_text("".join(json.dumps({"id": i, "document": d, "summary": s,
+                                          "split": "test", "meta": {}}) + "\n"
+                              for i, d, s in pairs), encoding="utf-8")
+    outputs = []
+    for backend in (["--backend", "mock"],
+                    ["--backend", "remote", "--remote-command",
+                     f"{sys.executable} -m factfilter.remote --backend mock"]):
+        out = tmp_path / f"scores-{len(outputs)}.jsonl"
+        assert main(["score", "--in", str(corpus), "--out", str(out),
+                     "--scorers", "greedy,condll,dae", *backend]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"(limit: 512 tokens)\"") == 3  # the summary's three cells

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from factfilter import (
     evaluate_outputs,
     Corpus,
     MockBackend,
+    ScoreTable,
     load_scores,
     score_corpus,
     write_scores,
@@ -47,6 +49,26 @@ class TestScoreTable:
         return FactualityScore(pair_id=pair_id, scorer=scorer, backend_name=backend_name,
                                backend_version=backend_version, value=value, truncated=False)
 
+    def test_rejects_mixed_backends_in_column(self):
+        table = ScoreTable("c")
+        table.add(self._score(pair_id="a"))
+        with pytest.raises(IntegrityError):
+            table.add(self._score(pair_id="b", backend_version="2"))
+
+    def test_rejects_duplicate_cell(self):
+        table = ScoreTable("c")
+        table.add(self._score())
+        with pytest.raises(IntegrityError):
+            table.add(self._score())
+
+    def test_values_excludes_sentinels(self):
+        table = ScoreTable("c")
+        table.add(self._score(pair_id="a"))
+        table.add(ScoreFailure(pair_id="b", scorer="greedy", backend_name="mock",
+                               backend_version="1", reason="boom"))
+        assert set(table.values("greedy")) == {"a"}
+        assert table.failures("greedy") == {"b": "boom"}
+
     def test_value_range_validated(self):
         with pytest.raises(DomainError):
             self._score(scorer="dae", value=1.5)
@@ -55,6 +77,20 @@ class TestScoreTable:
 
 
 class TestScoresFile:
+    def test_round_trip(self, tmp_path, mock_backend):
+        corpus = make_corpus(
+            "c",
+            make_pair("p1", "alpha beta gamma", "alpha beta"),
+            make_pair("p2", "storm harbor", "storm"),
+        )
+        cells = score_corpus(corpus, ["greedy", "dae"], mock_backend)
+        path = tmp_path / "scores.jsonl"
+        write_scores(cells, path)
+        table = load_scores(path, "c")
+        assert set(table.scorers) == {"greedy", "dae"}
+        assert table.values("greedy")["p1"] == 1.0
+        assert "p2" in table.failures("dae")
+
     def test_resume_skips_done_cells(self, tmp_path, mock_backend):
         corpus = make_corpus(
             "c",
@@ -74,6 +110,27 @@ class TestScoresFile:
         table = load_scores(path, "c")
         assert set(table.scorers) == {"greedy", "condll"}
 
+    def test_resume_with_different_backend_rejected(self, tmp_path, mock_backend):
+        corpus = make_corpus(
+            "c",
+            make_pair("p1", "alpha beta gamma", "alpha beta"),
+        )
+        path = tmp_path / "scores.jsonl"
+        score_corpus_to_file(corpus, ["greedy"], mock_backend, path)
+        bigger = make_corpus("c", corpus.pairs[0],
+                             make_pair("p2", "storm harbor", "storm harbor"))
+
+        class OtherVersion(MockBackend):
+            @property
+            def descriptor(self):
+                from dataclasses import replace
+                return replace(super().descriptor, version="2")
+
+        before = path.read_bytes()
+        with pytest.raises(IntegrityError):
+            score_corpus_to_file(bigger, ["greedy"], OtherVersion(), path)
+        assert path.read_bytes() == before
+
     def test_a_column_of_another_backend_is_refused_before_any_scoring(self, tmp_path):
         corpus = make_corpus("c", make_pair("p1", "alpha beta gamma", "alpha beta"),
                              make_pair("p2", "storm harbor town", "storm harbor"))
@@ -91,6 +148,38 @@ class TestScoresFile:
             score_corpus_to_file(corpus, ["greedy", "dae"], other, path)
         assert other.requests == []
         assert path.read_bytes() == before
+
+
+def reference_cell_from_row(row):
+    """The per-row cell builder as it was before the positional rewrite."""
+    common = dict(
+        pair_id=row["pair_id"],
+        scorer=row["scorer"],
+        backend_name=row["backend_name"],
+        backend_version=row["backend_version"],
+    )
+    if row.get("value") is None:
+        return ScoreFailure(reason=str(row.get("error", "unknown failure")), **common)
+    return FactualityScore(value=float(row["value"]),
+                           truncated=bool(row.get("truncated", False)), **common)
+
+
+def reference_load_scores(path, corpus_name):
+    """The json.loads-per-line loader as it was before the raw_decode rewrite."""
+    table = ScoreTable(corpus_name)
+    p = Path(path)
+    with p.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+                cell = reference_cell_from_row(row)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"bad score row: {exc}", path=str(p), line=lineno) from exc
+            table.add(cell)
+    return table
 
 
 def _table_cells(table):
@@ -135,7 +224,7 @@ def _generated_cells(seed: int, n_pairs: int):
     return cells
 
 
-class TestLoadedColumns:
+class TestLoaderMatchesReference:
     def test_rows_the_writer_never_writes_take_the_schema_defaults(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         # Padding, blank lines, a missing 'truncated' or 'error', an integer
@@ -149,6 +238,37 @@ class TestLoadedColumns:
             (scorer, [("x1", type(v), v.hex() if isinstance(v, float) else v)],
              {"name": "mock", "version": "1"})
             for scorer, v in (("greedy", 1.0), ("dae", "unknown failure"), ("condll", -2.5e-3))]
+
+    def _assert_same(self, path):
+        assert _table_cells(load_scores(path, "c")) == _table_cells(
+            reference_load_scores(path, "c"))
+
+    def test_toy_scores_file(self, tmp_path):
+        corpus = load_corpus(toy_corpus_path(), name="toy")
+        path = tmp_path / "toy_scores.jsonl"
+        # A 40-token limit truncates the longer toy documents.
+        cells = score_corpus(corpus, ["greedy", "condll", "dae"], MockBackend(max_tokens=40))
+        assert any(isinstance(c, FactualityScore) and c.truncated for c in cells)
+        write_scores(cells, path)
+        table = load_scores(path, "toy")
+        assert sum(len(table.column(s)) for s in table.scorers) == 3 * len(corpus)
+        self._assert_same(path)
+
+    def test_generated_file_with_sentinels_and_truncation(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        write_scores(_generated_cells(seed=5, n_pairs=400), path)
+        # Rows write_scores never produces but the schema allows: padding,
+        # blank lines, a missing 'truncated' or 'error', an integer value.
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("\n   \n")
+            handle.write(' {"pair_id": "x1", "scorer": "greedy", "backend_name": "mock", '
+                         '"backend_version": "1", "value": 1} \t\n')
+            handle.write('{"pair_id": "x1", "scorer": "dae", "backend_name": "mock", '
+                         '"backend_version": "1", "value": null}\n')
+            handle.write('{"pair_id": "x1", "scorer": "condll", "backend_name": "mock", '
+                         '"backend_version": "1", "value": -2.5e-3, "truncated": true, '
+                         '"extra": [1, {"k": null}]}')
+        self._assert_same(path)
 
     def test_round_trip_equals_written_cells(self, tmp_path):
         cells = _generated_cells(seed=6, n_pairs=200)
@@ -170,6 +290,20 @@ class TestLoadedColumns:
             values, failures = table.values(scorer), table.failures(scorer)
             assert values.keys().isdisjoint(failures)
             assert {**values, **failures} == column
+
+    @pytest.mark.parametrize("second", ['{"a": 1}', "{}", "1", "null"])
+    def test_two_json_values_on_one_line_rejected(self, tmp_path, second):
+        path = tmp_path / "scores.jsonl"
+        write_scores(_generated_cells(seed=7, n_pairs=2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = f"{lines[1]} {second}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="Extra data") as excinfo:
+            load_scores(path, "c")
+        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith(f"{path}:2: ")
+        with pytest.raises(ParseError, match="Extra data"):
+            reference_load_scores(path, "c")
 
 
 _GOOD_ROW = {"pair_id": "a", "scorer": "greedy", "backend_name": "mock",
@@ -250,6 +384,10 @@ class TestScoreCorpus:
             make_pair("p3", "one two three four", "two three four"),
         )
 
+    def test_shape(self, mock_backend):
+        cells = score_corpus(self._corpus(), ["greedy", "condll", "dae"], mock_backend)
+        assert len(cells) == 9
+
     def test_single_token_summary_gets_sentinel_for_dae_only(self, mock_backend):
         corpus = make_corpus("c", make_pair("p1", "the mayor opened the bridge", "mayor"))
         cells = score_corpus(corpus, ["greedy", "condll", "dae"], mock_backend)
@@ -281,6 +419,17 @@ class TestScoreCorpus:
 
 
 class TestGreedyPrecision:
+    def test_copied_summary_scores_exactly_one(self, mock_backend):
+        pair = make_pair("p", "the mayor opened the bridge on friday", "mayor opened the bridge")
+        assert score_one("greedy", pair.document, pair.summary, mock_backend).value == 1.0
+
+    def test_mixed_case_matches_oracle(self, mock_backend):
+        pair = make_pair("p", "alpha beta gamma", "alpha beta zzzz")
+        value = score_one("greedy", pair.document, pair.summary, mock_backend).value
+        assert value < 1.0
+        expected = reference.greedy(pair.document, pair.summary, mock_backend)
+        assert value == pytest.approx(expected, abs=1e-12)
+
     def test_document_order_irrelevant(self, mock_backend):
         a = make_pair("p", "alpha beta gamma delta", "beta zzzz")
         b = make_pair("p", "delta gamma beta alpha", "beta zzzz")
@@ -411,6 +560,16 @@ class TestGreedyScreen:
         cells = score_corpus(make_corpus("c", *pairs), ["greedy"], backend)
         for pair, cell in zip(pairs, cells):
             assert cell.value == reference.greedy(pair.document, pair.summary, backend)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_turns_the_screen_off(self):
+        # t0's norm overflows, so `_unit_rows` makes it a zero row: its Gram
+        # entry is 0.0 but its difference form 0.5, above t1's 0.28.
+        table = np.zeros((3, 16))
+        table[0] = 1e200
+        table[1, :2] = (0.28, 0.96)
+        table[2, 0] = 1.0
+        assert self._assert_reference(TableMock(table), "t0 t1", "t2") == 0.5
 
     def test_width_mismatch_becomes_sentinel(self):
         corpus = make_corpus("c", make_pair("p1", "alpha beta gamma delta", "alpha beta"))
@@ -595,3 +754,22 @@ class TestArcEntailment:
         cell = score_one("dae", pair.document, pair.summary, mock_backend)
         assert cell.reason.startswith(f"{NoArcsError.__name__}: ")
         assert not issubclass(EmptySummaryError, NoArcsError)
+
+
+class RowlessMock(MockBackend):
+    """Returns zero embedding rows for any text that mentions 'void'."""
+
+    def embed_tokens(self, text: str) -> TokenEmbeddings:
+        if "void" in text.split():
+            return TokenEmbeddings(tokens=(), vectors=np.zeros((0, 16)))
+        return super().embed_tokens(text)
+
+
+class TestZeroRowEmbeddings:
+    def test_zero_rows_become_sentinel(self):
+        corpus = make_corpus("c", make_pair("p1", "void of stars", "stars"),
+                             make_pair("p2", "alpha beta gamma", "alpha beta"))
+        cells = score_corpus(corpus, ["greedy"], RowlessMock())
+        assert isinstance(cells[0], ScoreFailure)
+        assert cells[0].reason.startswith("DomainError:")
+        assert isinstance(cells[1], FactualityScore) and cells[1].value == 1.0

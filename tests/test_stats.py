@@ -181,6 +181,12 @@ class TestWilcoxon:
         with pytest.raises(DegenerateInputError):
             wilcoxon_signed_rank([1, 2, 3], [1, 2, 3])
 
+    def test_two_sided_antisymmetry(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=15)
+        b = rng.normal(size=15)
+        assert wilcoxon_signed_rank(a, b).p_value == wilcoxon_signed_rank(b, a).p_value
+
     def test_zero_differences_discarded(self):
         result = wilcoxon_signed_rank([1, 2, 3, 7], [1, 2, 3, 5])
         assert result.n_effective == 1
@@ -211,6 +217,25 @@ class TestWilcoxon:
         above = wilcoxon_signed_rank(rng.normal(size=n + 1), rng.normal(size=n + 1))
         assert at.method == "exact"
         assert above.method == "normal_approx"
+
+    def test_exact_and_normal_agree_at_cutoff(self):
+        # sanity band: the approximation is already close where we stop enumerating
+        rng = np.random.default_rng(10)
+        from factfilter.stats import _average_ranks, _exact_two_sided_p, _normal_two_sided_p
+        for _ in range(50):
+            d = rng.normal(size=20)
+            ranks = _average_ranks(np.abs(d))
+            w = float(ranks[d > 0].sum())
+            exact = _exact_two_sided_p(ranks, w)
+            approx = _normal_two_sided_p(ranks, np.abs(d), w)
+            assert abs(exact - approx) < 0.02
+
+    def test_permutation_equivariant(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=18)
+        b = rng.normal(size=18)
+        perm = rng.permutation(18)
+        assert wilcoxon_signed_rank(a[perm], b[perm]) == wilcoxon_signed_rank(a, b)
 
     def test_large_n_against_scipy_approx(self):
         rng = np.random.default_rng(12)

@@ -118,6 +118,48 @@ class TestValidateScorer:
 
 
 class TestFlipLabels:
+    def test_flip_unflagged_category_zeroes_factuality(self):
+        annotations = [FactualityAnnotation(
+            summary_id=f"s{i}", source_dataset="cnndm", system_id="sysA",
+            factuality=1.0, category_flags=dict.fromkeys(CATEGORIES, False))
+            for i in range(5)]
+        flipped = flip_labels(annotations, "discourse")
+        assert all(a.category_flags["discourse"] for a in flipped)
+        assert all(a.factuality == 0.0 for a in flipped)
+
+    def test_double_flip_is_identity_on_flags(self):
+        annotations = synth_annotations(6, 50)
+        for category in CATEGORIES:
+            twice = flip_labels(flip_labels(annotations, category), category)
+            assert [a.category_flags for a in twice] == \
+                [a.category_flags for a in annotations]
+
+    def test_other_categories_untouched(self):
+        annotations = synth_annotations(7, 50)
+        flipped = flip_labels(annotations, "semantic_frame")
+        for before, after in zip(annotations, flipped):
+            assert before.category_flags["discourse"] == after.category_flags["discourse"]
+            assert before.category_flags["content_verifiability"] == \
+                after.category_flags["content_verifiability"]
+
+    def test_clearing_sole_flag_restores_factual(self):
+        annotation = FactualityAnnotation(
+            summary_id="s", source_dataset="cnndm", system_id="sysA",
+            factuality=0.3,
+            category_flags={"semantic_frame": True, "discourse": False,
+                            "content_verifiability": False})
+        (flipped,) = flip_labels([annotation], "semantic_frame")
+        assert flipped.factuality == 1.0
+
+    def test_surviving_original_flag_keeps_judgment(self):
+        annotation = FactualityAnnotation(
+            summary_id="s", source_dataset="cnndm", system_id="sysA",
+            factuality=0.3,
+            category_flags={"semantic_frame": True, "discourse": True,
+                            "content_verifiability": False})
+        (flipped,) = flip_labels([annotation], "semantic_frame")
+        assert flipped.factuality == 0.3
+
     def test_unknown_category_rejected(self):
         with pytest.raises(DomainError):
             flip_labels([], "spelling")
@@ -275,6 +317,16 @@ class TestFlipAnalysisMatchesReference:
             for category, y_flipped in zip(CATEGORIES, flipped):
                 assert y_flipped.tolist() == \
                     [a.factuality for a in reference_flip_labels(rows, category)]
+
+    def test_flip_labels_shares_the_recomposition_rule(self, monkeypatch):
+        _, annotations = self._inputs()
+        calls = []
+        rule = validation._flipped_factuality
+        monkeypatch.setattr(validation, "_flipped_factuality",
+                            lambda *args: calls.append(args[2]) or rule(*args))
+        for category in CATEGORIES:
+            flip_labels(annotations, category)
+        assert calls == list(CATEGORIES)
 
     def test_flip_labels_matches_the_per_annotation_rule(self):
         annotations = synth_annotations(24, 300, flag_rate=0.4)
