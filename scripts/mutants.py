@@ -74,6 +74,7 @@ CHUNK_MATH = "Score chunks, not pairs"
 TOKEN_TABLE = "One token table per embed request"
 LOOP = "One scoring loop for every reference-free metric"
 MUTANTS = "A committed mutation catalogue"
+BLOCKS = "Score files at decode speed"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -299,7 +300,7 @@ CATALOGUE: list[Mutant] = [
        "_decode_json = json.JSONDecoder().raw_decode",
        "_decode_json = json.JSONDecoder(parse_float=lambda s: round(float(s), 12)).raw_decode"),
     _m("missing-error-default-changed", "scorers", "scorers", MUTANTS,
-       'reason = row.get("error", "unknown failure")', 'reason = row.get("error", "")'),
+       '_NO_REASON = "unknown failure"', '_NO_REASON = ""'),
     _m("sentinel-written-as-zero", "scorers", "scorers", MUTANTS,
        '        row["value"] = None\n', '        row["value"] = 0.0\n'),
     # The record readers and writers, and the corpus.
@@ -308,21 +309,83 @@ CATALOGUE: list[Mutant] = [
     _m("jsonl-non-object-accepted", "records", "records", READERS,
        "            if not isinstance(record, dict):\n", "            if False:\n"),
     _m("jsonl-missing-field-not-located", "records", "records", READERS,
-       '        except KeyError as exc:\n            raise ParseError(f"missing field',
-       '        except ():\n            raise ParseError(f"missing field'),
+       "_LOCATED = (ValueError, KeyError, TypeError,", "_LOCATED = (ValueError, TypeError,"),
     _m("jsonl-overflow-not-located", "records", "records", MEMO,
-       "except (TypeError, ValueError, OverflowError) as exc:",
-       "except (TypeError, ValueError) as exc:"),
+       "TypeError, OverflowError, DomainError", "TypeError, DomainError"),
     _m("jsonl-type-error-not-located", "records", "records", TABLE_READS,
-       "except (TypeError, ValueError, OverflowError) as exc:", "except OverflowError as exc:"),
+       "KeyError, TypeError, OverflowError", "KeyError, OverflowError"),
     _m("jsonl-domain-error-not-located", "records", "records", TABLE_READS,
-       "        except (DomainError, IntegrityError) as exc:\n"
-       '            raise type(exc)(f"{p}:{lineno}: {exc}") from exc\n',
-       ""),
+       "OverflowError, DomainError, IntegrityError)", "OverflowError)"),
     _m("line-numbers-from-zero", "records", "records", MUTANTS,
-       "enumerate(utf8_lines(p), start=1)", "enumerate(utf8_lines(p), start=0)"),
+       "    first = 1\n", "    first = 0\n"),
     _m("utf8-unchecked", "records", "records", MEMO,
-       "            if not line.isascii():\n", "            if False:\n"),
+       'line.encode("utf-8")\n', 'line.encode("utf-8", "surrogateescape")\n'),
+    # The block path of `read_jsonl` and `ScoreTable.add_rows`.
+    _m("block-rule-counts-elements", "records", "block_reader", BLOCKS,
+       '    if not (text.startswith("[{") and text.endswith(("}\\n]", "}]"))\n'
+       '            and text.count("{") == n and text.count("}\\n,{") == n - 1):\n'
+       "        return None\n"
+       "    if not text.isascii():\n"
+       "        try:\n"
+       '            text.encode("utf-8")\n'
+       "        except UnicodeEncodeError:\n"
+       "            return None\n"
+       "    try:\n"
+       "        records, end = _decode_json(text)\n"
+       "    except (ValueError, RecursionError):  # a JSONDecodeError, an over-long integer\n"
+       "        return None\n"
+       "    return records if end == len(text) else None\n",
+       "    if not text.isascii():\n"
+       "        try:\n"
+       '            text.encode("utf-8")\n'
+       "        except UnicodeEncodeError:\n"
+       "            return None\n"
+       "    try:\n"
+       "        records, end = _decode_json(text)\n"
+       "    except (ValueError, RecursionError):  # a JSONDecodeError, an over-long integer\n"
+       "        return None\n"
+       "    return records if end == len(text) and len(records) == n else None\n"),
+    _m("block-utf8-unchecked", "records", "block_reader", BLOCKS,
+       "    if not text.isascii():\n", "    if False:\n"),
+    _m("block-records-numbered-from-the-block", "records", "block_reader", BLOCKS,
+       "enumerate(records, start=first)", "enumerate(records, start=1)"),
+    _m("add-rows-skips-the-column-ids", "scorers", "block_reader", BLOCKS,
+       "\n                             and column.index.keys().isdisjoint(ids))", ")"),
+    _m("add-rows-skips-the-range-check", "scorers", "block_reader", BLOCKS,
+       " or in_range + values.count(None) != n:", ":"),
+    _m("add-rows-skips-the-run-check", "scorers", "block_reader", BLOCKS,
+       "if len({run[0] for run in runs}) != len(runs) or ", "if "),
+    _m("add-rows-commits-before-its-last-check", "scorers", "block_reader", BLOCKS,
+       "        if len({run[0] for run in runs}) != len(runs) or "
+       "in_range + values.count(None) != n:\n"
+       "            return False\n"
+       "        for scorer, provenance, start, stop in runs:\n"
+       "            column = self._columns.get(scorer)\n"
+       "            if column is None:\n"
+       "                column = self._columns[scorer] = ScoreColumn(provenance)\n"
+       "            base = len(column.index)\n"
+       "            run_values = block_values[start:stop]\n"
+       "            for row in np.flatnonzero(run_values != run_values).tolist():\n"
+       "                column.reasons[base + row] = reasons[start + row]\n"
+       "            column.index.update(zip(pair_ids[start:stop], "
+       "range(base, base + stop - start)))\n"
+       "            column._values.frombytes(run_values.tobytes())\n"
+       "        return True\n",
+       "        for scorer, provenance, start, stop in runs:\n"
+       "            column = self._columns.get(scorer)\n"
+       "            if column is None:\n"
+       "                column = self._columns[scorer] = ScoreColumn(provenance)\n"
+       "            base = len(column.index)\n"
+       "            run_values = block_values[start:stop]\n"
+       "            for row in np.flatnonzero(run_values != run_values).tolist():\n"
+       "                column.reasons[base + row] = reasons[start + row]\n"
+       "            column.index.update(zip(pair_ids[start:stop], "
+       "range(base, base + stop - start)))\n"
+       "            column._values.frombytes(run_values.tobytes())\n"
+       "        if len({run[0] for run in runs}) != len(runs) or "
+       "in_range + values.count(None) != n:\n"
+       "            return False\n"
+       "        return True\n"),
     _m("csv-crlf", "records", "records", READERS,
        'lineterminator="\\n"', 'lineterminator="\\r\\n"'),
     _m("corpus-invariant-not-a-parse-error", "corpus", "records", READERS,

@@ -23,7 +23,8 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -75,6 +76,11 @@ class ScoreFailure:
 
 ScoreCell = Union[FactualityScore, ScoreFailure]
 _TEXT_FIELDS = ("pair_id", "scorer", "backend_name", "backend_version", "error")
+_PAIR_ID = itemgetter("pair_id")
+# A run of rows for one column: its scorer and backend provenance.
+_RUN_KEYS = itemgetter("scorer", "backend_name", "backend_version")
+# A sentinel row's reason when it gives none.
+_NO_REASON = "unknown failure"
 
 # The closed value range of each built-in scorer and of BLANC; other scorers
 # take any finite value. Every end is finite, so one chained comparison also
@@ -324,7 +330,8 @@ class ScoreColumn(Mapping[str, Union[float, str]]):
 
 class ScoreTable:
     """Per-pair, per-scorer score columns (`ScoreColumn`), each from one
-    backend provenance. Every cell enters through `add_row`."""
+    backend provenance. Every cell enters through `add_row`, or a block of
+    rows at a time through `add_rows`."""
 
     def __init__(self, corpus_name: str):
         self.corpus_name = corpus_name
@@ -345,7 +352,7 @@ class ScoreTable:
         pair_id = row["pair_id"]
         scorer = row["scorer"]
         provenance = (row["backend_name"], row["backend_version"])
-        reason = row.get("error", "unknown failure")
+        reason = row.get("error", _NO_REASON)
         if not (type(pair_id) is type(scorer) is type(provenance[0])
                 is type(provenance[1]) is type(reason) is str):
             key = next(k for k in _TEXT_FIELDS if not isinstance(row.get(k, ""), str))
@@ -373,6 +380,65 @@ class ScoreTable:
             value = math.nan
         index[pair_id] = len(index)
         column._values.append(value)
+
+    def add_rows(self, rows: Sequence[dict[str, Any]]) -> bool:
+        """Check a block of decoded scores-file rows as `add_row` would and add
+        all of their cells, or add none and return False.
+
+        The checks run a field at a time over the whole block. A block is also
+        refused where one scorer's rows are not one run of one provenance.
+        After False nothing has changed, and adding the rows one by one
+        through `add_row` raises the first bad row's error.
+        """
+        n = len(rows)
+        try:
+            runs, start = [], 0  # (scorer, provenance, first row, row after the last)
+            for (scorer, *provenance), run in groupby(map(_RUN_KEYS, rows)):
+                stop = start + len(list(run))
+                runs.append((scorer, tuple(provenance), start, stop))
+                start = stop
+            pair_ids = list(map(_PAIR_ID, rows))
+            reasons = list(map(dict.get, rows, repeat("error", n), repeat(_NO_REASON, n)))
+            truncated = map(dict.get, rows, repeat("truncated", n), repeat(False, n))
+            values = list(map(dict.get, rows, repeat("value", n)))
+            if {*map(type, pair_ids), *map(type, reasons)} != {str} \
+                    or {*map(type, truncated)} != {bool}:
+                return False
+            kinds = {*map(type, values)}
+            if not kinds <= {float, type(None)}:
+                if not kinds <= {float, int, type(None)}:
+                    return False
+                values = [float(v) if type(v) is int else v for v in values]
+            # A sentinel's None reads as NaN, which no range holds, and so
+            # does a NaN value: every row not in range must be a sentinel.
+            block_values = np.array(values, dtype=np.float64)
+            in_range = 0
+            for scorer, provenance, start, stop in runs:
+                column = self._columns.get(scorer)
+                ids = pair_ids[start:stop]
+                if not (type(scorer) is type(provenance[0]) is type(provenance[1]) is str
+                        and len(set(ids)) == stop - start
+                        and (column is None or column.provenance == provenance
+                             and column.index.keys().isdisjoint(ids))):
+                    return False
+                low, high = _VALUE_RANGES.get(scorer, _ANY_FINITE)
+                run_values = block_values[start:stop]
+                in_range += np.count_nonzero((run_values >= low) & (run_values <= high))
+        except (KeyError, TypeError, OverflowError):  # a missing key, an unhashable id, 10 ** 400
+            return False
+        if len({run[0] for run in runs}) != len(runs) or in_range + values.count(None) != n:
+            return False
+        for scorer, provenance, start, stop in runs:
+            column = self._columns.get(scorer)
+            if column is None:
+                column = self._columns[scorer] = ScoreColumn(provenance)
+            base = len(column.index)
+            run_values = block_values[start:stop]
+            for row in np.flatnonzero(run_values != run_values).tolist():
+                column.reasons[base + row] = reasons[start + row]
+            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - start)))
+            column._values.frombytes(run_values.tobytes())
+        return True
 
     def add(self, cell: ScoreCell) -> None:
         self.add_row(_cell_to_row(cell))
@@ -471,7 +537,10 @@ def write_scores(cells: Iterable[ScoreCell], path: str | Path, append: bool = Fa
 
 
 def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
-    """Read a scores file into a ScoreTable, streaming it one row at a time.
+    """Read a scores file into a ScoreTable, a block of lines at a time
+    (`read_jsonl`): a block that is provably one row per line goes to
+    `ScoreTable.add_rows`, any other block, or one that method refuses, row by
+    row to `ScoreTable.add_row`, with the same checks and errors.
 
     Every row is checked as it is read: its JSON and field types (`ParseError`),
     the value's finiteness and scorer range (`DomainError`), and duplicate
@@ -479,7 +548,7 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
     Each error names the offending `path:line`.
     """
     table = ScoreTable(corpus_name)
-    read_jsonl(path, table.add_row)
+    read_jsonl(path, table.add_row, table.add_rows)
     return table
 
 

@@ -231,14 +231,33 @@ class TestLingeringServer:
         assert "still running" in capsys.readouterr().err
 
 
+# The mock backend's handshake reply, which the stub server below sends
+# without importing `factfilter` (`test_handshake_reply_is_the_mock_descriptor`).
+_HANDSHAKE_REPLY = ('{"result": {"name": "mock", "version": "1", "deterministic": true, '
+                    '"max_tokens": 512, "protocol": 2}}')
+
+# Serves its first k requests, then answers the next with `reply` and serves
+# on. `factfilter`, whose numpy import is most of a spawn, is imported only to
+# serve a request beyond the handshake.
 _FAULTY_SERVER = """
 import itertools, json, sys
 sys.path.insert(0, {src!r})
-from factfilter.backend import MockBackend
-from factfilter.remote import serve
+
+
+def serve(lines):
+    from factfilter.backend import MockBackend
+    from factfilter.remote import serve
+
+    serve(MockBackend(), lines, sys.stdout)
+
 
 k, reply = int(sys.argv[1]), sys.argv[2]
-serve(MockBackend(), itertools.islice(sys.stdin, k), sys.stdout)
+if k == 1:
+    sys.stdin.readline()
+    sys.stdout.write({handshake!r} + "\\n")
+    sys.stdout.flush()
+else:
+    serve(itertools.islice(sys.stdin, k))
 if reply != "exit":
     request = json.loads(sys.stdin.readline())
     if reply == "invalid-utf8":
@@ -253,8 +272,18 @@ if reply != "exit":
     else:
         sys.stdout.buffer.write(reply.encode() + b"\\n")
     sys.stdout.flush()
-    serve(MockBackend(), sys.stdin, sys.stdout)
+    line = sys.stdin.readline()
+    if line:
+        serve(itertools.chain([line], sys.stdin))
 """
+
+
+def test_handshake_reply_is_the_mock_descriptor():
+    from factfilter import MockBackend
+    from factfilter.remote import _descriptor_result
+
+    assert json.loads(_HANDSHAKE_REPLY) == {"result": _descriptor_result(MockBackend())}
+
 
 # (op, argument tuple, reply object) of replies whose fields the client cannot
 # read: a missing key, a mistyped value (a string or an object where a list is
@@ -313,8 +342,8 @@ class TestTransportFailures:
     @pytest.fixture()
     def server(self, tmp_path):
         path = tmp_path / "server.py"
-        path.write_text(_FAULTY_SERVER.format(src=str(toy_corpus_path().parents[2])),
-                        encoding="utf-8")
+        path.write_text(_FAULTY_SERVER.format(src=str(toy_corpus_path().parents[2]),
+                                              handshake=_HANDSHAKE_REPLY), encoding="utf-8")
         return path
 
     @pytest.fixture()
