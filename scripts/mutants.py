@@ -75,6 +75,7 @@ TOKEN_TABLE = "One token table per embed request"
 LOOP = "One scoring loop for every reference-free metric"
 MUTANTS = "A committed mutation catalogue"
 BLOCKS = "Score files at decode speed"
+PROTOCOL_3 = "Remote protocol 3"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -316,6 +317,8 @@ CATALOGUE: list[Mutant] = [
        "KeyError, TypeError, OverflowError", "KeyError, OverflowError"),
     _m("jsonl-domain-error-not-located", "records", "records", TABLE_READS,
        "OverflowError, DomainError, IntegrityError)", "OverflowError)"),
+    _m("jsonl-lines-stripped-of-unicode-space", "records", "records", PROTOCOL_3,
+       "line = line.strip(JSON_WHITESPACE)", "line = line.strip()"),
     _m("line-numbers-from-zero", "records", "records", MUTANTS,
        "    first = 1\n", "    first = 0\n"),
     _m("utf8-unchecked", "records", "records", MEMO,
@@ -492,8 +495,8 @@ CATALOGUE: list[Mutant] = [
        'vectors = np.ascontiguousarray(emb.vectors, dtype="<f8")',
        'vectors = np.ascontiguousarray(emb.vectors, dtype="<f4")'),
     _m("remote-log-probs-narrowed", "remote", "oracle", MUTANTS,
-       'lambda r: list(map(float, json_list(r, "logprobs", JSON_NUMBERS)))',
-       'lambda r: [float(np.float32(x)) for x in json_list(r, "logprobs", JSON_NUMBERS)]'),
+       'lambda r: list(map(float, json_items(r, "logprobs", JSON_NUMBERS)))',
+       'lambda r: [float(np.float32(x)) for x in json_items(r, "logprobs", JSON_NUMBERS)]'),
     _m("length-error-keeps-its-suffix", "remote", "backend", ARRAYS,
        'message.removesuffix(f" (limit: {limit} tokens)")', "message"),
     _m("no-arcs-error-not-sent-by-name", "remote", "remote", TOKEN_TABLE,
@@ -533,8 +536,31 @@ CATALOGUE: list[Mutant] = [
        "        except json.JSONDecodeError as exc:\n            raise errors.TransportError(",
        "        except ():\n            raise errors.TransportError("),
     _m("reply-without-result-misread", "remote", "remote", CHUNKS,
-       '        raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")',
-       "        pass"),
+       '            raise errors.TransportError(f"reply to {op!r} has neither a result nor an '
+       'error")', "            failure = errors.BackendError(repr(reply))"),
+    _m("arc-arity-unchecked", "remote", "remote", PROTOCOL_3,
+       "    if (type(arcs) is not list or not {5}.issuperset(map(len, arcs))\n",
+       "    if (type(arcs) is not list\n"),
+    _m("arc-bool-index-accepted", "remote", "remote", PROTOCOL_3,
+       "or list(map(type, chain.from_iterable(arcs))) != _ARC_TYPES * len(arcs)):",
+       "or not all(map(isinstance, chain.from_iterable(arcs), _ARC_TYPES * len(arcs)))):"),
+    _m("batch-error-item-read-as-a-value", "remote", "remote", PROTOCOL_3,
+       '        if type(reply) is dict and "error" in reply:',
+       '        if not batched and type(reply) is dict and "error" in reply:'),
+    _m("error-fields-unchecked", "remote", "remote", PROTOCOL_3,
+       '    exc_type = _ERROR_TYPES.get(json_field(err, "type", JSON_STRINGS), '
+       'errors.BackendError)\n    message = json_field(err, "message", JSON_STRINGS)\n',
+       '    exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)\n'
+       '    message = str(err.get("message", "remote backend error"))\n'),
+    _m("error-limit-unchecked", "remote", "remote", PROTOCOL_3,
+       'limit = json_field(err, "limit", frozenset({int}))', 'limit = int(err.get("limit", 0))'),
+    _m("error-object-with-other-keys-accepted", "remote", "remote", PROTOCOL_3,
+       "    if len(reply) != 1:\n", "    if False:\n"),
+    _m("server-strips-unicode-space", "remote", "remote", PROTOCOL_3,
+       "line = line.strip(JSON_WHITESPACE)", "line = line.strip()"),
+    _m("json-not-compact", "remote", "remote", PROTOCOL_3,
+       'json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))',
+       "json.JSONEncoder(ensure_ascii=False)"),
     _m("close-catches-the-wrong-exception", "remote", "remote", ARRAYS,
        "        except subprocess.TimeoutExpired:\n", "        except OSError:\n"),
     _m("transport-error-is-a-backend-error", "errors", "failure_policy", READERS,

@@ -1,12 +1,13 @@
 """The line-oriented file formats every pipeline stage reads and writes.
 
 Inputs (corpus, scores, annotations, generated summaries) are JSONL: UTF-8,
-one JSON object per line, blank lines ignored. `read_jsonl` reads such a file
-a block of lines at a time, with one JSON decode for a block that is provably
-one object per line and line by line otherwise, and names the `path:line` of
-any record that does not load; `json_field` and `json_list` check a decoded
-field's JSON type exactly. Result tables are CSV, written by `write_csv` as
-UTF-8 with LF line ends.
+one JSON object per line, with only JSON whitespace around it; lines of JSON
+whitespace are ignored. `read_jsonl` reads such a file a block of lines at a
+time, with one JSON decode for a block that is provably one object per line
+and line by line otherwise, and names the `path:line` of any record that does
+not load; `json_field` and `json_list` check a decoded field's JSON type
+exactly, `json_value` and `json_items` a decoded value's. Result tables are
+CSV, written by `write_csv` as UTF-8 with LF line ends.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .errors import DomainError, IntegrityError, ParseError
 # exactly what json.loads does, without its per-call wrapper. A block of lines
 # decodes through it too, as one JSON array.
 _decode_json = json.JSONDecoder().raw_decode
+
+# The whitespace JSON allows around a value. `str.strip()` would also take
+# Unicode spaces and separators (NBSP, U+2028, \x1c) that `json.loads` rejects.
+JSON_WHITESPACE = " \t\r\n"
 
 # About this many characters of lines are read and decoded at a time: the
 # memory a read holds beyond the records it has handed on.
@@ -115,7 +120,7 @@ def _read_lines(path: Path, lines: list[str], first: int,
     for lineno, line in enumerate(lines, start=first):
         if not line.isascii():
             _check_utf8(line, path, lineno)
-        line = line.strip()
+        line = line.strip(JSON_WHITESPACE)
         if not line:
             continue
         try:
@@ -170,23 +175,31 @@ JSON_OBJECTS = frozenset({dict})
 
 
 def json_field(obj: dict[str, Any], key: str, kinds: frozenset[type]) -> Any:
-    """`obj[key]`, whose type must be one of `kinds`; else a `TypeError` naming `key`."""
-    value = obj[key]
+    """`obj[key]`, checked by `json_value`."""
+    return json_value(obj[key], key, kinds)
+
+
+def json_value(value: Any, name: str, kinds: frozenset[type]) -> Any:
+    """`value`, whose type must be one of `kinds`; else a `TypeError` naming `name`."""
     if type(value) not in kinds:
         names = " or ".join(sorted(kind.__name__ for kind in kinds))
-        raise TypeError(f"{key!r} must be of type {names}, got {value!r}")
+        raise TypeError(f"{name!r} must be of type {names}, got {value!r}")
     return value
 
 
 def json_list(obj: dict[str, Any], key: str, kinds: frozenset[type]) -> list:
-    """`obj[key]`, which must be a JSON list of items of `kinds`: a string
-    or an object would decode item by item."""
-    items = obj[key]
+    """`obj[key]`, checked by `json_items`."""
+    return json_items(obj[key], key, kinds)
+
+
+def json_items(items: Any, name: str, kinds: frozenset[type]) -> list:
+    """`items`, which must be a JSON list of items of `kinds`, else a
+    `TypeError` naming `name`: a string or an object would decode item by item."""
     if type(items) is not list:
-        raise TypeError(f"{key!r} must be a list, got {items!r}")
+        raise TypeError(f"{name!r} must be a list, got {items!r}")
     if not kinds.issuperset(map(type, items)):
         bad = next(item for item in items if type(item) not in kinds)
-        raise TypeError(f"{key!r} has an item of the wrong type: {bad!r}")
+        raise TypeError(f"{name!r} has an item of the wrong type: {bad!r}")
     return items
 
 

@@ -1,25 +1,26 @@
 """Out-of-process backend adapter speaking line-delimited JSON.
 
-Protocol 2: one request object per line on the server's stdin,
-one response per line on stdout.
+Protocol 3: one compact JSON object per line, a request on the server's stdin
+and its reply on stdout. A reply's `result` is the op's bare value:
 
-    {"op": "embed_tokens", "args": {"text": "..."}}
-    -> {"result": {"tokens": [...], "vectors": "<base64>", "dim": 16}}
-    -> {"error": {"type": "SequenceLengthError", "message": "...", "limit": 512}}
+    {"op":"parse_dependencies","args":{"summary":"a b"}} -> {"result":[["a","b","dep",0,1]]}
+    -> {"error":{"type":"SequenceLengthError","message":"...","limit":512}}
 
-Embedding vectors travel as the base64 of their little-endian float64 bytes,
-row after row, so they decode to the same bits. A `batch` request runs one op
-over many argument objects, through one `map` of the served backend, and
-answers with one reply object per call, in order:
+An arc is `[head_token, child_token, relation_label, head_index, child_index]`
+both ways: three strings, then two integers (a bool is none). Embeddings travel
+as `{"tokens":[...],"dim":16,"vectors":"<base64>"}`, the base64 of their
+little-endian float64 bytes row after row, so they decode to the same bits. A
+`batch` runs one op over many argument objects through one `map` of the
+served backend. Its result is a flat list of the calls' bare values, in order,
+with a failed call's error object in its place; no op's value is an object
+whose only key is "error":
 
-    {"op": "batch", "args": {"op": "tokenize", "calls": [{"text": "a"}, ...]}}
-    -> {"result": [{"result": {"tokens": ["a"]}}, {"error": {...}}, ...]}
+    {"op":"batch","args":{"op":"tokenize","calls":[{"text":"a"},{"text":"b"}]}}
+    -> {"result":[["a"],{"error":{"type":"BackendError","message":"..."}}]}
 
-The `descriptor` handshake reply carries `"protocol": 2`; the client refuses a
-server that does not. Heavyweight model servers implement the same contract
-and can live in a different process (or container) from the pipeline.
-`python -m factfilter.remote --backend mock` serves any registered backend,
-those that the file named by `FACTFILTER_BACKENDS` registers included.
+The `descriptor` handshake reply carries `"protocol": 3`; the client refuses a
+server that does not. `python -m factfilter.remote --backend mock` serves any
+registered backend, those the file named by `FACTFILTER_BACKENDS` adds too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain, starmap
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -45,9 +48,10 @@ from .backend import (
     load_extra_backends,
     register_backend,
 )
-from .records import JSON_NUMBERS, JSON_OBJECTS, JSON_STRINGS, json_field, json_list
+from .records import (JSON_NUMBERS, JSON_STRINGS, JSON_WHITESPACE, json_field, json_items,
+                      json_value)
 
-PROTOCOL = 2
+PROTOCOL = 3
 # Seconds `RemoteBackend.close` waits for the server to exit once its input closes.
 _CLOSE_TIMEOUT_S = 10
 
@@ -56,20 +60,24 @@ _CLOSE_TIMEOUT_S = 10
 _ERROR_TYPES = {cls.__name__: cls for cls in vars(errors).values()
                 if isinstance(cls, type) and issubclass(cls, errors.FactFilterError)}
 
+# Both sides write compact JSON.
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
-_ARC_FIELDS = ("head_token", "child_token", "relation_label", "head_index", "child_index")
+# An arc on the wire: a tuple of its fields in this order, which JSON writes as an array.
+_arc_to_wire = attrgetter("head_token", "child_token", "relation_label", "head_index",
+                          "child_index")
 _ARC_TYPES = [str, str, str, int, int]
 
 
-def _arc_to_dict(arc: DependencyArc) -> dict[str, Any]:
-    return {name: getattr(arc, name) for name in _ARC_FIELDS}
-
-
-def _arc_from_dict(obj: dict[str, Any]) -> DependencyArc:
-    values = [obj[name] for name in _ARC_FIELDS]
-    if list(map(type, values)) != _ARC_TYPES:  # a bool is no index
-        raise TypeError(f"arc needs string tokens and label and integer indices: {obj!r}")
-    return DependencyArc(*values)
+def _arcs_from_wire(arcs: Any) -> list[DependencyArc]:
+    """The arcs of a list of arc arrays, else a `TypeError`: each array holds
+    five items, three strings then two integers (no string or object yields
+    integers). One pass checks all types; the lengths align it with the arcs."""
+    if (type(arcs) is not list or not {5}.issuperset(map(len, arcs))
+            or list(map(type, chain.from_iterable(arcs))) != _ARC_TYPES * len(arcs)):
+        raise TypeError(f"arcs must be [head_token, child_token, relation_label, "
+                        f"head_index, child_index] arrays, got {arcs!r}")
+    return list(starmap(DependencyArc, arcs))
 
 
 def _descriptor_result(backend: Backend) -> dict[str, Any]:
@@ -84,20 +92,19 @@ def _embeddings_result(emb: TokenEmbeddings) -> dict[str, Any]:
             "vectors": base64.b64encode(vectors.tobytes()).decode("ascii")}
 
 
+def _bare(value: Any) -> Any:
+    return value
+
+
 # Each op's positional arguments from its argument object, and its result
-# object from its value: the server's mirror of the client's `_CODECS`.
+# from its value: the server's mirror of the client's `_CODECS`.
 _SERVER_CODECS: dict[str, tuple[Callable[[Any], tuple], Callable[[Any], Any]]] = {
-    "tokenize": (lambda a: (a["text"],), lambda tokens: {"tokens": tokens}),
+    "tokenize": (lambda a: (a["text"],), _bare),
     "embed_tokens": (lambda a: (a["text"],), _embeddings_result),
-    "conditional_token_logprobs": (lambda a: (a["source"], a["target"]),
-                                   lambda logprobs: {"logprobs": logprobs}),
-    "arc_entailment_probs": (
-        lambda a: (a["document"], [_arc_from_dict(arc) for arc in a["arcs"]]),
-        lambda probs: {"probs": probs}),
-    "masked_fill_accuracy": (lambda a: (a["prefix"], a["sentence"], a["mask_positions"]),
-                             lambda accuracy: {"accuracy": accuracy}),
-    "parse_dependencies": (lambda a: (a["summary"],),
-                           lambda arcs: {"arcs": [_arc_to_dict(arc) for arc in arcs]}),
+    "conditional_token_logprobs": (lambda a: (a["source"], a["target"]), _bare),
+    "arc_entailment_probs": (lambda a: (a["document"], _arcs_from_wire(a["arcs"])), _bare),
+    "masked_fill_accuracy": (lambda a: (a["prefix"], a["sentence"], a["mask_positions"]), _bare),
+    "parse_dependencies": (lambda a: (a["summary"],), lambda arcs: list(map(_arc_to_wire, arcs))),
 }
 
 
@@ -105,7 +112,7 @@ def _parse_request(op: Any, args: Any) -> Callable[[Backend], Any]:
     """The request as a function that runs its op on a backend and encodes the
     result. Every field of the request is read here, before any op runs. A
     `batch` runs as one `backend.map`; a per-pair error it returns is that
-    call's error reply, and any other error aborts the request."""
+    call's error object, and any other error aborts the request."""
     if op == "descriptor":
         return _descriptor_result
     batch = op == "batch"
@@ -119,7 +126,7 @@ def _parse_request(op: Any, args: Any) -> Callable[[Backend], Any]:
         return lambda backend: encode(getattr(backend, op)(*call))
     calls = [read(call) for call in args]
     return lambda backend: [
-        _error(value) if isinstance(value, errors.PER_PAIR_ERRORS) else {"result": encode(value)}
+        _error(value) if isinstance(value, errors.PER_PAIR_ERRORS) else encode(value)
         for value in backend.map(op, calls)]
 
 
@@ -133,23 +140,23 @@ def _error(exc: errors.FactFilterError) -> dict[str, Any]:
 def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
     """Answer protocol requests until the input stream closes. A request that
     fails with an exception that is no toolkit error gets a `BackendError`
-    reply, `bad request: <message>` if it does not parse (`_parse_request`),
-    else `<Type>: <message>`, and the server reads on."""
+    reply, `bad request: <message>` if it does not parse (`_parse_request`; only
+    JSON whitespace may surround it), else `<Type>: <message>`; serving goes on."""
     for line in in_stream:
-        line = line.strip()
+        line = line.strip(JSON_WHITESPACE)
         if not line:
             continue
         call = None
         try:
             request = json.loads(line)
             call = _parse_request(request.get("op"), request.get("args", {}))
-            response = {"result": call(backend)}
+            response = _dumps({"result": call(backend)})
         except errors.FactFilterError as exc:  # an unknown op, a rejected arc, an op's error
-            response = _error(exc)
+            response = _dumps(_error(exc))
         except Exception as exc:
             fault = "bad request" if call is None else type(exc).__name__
-            response = {"error": {"type": "BackendError", "message": f"{fault}: {exc}"}}
-        out_stream.write(json.dumps(response, ensure_ascii=False) + "\n")
+            response = _dumps({"error": {"type": "BackendError", "message": f"{fault}: {exc}"}})
+        out_stream.write(response + "\n")
         out_stream.flush()
 
 
@@ -171,24 +178,21 @@ def _descriptor_from_reply(info: Any) -> BackendDescriptor:
     return BackendDescriptor(**{name: info[name] for name in _DESCRIPTOR_FIELDS})
 
 
-def _unwrap(response: Any, op: str) -> Any:
-    """The `result` of one reply object, or its `error` as the toolkit error,
-    returned rather than raised so that `_decode` can tell it from its own."""
-    err = response.get("error") if isinstance(response, dict) else None
-    if isinstance(err, dict):
-        exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)
-        if exc_type is errors.SequenceLengthError:
-            # The message is the server's str(exc), which already ends in the
-            # limit suffix that SequenceLengthError appends.
-            limit, message = int(err.get("limit", 0)), err["message"]
-            if not isinstance(message, str):
-                raise TypeError(f"error message {message!r} is not a string")
-            return errors.SequenceLengthError(
-                message.removesuffix(f" (limit: {limit} tokens)"), limit)
-        return exc_type(err.get("message", "remote backend error"))
-    if not isinstance(response, dict) or "result" not in response:
-        raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
-    return response["result"]
+def _failure(reply: dict[str, Any]) -> errors.FactFilterError:
+    """The toolkit error an error object names. Its only key is "error", which
+    holds a string "type" and "message", and an integer "limit" for a
+    SequenceLengthError; else a `TypeError` or `KeyError`."""
+    if len(reply) != 1:
+        raise TypeError(f"an error object has keys besides 'error': {sorted(reply)}")
+    err = reply["error"]
+    exc_type = _ERROR_TYPES.get(json_field(err, "type", JSON_STRINGS), errors.BackendError)
+    message = json_field(err, "message", JSON_STRINGS)
+    if exc_type is not errors.SequenceLengthError:
+        return exc_type(message)
+    # The message is the server's str(exc), which already ends in the limit
+    # suffix that SequenceLengthError appends.
+    limit = json_field(err, "limit", frozenset({int}))
+    return errors.SequenceLengthError(message.removesuffix(f" (limit: {limit} tokens)"), limit)
 
 
 def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
@@ -197,49 +201,51 @@ def _embeddings_from_reply(result: dict[str, Any]) -> TokenEmbeddings:
                                 dtype="<f8").reshape(-1, result["dim"])
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise errors.TransportError(f"undecodable embedding vectors: {exc}") from exc
-    return TokenEmbeddings(tokens=tuple(json_list(result, "tokens", JSON_STRINGS)),
+    return TokenEmbeddings(tokens=tuple(json_items(result["tokens"], "tokens", JSON_STRINGS)),
                            vectors=vectors)
 
 
 # Each op's argument object from its positional arguments, and its value from
-# the reply's result. A `batch` result is the list of its calls' reply objects.
+# its result. A `batch` result is the list of its calls' results.
 _CODECS: dict[str, tuple[Callable[..., dict[str, Any]], Callable[[Any], Any]]] = {
     "descriptor": (lambda: {}, _descriptor_from_reply),
-    "batch": (lambda op, calls: {"op": op, "calls": calls}, lambda r: r),
-    "tokenize": (lambda text: {"text": text}, lambda r: json_list(r, "tokens", JSON_STRINGS)),
+    "batch": (lambda op, calls: {"op": op, "calls": calls}, _bare),
+    "tokenize": (lambda text: {"text": text}, lambda r: json_items(r, "tokens", JSON_STRINGS)),
     "embed_tokens": (lambda text: {"text": text}, _embeddings_from_reply),
     "conditional_token_logprobs": (
         lambda source, target: {"source": source, "target": target},
-        lambda r: list(map(float, json_list(r, "logprobs", JSON_NUMBERS)))),
+        lambda r: list(map(float, json_items(r, "logprobs", JSON_NUMBERS)))),
     "arc_entailment_probs": (
-        lambda document, arcs: {"document": document,
-                                "arcs": [_arc_to_dict(a) for a in arcs]},
-        lambda r: list(map(float, json_list(r, "probs", JSON_NUMBERS)))),
+        lambda document, arcs: {"document": document, "arcs": list(map(_arc_to_wire, arcs))},
+        lambda r: list(map(float, json_items(r, "probs", JSON_NUMBERS)))),
     "masked_fill_accuracy": (
         lambda prefix, sentence, mask_positions: {
             "prefix": prefix, "sentence": sentence,
             "mask_positions": sorted(set(mask_positions))},
-        lambda r: float(json_field(r, "accuracy", JSON_NUMBERS))),
-    "parse_dependencies": (
-        lambda summary: {"summary": summary},
-        lambda r: list(map(_arc_from_dict, json_list(r, "arcs", JSON_OBJECTS)))),
+        lambda r: float(json_value(r, "accuracy", JSON_NUMBERS))),
+    "parse_dependencies": (lambda summary: {"summary": summary}, _arcs_from_wire),
 }
 
 
-def _decode(op: str, reply: Any) -> Any:
-    """`_unwrap` then the op's `_CODECS` decoder. An error the server sent
-    raises as that toolkit error, which is per pair. A field the reply lacks or
-    mistypes, or a value the client's own checks reject (a `DomainError` from
-    building `TokenEmbeddings` or a `DependencyArc`), is a `TransportError`
-    naming `op`: the server broke the protocol, so no pair is to blame."""
+def _decode(op: str, reply: Any, batched: bool = False) -> Any:
+    """The op's value from a reply, `{"result": value}`, or from a batch item,
+    the bare value, if `batched`. An error object in their place raises as the
+    toolkit error it names (`_failure`), which is per pair. A reply that is
+    neither, a field it lacks or mistypes, or a value the client's own checks
+    reject (a `DomainError` from building `TokenEmbeddings` or a
+    `DependencyArc`) is a `TransportError` naming `op`: the server broke the
+    protocol, so no pair is to blame."""
     try:
-        outcome = _unwrap(reply, op)
-        if not isinstance(outcome, errors.FactFilterError):
-            return _CODECS[op][1](outcome)
+        if type(reply) is dict and "error" in reply:
+            failure = _failure(reply)
+        elif batched or type(reply) is dict and "result" in reply:
+            return _CODECS[op][1](reply if batched else reply["result"])
+        else:
+            raise errors.TransportError(f"reply to {op!r} has neither a result nor an error")
     except (KeyError, TypeError, ValueError, errors.DomainError) as exc:
         raise errors.TransportError(f"reply to {op!r} has a missing or mistyped field: "
                                     f"{type(exc).__name__}: {exc}") from exc
-    raise outcome
+    raise failure
 
 
 class RemoteBackend(Backend):
@@ -247,13 +253,8 @@ class RemoteBackend(Backend):
 
     def __init__(self, command: Sequence[str]):
         self._command = list(command)
-        self._proc = subprocess.Popen(
-            self._command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-        )
+        self._proc = subprocess.Popen(self._command, stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE, text=True, encoding="utf-8")
         try:
             self._descriptor = self._call("descriptor")
         except errors.FactFilterError:  # a failed handshake leaves no server behind
@@ -270,8 +271,7 @@ class RemoteBackend(Backend):
             raise errors.TransportError(f"backend process exited with {self._proc.returncode}")
         assert self._proc.stdin is not None and self._proc.stdout is not None
         try:
-            self._proc.stdin.write(json.dumps({"op": op, "args": args},
-                                              ensure_ascii=False) + "\n")
+            self._proc.stdin.write(_dumps({"op": op, "args": args}) + "\n")
             self._proc.stdin.flush()
             line = self._proc.stdout.readline()
         except (OSError, ValueError) as exc:  # broken pipe, undecodable bytes
@@ -298,7 +298,7 @@ class RemoteBackend(Backend):
         out: list = []
         for item in items:
             try:
-                out.append(_decode(op, item))
+                out.append(_decode(op, item, batched=True))
             except errors.PER_PAIR_ERRORS as exc:
                 out.append(exc)
         return out

@@ -144,8 +144,9 @@ def scores_files(draw) -> bytes:
             lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
         elif fault == "two-values":
             lines[i] += draw(st.sampled_from([" {}", ",{}", " 1", "}"]))
-        elif fault == "padded":
-            lines[i] = " " + lines[i] + "\t"
+        elif fault == "padded":  # JSON whitespace, or Unicode whitespace JSON rejects
+            pads = st.sampled_from([" ", "\t", "\xa0", "\u2028", "\x1c"])
+            lines[i] = draw(pads) + lines[i] + draw(pads)
         elif fault == "blank":
             lines.insert(i, draw(st.sampled_from(["", "  "])))
         elif fault == "bad-byte":

@@ -289,6 +289,21 @@ class TestReadJsonl:
         assert seen == [{"n": 1}, {"s": "é"}, {"n": 3}]
         assert excinfo.value.line == 5
 
+    @pytest.mark.parametrize("text, line", [
+        ('\xa0{"n": 1} \n\x1c{"n": 2}\n', 1),
+        ('{"n": 0}\n\u2028{"n": 1}\n', 2),
+        ('{"n": 0}\n{"n": 1}\x1c\n', 2),
+        ('{"n": 0}\n\u3000{"n": 1}\t\n', 2),
+    ], ids=["nbsp-and-separator", "line-separator", "trailing-separator", "ideographic-space"])
+    def test_only_json_whitespace_may_pad_a_line(self, tmp_path, text, line):
+        """`json.loads` rejects a line padded with other Unicode whitespace, and
+        so does the reader, though `str.strip()` would take it off."""
+        path = tmp_path / "r.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="invalid JSON") as excinfo:
+            read_jsonl(path, lambda record: None)
+        assert excinfo.value.line == line
+
     @pytest.mark.parametrize("error", [DomainError, IntegrityError])
     def test_domain_and_integrity_errors_keep_their_class(self, tmp_path, error):
         path = tmp_path / "r.jsonl"

@@ -1,19 +1,24 @@
-"""The remote backend over its pipes: a server's faults and replies, and the
-exit code and scores file a `score` over a failing server leaves."""
+"""The remote backend over its pipes: a server's faults and replies, the
+exit code and scores file a `score` over a failing server leaves, and every
+op's round trip through both codecs."""
 
 from __future__ import annotations
 
 import base64
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factfilter import DependencyArc
+from factfilter import DependencyArc, MockBackend, TokenEmbeddings
 from factfilter.cli import main
 from factfilter.corpus import toy_corpus_path
+from factfilter.remote import PROTOCOL
 
 from test_cli import _generated, _score, toy  # noqa: F401 (`toy` is a fixture)
 
@@ -22,8 +27,6 @@ class TestServedBatches:
     """The server hands each `batch` request to the served backend's `map`."""
 
     def test_one_map_request_per_batch(self):
-        import io
-
         from factfilter.remote import serve
         from faults import FaultBackend
 
@@ -39,17 +42,14 @@ class TestServedBatches:
         assert [call[0] for call in backend.calls] == [
             "tokenize", "tokenize", "tokenize", "embed_tokens", "parse_dependencies",
             "parse_dependencies"]
-        tokens, _, arcs = [json.loads(line)["result"] for line in out.getvalue().splitlines()]
-        assert tokens == [{"result": {"tokens": ["a", "b"]}},
-                          {"error": {"type": "BackendError",
-                                     "message": "cannot tokenize 'TOKFAIL'"}},
-                          {"result": {"tokens": ["c"]}}]
-        assert len(arcs[0]["result"]["arcs"]) == 2
-        assert arcs[1] == {"error": {"type": "NoArcsError", "message": "no arcs in 'a NOARCS'"}}
+        tokens, _, arcs = out.getvalue().splitlines()
+        # Compact JSON, a bare value per call and an error object in place of a failed one.
+        assert tokens == ('{"result":[["a","b"],{"error":{"type":"BackendError",'
+                          '"message":"cannot tokenize \'TOKFAIL\'"}},["c"]]}')
+        assert arcs == ('{"result":[[["b","a","dep",1,0],["b","c","dep",1,2]],'
+                        '{"error":{"type":"NoArcsError","message":"no arcs in \'a NOARCS\'"}}]}')
 
     def test_an_integrity_error_aborts_the_batch_as_in_process(self):
-        import io
-
         from factfilter.errors import IntegrityError
         from factfilter.remote import _decode, serve
         from faults import FaultBackend
@@ -111,11 +111,12 @@ class TestServerFaults:
     replies, and the client exits 3."""
 
     def test_replies(self):
-        import io
-
         from factfilter.remote import serve
         from faults import FaultBackend
 
+        # Arcs too short, with a bool index, and misaligned (four items, then six).
+        bad_arcs = ['[["a", "b", "dep", 0]]', '[["a", "b", "dep", true, 1]]',
+                    '[["a", "b", "dep", 0], [1, "c", "d", "dep", 2, 3]]']
         requests = ['{"op": "embed_tokens", "args": {"text": "a FATAL b"}}',
                     '{"op": "batch", "args": {"op": "tokenize", '
                     '"calls": [{"text": "a"}, {"text": "TOKFATAL"}]}}',
@@ -123,7 +124,9 @@ class TestServerFaults:
                     '{"op": "parse_dependencies", "args": {"summary": "ARCLESS"}}',
                     "not json", '["op"]', '{"op": "tokenize", "args": {}}',
                     '{"op": "batch", "args": {"op": "tokenize", "calls": [{"text": "a"}, 7]}}',
-                    '{"op": "arc_entailment_probs", "args": {"document": "a", "arcs": [{}]}}',
+                    *['{"op": "arc_entailment_probs", "args": {"document": "a", "arcs": %s}}'
+                      % arcs for arcs in bad_arcs],
+                    '\xa0{"op": "tokenize", "args": {"text": "a"}}',
                     '{"op": "tokenize", "args": {"text": "TOKFAIL"}}',
                     '{"op": "nope", "args": {}}']
         out = io.StringIO()
@@ -139,7 +142,9 @@ class TestServerFaults:
             "bad request: 'list' object has no attribute 'get'",
             "bad request: 'text'",
             "bad request: 'int' object is not subscriptable",
-            "bad request: 'head_token'",
+            *[f"bad request: arcs must be [head_token, child_token, relation_label, "
+              f"head_index, child_index] arrays, got {json.loads(arcs)!r}" for arcs in bad_arcs],
+            "bad request: Expecting value: line 1 column 1 (char 0)",
             "cannot tokenize 'TOKFAIL'",
             "unknown op 'nope'"]
 
@@ -231,10 +236,17 @@ class TestLingeringServer:
         assert "still running" in capsys.readouterr().err
 
 
+def _handshake(**changes) -> str:
+    """The mock backend's handshake reply with `changes`; a field changed to
+    None is left out."""
+    info = {"name": "mock", "version": "1", "deterministic": True, "max_tokens": 512,
+            "protocol": PROTOCOL, **changes}
+    return json.dumps({"result": {k: v for k, v in info.items() if v is not None}})
+
+
 # The mock backend's handshake reply, which the stub server below sends
 # without importing `factfilter` (`test_handshake_reply_is_the_mock_descriptor`).
-_HANDSHAKE_REPLY = ('{"result": {"name": "mock", "version": "1", "deterministic": true, '
-                    '"max_tokens": 512, "protocol": 2}}')
+_HANDSHAKE_REPLY = _handshake()
 
 # Serves its first k requests, then answers the next with `reply` and serves
 # on. `factfilter`, whose numpy import is most of a spawn, is imported only to
@@ -265,7 +277,7 @@ if reply != "exit":
     elif reply == "non-object-item":
         calls = len(request["args"]["calls"])
         sys.stdout.buffer.write(json.dumps({{"result": [1] * calls}}).encode() + b"\\n")
-    elif reply.startswith("item:"):  # every item of the batch reply is this object
+    elif reply.startswith("item:"):  # every item of the batch reply is this value
         calls = len(request["args"]["calls"])
         item = json.loads(reply[len("item:"):])
         sys.stdout.buffer.write(json.dumps({{"result": [item] * calls}}).encode() + b"\\n")
@@ -285,48 +297,71 @@ def test_handshake_reply_is_the_mock_descriptor():
     assert json.loads(_HANDSHAKE_REPLY) == {"result": _descriptor_result(MockBackend())}
 
 
-# (op, argument tuple, reply object) of replies whose fields the client cannot
-# read: a missing key, a mistyped value (a string or an object where a list is
-# due included), a number that does not parse, or a value the client's own
-# checks reject (NaN vectors, one token with two rows, a self-attached arc).
+_ARC = [DependencyArc("a", "b", "dep", 0, 1)]
+_ARC_OBJECT = ('{"head_token": "a", "child_token": "b", "relation_label": "dep", '
+               '"head_index": 0, "child_index": 1}')
+_VECTORS = '{"tokens": ["a"], "dim": 2, "vectors": "%s"}'
+
+# (op, argument tuple, result) of replies whose fields the client cannot read.
+# A result is an op's bare value or an error object; a reply is `{"result":
+# <value>}` or the error object, a batch item the result itself. They hold a
+# missing key, a mistyped value (a string or an object where a list is due
+# included), a number that does not parse, a value the client's own checks
+# reject (NaN vectors, one token with two rows, a self-attached arc), or an
+# error object with a field missing, mistyped or extra.
 MALFORMED_FIELDS = [
-    ("tokenize", ("a",), '{"result": {}}'),
-    ("tokenize", ("a",), '{"result": {"tokens": 5}}'),
-    ("tokenize", ("a",), '{"result": {"tokens": "abc"}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": "12"}}'),
-    ("arc_entailment_probs", ("a b", [DependencyArc("a", "b", "dep", 0, 1)]),
-     '{"result": {"probs": {"0.5": 1}}}'),
-    ("parse_dependencies", ("a b",), '{"result": {"arcs": {}}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": ["x"]}}'),
-    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2}}'),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
-     '"relation_label": "dep", "child_index": 1}]}}'),
+    ("tokenize", ("a",), "null"),
+    ("tokenize", ("a",), "5"),
+    ("tokenize", ("a",), '"abc"'),
+    ("conditional_token_logprobs", ("a", "a"), '"12"'),
+    ("arc_entailment_probs", ("a b", _ARC), '{"0.5": 1}'),
+    ("parse_dependencies", ("a b",), "{}"),
+    ("conditional_token_logprobs", ("a", "a"), '["x"]'),
+    ("embed_tokens", ("a",), '{"tokens": ["a"], "dim": 2}'),
+    ("parse_dependencies", ("a b",), '[["a", "b", "dep", 1]]'),
     ("tokenize", ("a",), '{"error": {"type": "SequenceLengthError", "limit": 512}}'),
-    ("tokenize", ("a",), '{"result": {"tokens": [1, null]}}'),
-    ("embed_tokens", ("a",),
-     '{"result": {"tokens": [1], "dim": 2, "vectors": "AAAAAAAA8D8AAAAAAAAAAA=="}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": ["-0.5"]}}'),
-    ("conditional_token_logprobs", ("a", "a"), '{"result": {"logprobs": [-0.5, true]}}'),
-    ("arc_entailment_probs", ("a b", [DependencyArc("a", "b", "dep", 0, 1)]),
-     '{"result": {"probs": ["0.5"]}}'),
-    ("masked_fill_accuracy", ("a", "b c", [0]), '{"result": {"accuracy": "0.5"}}'),
-    ("masked_fill_accuracy", ("a", "b c", [0]), '{"result": {"accuracy": true}}'),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
-     '"relation_label": "dep", "head_index": "0", "child_index": 1}]}}'),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "b", '
-     '"relation_label": "dep", "head_index": false, "child_index": 1}]}}'),
-    ("parse_dependencies", ("a b",), '{"result": {"arcs": [5]}}'),
-    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2, "vectors": "%s"}}'
+    ("tokenize", ("a",), "[1, null]"),
+    ("embed_tokens", ("a",), '{"tokens": [1], "dim": 2, "vectors": "AAAAAAAA8D8AAAAAAAAAAA=="}'),
+    ("conditional_token_logprobs", ("a", "a"), '["-0.5"]'),
+    ("conditional_token_logprobs", ("a", "a"), "[-0.5, true]"),
+    ("arc_entailment_probs", ("a b", _ARC), '["0.5"]'),
+    ("masked_fill_accuracy", ("a", "b c", [0]), '"0.5"'),
+    ("masked_fill_accuracy", ("a", "b c", [0]), "true"),
+    ("parse_dependencies", ("a b",), '[["a", "b", "dep", "0", 1]]'),
+    ("parse_dependencies", ("a b",), '[["a", "b", "dep", false, 1]]'),
+    ("parse_dependencies", ("a b",), "[5]"),
+    ("embed_tokens", ("a",), _VECTORS
      % base64.b64encode(np.array([np.nan, 1.0], dtype="<f8").tobytes()).decode()),
-    ("embed_tokens", ("a",), '{"result": {"tokens": ["a"], "dim": 2, "vectors": "%s"}}'
-     % base64.b64encode(np.eye(2, dtype="<f8").tobytes()).decode()),
-    ("parse_dependencies", ("a b",),
-     '{"result": {"arcs": [{"head_token": "a", "child_token": "a", '
-     '"relation_label": "dep", "head_index": 0, "child_index": 0}]}}'),
+    ("embed_tokens", ("a",),
+     _VECTORS % base64.b64encode(np.eye(2, dtype="<f8").tobytes()).decode()),
+    ("parse_dependencies", ("a b",), '[["a", "a", "dep", 0, 0]]'),
+    ("parse_dependencies", ("a b",), f"[{_ARC_OBJECT}]"),
+    ("parse_dependencies", ("a b",), '[["a", "b", "dep", 0], [1, "c", "d", "dep", 2, 3]]'),
+    ("parse_dependencies", ("a b",), '[["a", "b", "dep", 0, 1, 2]]'),
+    ("tokenize", ("a",),
+     '{"error": {"type": "SequenceLengthError", "message": "m (limit: 5 tokens)", "limit": 5.9}}'),
+    ("tokenize", ("a",),
+     '{"error": {"type": "SequenceLengthError", "message": "m (limit: 1 tokens)", '
+     '"limit": true}}'),
+    ("tokenize", ("a",), '{"error": {"type": "SequenceLengthError", "message": "m"}}'),
+    ("tokenize", ("a",), '{"error": {"type": "BackendError", "message": 123}}'),
+    ("tokenize", ("a",), '{"error": {"type": 7, "message": "m"}}'),
+    ("tokenize", ("a",), '{"error": {"type": "BackendError"}}'),
+    ("tokenize", ("a",), '{"error": {"message": "m"}}'),
+    ("tokenize", ("a",), '{"error": "boom"}'),
+    ("tokenize", ("a",), '{"error": {"type": "BackendError", "message": "m"}, "result": ["a"]}'),
 ]
+MALFORMED_IDS = [
+    "tokenize-no-tokens", "tokenize-int-tokens", "tokenize-string-tokens", "logprobs-string",
+    "probs-object", "arcs-object", "logprobs-not-numbers", "embed-no-vectors",
+    "arc-no-head-index", "length-error-no-message", "tokenize-non-string-items",
+    "embed-int-tokens", "logprobs-quoted", "logprobs-bool", "probs-quoted", "accuracy-quoted",
+    "accuracy-bool", "arc-string-index", "arc-bool-index", "arcs-non-object-item",
+    "embed-nan-vectors", "embed-one-token-two-rows", "arc-self-attached", "arc-as-object",
+    "arcs-misaligned", "arc-six-items", "length-error-float-limit",
+    "length-error-bool-limit", "length-error-no-limit", "error-int-message",
+    "error-int-type", "error-no-message", "error-no-type", "error-not-an-object",
+    "error-with-result"]
 
 # A `score` resuming the 25-line partial toy file sends the handshake and then
 # seven batches (the whole toy corpus is one chunk): two tokenize, two
@@ -356,20 +391,19 @@ class TestTransportFailures:
     @pytest.mark.parametrize("reply", [
         '{"result": {}}',
         '{"result": [1]}',
-        '{"result": {"version": "1", "deterministic": true, "max_tokens": 512, "protocol": 2}}',
-        '{"result": {"name": "mock", "version": 1, "deterministic": true, "max_tokens": 512, '
-        '"protocol": 2}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": 1, "max_tokens": 512, '
-        '"protocol": 2}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": "512", '
-        '"protocol": 2}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": true, '
-        '"protocol": 2}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": 512}}',
-        '{"result": {"name": "mock", "version": "1", "deterministic": true, "max_tokens": 512, '
-        '"protocol": 1}}',
+        _handshake(name=None),
+        _handshake(version=1),
+        _handshake(deterministic=1),
+        _handshake(max_tokens="512"),
+        _handshake(max_tokens=True),
+        _handshake(protocol=None),
+        _handshake(protocol=1),
+        _handshake(protocol=PROTOCOL - 1),
+        _handshake(protocol=PROTOCOL + 1),
+        _handshake(protocol=float(PROTOCOL)),
     ], ids=["empty", "non-object", "no-name", "int-version", "int-deterministic",
-            "string-max-tokens", "bool-max-tokens", "no-protocol", "protocol-1"])
+            "string-max-tokens", "bool-max-tokens", "no-protocol", "protocol-1",
+            "older-protocol", "newer-protocol", "float-protocol"])
     def test_malformed_handshake_exits_three(self, toy, tmp_path, capsys, monkeypatch,
                                              server, reply):
         from factfilter import remote
@@ -417,10 +451,9 @@ class TestTransportFailures:
             backend.close()
 
     @pytest.mark.parametrize("reply, message", [
-        ('{"result": {"a": {"result": {"tokens": ["a"]}}, "b": {"result": {"tokens": ["b"]}}}}',
-         "is not a list of 2 items"),
-        ('{"result": [{"result": {"tokens": ["a"]}}]}', "is not a list of 2 items"),
-        ("non-object-item", "neither a result nor an error"),
+        ('{"result": {"a": ["a"], "b": ["b"]}}', "is not a list of 2 items"),
+        ('{"result": [["a"]]}', "is not a list of 2 items"),
+        ("non-object-item", "reply to 'tokenize' has a missing or mistyped field"),
     ], ids=["not-a-list", "wrong-count", "non-object-item"])
     def test_malformed_batch_reply_is_a_transport_error(self, server, reply, message):
         from factfilter.errors import TransportError
@@ -433,12 +466,27 @@ class TestTransportFailures:
         finally:
             backend.close()
 
+    @pytest.mark.parametrize("path", ["single", "map"])
+    @pytest.mark.parametrize("reply", ["{}", "[1]", '{"results": ["a"]}'],
+                             ids=["empty", "non-object", "misspelt-result"])
+    def test_reply_without_result_or_error_is_a_transport_error(self, server, path, reply):
+        """Not read as an error the server sent, which would be per pair."""
+        from factfilter.errors import TransportError
+        from factfilter.remote import RemoteBackend
+
+        backend = RemoteBackend([sys.executable, str(server), "1", reply])
+        try:
+            with pytest.raises(TransportError, match="has neither a result nor an error"):
+                backend.map("tokenize", [("a",)]) if path == "map" else backend.tokenize("a")
+        finally:
+            backend.close()
+
     @pytest.mark.parametrize("k, reply", [
         (1, "exit"), (_FAULT_AFTER, "exit"), (_FAULT_AFTER, "not json"),
         (_FAULT_AFTER, "{}"), (_FAULT_AFTER, '{"error": "boom"}'), (_FAULT_AFTER, "[1]"),
         (_FAULT_AFTER, "invalid-utf8"), (_FAULT_AFTER, '{"result": {}}'),
         (_FAULT_AFTER, '{"result": []}'), (_FAULT_AFTER, "non-object-item"),
-        (_FAULT_AFTER, 'item:{"result": {}}'),
+        (_FAULT_AFTER, "item:{}"),
     ], ids=["exit-after-handshake", "exit-mid-run", "not-json", "no-result",
             "non-object-error", "non-object-reply", "invalid-utf8", "batch-not-a-list",
             "batch-wrong-count", "batch-non-object-item", "batch-item-missing-field"])
@@ -471,7 +519,7 @@ class TestTransportFailures:
         out = tmp_path / "scores.jsonl"
         code = main(["score", "--in", str(toy), "--out", str(out), "--scorers", "greedy",
                      "--backend", "remote", "--remote-command",
-                     f"{sys.executable} {server} 1 'item:{{\"result\": {{\"tokens\": 5}}}}'"])
+                     f"{sys.executable} {server} 1 'item:5'"])
         assert code == 3
         assert "backend error: reply to 'tokenize' has a missing or mistyped field: " \
             "TypeError" in capsys.readouterr().err
@@ -483,30 +531,22 @@ class TestTransportFailures:
         code = main(["evaluate", "--in", str(toy), "--generated", str(_generated(tmp_path, toy)),
                      "--out", str(out), "--metrics", "blanc", "--backend", "remote",
                      "--remote-command",
-                     f"{sys.executable} {server} 1 'item:{{\"result\": {{\"tokens\": [1]}}}}'"])
+                     f"{sys.executable} {server} 1 'item:[1]'"])
         assert code == 3
         assert "backend error: reply to 'tokenize' has a missing or mistyped field: " \
             "TypeError" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("path", ["single", "map"])
-    @pytest.mark.parametrize("op, args, reply", MALFORMED_FIELDS,
-                             ids=["tokenize-no-tokens", "tokenize-int-tokens",
-                                  "tokenize-string-tokens", "logprobs-string", "probs-object",
-                                  "arcs-object", "logprobs-not-numbers", "embed-no-vectors",
-                                  "arc-no-head-index", "length-error-no-message",
-                                  "tokenize-non-string-items", "embed-int-tokens",
-                                  "logprobs-quoted", "logprobs-bool", "probs-quoted",
-                                  "accuracy-quoted", "accuracy-bool", "arc-string-index",
-                                  "arc-bool-index", "arcs-non-object-item",
-                                  "embed-nan-vectors", "embed-one-token-two-rows",
-                                  "arc-self-attached"])
-    def test_malformed_reply_field_is_a_transport_error(self, server, path, op, args, reply):
+    @pytest.mark.parametrize("op, args, result", MALFORMED_FIELDS, ids=MALFORMED_IDS)
+    def test_malformed_reply_field_is_a_transport_error(self, server, path, op, args, result):
         from factfilter.errors import TransportError
         from factfilter.remote import RemoteBackend
 
         if path == "map":
-            reply = f'{{"result": [{reply}]}}'
+            reply = f'{{"result": [{result}]}}'
+        else:
+            reply = result if result.startswith('{"error"') else f'{{"result": {result}}}'
         backend = RemoteBackend([sys.executable, str(server), "1", reply])
         try:
             with pytest.raises(TransportError,
@@ -538,3 +578,104 @@ def test_over_long_summary_scores_the_same_bytes_over_remote(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"(limit: 512 tokens)\"") == 3  # the summary's three cells
+
+
+class _ServedPipe:
+    """Both pipes of an in-process server: a request line written to it is
+    answered at once by `serve`, and `readline` returns the reply line."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self._replies: list[str] = []
+
+    def write(self, line: str) -> None:
+        from factfilter.remote import serve
+
+        out = io.StringIO()
+        serve(self._backend, io.StringIO(line), out)
+        self._replies.append(out.getvalue())
+
+    def readline(self) -> str:
+        return self._replies.pop(0)
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class _ServedProcess:
+    """Stands in for the server process of a `RemoteBackend`."""
+
+    returncode = None
+
+    def __init__(self, backend):
+        self.stdin = self.stdout = _ServedPipe(backend)
+
+    def poll(self):
+        return None
+
+    def wait(self, timeout=None):
+        return 0
+
+
+def _plain(outcome):
+    """An op's value or per-pair error in a form that compares floats by their bits."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome), getattr(outcome, "limit", None)
+    if isinstance(outcome, TokenEmbeddings):
+        return outcome.tokens, outcome.vectors.shape, list(map(float.hex, outcome.vectors.flat))
+    if isinstance(outcome, float):
+        return outcome.hex()
+    if isinstance(outcome, list) and any(isinstance(x, float) for x in outcome):
+        return list(map(float.hex, outcome))
+    return outcome
+
+
+def _single(backend, op, args):
+    from factfilter.errors import PER_PAIR_ERRORS
+
+    try:
+        return getattr(backend, op)(*args)
+    except PER_PAIR_ERRORS as exc:
+        return exc
+
+
+# Words of non-ASCII text, whitespace included; joined, texts from empty to
+# past the served backend's four-token limit.
+_WORDS = st.text(st.characters(codec="utf-8"), min_size=1, max_size=3)
+_TEXTS = st.lists(st.lists(_WORDS, max_size=6).map(" ".join), min_size=1, max_size=4)
+_ARCS = st.lists(st.builds(DependencyArc, _WORDS, _WORDS, _WORDS, st.integers(0, 4),
+                           st.integers(5, 9)), max_size=3)
+
+
+@given(texts=_TEXTS, arcs=_ARCS, positions=st.lists(st.integers(-1, 4), max_size=3))
+@settings(max_examples=60)
+def test_every_op_round_trips_through_both_codecs(texts, arcs, positions):
+    """Over an in-process server, with no subprocess: the client's encoder,
+    JSON, the server's decoder, the served backend, the server's encoder, JSON
+    and the client's decoder give each op what the backend gives in process,
+    single and batched, floats to the bit and per-pair errors in place."""
+    from unittest import mock
+
+    from factfilter import remote
+
+    with mock.patch.object(remote.subprocess, "Popen",
+                           lambda *args, **kwargs: _ServedProcess(MockBackend(max_tokens=4))):
+        client = remote.RemoteBackend(["served in process"])
+    direct = MockBackend(max_tokens=4)
+    assert client.descriptor == direct.descriptor
+    calls = {
+        "tokenize": [(text,) for text in texts],
+        "embed_tokens": [(text,) for text in texts],
+        "conditional_token_logprobs": [(a, b) for a in texts for b in texts],
+        "arc_entailment_probs": [(text, arcs) for text in texts],
+        "masked_fill_accuracy": [(a, b, positions) for a in texts for b in texts],
+        "parse_dependencies": [(text,) for text in texts],
+    }
+    for op, op_calls in calls.items():
+        expected = [_plain(_single(direct, op, args)) for args in op_calls]
+        assert [_plain(_single(client, op, args)) for args in op_calls] == expected, op
+        assert list(map(_plain, client.map(op, op_calls))) == expected, op
+        assert list(map(_plain, direct.map(op, op_calls))) == expected, op
