@@ -76,6 +76,7 @@ LOOP = "One scoring loop for every reference-free metric"
 MUTANTS = "A committed mutation catalogue"
 BLOCKS = "Score files at decode speed"
 PROTOCOL_3 = "Remote protocol 3"
+LONG_DOCS = "Long documents without repeated per-call work"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -177,6 +178,8 @@ CATALOGUE: list[Mutant] = [
        "    for outcome in (*fills, *sentence_tokens):\n"
        "        if isinstance(outcome, Exception):\n            raise outcome\n"
        "    if not all(0.0 <= fill <= 1.0 for fill in fills):\n"),
+    _m("sentence-split-marks-attached-twice", "metrics", "metrics", LONG_DOCS,
+       're.compile(r"([.!?])\\s+")', 're.compile(r"(?<=([.!?]))\\s+")'),
     _m("rouge2-overlap-off-by-one", "metrics", "metrics", MUTANTS,
        "overlap = sum(min(count, ref[bigram]) for bigram, count in cand.items())",
        "overlap = sum(min(count, ref[bigram]) for bigram, count in cand.items()) - 1"),
@@ -468,7 +471,9 @@ CATALOGUE: list[Mutant] = [
     _m("token-vectors-not-unit", "backend", "backend", MUTANTS,
        "return vecs / norms[:, None]", "return vecs"),
     _m("token-vectors-salted-per-table", "backend", "backend", MUTANTS,
-       'person=b"tokvec").digest()', 'person=b"tokvec", salt=os.urandom(8)).digest()'),
+       'person=b"tokvec")', 'person=b"tokvec", salt=os.urandom(8))'),
+    _m("token-digest-updates-the-blank-hasher", "backend", "backend", LONG_DOCS,
+       "h = self._blank.copy()", "h = self._blank"),
     _m("vanishing-digest-not-pinned", "backend", "backend", EMBEDDER,
        "    vecs[vanishing, 0] = 1.0\n    norms[vanishing] = 1.0\n", ""),
     _m("zero-row-embeddings-accepted", "backend", "backend", TABLE_READS,
@@ -482,6 +487,20 @@ CATALOGUE: list[Mutant] = [
     _m("token-table-kept-after-a-request", "backend", "backend", TOKEN_TABLE,
        "        finally:\n            del self._request_rows\n",
        "        finally:\n            pass\n"),
+    _m("fill-vocabularies-kept-after-a-request", "backend", "backend", LONG_DOCS,
+       "            del self._request_vocabularies\n", ""),
+    _m("fill-vocabulary-keyed-on-the-sentence", "backend", "backend", LONG_DOCS,
+       "        if prefix not in vocabularies:\n"
+       "            prefix_tokens = self.tokenize(prefix)\n"
+       "            vocabularies[prefix] = len(prefix_tokens), set(prefix_tokens)\n"
+       "        n_prefix, known = vocabularies[prefix]\n",
+       "        if sentence not in vocabularies:\n"
+       "            prefix_tokens = self.tokenize(prefix)\n"
+       "            vocabularies[sentence] = len(prefix_tokens), set(prefix_tokens)\n"
+       "        n_prefix, known = vocabularies[sentence]\n"),
+    _m("fill-prefix-count-from-the-sentence", "backend", "backend", LONG_DOCS,
+       "vocabularies[prefix] = len(prefix_tokens), set(prefix_tokens)",
+       "vocabularies[prefix] = len(sentence_tokens), set(prefix_tokens)"),
     _m("token-table-loses-rows-on-growth", "backend", "backend", TOKEN_TABLE,
        "self._rows = np.resize(self._rows, (2 * stop, self._dim))",
        "self._rows = np.empty((2 * stop, self._dim))"),

@@ -154,12 +154,17 @@ class MockBackend(Backend):
       * an arc is entailed (prob 1.0) iff both its head and child token
         strings occur among the document tokens, else 0.0;
       * a masked token is reconstructed iff it occurs among the prefix tokens;
+        a `masked_fill_accuracy` request tokenizes each distinct prefix once
+        into a vocabulary that lives only for the request, as the token
+        table does, so no state outlives a request;
       * the parser attaches every token to the middle token of the sentence.
     """
 
     LOGPROB_PRESENT = math.log(0.9)
     LOGPROB_ABSENT = math.log(0.1)
     _request_rows: _TokenRows | None = None  # the current `map` request's token table
+    # The current request's prefix vocabularies: text -> (token count, token set).
+    _request_vocabularies: dict[str, tuple[int, set[str]]] | None = None
 
     def __init__(self, dim: int = 16, max_tokens: int = 512):
         if dim < 2 or dim > 16:
@@ -180,23 +185,26 @@ class MockBackend(Backend):
     def tokenize(self, text: str) -> list[str]:
         return text.split()
 
-    def _check_length(self, tokens: Sequence[str], what: str) -> None:
-        if len(tokens) > self._max_tokens:
-            raise SequenceLengthError(f"{what} has {len(tokens)} tokens", self._max_tokens)
+    def _check_length(self, n_tokens: int, what: str) -> None:
+        if n_tokens > self._max_tokens:
+            raise SequenceLengthError(f"{what} has {n_tokens} tokens", self._max_tokens)
 
     def map(self, op: str, calls: Sequence[tuple]) -> list:
-        """`Backend.map`; the `embed_tokens` calls of a request share a token table."""
+        """`Backend.map`; the `embed_tokens` calls of a request share a token
+        table, and its `masked_fill_accuracy` calls their prefix vocabularies."""
         self._request_rows = _TokenRows(self._dim)
+        self._request_vocabularies = {}
         try:
             return super().map(op, calls)
         finally:
             del self._request_rows
+            del self._request_vocabularies
 
     def embed_tokens(self, text: str) -> TokenEmbeddings:
         tokens = self.tokenize(text)
         if not tokens:
             raise DomainError("cannot embed empty text")
-        self._check_length(tokens, "text")
+        self._check_length(len(tokens), "text")
         rows = self._request_rows or _TokenRows(self._dim)
         return TokenEmbeddings(tokens=tuple(tokens), vectors=rows.gather(tokens))
 
@@ -205,8 +213,8 @@ class MockBackend(Backend):
         target_tokens = self.tokenize(target)
         if not source_tokens or not target_tokens:
             raise DomainError("source and target must be non-empty")
-        self._check_length(source_tokens, "source")
-        self._check_length(target_tokens, "target")
+        self._check_length(len(source_tokens), "source")
+        self._check_length(len(target_tokens), "target")
         vocabulary = set(source_tokens)
         return [self.LOGPROB_PRESENT if tok in vocabulary else self.LOGPROB_ABSENT
                 for tok in target_tokens]
@@ -216,7 +224,7 @@ class MockBackend(Backend):
         if not arcs:
             raise DomainError("arc list must be non-empty")
         doc_tokens = self.tokenize(document)
-        self._check_length(doc_tokens, "document")
+        self._check_length(len(doc_tokens), "document")
         vocabulary = set(doc_tokens)
         return [1.0 if arc.head_token in vocabulary and arc.child_token in vocabulary
                 else 0.0
@@ -228,13 +236,18 @@ class MockBackend(Backend):
         if not positions:
             raise DomainError("mask position set must be non-empty")
         sentence_tokens = self.tokenize(sentence)
-        prefix_tokens = self.tokenize(prefix)
-        self._check_length(prefix_tokens + sentence_tokens, "prefix + sentence")
+        vocabularies = self._request_vocabularies
+        if vocabularies is None:  # a lone call is a request of its own
+            vocabularies = {}
+        if prefix not in vocabularies:
+            prefix_tokens = self.tokenize(prefix)
+            vocabularies[prefix] = len(prefix_tokens), set(prefix_tokens)
+        n_prefix, known = vocabularies[prefix]
+        self._check_length(n_prefix + len(sentence_tokens), "prefix + sentence")
         if positions[0] < 0 or positions[-1] >= len(sentence_tokens):
             raise DomainError(
                 f"mask position out of range for a {len(sentence_tokens)}-token sentence"
             )
-        known = set(prefix_tokens)
         hits = sum(1 for i in positions if sentence_tokens[i] in known)
         return hits / len(positions)
 
@@ -242,7 +255,7 @@ class MockBackend(Backend):
         tokens = self.tokenize(summary)
         if not tokens:
             raise DomainError("cannot parse empty text")
-        self._check_length(tokens, "summary")
+        self._check_length(len(tokens), "summary")
         if len(tokens) < 2:
             return []
         head = (len(tokens) - 1) // 2
@@ -277,6 +290,9 @@ class _TokenRows:
 
     def __init__(self, dim: int):
         self._dim = dim
+        # blake2b with a fixed person tag is stable across runs, platforms and
+        # Pythons; each token's digest comes from a copy of this blank hasher.
+        self._blank = hashlib.blake2b(digest_size=4 * dim, person=b"tokvec")
         self._row_of: dict[str, int] = {}
         self._rows = np.empty((0, dim))
 
@@ -290,12 +306,14 @@ class _TokenRows:
         start, stop = len(row_of), len(row_of) + len(new)
         if stop > len(self._rows):  # amortised growth: the table at least doubles
             self._rows = np.resize(self._rows, (2 * stop, self._dim))
-        # blake2b with a fixed person tag is stable across runs, platforms and Pythons.
-        self._rows[start:stop] = _digest_rows(b"".join(
-            hashlib.blake2b(t.encode("utf-8"), digest_size=4 * self._dim,
-                            person=b"tokvec").digest() for t in new), self._dim)
+        self._rows[start:stop] = _digest_rows(b"".join(map(self._digest, new)), self._dim)
         row_of.update(zip(new, range(start, stop)))
         return self.gather(tokens)
+
+    def _digest(self, token: str) -> bytes:
+        h = self._blank.copy()
+        h.update(token.encode("utf-8"))
+        return h.digest()
 
 
 _BACKENDS: dict[str, Callable[..., Backend]] = {}

@@ -41,7 +41,7 @@ MASK_STRIDE = 4
 MIN_MASK_TOKEN_CHARS = 4
 FILLER_TOKEN = "the"
 
-_SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
+_SENTENCE_BOUNDARY = re.compile(r"([.!?])\s+")
 
 _REPORT_COLUMNS = ("record", "pair_id", "metric", "value", "n", "headline", "note")
 
@@ -99,8 +99,15 @@ def rouge2(candidate: str, reference: str) -> RougeScore:
 
 
 def split_sentences(text: str) -> list[str]:
-    """Split on sentence-final punctuation followed by whitespace."""
-    parts = [part.strip() for part in _SENTENCE_BOUNDARY.split(text)]
+    """Split on sentence-final punctuation followed by whitespace.
+
+    The mark stays with the sentence it ends; each sentence is stripped of
+    surrounding whitespace, and empty ones are dropped. One scan finds every
+    boundary: the split captures each mark, and it is re-attached after.
+    """
+    pieces = _SENTENCE_BOUNDARY.split(text)
+    pieces.append("")  # the last piece ends with no mark
+    parts = map(str.strip, map(str.__add__, pieces[::2], pieces[1::2]))
     return [part for part in parts if part]
 
 

@@ -254,6 +254,24 @@ class CountingEmbedMock(MockBackend):
         return self._narrow.embed_tokens(text)
 
 
+class RecordingHasher:
+    """A hashlib hasher whose copies, and itself, log the data each `update` gets."""
+
+    def __init__(self, inner, log: list):
+        self._inner = inner
+        self._log = log
+
+    def copy(self):
+        return RecordingHasher(self._inner.copy(), self._log)
+
+    def update(self, data):
+        self._log.append(data)
+        self._inner.update(data)
+
+    def digest(self):
+        return self._inner.digest()
+
+
 def _outcome(item) -> tuple:
     if isinstance(item, Exception):
         return type(item), str(item)
@@ -287,7 +305,7 @@ class TestEmbedRequestTable:
         hashed = []
         blake2b = hashlib.blake2b
         monkeypatch.setattr(backend_module.hashlib, "blake2b",
-                            lambda data, **kw: hashed.append(data) or blake2b(data, **kw))
+                            lambda *args, **kw: RecordingHasher(blake2b(*args, **kw), hashed))
         backend = MockBackend()
         backend.map("embed_tokens", [("storm harbor storm",), ("harbor mayor",), ("storm",)])
         assert hashed == [b"storm", b"harbor", b"mayor"]
@@ -308,6 +326,114 @@ class TestEmbedRequestTable:
         out = backend.map("embed_tokens", [("storm harbor",), ("mayor",)])
         assert backend.texts == ["storm harbor", "mayor"]
         assert [emb.vectors.shape for emb in out] == [(2, 3), (1, 3)]
+
+
+class TokenizeLogMock(MockBackend):
+    """A mock that records each text it tokenizes."""
+
+    def __init__(self):
+        super().__init__()
+        self.tokenized: list[str] = []
+
+    def tokenize(self, text):
+        self.tokenized.append(text)
+        return super().tokenize(text)
+
+
+class CountingFillMock(MockBackend):
+    """A mock whose own `masked_fill_accuracy` records each call and answers 0.25."""
+
+    def __init__(self):
+        super().__init__()
+        self.fills: list[tuple] = []
+
+    def masked_fill_accuracy(self, prefix, sentence, mask_positions):
+        self.fills.append((prefix, sentence, mask_positions))
+        return 0.25
+
+
+def _fill_as_written_out(prefix: str, sentence: str, positions: list[int],
+                         max_tokens: int):
+    """The mock's fill accuracy, or (error class, message), for one call."""
+    if not positions:
+        return DomainError, "mask position set must be non-empty"
+    sentence_tokens, prefix_tokens = sentence.split(), prefix.split()
+    n_tokens = len(prefix_tokens) + len(sentence_tokens)
+    if n_tokens > max_tokens:
+        return (SequenceLengthError,
+                f"prefix + sentence has {n_tokens} tokens (limit: {max_tokens} tokens)")
+    if min(positions) < 0 or max(positions) >= len(sentence_tokens):
+        return (DomainError,
+                f"mask position out of range for a {len(sentence_tokens)}-token sentence")
+    hits = sum(1 for i in set(positions) if sentence_tokens[i] in prefix_tokens)
+    return (hits / len(set(positions))).hex()
+
+
+@st.composite
+def _fill_calls(draw) -> list[tuple]:
+    """Fill calls over a few prefixes and sentences, so that calls repeat a
+    prefix, share a sentence across prefixes, or run past the limit."""
+    prefixes = draw(st.lists(_TEXTS, min_size=1, max_size=3))
+    sentences = draw(st.lists(_TEXTS, min_size=1, max_size=3))
+    call = st.tuples(st.sampled_from(prefixes), st.sampled_from(sentences),
+                     st.lists(st.integers(-1, 9), max_size=4))
+    return draw(st.lists(call, max_size=12))
+
+
+def _fill_outcome(item):
+    if isinstance(item, Exception):
+        return type(item), str(item)
+    return item.hex()
+
+
+class TestFillRequestVocabulary:
+    """One `masked_fill_accuracy` map tokenizes each distinct prefix once, into
+    vocabularies that live only for the request."""
+
+    @given(calls=_fill_calls())
+    def test_map_equals_one_call_at_a_time(self, calls):
+        backend = MockBackend(max_tokens=6)
+        singles = []
+        for call in calls:
+            try:
+                singles.append(backend.masked_fill_accuracy(*call))
+            except (DomainError, SequenceLengthError) as exc:
+                singles.append(exc)
+        mapped = backend.map("masked_fill_accuracy", calls)
+        assert [_fill_outcome(item) for item in mapped] == [_fill_outcome(item)
+                                                            for item in singles]
+        assert [_fill_outcome(item) for item in singles] == [
+            _fill_as_written_out(*call, max_tokens=6) for call in calls]
+        assert "_request_vocabularies" not in vars(backend)
+
+    def test_a_prefix_is_tokenized_once_per_request(self):
+        backend = TokenizeLogMock()
+        calls = [("storm harbor", "storm hit", [0]), ("the the", "storm hit", [0]),
+                 ("storm harbor", "harbor mayor", [0]), ("the the", "harbor mayor", [0])]
+        assert backend.map("masked_fill_accuracy", calls) == [1.0, 0.0, 1.0, 0.0]
+        assert backend.tokenized == ["storm hit", "storm harbor", "storm hit", "the the",
+                                     "harbor mayor", "harbor mayor"]
+        backend.tokenized.clear()
+        for call in calls[::2]:  # a lone call is a request of its own
+            backend.masked_fill_accuracy(*call)
+        assert backend.tokenized == ["storm hit", "storm harbor", "harbor mayor", "storm harbor"]
+
+    def test_no_vocabulary_is_left_after_a_request_a_fatal_error_stopped(self):
+        backend = FatalTokenMock()
+        with pytest.raises(RuntimeError, match="fatal on"):
+            backend.map("masked_fill_accuracy", [("storm", "storm hit", [0]),
+                                                 ("a FATAL b", "storm hit", [0]),
+                                                 ("harbor", "storm hit", [0])])
+        assert "_request_vocabularies" not in vars(backend)
+        assert "_request_rows" not in vars(backend)
+        assert backend.map("masked_fill_accuracy", [("harbor", "storm hit", [0]),
+                                                    ("storm", "storm hit", [0])]) == [0.0, 1.0]
+
+    def test_an_overriding_masked_fill_accuracy_is_the_one_asked(self):
+        backend = CountingFillMock()
+        calls = [("storm", "storm hit", [0]), ("the", "storm hit", [0])]
+        assert backend.map("masked_fill_accuracy", calls) == [0.25, 0.25]
+        assert backend.fills == calls
 
 
 class TestMockConditional:

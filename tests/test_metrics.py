@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 
@@ -83,6 +84,15 @@ class TestSentencesAndMasks:
         text = "The storm hit hard. Flooding followed! Was anyone hurt? Yes."
         assert split_sentences(text) == [
             "The storm hit hard.", "Flooding followed!", "Was anyone hurt?", "Yes."]
+
+    @given(st.text(alphabet=st.sampled_from(list(".!?") + [" ", "\t", "\n", "\x1c", "\x85",
+                                                            "\xa0", "\u3000", "a", "Z", "é"]),
+                   max_size=40))
+    @settings(max_examples=300)
+    def test_split_equals_the_lookbehind_split(self, text):
+        lookbehind = re.compile(r"(?<=[.!?])\s+")
+        parts = [part.strip() for part in lookbehind.split(text)]
+        assert split_sentences(text) == [part for part in parts if part]
 
     def test_mask_schedule_stride_and_length(self):
         tokens = "storm ab harbor xy quickly mayor no bridge done".split()
