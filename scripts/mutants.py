@@ -77,6 +77,7 @@ MUTANTS = "A committed mutation catalogue"
 BLOCKS = "Score files at decode speed"
 PROTOCOL_3 = "Remote protocol 3"
 LONG_DOCS = "Long documents without repeated per-call work"
+LINEAR_CUTS = "Filter and compare without per-value Python loops"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -229,19 +230,24 @@ CATALOGUE: list[Mutant] = [
        "                             for s in table.scorers))"),
     # Filtration.
     _m("threshold-from-the-highest-kept-row", "filtration", "filtration", COLUMNAR,
-       "thresholds[name] = float(column[keep[0]])", "thresholds[name] = float(column[keep[-1]])"),
+       "return keep, float(values[tied[-short]])", "return keep, float(values[keep].max())"),
     _m("threshold-min-over-a-set", "filtration", "filtration", SERVER,
-       "thresholds[name] = float(column[keep[0]])",
-       "kept_scores = {ids[row]: column[row] for row in keep}\n"
-       "        thresholds[name] = float(min(kept_scores[i] for i in set(kept_scores)))"),
+       "    return keep, float(values[tied[-short]])",
+       "    kept_scores = {ids[row]: values[row] for row in np.flatnonzero(keep).tolist()}\n"
+       "    return keep, float(min(kept_scores[i] for i in set(kept_scores)))"),
     _m("ids-ranked-as-numpy-strings", "filtration", "filtration", COLUMNAR,
-       "order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)",
-       "order = np.argsort(np.array(ids, dtype=str), kind='stable')"),
+       "    tied = sorted(np.flatnonzero(values == cut).tolist(), key=ids.__getitem__)\n",
+       "    rows = np.flatnonzero(values == cut)\n"
+       "    tied = rows[np.argsort(np.array(ids, dtype=str)[rows], kind='stable')].tolist()\n"),
     _m("ties-broken-by-descending-id", "filtration", "filtration", COLUMNAR,
-       "np.lexsort((id_ranks, values))", "np.lexsort((-id_ranks, values))"),
+       "key=ids.__getitem__)", "key=ids.__getitem__, reverse=True)"),
+    _m("tied-rows-kept-from-the-smallest-ids", "filtration", "filtration", LINEAR_CUTS,
+       "keep[tied[-short:]] = True", "keep[tied[:short]] = True"),
     _m("kept-ids-in-row-order", "filtration", "filtration", COLUMNAR,
-       "kept_ids = tuple(ids[row] for row in order[kept[order]])",
-       "kept_ids = tuple(ids[row] for row in np.flatnonzero(kept))"),
+       "kept_ids = tuple(sorted([ids[row] for row in np.flatnonzero(kept).tolist()]))",
+       "kept_ids = tuple([ids[row] for row in np.flatnonzero(kept).tolist()])"),
+    _m("non-finite-score-accepted", "filtration", "filtration", LINEAR_CUTS,
+       "    if not finite.all():\n", "    if False:\n"),
     _m("aligned-skips-the-row-permutation", "scorers", "filtration", COLUMNAR,
        "row[:] = column.array if column.ids == ids else \\",
        "row[:] = column.array if True else \\"),
@@ -255,17 +261,20 @@ CATALOGUE: list[Mutant] = [
        '{list(self.scorer_names)}")\n',
        ""),
     _m("percentile-keeps-the-lowest", "filtration", "filtration", MUTANTS,
-       "np.lexsort((id_ranks, values))[n - keep_count:]",
-       "np.lexsort((id_ranks, values))[:keep_count]"),
+       "    cut = np.partition(values, n - keep_count)[n - keep_count]\n"
+       "    keep = values > cut\n",
+       "    cut = np.partition(values, keep_count - 1)[keep_count - 1]\n"
+       "    keep = values < cut\n"),
     _m("keep-count-rounded-down", "filtration", "filtration", MUTANTS,
        "    keep_count = math.ceil((1.0 - q) * n)\n",
        "    keep_count = math.floor((1.0 - q) * n)\n"),
     _m("keep-count-from-q", "filtration", "filtration", MUTANTS,
        "    keep_count = math.ceil((1.0 - q) * n)\n", "    keep_count = math.ceil(q * n)\n"),
     _m("ranked-by-magnitude", "filtration", "filtration", MUTANTS,
-       "np.lexsort((id_ranks, values))", "np.lexsort((id_ranks, np.abs(values)))"),
+       "    keep_count = math.ceil((1.0 - q) * n)\n",
+       "    keep_count = math.ceil((1.0 - q) * n)\n    values = np.abs(values)\n"),
     _m("intersection-as-union", "filtration", "filtration", MUTANTS,
-       "kept &= kept_here", "kept |= kept_here"),
+       "kept &= keep", "kept |= keep"),
     _m("sentinel-pairs-in-the-population", "filtration", "filtration", MUTANTS,
        "population = np.flatnonzero(scored.all(axis=0))",
        "population = np.flatnonzero(scored.any(axis=0))"),
@@ -356,40 +365,50 @@ CATALOGUE: list[Mutant] = [
     _m("block-records-numbered-from-the-block", "records", "block_reader", BLOCKS,
        "enumerate(records, start=first)", "enumerate(records, start=1)"),
     _m("add-rows-skips-the-column-ids", "scorers", "block_reader", BLOCKS,
-       "\n                             and column.index.keys().isdisjoint(ids))", ")"),
+       "            if len(column.index) != base + stop - start:\n",
+       "            if len(set(pair_ids[start:stop])) != stop - start:\n"),
+    _m("add-rows-failed-update-kept", "scorers", "block_reader", LINEAR_CUTS,
+       "                    _keep_first_rows(column.index, base)\n",
+       "                    pass\n"),
     _m("add-rows-skips-the-range-check", "scorers", "block_reader", BLOCKS,
        " or in_range + values.count(None) != n:", ":"),
     _m("add-rows-skips-the-run-check", "scorers", "block_reader", BLOCKS,
        "if len({run[0] for run in runs}) != len(runs) or ", "if "),
     _m("add-rows-commits-before-its-last-check", "scorers", "block_reader", BLOCKS,
-       "        if len({run[0] for run in runs}) != len(runs) or "
-       "in_range + values.count(None) != n:\n"
+       "        if len({run[0] for run in runs}) != len(runs) or in_range + values.count(None) != "
+       "n:\n"
        "            return False\n"
-       "        for scorer, provenance, start, stop in runs:\n"
-       "            column = self._columns.get(scorer)\n"
-       "            if column is None:\n"
-       "                column = self._columns[scorer] = ScoreColumn(provenance)\n"
-       "            base = len(column.index)\n"
+       "        bases = [len(column.index) for column in columns]\n"
+       "        for column, base, (_, _, start, stop) in zip(columns, bases, runs):\n"
+       "            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - "
+       "start)))\n"
+       "            if len(column.index) != base + stop - start:\n"
+       "                for column, base in zip(columns, bases):\n"
+       "                    _keep_first_rows(column.index, base)\n"
+       "                return False\n"
+       "        for column, base, (scorer, _, start, stop) in zip(columns, bases, runs):\n"
+       "            self._columns[scorer] = column\n"
        "            run_values = block_values[start:stop]\n"
        "            for row in np.flatnonzero(run_values != run_values).tolist():\n"
        "                column.reasons[base + row] = reasons[start + row]\n"
-       "            column.index.update(zip(pair_ids[start:stop], "
-       "range(base, base + stop - start)))\n"
        "            column._values.frombytes(run_values.tobytes())\n"
        "        return True\n",
-       "        for scorer, provenance, start, stop in runs:\n"
-       "            column = self._columns.get(scorer)\n"
-       "            if column is None:\n"
-       "                column = self._columns[scorer] = ScoreColumn(provenance)\n"
-       "            base = len(column.index)\n"
+       "        bases = [len(column.index) for column in columns]\n"
+       "        for column, base, (_, _, start, stop) in zip(columns, bases, runs):\n"
+       "            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - "
+       "start)))\n"
+       "            if len(column.index) != base + stop - start:\n"
+       "                for column, base in zip(columns, bases):\n"
+       "                    _keep_first_rows(column.index, base)\n"
+       "                return False\n"
+       "        for column, base, (scorer, _, start, stop) in zip(columns, bases, runs):\n"
+       "            self._columns[scorer] = column\n"
        "            run_values = block_values[start:stop]\n"
        "            for row in np.flatnonzero(run_values != run_values).tolist():\n"
        "                column.reasons[base + row] = reasons[start + row]\n"
-       "            column.index.update(zip(pair_ids[start:stop], "
-       "range(base, base + stop - start)))\n"
        "            column._values.frombytes(run_values.tobytes())\n"
-       "        if len({run[0] for run in runs}) != len(runs) or "
-       "in_range + values.count(None) != n:\n"
+       "        if len({run[0] for run in runs}) != len(runs) or in_range + values.count(None) != "
+       "n:\n"
        "            return False\n"
        "        return True\n"),
     _m("csv-crlf", "records", "records", READERS,
@@ -458,6 +477,8 @@ CATALOGUE: list[Mutant] = [
        "p = 2.0 * float(counts[w2:].sum()) / n_patterns"),
     _m("ranks-by-position", "stats", "stats", MUTANTS,
        'order = np.argsort(values, kind="stable")', "order = np.arange(n)"),
+    _m("tie-run-rank-off-by-one", "stats", "stats", LINEAR_CUTS,
+       "0.5 * (starts + stops - 1) + 1.0", "0.5 * (starts + stops) + 1.0"),
     # The mock backend.
     _m("digest-norms-by-linalg", "backend", "backend", EMBEDDER,
        "norms = np.sqrt((vecs[:, None, :] @ vecs[:, :, None]).reshape(-1))",

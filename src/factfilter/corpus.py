@@ -35,9 +35,10 @@ class Pair:
     def __post_init__(self) -> None:
         if not self.id:
             raise DomainError("pair id must be non-empty")
-        if not self.document.strip():
+        # `isspace` tests the whitespace `strip` removes, without copying the text.
+        if not self.document or self.document.isspace():
             raise DomainError(f"pair {self.id!r}: document is empty")
-        if not self.summary.strip():
+        if not self.summary or self.summary.isspace():
             raise DomainError(f"pair {self.id!r}: summary is empty")
         if self.split not in SPLITS:
             raise DomainError(

@@ -133,35 +133,44 @@ def percentile_keep_set(scores: Mapping[str, float], q: float) -> set[str]:
     """Ids of the ceil((1-q) * n) highest-scored entries.
 
     Ties at the cutoff are broken deterministically by ascending id: among
-    equal scores, smaller ids are dropped first.
+    equal scores, smaller ids are dropped first. A score that is not finite is
+    a `DomainError` naming its id, raised before any ranking. The cut is
+    linear (`_keep_rows`): only the ids tied at the cut value are sorted.
     """
     ids = list(scores)
     values = np.fromiter(scores.values(), dtype=np.float64, count=len(ids))
-    return {ids[row] for row in _keep_rows(values, _id_ranks(ids)[1], q)}
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DomainError(f"score for pair {ids[row]!r} is not finite: {float(values[row])}")
+    keep, _ = _keep_rows(values, ids, q)
+    return {ids[row] for row in np.flatnonzero(keep).tolist()}
 
 
-def _id_ranks(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of `ids` in ascending code-point order of the ids, and
-    each position's place in that order. Python's `sorted`, not a numpy
-    string array, which would drop trailing NULs."""
-    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    ranks = np.empty_like(order)
-    ranks[order] = np.arange(order.size)
-    return order, ranks
+def _keep_rows(values: np.ndarray, ids: Sequence[str], q: float) -> tuple[np.ndarray, float]:
+    """A mask of the ceil((1-q) * n) highest-ranked rows of `values`, and the
+    value of the lowest-ranked of them. Rows rank by value, then by id in
+    code-point order; -0.0 ties 0.0.
 
-
-def _keep_rows(values: np.ndarray, id_ranks: np.ndarray, q: float) -> np.ndarray:
-    """The rows of the ceil((1-q) * n) highest-ranked values, lowest-ranked
-    first. Rows rank by value, then by id (`id_ranks`); -0.0 ties 0.0."""
+    The cut is linear: `np.partition` finds the value at the cut, every row
+    above it is kept, and only the rows tied with it are sorted, by id, the
+    smaller ids dropped first. No value may be NaN.
+    """
     if not 0.0 < q < 1.0:
         raise DomainError(f"drop fraction q={q} outside (0, 1)")
     n = values.size
     if not n:
         raise DomainError("cannot take percentiles of an empty score map")
     keep_count = math.ceil((1.0 - q) * n)
-    # numpy's sort compares floats as Python does, so -0.0 ties 0.0 and the
-    # id decides.
-    return np.lexsort((id_ranks, values))[n - keep_count:]
+    cut = np.partition(values, n - keep_count)[n - keep_count]
+    keep = values > cut
+    # The cut value holds the cut's own place in sorted order, so its tie run
+    # has the `short` rows the keep count still needs, one at least. Python's
+    # `sorted`, not a numpy string array, which would drop trailing NULs.
+    short = keep_count - int(np.count_nonzero(keep))
+    tied = sorted(np.flatnonzero(values == cut).tolist(), key=ids.__getitem__)
+    keep[tied[-short:]] = True
+    return keep, float(values[tied[-short]])
 
 
 def intersect_filter(table: ScoreTable, q: float,
@@ -172,7 +181,9 @@ def intersect_filter(table: ScoreTable, q: float,
     before percentiles are computed; each scorer's threshold is the score of
     its lowest-ranked kept pair, so a tie of -0.0 and 0.0 at the cut records
     the same zero under every hash seed. A scorer named twice is a
-    `ConfigurationError`, raised before any column is read.
+    `ConfigurationError`, raised before any column is read. Each cut is
+    linear (`_keep_rows`); only its tied ids, and the kept ids at the end,
+    are sorted.
     """
     names = list(scorers) if scorers is not None else table.scorers
     if len(names) < 2:
@@ -188,21 +199,17 @@ def intersect_filter(table: ScoreTable, q: float,
     population = np.flatnonzero(scored.all(axis=0))
     if not population.size:
         raise DomainError("no pair was successfully scored by every scorer")
-    ids = [ids[row] for row in population]
-    order, ranks = _id_ranks(ids)
+    ids = [ids[row] for row in population.tolist()]
     kept = np.ones(len(ids), dtype=bool)
     thresholds: dict[str, float] = {}
     for name, column in zip(names, values[:, population]):
-        keep = _keep_rows(column, ranks, q)
-        thresholds[name] = float(column[keep[0]])
-        kept_here = np.zeros_like(kept)
-        kept_here[keep] = True
-        kept &= kept_here
+        keep, thresholds[name] = _keep_rows(column, ids, q)
+        kept &= keep
     if not kept.any():
         raise DomainError(
             f"q={q} leaves an empty intersection over {len(ids)} pairs"
         )
-    kept_ids = tuple(ids[row] for row in order[kept[order]])
+    kept_ids = tuple(sorted([ids[row] for row in np.flatnonzero(kept).tolist()]))
     n = len(ids)
     return FilterManifest(
         corpus_name=table.corpus_name,

@@ -23,7 +23,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -387,8 +387,11 @@ class ScoreTable:
 
         The checks run a field at a time over the whole block. A block is also
         refused where one scorer's rows are not one run of one provenance.
-        After False nothing has changed, and adding the rows one by one
-        through `add_row` raises the first bad row's error.
+        Each run's ids enter its column's index in one update: the run repeats
+        no id and shares none with the column exactly when the index grows by
+        the run's length, and otherwise every update is undone. After False
+        nothing has changed, and adding the rows one by one through `add_row`
+        raises the first bad row's error.
         """
         n = len(rows)
         try:
@@ -413,30 +416,32 @@ class ScoreTable:
             # does a NaN value: every row not in range must be a sentinel.
             block_values = np.array(values, dtype=np.float64)
             in_range = 0
+            columns = []
             for scorer, provenance, start, stop in runs:
                 column = self._columns.get(scorer)
-                ids = pair_ids[start:stop]
                 if not (type(scorer) is type(provenance[0]) is type(provenance[1]) is str
-                        and len(set(ids)) == stop - start
-                        and (column is None or column.provenance == provenance
-                             and column.index.keys().isdisjoint(ids))):
+                        and (column is None or column.provenance == provenance)):
                     return False
+                columns.append(ScoreColumn(provenance) if column is None else column)
                 low, high = _VALUE_RANGES.get(scorer, _ANY_FINITE)
                 run_values = block_values[start:stop]
                 in_range += np.count_nonzero((run_values >= low) & (run_values <= high))
-        except (KeyError, TypeError, OverflowError):  # a missing key, an unhashable id, 10 ** 400
+        except (KeyError, TypeError, OverflowError):  # a missing key, a list scorer, 10 ** 400
             return False
         if len({run[0] for run in runs}) != len(runs) or in_range + values.count(None) != n:
             return False
-        for scorer, provenance, start, stop in runs:
-            column = self._columns.get(scorer)
-            if column is None:
-                column = self._columns[scorer] = ScoreColumn(provenance)
-            base = len(column.index)
+        bases = [len(column.index) for column in columns]
+        for column, base, (_, _, start, stop) in zip(columns, bases, runs):
+            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - start)))
+            if len(column.index) != base + stop - start:
+                for column, base in zip(columns, bases):
+                    _keep_first_rows(column.index, base)
+                return False
+        for column, base, (scorer, _, start, stop) in zip(columns, bases, runs):
+            self._columns[scorer] = column
             run_values = block_values[start:stop]
             for row in np.flatnonzero(run_values != run_values).tolist():
                 column.reasons[base + row] = reasons[start + row]
-            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - start)))
             column._values.frombytes(run_values.tobytes())
         return True
 
@@ -509,6 +514,16 @@ def _mixed_backends(scorer: str, existing: tuple[str, str],
                     provenance: tuple[str, str]) -> IntegrityError:
     return IntegrityError(f"column {scorer!r} mixes backends "
                           f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}")
+
+
+def _keep_first_rows(index: dict[str, int], rows: int) -> None:
+    """Undo an update of a column's id -> row `index` that held `rows` ids
+    before it. The i-th id of an index is row i, and an update that gives a
+    known id a new row keeps its place, so the first `rows` ids, each with its
+    place as its row, are the index as it was."""
+    ids = list(islice(index, rows))
+    index.clear()
+    index.update(zip(ids, range(rows)))
 
 
 def _cell_to_row(cell: ScoreCell) -> dict:

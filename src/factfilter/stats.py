@@ -130,17 +130,18 @@ def partial_pearsons(x, ys, z=None) -> list[PartialCorrelationResult]:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values receiving their average rank."""
+    """Ranks 1..n with tied values receiving their average rank.
+
+    A run of equal values at sorted places i..j-1 gets 0.5 * (i + j - 1) + 1.0,
+    computed for every run at once; the places are exact in float64.
+    """
     n = values.shape[0]
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    stops = np.append(starts[1:], n)
     ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + stops - 1) + 1.0, stops - starts)
     return ranks
 
 

@@ -232,3 +232,15 @@ def test_a_refused_block_changes_nothing(last):
                                _row("d", "greedy", 0.25, False), last])
     assert {scorer: (column.ids, column._values.tobytes(), dict(column.reasons))
             for scorer, column in table._columns.items()} == before
+
+
+def test_a_refused_block_leaves_each_index_as_it_was():
+    # The block repeats only known ids, so its update leaves the index as long
+    # as it was and gives both ids new rows.
+    table = ScoreTable("c")
+    assert table.add_rows([_row("a", "greedy", 0.5, False), _row("b", "greedy", 0.25, False)])
+    assert not table.add_rows([_row("c", "dae", 0.5, False), _row("b", "greedy", 0.75, False),
+                               _row("a", "greedy", 0.75, False)])
+    assert table.scorers == ["greedy"]
+    assert table.column("greedy").index == {"a": 0, "b": 1}
+    assert dict(table.column("greedy")) == {"a": 0.5, "b": 0.25}

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,11 @@ class TestPercentileKeepSet:
     def test_empty_scores_rejected(self):
         with pytest.raises(DomainError):
             percentile_keep_set({}, 0.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_score_is_rejected_naming_its_id(self, bad):
+        with pytest.raises(DomainError, match="'a' is not finite"):
+            percentile_keep_set({"b": 1.0, "a": bad, "c": 0.5, "d": 0.2}, 0.5)
 
     @given(st.dictionaries(st.text(min_size=1, max_size=4), st.floats(-10, 10),
                            min_size=1, max_size=40),
@@ -272,6 +278,48 @@ class TestFiltrationOracle:
                                     min_size=len(ids), max_size=len(ids)))
         scores = dict(zip(ids, values))
         assert percentile_keep_set(scores, q) == reference.keep_set(scores, q)
+
+
+class TestLongTieRuns:
+    """Every cut falls inside a run of thousands of tied values, where the
+    ids alone decide; the zero run holds -0.0 and 0.0 mixed."""
+
+    N = 20_000
+    VALUES = [-1.0, -0.0, 0.0, 0.5, 1.0]
+
+    def _columns(self) -> dict[str, dict[str, float | str]]:
+        rng = np.random.default_rng(25)
+        # Ids in no particular row order, some a prefix of another.
+        ids = [f"p{k:05d}" + "\x00" * (k % 3 == 0) for k in rng.permutation(self.N).tolist()]
+        columns = {}
+        for name, shares in (("s0", [0.15, 0.25, 0.25, 0.2, 0.15]),
+                             ("s1", [0.05, 0.3, 0.3, 0.05, 0.3])):
+            values = rng.choice(self.VALUES, size=self.N, p=shares).tolist()
+            columns[name] = dict(zip(ids, values))
+        for pair_id in ids[:200]:
+            columns["s1"][pair_id] = "boom"
+        return columns
+
+    @pytest.mark.parametrize("q", [0.1, 0.25, 0.5, 0.9])
+    def test_keep_set_matches_the_sort(self, q):
+        scores = self._columns()["s0"]
+        assert percentile_keep_set(scores, q) == reference.keep_set(scores, q)
+
+    @pytest.mark.parametrize("q", [0.1, 0.25, 0.5, 0.9])
+    def test_intersect_filter_matches_the_set_algebra(self, q):
+        columns = self._columns()
+        table = ScoreTable("c")
+        for name, column in columns.items():
+            for pid, value in column.items():
+                table.add_row({"pair_id": pid, "scorer": name, "backend_name": "m",
+                               "backend_version": "1", "error": "boom",
+                               "value": None if isinstance(value, str) else value})
+        kept, thresholds, n_pairs = reference.intersect(columns, q)
+        manifest = intersect_filter(table, q)
+        assert manifest.kept_ids == kept
+        assert {name: repr(v) for name, v in manifest.per_scorer_thresholds.items()} \
+            == {name: repr(v) for name, v in thresholds.items()}
+        assert n_pairs == manifest.n_pairs == self.N - 200
 
 
 class TestRandomSelection:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from factfilter import partial_pearson, pearson, wilcoxon_signed_rank
 from factfilter.errors import DegenerateInputError, DomainError
-from factfilter.stats import EXACT_ENUMERATION_CUTOFF, partial_pearsons
+from factfilter.stats import EXACT_ENUMERATION_CUTOFF, _average_ranks, partial_pearsons
 
 from test_acceptance import oracle_partial_pearson
 
@@ -245,3 +245,34 @@ class TestWilcoxon:
         ref = scipy.stats.wilcoxon(a, b, mode="approx", correction=True)
         assert mine.method == "normal_approx"
         assert mine.p_value == pytest.approx(float(ref.pvalue), rel=1e-9)
+
+
+def loop_average_ranks(values: np.ndarray) -> np.ndarray:
+    """The tie-averaged ranks, one tie run at a time (the reference form)."""
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and values[order[j]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
+        i = j
+    return ranks
+
+
+# Heavy ties from a few values, singletons from any finite float, and lists of
+# one repeated value.
+_RANKED = st.one_of(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 1e300]), max_size=60),
+    st.lists(st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False), max_size=60),
+    st.builds(lambda value, n: [value] * n, st.floats(0.0, 10.0), st.integers(1, 60)),
+)
+
+
+@given(_RANKED)
+@settings(max_examples=300)
+def test_average_ranks_equal_the_loop(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert np.array_equal(_average_ranks(values), loop_average_ranks(values))
