@@ -78,6 +78,7 @@ BLOCKS = "Score files at decode speed"
 PROTOCOL_3 = "Remote protocol 3"
 LONG_DOCS = "Long documents without repeated per-call work"
 LINEAR_CUTS = "Filter and compare without per-value Python loops"
+SHARED_INDEX = "One id index per score table"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -248,9 +249,10 @@ CATALOGUE: list[Mutant] = [
        "kept_ids = tuple([ids[row] for row in np.flatnonzero(kept).tolist()])"),
     _m("non-finite-score-accepted", "filtration", "filtration", LINEAR_CUTS,
        "    if not finite.all():\n", "    if False:\n"),
-    _m("aligned-skips-the-row-permutation", "scorers", "filtration", COLUMNAR,
-       "row[:] = column.array if column.ids == ids else \\",
-       "row[:] = column.array if True else \\"),
+    _m("aligned-skips-the-row-permutation", "scorers", "filtration cli", COLUMNAR,
+       "        column._values.extend(repeat(math.nan, row + 1 - len(column._values)))\n"
+       "        column._values[row] = value\n",
+       "        column._values.append(value)\n"),
     _m("filter-repeated-scorer", "filtration", "filtration", MUTANTS,
        "    if len(set(names)) != len(names):\n"
        '        raise ConfigurationError(f"scorers repeat: {names}")\n',
@@ -287,7 +289,7 @@ CATALOGUE: list[Mutant] = [
        "            raise _mixed_backends(scorer, column.provenance, provenance)\n",
        ""),
     _m("score-row-duplicate-accepted", "scorers", "records", READERS,
-       "        if pair_id in index:\n            raise IntegrityError(",
+       "        if pair_id in column:\n            raise IntegrityError(",
        "        if False:\n            raise IntegrityError("),
     _m("score-row-error-type-unchecked", "scorers", "scorers", COLUMNS,
        "is type(provenance[1]) is type(reason) is str", "is type(provenance[1]) is str"),
@@ -301,8 +303,16 @@ CATALOGUE: list[Mutant] = [
     _m("score-row-inverted-truncated", "scorers", "acceptance", TABLE_READS,
        'row["truncated"] = cell.truncated', 'row["truncated"] = not cell.truncated'),
     _m("values-keep-sentinels", "scorers", "scorers", COLUMNS,
-       "return {pid: v for pid, v in zip(column.index, column._values) if v == v}",
-       "return {pid: v for pid, v in zip(column.index, column._values)}"),
+       "return {pid: v for pid, v in zip(self._ids, column._values) if v == v}",
+       "return {pid: v for pid, v in zip(self._ids, column._values)}"),
+    _m("absent-row-read-as-a-sentinel", "scorers", "block_reader", SHARED_INDEX,
+       "or row in self.reasons)", "or True)"),
+    _m("absent-row-read-as-its-nan", "scorers", "block_reader", SHARED_INDEX,
+       "            if row in self.reasons:\n                return self.reasons[row]\n",
+       "            return self.reasons.get(row, value)\n"),
+    _m("len-counts-absent-rows", "scorers", "block_reader", SHARED_INDEX,
+       "return int(np.count_nonzero(~np.isnan(self.array))) + len(self.reasons)",
+       "return len(self._values)"),
     _m("value-check-without-finiteness", "scorers", "failure_policy", TABLE_READS,
        "        if not math.isfinite(value):\n            raise DomainError(",
        "        if False:\n            raise DomainError("),
@@ -365,11 +375,17 @@ CATALOGUE: list[Mutant] = [
     _m("block-records-numbered-from-the-block", "records", "block_reader", BLOCKS,
        "enumerate(records, start=first)", "enumerate(records, start=1)"),
     _m("add-rows-skips-the-column-ids", "scorers", "block_reader", BLOCKS,
-       "            if len(column.index) != base + stop - start:\n",
-       "            if len(set(pair_ids[start:stop])) != stop - start:\n"),
+       "if end == len(ids) and index.keys().isdisjoint(run_ids):",
+       "if end == len(ids):"),
     _m("add-rows-failed-update-kept", "scorers", "block_reader", LINEAR_CUTS,
-       "                    _keep_first_rows(column.index, base)\n",
-       "                    pass\n"),
+       "            for pair_id in ids[known:]:\n"
+       "                index.pop(pair_id, None)\n"
+       "            del ids[known:]\n",
+       ""),
+    _m("add-rows-new-ids-away-from-the-table-end", "scorers", "block_reader", SHARED_INDEX,
+       "if end == len(ids) and index.keys()", "if index.keys()"),
+    _m("add-rows-known-ids-unchecked", "scorers", "block_reader", SHARED_INDEX,
+       "if ids[end:end + stop - start] == run_ids:", "if len(ids) >= end + stop - start:"),
     _m("add-rows-skips-the-range-check", "scorers", "block_reader", BLOCKS,
        " or in_range + values.count(None) != n:", ":"),
     _m("add-rows-skips-the-run-check", "scorers", "block_reader", BLOCKS,
@@ -378,39 +394,53 @@ CATALOGUE: list[Mutant] = [
        "        if len({run[0] for run in runs}) != len(runs) or in_range + values.count(None) != "
        "n:\n"
        "            return False\n"
-       "        bases = [len(column.index) for column in columns]\n"
-       "        for column, base, (_, _, start, stop) in zip(columns, bases, runs):\n"
-       "            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - "
-       "start)))\n"
-       "            if len(column.index) != base + stop - start:\n"
-       "                for column, base in zip(columns, bases):\n"
-       "                    _keep_first_rows(column.index, base)\n"
-       "                return False\n"
-       "        for column, base, (scorer, _, start, stop) in zip(columns, bases, runs):\n"
+       "        index, ids = self._index, self._ids\n"
+       "        known = len(ids)\n"
+       "        for column, (_, _, start, stop) in zip(columns, runs):\n"
+       "            run_ids, end = pair_ids[start:stop], len(column._values)\n"
+       "            if ids[end:end + stop - start] == run_ids:\n"
+       "                continue\n"
+       "            if end == len(ids) and index.keys().isdisjoint(run_ids):\n"
+       "                index.update(zip(run_ids, range(end, end + stop - start)))\n"
+       "                ids.extend(run_ids)\n"
+       "                if len(index) == len(ids):\n"
+       "                    continue\n"
+       "            for pair_id in ids[known:]:\n"
+       "                index.pop(pair_id, None)\n"
+       "            del ids[known:]\n"
+       "            return False\n"
+       "        for column, (scorer, _, start, stop) in zip(columns, runs):\n"
        "            self._columns[scorer] = column\n"
        "            run_values = block_values[start:stop]\n"
+       "            end = len(column._values)\n"
        "            for row in np.flatnonzero(run_values != run_values).tolist():\n"
-       "                column.reasons[base + row] = reasons[start + row]\n"
+       "                column.reasons[end + row] = reasons[start + row]\n"
        "            column._values.frombytes(run_values.tobytes())\n"
        "        return True\n",
-       "        bases = [len(column.index) for column in columns]\n"
-       "        for column, base, (_, _, start, stop) in zip(columns, bases, runs):\n"
-       "            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - "
-       "start)))\n"
-       "            if len(column.index) != base + stop - start:\n"
-       "                for column, base in zip(columns, bases):\n"
-       "                    _keep_first_rows(column.index, base)\n"
-       "                return False\n"
-       "        for column, base, (scorer, _, start, stop) in zip(columns, bases, runs):\n"
+       "        index, ids = self._index, self._ids\n"
+       "        known = len(ids)\n"
+       "        for column, (_, _, start, stop) in zip(columns, runs):\n"
+       "            run_ids, end = pair_ids[start:stop], len(column._values)\n"
+       "            if ids[end:end + stop - start] == run_ids:\n"
+       "                continue\n"
+       "            if end == len(ids) and index.keys().isdisjoint(run_ids):\n"
+       "                index.update(zip(run_ids, range(end, end + stop - start)))\n"
+       "                ids.extend(run_ids)\n"
+       "                if len(index) == len(ids):\n"
+       "                    continue\n"
+       "            for pair_id in ids[known:]:\n"
+       "                index.pop(pair_id, None)\n"
+       "            del ids[known:]\n"
+       "            return False\n"
+       "        for column, (scorer, _, start, stop) in zip(columns, runs):\n"
        "            self._columns[scorer] = column\n"
        "            run_values = block_values[start:stop]\n"
+       "            end = len(column._values)\n"
        "            for row in np.flatnonzero(run_values != run_values).tolist():\n"
-       "                column.reasons[base + row] = reasons[start + row]\n"
+       "                column.reasons[end + row] = reasons[start + row]\n"
        "            column._values.frombytes(run_values.tobytes())\n"
-       "        if len({run[0] for run in runs}) != len(runs) or in_range + values.count(None) != "
-       "n:\n"
-       "            return False\n"
-       "        return True\n"),
+       "        return len({run[0] for run in runs}) == len(runs) and in_range + values.count(None"
+       ") == n\n"),
     _m("csv-crlf", "records", "records", READERS,
        'lineterminator="\\n"', 'lineterminator="\\r\\n"'),
     _m("corpus-invariant-not-a-parse-error", "corpus", "records", READERS,

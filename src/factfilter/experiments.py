@@ -236,16 +236,15 @@ def table_eval_hook(corpus: Corpus, table: ScoreTable, backend: Backend) -> Eval
         means = dict(computed(selection))
         for metric in reused:
             column = table.column(metric)
-            rows = [column.index[pair.id] for pair in selection]
-            values = column.array[rows]
-            scored = ~np.isnan(values)
-            for row in np.asarray(rows, dtype=np.intp)[~scored]:
-                if (pair_id := column.ids[row], metric) not in logged:
-                    logged.add((pair_id, metric))
+            cells = [column[pair.id] for pair in selection]
+            for pair, cell in zip(selection, cells):
+                if type(cell) is str and (pair.id, metric) not in logged:
+                    logged.add((pair.id, metric))
                     logger.debug("pair %s excluded from the %s mean: %s",
-                                 pair_id, metric, column.reasons[row])
-            if scored.any():
-                means[metric] = float(np.mean(values[scored]))
+                                 pair.id, metric, cell)
+            values = [cell for cell in cells if type(cell) is float]
+            if values:
+                means[metric] = float(np.mean(values))
         return means
 
     return hook

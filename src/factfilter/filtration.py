@@ -26,6 +26,7 @@ from .records import (
     JSON_STRINGS,
     json_field,
     json_list,
+    json_value,
 )
 from .scorers import ScoreTable
 
@@ -110,6 +111,11 @@ class FilterManifest:
         try:
             obj = json.loads(p.read_text(encoding="utf-8"))
             thresholds = json_field(obj, "per_scorer_thresholds", JSON_OBJECTS)
+            created_with = json_value(obj.get("created_with", {}), "created_with", JSON_OBJECTS)
+            for scorer in created_with:
+                descriptor = json_field(created_with, scorer, JSON_OBJECTS)
+                for key in descriptor:
+                    json_field(descriptor, key, JSON_STRINGS)
             return cls(
                 corpus_name=json_field(obj, "corpus_name", JSON_STRINGS),
                 scorer_names=tuple(json_list(obj, "scorer_names", JSON_STRINGS)),
@@ -119,7 +125,7 @@ class FilterManifest:
                 kept_ids=tuple(json_list(obj, "kept_ids", JSON_STRINGS)),
                 n_pairs=json_field(obj, "n_pairs", frozenset({int})),
                 selection_ratio=float(json_field(obj, "selection_ratio", JSON_NUMBERS)),
-                created_with=obj.get("created_with", {}),
+                created_with=created_with,
             )
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid manifest JSON: {exc.msg}", path=str(p)) from exc

@@ -23,7 +23,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -280,62 +280,66 @@ SCORERS: dict[str, ChunkScorer] = {
 
 
 class ScoreColumn(Mapping[str, Union[float, str]]):
-    """One scorer's cells in file order, read as a mapping: pair id -> float
-    score, or the str failure reason of a sentinel row.
+    """One scorer's cells, read as a mapping: pair id -> float score, or the
+    str failure reason of a sentinel row.
 
-    It holds the id -> row `index` (which also gives the ids in file order,
-    `ids`), each row's value (NaN at a sentinel row), the sentinel `reasons`
-    by row and the column's backend `provenance` `(name, version)`. `ids` and
-    `array`, the values as a read-only float64 array, are built when first
-    read after a row was added.
+    Its table (`ScoreTable`) owns the ids and the one id -> row index; the
+    column holds a value per table row up to its last cell (NaN at a sentinel
+    row and at a row it has no cell for), the sentinel `reasons` by table row
+    and its backend `provenance` `(name, version)`. It iterates in table-row
+    order, and `len` counts its cells, sentinels included. `array` is a
+    float64 copy of the values.
     """
 
-    __slots__ = ("index", "reasons", "provenance", "_values", "_ids", "_array")
+    __slots__ = ("reasons", "provenance", "_table", "_values")
 
-    def __init__(self, provenance: tuple[str, str]):
-        self.index: dict[str, int] = {}
+    def __init__(self, table: ScoreTable, provenance: tuple[str, str]):
         self.reasons: dict[int, str] = {}
         self.provenance = provenance
+        self._table = table
         self._values = array("d")
-        self._ids: list[str] = []
-        self._array = np.empty(0)
 
     def __getitem__(self, pair_id: str) -> float | str:
-        row = self.index[pair_id]
-        value = self._values[row]
-        return self.reasons[row] if value != value else value
+        values = self._values
+        row = self._table._index.get(pair_id, len(values))
+        if row < len(values):
+            value = values[row]
+            if value == value:
+                return value
+            if row in self.reasons:
+                return self.reasons[row]
+        raise KeyError(pair_id)
 
     def __contains__(self, pair_id: object) -> bool:
-        return pair_id in self.index
+        row = self._table._index.get(pair_id, len(self._values))
+        return row < len(self._values) and (self._values[row] == self._values[row]
+                                            or row in self.reasons)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.index)
+        cells = ~np.isnan(self.array)
+        cells[list(self.reasons)] = True
+        return map(self._table._ids.__getitem__, np.flatnonzero(cells).tolist())
 
     def __len__(self) -> int:
-        return len(self.index)
-
-    @property
-    def ids(self) -> list[str]:
-        if len(self._ids) != len(self.index):
-            self._ids = list(self.index)
-        return self._ids
+        return int(np.count_nonzero(~np.isnan(self.array))) + len(self.reasons)
 
     @property
     def array(self) -> np.ndarray:
-        if len(self._array) != len(self._values):
-            self._array = np.array(self._values, dtype=np.float64)
-            self._array.flags.writeable = False
-        return self._array
+        return np.array(self._values)
 
 
 class ScoreTable:
     """Per-pair, per-scorer score columns (`ScoreColumn`), each from one
-    backend provenance. Every cell enters through `add_row`, or a block of
-    rows at a time through `add_rows`."""
+    backend provenance, over one id index: the pair ids in the order they
+    first came (for a file `score` writes, its first column's order), each
+    id's place in that order being its table row. Every cell enters through
+    `add_row`, or a block of rows at a time through `add_rows`."""
 
     def __init__(self, corpus_name: str):
         self.corpus_name = corpus_name
         self._columns: dict[str, ScoreColumn] = {}
+        self._index: dict[str, int] = {}
+        self._ids: list[str] = []
 
     @property
     def scorers(self) -> list[str]:
@@ -369,29 +373,33 @@ class ScoreTable:
             _check_value(scorer, value)
         column = self._columns.get(scorer)
         if column is None:
-            column = self._columns[scorer] = ScoreColumn(provenance)
-        index = column.index
-        if pair_id in index:
+            column = self._columns[scorer] = ScoreColumn(self, provenance)
+        if pair_id in column:
             raise IntegrityError(f"duplicate score for pair {pair_id!r}, scorer {scorer!r}")
         if column.provenance != provenance:
             raise _mixed_backends(scorer, column.provenance, provenance)
+        row = self._index.setdefault(pair_id, len(self._ids))
+        if row == len(self._ids):
+            self._ids.append(pair_id)
         if value is None:
-            column.reasons[len(index)] = reason
+            column.reasons[row] = reason
             value = math.nan
-        index[pair_id] = len(index)
-        column._values.append(value)
+        column._values.extend(repeat(math.nan, row + 1 - len(column._values)))
+        column._values[row] = value
 
     def add_rows(self, rows: Sequence[dict[str, Any]]) -> bool:
         """Check a block of decoded scores-file rows as `add_row` would and add
         all of their cells, or add none and return False.
 
         The checks run a field at a time over the whole block. A block is also
-        refused where one scorer's rows are not one run of one provenance.
-        Each run's ids enter its column's index in one update: the run repeats
-        no id and shares none with the column exactly when the index grows by
-        the run's length, and otherwise every update is undone. After False
-        nothing has changed, and adding the rows one by one through `add_row`
-        raises the first bad row's error.
+        refused where one scorer's rows are not one run of one provenance, and
+        where a run's ids are neither the table's ids from its column's end
+        on, nor, at a column that ends where the table does, ids new to the
+        table: one `update` adds those to the index, which grows by the run's
+        length exactly when the run repeats none. A refused block takes back
+        the ids its earlier runs added. After False nothing has changed, and
+        adding the rows one by one through `add_row` raises the first bad
+        row's error.
         """
         n = len(rows)
         try:
@@ -422,7 +430,7 @@ class ScoreTable:
                 if not (type(scorer) is type(provenance[0]) is type(provenance[1]) is str
                         and (column is None or column.provenance == provenance)):
                     return False
-                columns.append(ScoreColumn(provenance) if column is None else column)
+                columns.append(ScoreColumn(self, provenance) if column is None else column)
                 low, high = _VALUE_RANGES.get(scorer, _ANY_FINITE)
                 run_values = block_values[start:stop]
                 in_range += np.count_nonzero((run_values >= low) & (run_values <= high))
@@ -430,18 +438,27 @@ class ScoreTable:
             return False
         if len({run[0] for run in runs}) != len(runs) or in_range + values.count(None) != n:
             return False
-        bases = [len(column.index) for column in columns]
-        for column, base, (_, _, start, stop) in zip(columns, bases, runs):
-            column.index.update(zip(pair_ids[start:stop], range(base, base + stop - start)))
-            if len(column.index) != base + stop - start:
-                for column, base in zip(columns, bases):
-                    _keep_first_rows(column.index, base)
-                return False
-        for column, base, (scorer, _, start, stop) in zip(columns, bases, runs):
+        index, ids = self._index, self._ids
+        known = len(ids)
+        for column, (_, _, start, stop) in zip(columns, runs):
+            run_ids, end = pair_ids[start:stop], len(column._values)
+            if ids[end:end + stop - start] == run_ids:
+                continue
+            if end == len(ids) and index.keys().isdisjoint(run_ids):
+                index.update(zip(run_ids, range(end, end + stop - start)))
+                ids.extend(run_ids)
+                if len(index) == len(ids):
+                    continue
+            for pair_id in ids[known:]:
+                index.pop(pair_id, None)
+            del ids[known:]
+            return False
+        for column, (scorer, _, start, stop) in zip(columns, runs):
             self._columns[scorer] = column
             run_values = block_values[start:stop]
+            end = len(column._values)
             for row in np.flatnonzero(run_values != run_values).tolist():
-                column.reasons[base + row] = reasons[start + row]
+                column.reasons[end + row] = reasons[start + row]
             column._values.frombytes(run_values.tobytes())
         return True
 
@@ -449,8 +466,7 @@ class ScoreTable:
         self.add_row(_cell_to_row(cell))
 
     def has(self, pair_id: str, scorer: str) -> bool:
-        column = self._columns.get(scorer)
-        return column is not None and pair_id in column.index
+        return scorer in self._columns and pair_id in self._columns[scorer]
 
     def column(self, scorer: str) -> ScoreColumn:
         try:
@@ -461,48 +477,39 @@ class ScoreTable:
     def values(self, scorer: str) -> dict[str, float]:
         """Successful scores only; sentinel rows are excluded."""
         column = self.column(scorer)
-        return {pid: v for pid, v in zip(column.index, column._values) if v == v}
+        return {pid: v for pid, v in zip(self._ids, column._values) if v == v}
 
     def failures(self, scorer: str) -> dict[str, str]:
-        column = self.column(scorer)
-        return {column.ids[row]: reason for row, reason in column.reasons.items()}
+        return {self._ids[row]: reason for row, reason in self.column(scorer).reasons.items()}
 
     def ids(self) -> set[str]:
-        return set().union(*(column.index for column in self._columns.values()))
+        return set(self._index)
 
     def backend_descriptors(self) -> dict[str, dict[str, str]]:
         return {scorer: {"name": column.provenance[0], "version": column.provenance[1]}
                 for scorer, column in self._columns.items()}
 
     def ensure_aligned(self) -> None:
-        """Check that every column covers the same pair id set."""
+        """Check that every column covers the same pair id set: every id of
+        the table."""
         if not self._columns:
             raise IntegrityError("score table has no columns")
-        reference = next(iter(self._columns.values()))
-        for scorer, column in self._columns.items():
-            if column is not reference and column.ids != reference.ids and (
-                    len(column) != len(reference)
-                    or not all(map(reference.index.__contains__, column.ids))):
-                raise IntegrityError(
-                    f"scorer column {scorer!r} covers a different pair id set"
-                )
+        if any(len(column) != len(self._ids) for column in self._columns.values()):
+            reference = set(next(iter(self._columns.values())))
+            scorer = next(scorer for scorer, column in self._columns.items()
+                          if set(column) != reference)
+            raise IntegrityError(f"scorer column {scorer!r} covers a different pair id set")
 
     def aligned(self, scorers: Sequence[str]) -> tuple[list[str], np.ndarray]:
-        """The first scorer's ids in file order, and one float64 row per scorer
-        holding its value for each of those ids, NaN at a sentinel. Every
-        column must cover the first one's ids (see `ensure_aligned`)."""
-        columns = [self.column(scorer) for scorer in scorers]
-        ids = columns[0].ids
-        out = np.empty((len(columns), len(ids)))
-        for row, column in zip(out, columns):
-            row[:] = column.array if column.ids == ids else \
-                column.array[[column.index[pair_id] for pair_id in ids]]
-        return ids, out
+        """The table's ids in row order, and one float64 row per scorer holding
+        its value for each of those ids, NaN at a sentinel. Every column must
+        cover every id (see `ensure_aligned`)."""
+        return self._ids, np.stack([self.column(scorer).array for scorer in scorers])
 
     def ensure_complete(self, pair_ids: Iterable[str]) -> None:
         wanted = set(pair_ids)
         for scorer, column in self._columns.items():
-            missing = wanted.difference(column.index)
+            missing = wanted.difference(column)
             if missing:
                 raise IntegrityError(
                     f"scorer column {scorer!r} missing {len(missing)} pairs "
@@ -514,16 +521,6 @@ def _mixed_backends(scorer: str, existing: tuple[str, str],
                     provenance: tuple[str, str]) -> IntegrityError:
     return IntegrityError(f"column {scorer!r} mixes backends "
                           f"{existing[0]}:{existing[1]} and {provenance[0]}:{provenance[1]}")
-
-
-def _keep_first_rows(index: dict[str, int], rows: int) -> None:
-    """Undo an update of a column's id -> row `index` that held `rows` ids
-    before it. The i-th id of an index is row i, and an update that gives a
-    known id a new row keeps its place, so the first `rows` ids, each with its
-    place as its row, are the index as it was."""
-    ids = list(islice(index, rows))
-    index.clear()
-    index.update(zip(ids, range(rows)))
 
 
 def _cell_to_row(cell: ScoreCell) -> dict:

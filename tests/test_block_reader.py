@@ -44,8 +44,8 @@ def _table_outcome(path: Path):
         table = load_scores(path, "c")
     except (ParseError, DomainError, IntegrityError) as exc:
         return "error", type(exc), str(exc), getattr(exc, "path", None), getattr(exc, "line", None)
-    return "table", table.scorers, {
-        scorer: (column.ids, column._values.tobytes(), column.reasons, column.provenance)
+    return "table", table.scorers, table._ids, table._index, {
+        scorer: (list(column), column._values.tobytes(), column.reasons, column.provenance)
         for scorer, column in table._columns.items()}
 
 
@@ -172,8 +172,8 @@ def _lines(*lines: str | bytes) -> bytes:
                     for line in lines)
 
 
-def _good(pair_id: str, value: float = 0.5) -> str:
-    return json.dumps(_row(pair_id, "greedy", value, False))
+def _good(pair_id: str, value: float | None = 0.5, scorer: str = "greedy") -> str:
+    return json.dumps(_row(pair_id, scorer, value, False))
 
 
 @pytest.mark.parametrize("data, error, line, part", [
@@ -202,6 +202,77 @@ def test_pinned_files_fail_at_the_first_bad_line(tmp_path, data, error, line, pa
     assert outcome[2].startswith(f"{path}:{line}: ") and part in outcome[2]
 
 
+def _reads(path: Path):
+    """What the table's public reads give for `path`: per column `dict`,
+    `len`, which ids (and one absent id) are `in` it, `values` and `failures`,
+    then `ids()`; or the load's error class and message."""
+    try:
+        table = load_scores(path, "c")
+    except (ParseError, DomainError, IntegrityError) as exc:
+        return type(exc), str(exc)
+    probes = [*sorted(table.ids()), "absent"]
+    columns = {scorer: table.column(scorer) for scorer in table.scorers}
+    return {scorer: (dict(column), len(column), [pair_id in column for pair_id in probes],
+                     table.values(scorer), table.failures(scorer))
+            for scorer, column in columns.items()}, table.ids()
+
+
+_NO_ARCS = "NoArcsError: no arcs"
+
+
+# Later columns that are not the first one's ids in its order. The expected
+# reads and errors are those of the earlier table, which indexed each column
+# by itself.
+@pytest.mark.parametrize("lines, reads", [
+    ([_good("a", 0.1), _good("b", 0.2), _good("c", None),
+      _good("c", 0.3, "dae"), _good("a", None, "dae"), _good("b", 0.5, "dae")],
+     ({"greedy": ({"a": 0.1, "b": 0.2, "c": _NO_ARCS}, 3, [True] * 3 + [False],
+                  {"a": 0.1, "b": 0.2}, {"c": _NO_ARCS}),
+       "dae": ({"c": 0.3, "a": _NO_ARCS, "b": 0.5}, 3, [True] * 3 + [False],
+               {"b": 0.5, "c": 0.3}, {"a": _NO_ARCS})}, {"a", "b", "c"})),
+    ([_good("a"), _good("b"),
+      _good("a", scorer="dae"), _good("b", scorer="dae"), _good("c", None, "dae")],
+     ({"greedy": ({"a": 0.5, "b": 0.5}, 2, [True, True, False, False], {"a": 0.5, "b": 0.5}, {}),
+       "dae": ({"a": 0.5, "b": 0.5, "c": _NO_ARCS}, 3, [True] * 3 + [False],
+               {"a": 0.5, "b": 0.5}, {"c": _NO_ARCS})}, {"a", "b", "c"})),
+    ([_good("a"), _good("b", None), _good("c"),
+      _good("a", scorer="dae"), _good("c", 0.25, "dae")],
+     ({"greedy": ({"a": 0.5, "b": _NO_ARCS, "c": 0.5}, 3, [True] * 3 + [False],
+                  {"a": 0.5, "c": 0.5}, {"b": _NO_ARCS}),
+       "dae": ({"a": 0.5, "c": 0.25}, 2, [True, False, True, False], {"a": 0.5, "c": 0.25}, {})},
+      {"a", "b", "c"})),
+    ([_good("a"), _good("b"),
+      _good("a", scorer="dae"), _good("c", 0.25, "dae"), _good("d", None, "dae")],
+     ({"greedy": ({"a": 0.5, "b": 0.5}, 2, [True, True, False, False, False],
+                  {"a": 0.5, "b": 0.5}, {}),
+       "dae": ({"a": 0.5, "c": 0.25, "d": _NO_ARCS}, 3, [True, False, True, True, False],
+               {"a": 0.5, "c": 0.25}, {"d": _NO_ARCS})}, {"a", "b", "c", "d"})),
+    ([_good("a"), _good("b"), _good("c"), _good("d"),
+      *(_good(pair_id, scorer="dae") for pair_id in "abca")],
+     (IntegrityError, "{path}:8: duplicate score for pair 'a', scorer 'dae'")),
+], ids=["another-order", "an-id-the-first-lacks", "lacks-an-id-of-the-first",
+        "lacks-an-id-then-adds-new-ones", "duplicate-in-a-second-block"])
+def test_later_columns_in_other_orders_or_over_other_ids(tmp_path, lines, reads):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(_lines(*lines))
+    assert_block_reads_equal_line_reads(path)
+    if reads[0] is IntegrityError:
+        reads = reads[0], reads[1].format(path=path)
+    assert _reads(path) == reads
+
+
+def test_a_row_a_column_has_no_cell_for_is_no_key():
+    table = ScoreTable("c")
+    for pair_id, scorer in [("a", "greedy"), ("b", "greedy"), ("c", "greedy"),
+                            ("a", "dae"), ("c", "dae")]:
+        table.add_row(_row(pair_id, scorer, 0.5, False))
+    column = table.column("dae")
+    assert list(column) == ["a", "c"] and len(column) == 2 and "b" not in column
+    for pair_id in ("b", "d"):
+        with pytest.raises(KeyError):
+            column[pair_id]
+
+
 def test_a_clean_file_loads_a_block_at_a_time(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_bytes(_lines(*(
@@ -226,12 +297,14 @@ def test_a_clean_file_loads_a_block_at_a_time(tmp_path):
 def test_a_refused_block_changes_nothing(last):
     table = ScoreTable("c")
     assert table.add_rows([_row("a", "greedy", 0.5, False)])
-    before = {scorer: (column.ids, column._values.tobytes(), dict(column.reasons))
-              for scorer, column in table._columns.items()}
+    before = table._ids[:], dict(table._index), {
+        scorer: (list(column), column._values.tobytes(), dict(column.reasons))
+        for scorer, column in table._columns.items()}
     assert not table.add_rows([_row("c", "dae", 0.25, False), _row("c", "greedy", None, False),
                                _row("d", "greedy", 0.25, False), last])
-    assert {scorer: (column.ids, column._values.tobytes(), dict(column.reasons))
-            for scorer, column in table._columns.items()} == before
+    assert (table._ids, table._index, {
+        scorer: (list(column), column._values.tobytes(), dict(column.reasons))
+        for scorer, column in table._columns.items()}) == before
 
 
 def test_a_refused_block_leaves_each_index_as_it_was():
@@ -242,5 +315,19 @@ def test_a_refused_block_leaves_each_index_as_it_was():
     assert not table.add_rows([_row("c", "dae", 0.5, False), _row("b", "greedy", 0.75, False),
                                _row("a", "greedy", 0.75, False)])
     assert table.scorers == ["greedy"]
-    assert table.column("greedy").index == {"a": 0, "b": 1}
+    assert table._ids == ["a", "b"] and table._index == {"a": 0, "b": 1}
     assert dict(table.column("greedy")) == {"a": 0.5, "b": 0.25}
+
+
+@pytest.mark.parametrize("block", [
+    [_row("b", "greedy", 0.5, False), _row("c", "greedy", 0.5, False),
+     _row("a", "dae", 0.5, False), _row("z", "dae", 0.5, False)],
+    [_row("b", "greedy", 0.5, False), _row("c", "greedy", 0.5, False),
+     _row("b", "greedy", 0.5, False)],
+], ids=["second-run-refused", "run-repeats-a-new-id"])
+def test_a_refused_block_takes_back_the_ids_it_added(block):
+    table = ScoreTable("c")
+    assert table.add_rows([_row("a", "greedy", 0.5, False)])
+    assert not table.add_rows(block)
+    assert table._ids == ["a"] and table._index == {"a": 0}
+    assert table.scorers == ["greedy"] and dict(table.column("greedy")) == {"a": 0.5}

@@ -506,6 +506,80 @@ class TestAnnotationCommands:
         assert len(lines) == 1 + 1 * 2 * 3  # scorer x datasets x categories
 
 
+class TestLaterColumnOrder:
+    """No command's output depends on the order of a scores file's later
+    columns: ties are ranked by id, kept ids are sorted and distributions
+    read -0.0 as 0.0."""
+
+    @staticmethod
+    def _inputs(tmp_path, seed):
+        """A corpus, its annotations and a scores file of three scorers in
+        scorer-major order with few distinct values (ties at every cut, -0.0
+        beside 0.0) and some sentinels, then the same cells with each later
+        column shuffled."""
+        rng = np.random.default_rng(seed)
+        ids = [f"s{i:03d}" for i in rng.permutation(90)]
+        corpus, annotations = tmp_path / "corpus.jsonl", tmp_path / "annotations.jsonl"
+        corpus.write_text("".join(json.dumps({
+            "id": pair_id, "document": f"document {pair_id} text", "summary": f"summary {pair_id}",
+            "split": ("train", "validation", "test")[k % 3], "meta": {}}) + "\n"
+            for k, pair_id in enumerate(ids)), encoding="utf-8")
+        with annotations.open("w", encoding="utf-8") as handle:
+            for k, pair_id in enumerate(ids):
+                flags = {c: bool(rng.random() < 0.3) for c in CATEGORIES}
+                handle.write(json.dumps({
+                    "summary_id": pair_id, "dataset": ("cnndm", "xsum")[k % 2],
+                    "system": ("sysA", "sysB")[k % 3 == 0],
+                    "factuality": 1.0 if not any(flags.values()) else float(rng.uniform(0, 0.8)),
+                    "errors": flags}) + "\n")
+        choices = {"greedy": [-1.0, -0.0, 0.0, 0.5], "condll": [-3.0, -1.5, -0.0, 0.0],
+                   "dae": [0.0, -0.0, 0.25, 1.0]}
+        columns = []
+        for scorer, values in choices.items():
+            column = []
+            failed = set(rng.choice(len(ids), 2, replace=False).tolist())  # under 5% a slice
+            for k, pair_id in enumerate(ids):
+                row = {"pair_id": pair_id, "scorer": scorer, "backend_name": "mock",
+                       "backend_version": "1", "truncated": False}
+                if k in failed:
+                    row.update(value=None, error="NoArcsError: no arcs")
+                elif rng.random() < 0.7:
+                    row["value"] = float(rng.choice(values))
+                else:
+                    row["value"] = float(rng.uniform(min(values), max(values)))
+                column.append(json.dumps(row) + "\n")
+            columns.append(column)
+        ordered = "".join(line for column in columns for line in column)
+        shuffled = "".join(columns[0]) + "".join(
+            "".join(column[k] for k in rng.permutation(len(column))) for column in columns[1:])
+        return corpus, annotations, ordered, shuffled
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_later_columns_give_the_same_bytes(self, tmp_path, seed):
+        corpus, annotations, ordered, shuffled = self._inputs(tmp_path, seed)
+        outputs = []
+        for side, text in (("ordered", ordered), ("shuffled", shuffled)):
+            out = tmp_path / side
+            out.mkdir()
+            scores = out / "scores.jsonl"
+            scores.write_text(text, encoding="utf-8")
+            for argv in (["filter", "--scores", str(scores), "--out", str(out / "manifest.json"),
+                          "--corpus-name", "corpus"],
+                         ["stats", "--in", str(corpus), "--out", str(out / "stats.csv"),
+                          "--scores", str(scores), "--manifest", str(out / "manifest.json")],
+                         ["validate-frank", "--annotations", str(annotations),
+                          "--scores", str(scores), "--out", str(out / "validation.csv")],
+                         ["flip-analysis", "--annotations", str(annotations),
+                          "--scores", str(scores), "--out", str(out / "flips.csv")]):
+                assert main(argv) == 0, argv
+            scores.unlink()
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()
+                            if not path.name.endswith(".config.json")})  # they name the inputs
+        assert sorted(outputs[0]) == ["flips.csv", "manifest.json", "stats.csv",
+                                      "stats_distributions.csv", "validation.csv"]
+        assert outputs[0] == outputs[1]
+
+
 class TestSweepCommand:
     def test_sweep_csv(self, tmp_path, toy):
         scores = _score(tmp_path, toy)

@@ -213,6 +213,9 @@ class TestIntersectFilter:
         ("scorer_names", "ab", "scorer_names"), ("scorer_names", ["s1", 2], "scorer_names"),
         ("kept_ids", "23", "kept_ids"), ("kept_ids", [2, 3], "kept_ids"),
         ("corpus_name", 5, "corpus_name"),
+        ("created_with", 5, "created_with"), ("created_with", [], "created_with"),
+        ("created_with", {"greedy": 1}, "greedy"),
+        ("created_with", {"greedy": {"name": 1}}, "name"),
     ])
     def test_wrongly_typed_field_is_a_parse_error_naming_the_path(self, tmp_path, field,
                                                                    value, named):

@@ -83,3 +83,6 @@ def test_a_traced_toy_filter_stats_evaluate_and_compare_reach_every_wrapped_laye
                  "metrics.blanc_help.calls", "metrics.report_io.s",
                  "stats.wilcoxon_signed_rank.calls"):
         assert layers[name] > 0, name
+    # `filter` and `stats` each read every row of the scores file once.
+    rows = len(scores.read_text(encoding="utf-8").splitlines())
+    assert layers["scorers.load_scores.rows"] == 2 * rows == 2 * 3 * len(load_corpus(toy))
