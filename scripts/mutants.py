@@ -79,6 +79,7 @@ PROTOCOL_3 = "Remote protocol 3"
 LONG_DOCS = "Long documents without repeated per-call work"
 LINEAR_CUTS = "Filter and compare without per-value Python loops"
 SHARED_INDEX = "One id index per score table"
+ROW_GROUPS = "Score in larger chunks; greedy's embeddings bounded by token rows"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -137,6 +138,21 @@ CATALOGUE: list[Mutant] = [
     _m("score-corpus-drops-the-last-scorer", "scorers", "oracle", MUTANTS,
        "return [cell for scorer in scorer_names for cell in cells[scorer]]",
        "return [cell for scorer in scorer_names[:-1] for cell in cells[scorer]]"),
+    _m("greedy-rows-without-the-summary", "scorers", "scorers", ROW_GROUPS,
+       "PreparedPair(document, summary, False, len(doc_tokens) + len(summary_tokens))",
+       "PreparedPair(document, summary, False, len(doc_tokens))"),
+    _m("greedy-rows-of-the-unclipped-document", "scorers", "scorers", ROW_GROUPS,
+       "                                  limit + len(summary_tokens))",
+       "                                  len(doc_tokens) + len(summary_tokens))"),
+    _m("greedy-one-group-per-chunk", "scorers", "scorers", ROW_GROUPS,
+       'for group in _runs(pairs, attrgetter("rows"), _EMBED_ROWS)',
+       "for group in [pairs]"),
+    _m("runs-drop-their-boundary-item", "scorers", "scorers", ROW_GROUPS,
+       "            run, total = [], 0\n        run.append(item)",
+       "            run, total = [], 0\n            continue\n        run.append(item)"),
+    _m("runs-repeat-their-boundary-item", "scorers", "scorers", ROW_GROUPS,
+       "        if run and total + length > budget:\n            yield run\n",
+       "        if run and total + length > budget:\n            yield [*run, item]\n"),
     # Greedy's screen and row means (`chunkmath`).
     _m("greedy-delta-zero", "chunkmath", "scorers", BLAS,
        "np.where(off, np.inf, 8.0 * tolerance)", "np.where(off, np.inf, 0.0)"),
@@ -319,6 +335,9 @@ CATALOGUE: list[Mutant] = [
     _m("score-post-init-unchecked", "scorers", "scorers", COLUMNS,
        "    def __post_init__(self) -> None:\n        _check_value(self.scorer, self.value)\n",
        ""),
+    _m("jsonl-written-as-ascii", "records", "scorers corpus", ROW_GROUPS,
+       "encode_json = json.JSONEncoder(ensure_ascii=False).encode",
+       "encode_json = json.JSONEncoder().encode"),
     _m("jsonl-floats-rounded", "records", "scorers", MUTANTS,
        "_decode_json = json.JSONDecoder().raw_decode",
        "_decode_json = json.JSONDecoder(parse_float=lambda s: round(float(s), 12)).raw_decode"),
@@ -509,6 +528,8 @@ CATALOGUE: list[Mutant] = [
        'order = np.argsort(values, kind="stable")', "order = np.arange(n)"),
     _m("tie-run-rank-off-by-one", "stats", "stats", LINEAR_CUTS,
        "0.5 * (starts + stops - 1) + 1.0", "0.5 * (starts + stops) + 1.0"),
+    _m("tie-sum-without-the-linear-term", "stats", "stats", ROW_GROUPS,
+       "tie_sum = float(np.sum(t * t * t - t))", "tie_sum = float(np.sum(t * t * t))"),
     # The mock backend.
     _m("digest-norms-by-linalg", "backend", "backend", EMBEDDER,
        "norms = np.sqrt((vecs[:, None, :] @ vecs[:, :, None]).reshape(-1))",

@@ -9,13 +9,12 @@ from JSONL. Record schema (UTF-8, one record per line, LF terminators):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DomainError, IntegrityError
-from .records import read_jsonl
+from .records import encode_json, read_jsonl
 
 SPLITS = ("train", "validation", "test")
 
@@ -153,7 +152,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
                 "split": pair.split,
                 "meta": dict(pair.meta),
             }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(encode_json(record) + "\n")
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -6,8 +6,9 @@ whitespace are ignored. `read_jsonl` reads such a file a block of lines at a
 time, with one JSON decode for a block that is provably one object per line
 and line by line otherwise, and names the `path:line` of any record that does
 not load; `json_field` and `json_list` check a decoded field's JSON type
-exactly, `json_value` and `json_items` a decoded value's. Result tables are
-CSV, written by `write_csv` as UTF-8 with LF line ends.
+exactly, `json_value` and `json_items` a decoded value's. `encode_json`
+encodes a record for its line. Result tables are CSV, written by `write_csv`
+as UTF-8 with LF line ends.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .errors import DomainError, IntegrityError, ParseError
 # exactly what json.loads does, without its per-call wrapper. A block of lines
 # decodes through it too, as one JSON array.
 _decode_json = json.JSONDecoder().raw_decode
+# Every JSONL line is written through one encoder: `json.dumps` with a
+# keyword argument builds a new encoder per call.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 # The whitespace JSON allows around a value. `str.strip()` would also take
 # Unicode spaces and separators (NBSP, U+2028, \x1c) that `json.loads` rejects.

@@ -16,7 +16,6 @@ corpus scale become explicit sentinel rows instead of aborting the run.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import sys
@@ -24,7 +23,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -43,7 +42,7 @@ from .errors import (
     NoArcsError,
     failure_reason,
 )
-from .records import read_jsonl
+from .records import encode_json, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -108,11 +107,13 @@ def _check_value(scorer: str, value: float) -> float:
 @dataclass(frozen=True, slots=True)
 class PreparedPair:
     """A pair as every scorer reads it: the document clipped to the backend's
-    token limit (summaries are never clipped), and whether it was clipped."""
+    token limit (summaries are never clipped), whether it was clipped, and its
+    token rows: the clipped document's tokens plus the summary's."""
 
     document: str
     summary: str
     truncated: bool
+    rows: int
 
 
 def prepare_pairs(texts: Sequence[tuple[str, str]],
@@ -136,9 +137,10 @@ def prepare_pairs(texts: Sequence[tuple[str, str]],
         elif not summary_tokens:
             out[i] = EmptySummaryError("summary tokenizes to nothing")
         elif len(doc_tokens) > limit:
-            out[i] = PreparedPair(" ".join(doc_tokens[:limit]), summary, True)
+            out[i] = PreparedPair(" ".join(doc_tokens[:limit]), summary, True,
+                                  limit + len(summary_tokens))
         else:
-            out[i] = PreparedPair(document, summary, False)
+            out[i] = PreparedPair(document, summary, False, len(doc_tokens) + len(summary_tokens))
     return out
 
 
@@ -171,7 +173,18 @@ def greedy_precision_values(pairs: Sequence[PreparedPair],
     bit-equal to the difference form over every document token (see
     `chunkmath.greedy_means`). A pair whose document and summary embeddings
     differ in width gets a `BackendError`.
+
+    The pairs are embedded in consecutive groups of at most `_EMBED_ROWS`
+    token rows (`PreparedPair.rows`), or of one pair: each group makes its
+    two `embed_tokens` requests and is reduced before the next is asked for,
+    so only one group's embeddings are held at a time.
     """
+    return [value for group in _runs(pairs, attrgetter("rows"), _EMBED_ROWS)
+            for value in _greedy_group(group, backend)]
+
+
+def _greedy_group(pairs: Sequence[PreparedPair], backend: Backend) -> list[float | Exception]:
+    """`greedy_precision_values` of one group: its two `embed_tokens` requests."""
     out = list(backend.map("embed_tokens", [(pair.document,) for pair in pairs]))
     live = _alive(out)
     ready: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -545,7 +558,7 @@ def write_scores(cells: Iterable[ScoreCell], path: str | Path, append: bool = Fa
     mode = "a" if append else "w"
     with Path(path).open(mode, encoding="utf-8", newline="\n") as handle:
         for cell in cells:
-            handle.write(json.dumps(_cell_to_row(cell), ensure_ascii=False) + "\n")
+            handle.write(encode_json(_cell_to_row(cell)) + "\n")
 
 
 def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
@@ -566,27 +579,30 @@ def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:
 
 # Pairs are scored in consecutive chunks of at most this many characters of
 # document and summary text (a longer pair is a chunk alone): one backend
-# round trip per op per chunk, while a chunk's prepared texts and replies stay
-# small next to the corpus.
-_CHUNK_CHARS = 2 ** 14
+# request per op per chunk, while a chunk's texts, token lists, log-probs and
+# arcs stay small next to the corpus. Greedy's embeddings have their own
+# bound: it embeds a chunk in groups of at most `_EMBED_ROWS` token rows (a
+# larger pair is a group alone), the unit their bytes grow with.
+_CHUNK_CHARS = 2 ** 16
+_EMBED_ROWS = 2 ** 12
 
 # One item to score: its `(document, summary)` texts and the metrics it needs.
 ScoringItem = tuple[tuple[str, str], Sequence[str]]
 
 
-def _chunks(todo: Sequence[ScoringItem]) -> Iterator[Sequence[ScoringItem]]:
-    chunk: list[ScoringItem] = []
-    size = 0
-    for item in todo:
-        document, summary = item[0]
-        length = len(document) + len(summary)
-        if chunk and size + length > _CHUNK_CHARS:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(item)
-        size += length
-    if chunk:
-        yield chunk
+def _runs(items: Sequence[Any], size: Callable[[Any], int], budget: int) -> Iterator[list[Any]]:
+    """Consecutive runs of `items` whose sizes add up to at most `budget`, or of one item."""
+    run: list[Any] = []
+    total = 0
+    for item in items:
+        length = size(item)
+        if run and total + length > budget:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += length
+    if run:
+        yield run
 
 
 def score_texts(todo: Sequence[ScoringItem], backend: Backend,
@@ -601,12 +617,13 @@ def score_texts(todo: Sequence[ScoringItem], backend: Backend,
     finite or outside the metric's range is a `DomainError`. Items go in
     chunks of at most `_CHUNK_CHARS` characters of text: a chunk's pairs are
     prepared (tokenized and truncated) once for all their scorers, and each
-    scorer asks the backend for one op over the chunk at a time. BLANC reads
-    the untruncated texts, one pair at a time (`metrics.blanc_help`).
+    scorer asks the backend for one op over the chunk at a time, except that
+    greedy embeds it in groups of at most `_EMBED_ROWS` token rows. BLANC
+    reads the untruncated texts, one pair at a time (`metrics.blanc_help`).
     """
     from . import metrics  # it imports this module; `blanc_help` is looked up per call
 
-    for chunk in _chunks(todo):
+    for chunk in _runs(todo, lambda item: len(item[0][0]) + len(item[0][1]), _CHUNK_CHARS):
         scoring = [k for k, (_, names) in enumerate(chunk) if set(names) - {"blanc"}]
         prepared = dict(zip(scoring, prepare_pairs([chunk[k][0] for k in scoring], backend)
                             if scoring else []))

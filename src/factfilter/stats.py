@@ -174,10 +174,10 @@ def _normal_two_sided_p(ranks: np.ndarray, abs_diffs: np.ndarray, w_plus: float)
     """Tie-corrected normal approximation with continuity correction."""
     n = ranks.shape[0]
     mean = n * (n + 1) / 4.0
-    tie_sum = 0.0
-    _, tie_counts = np.unique(abs_diffs, return_counts=True)
-    for t in tie_counts:
-        tie_sum += float(t) ** 3 - float(t)
+    # Every partial sum of t^3 - t is an exact integer while n^3 < 2**53, so
+    # there the array sum equals a sum in any order; float64 never wraps.
+    t = np.unique(abs_diffs, return_counts=True)[1].astype(np.float64)
+    tie_sum = float(np.sum(t * t * t - t))
     variance = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum / 48.0
     if variance <= 0.0:
         raise DegenerateInputError("signed-rank variance is zero under ties")

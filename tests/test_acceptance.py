@@ -199,16 +199,20 @@ def test_criterion_5_toy_pipeline_bit_exact(tmp_path, monkeypatch):
         assert first == second
         assert first == TOY_HASHES
 
-        # Chunks of one pair, the default budget and the whole corpus in one
-        # chunk, in process and over the remote protocol, give the same bytes.
+        # Chunks and greedy groups of one pair, the default budgets and the
+        # whole corpus in one chunk and one group, in process and over the
+        # remote protocol, give the same bytes.
         remote = f"{sys.executable} -m factfilter.remote --backend mock"
-        for chunk_chars in (1, scorers._CHUNK_CHARS, 10 ** 9):
+        for chunk_chars, embed_rows in itertools.product((1, scorers._CHUNK_CHARS, 10 ** 9),
+                                                         (1, scorers._EMBED_ROWS, 10 ** 9)):
             monkeypatch.setattr(scorers, "_CHUNK_CHARS", chunk_chars)
+            monkeypatch.setattr(scorers, "_EMBED_ROWS", embed_rows)
             for name, backend in (("mock", ["--backend", "mock"]),
                                   ("remote", ["--backend", "remote",
                                               "--remote-command", remote])):
-                scores = _score_toy(tmp_path / f"chunk_{chunk_chars}_{name}", backend)
-                assert hashlib.sha256(scores).hexdigest() == TOY_SCORES_SHA, (chunk_chars, name)
+                bounds = (chunk_chars, embed_rows, name)
+                scores = _score_toy(tmp_path / "chunk_{}_{}_{}".format(*bounds), backend)
+                assert hashlib.sha256(scores).hexdigest() == TOY_SCORES_SHA, bounds
 
         # Embedding vectors cross the wire as bytes and decode to the same bits.
         local = MockBackend()

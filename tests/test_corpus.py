@@ -72,6 +72,15 @@ class TestLoadCorpus:
         reloaded = [json.loads(line) for line in dst.read_text().splitlines()]
         assert reloaded == RECORDS
 
+    def test_lines_are_the_bytes_json_dumps_writes(self, tmp_path):
+        records = [{"id": "pé-1", "document": "Zürich \u2028 «storm» ½", "summary": "東京 storm",
+                    "split": "train", "meta": {"source": "ñ", "n": 3, "tags": ["é", None]}},
+                   {"id": "p2", "document": "a \"b\"\n\\", "summary": "c", "split": "test",
+                    "meta": {}}]
+        save_corpus(make_corpus("c", *(Pair(**record) for record in records)), tmp_path / "c.jsonl")
+        assert (tmp_path / "c.jsonl").read_bytes() == "".join(
+            json.dumps(record, ensure_ascii=False) + "\n" for record in records).encode()
+
 
 class TestPairInvariants:
     def test_rejects_empty_summary(self):

@@ -68,23 +68,32 @@ def servers():
 
 
 @given(pairs=_pairs(), chunk_chars=st.one_of(st.integers(1, 120), st.just(10 ** 9)),
+       embed_rows=st.one_of(st.integers(1, 30), st.just(10 ** 9)),
        max_tokens=st.sampled_from([STEP_FAIL_LIMIT, 512]), remote=st.booleans())
-@example(pairs=STEP_FAIL_PAIRS, chunk_chars=1, max_tokens=STEP_FAIL_LIMIT, remote=False)
-@example(pairs=STEP_FAIL_PAIRS, chunk_chars=60, max_tokens=STEP_FAIL_LIMIT, remote=True)
-@example(pairs=STEP_FAIL_PAIRS, chunk_chars=10 ** 9, max_tokens=STEP_FAIL_LIMIT,
+@example(pairs=STEP_FAIL_PAIRS, chunk_chars=1, embed_rows=10 ** 9, max_tokens=STEP_FAIL_LIMIT,
          remote=False)
-@example(pairs=_BLANC_PAIRS, chunk_chars=1, max_tokens=512, remote=False)
-@example(pairs=_BLANC_PAIRS, chunk_chars=2 ** 14, max_tokens=512, remote=True)
+@example(pairs=STEP_FAIL_PAIRS, chunk_chars=60, embed_rows=7, max_tokens=STEP_FAIL_LIMIT,
+         remote=True)
+@example(pairs=STEP_FAIL_PAIRS, chunk_chars=10 ** 9, embed_rows=10 ** 9,
+         max_tokens=STEP_FAIL_LIMIT, remote=False)
+@example(pairs=STEP_FAIL_PAIRS, chunk_chars=10 ** 9, embed_rows=1, max_tokens=STEP_FAIL_LIMIT,
+         remote=False)
+@example(pairs=STEP_FAIL_PAIRS, chunk_chars=10 ** 9, embed_rows=12,
+         max_tokens=STEP_FAIL_LIMIT, remote=True)
+@example(pairs=_BLANC_PAIRS, chunk_chars=1, embed_rows=1, max_tokens=512, remote=False)
+@example(pairs=_BLANC_PAIRS, chunk_chars=2 ** 14, embed_rows=2 ** 12, max_tokens=512,
+         remote=True)
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_score_evaluate_and_hook_give_the_one_pair_outcomes(servers, caplog, pairs,
-                                                            chunk_chars, max_tokens, remote):
+def test_score_evaluate_and_hook_give_the_one_pair_outcomes(servers, caplog, pairs, chunk_chars,
+                                                            embed_rows, max_tokens, remote):
     corpus = make_corpus("c", *(make_pair(*pair, split="test") for pair in pairs))
     texts = {pair.id: (pair.document, pair.summary) for pair in corpus}
     generated = {pair.id: pair.summary for pair in corpus}
     backend = servers(max_tokens) if remote else FaultBackend(max_tokens=max_tokens)
     oracle = FaultBackend(max_tokens=max_tokens)
 
-    with mock.patch.object(scorers, "_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(scorers, "_CHUNK_CHARS", chunk_chars), \
+            mock.patch.object(scorers, "_EMBED_ROWS", embed_rows):
         cells = score_corpus(corpus, ALL_SCORERS, backend)
         assert reference.as_cells(cells) == reference.score_corpus(corpus, ALL_SCORERS, oracle)
         if not remote:  # the same single ops, each as often

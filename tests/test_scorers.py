@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -77,6 +79,18 @@ class TestScoreTable:
 
 
 class TestScoresFile:
+    def test_lines_are_the_bytes_json_dumps_writes(self, tmp_path):
+        rows = [{"pair_id": "pé-1 ✓", "scorer": "greedy", "backend_name": "mock",
+                 "backend_version": "v1", "value": 0.1, "truncated": True},
+                {"pair_id": "東京-2", "scorer": "dae", "backend_name": "mock",
+                 "backend_version": "v\u2028", "value": None, "truncated": False,
+                 "error": "NoArcsError: «no arcs» in \"ид\" ½"}]
+        cells = [FactualityScore("pé-1 ✓", "greedy", "mock", "v1", 0.1, True),
+                 ScoreFailure("東京-2", "dae", "mock", "v\u2028", rows[1]["error"])]
+        write_scores(cells, tmp_path / "s.jsonl")
+        assert (tmp_path / "s.jsonl").read_bytes() == "".join(
+            json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode()
+
     def test_round_trip(self, tmp_path, mock_backend):
         corpus = make_corpus(
             "c",
@@ -590,7 +604,7 @@ class TestGreedyScreen:
         assert cell.value == 1.0
         # 512 x 512 candidates gathered at once would need 1.6 GB.
         assert peak < 32 * 2 ** 20
-        # So does a chunk of such pairs, whose embeddings it holds at once.
+        # So does a chunk of such pairs, one group of whose embeddings it holds at once.
         corpus = make_corpus("c", *(make_pair(f"p{k}", text, " ".join(["t0"] * n))
                                     for k, n in enumerate([512, 3, 511])))
         tracemalloc.start()
@@ -602,6 +616,80 @@ class TestGreedyScreen:
             tracemalloc.stop()
         assert [cell.value for cell in cells] == [1.0] * len(corpus)
         assert peak < 32 * 2 ** 20
+
+    def test_embeddings_held_at_once_are_bounded_by_token_rows_not_the_chunk(self):
+        dim, doc_rows, summary_rows = 768, 512, 8
+        rng = np.random.default_rng(27)
+        table = rng.standard_normal((2048, dim))
+        backend = TableMock(table / np.linalg.norm(table, axis=1)[:, None])
+
+        def tokens(k, n, step):
+            return " ".join(f"t{(37 * k + step * j) % len(table)}" for j in range(n))
+
+        # One group's embeddings and one more pair's (the group's arithmetic
+        # copies a pair's rows), whatever the chunk holds.
+        bound = (scorers._EMBED_ROWS + 2 * (doc_rows + summary_rows)) * dim * 8
+        peaks = []
+        for n in (12, 40):
+            corpus = make_corpus("c", *(make_pair(f"p{k}", tokens(k, doc_rows, 1),
+                                                  tokens(k, summary_rows, 3)) for k in range(n)))
+            tracemalloc.start()
+            try:
+                with mock.patch.object(scorers, "_CHUNK_CHARS", 10 ** 9):
+                    cells = score_corpus(corpus, ["greedy"], backend)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(isinstance(cell, FactualityScore) for cell in cells)
+            assert peaks[-1] < bound, n
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class RequestLog(FaultBackend):
+    """A `FaultBackend` that also records the texts of each `embed_tokens` request."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.embed_requests: list[list[str]] = []
+
+    def map(self, op, calls):
+        calls = list(calls)
+        if op == "embed_tokens":
+            self.embed_requests.append([text for text, in calls])
+        return super().map(op, calls)
+
+
+class TestGreedyGroups:
+    """Greedy embeds a chunk in consecutive groups of at most `_EMBED_ROWS`
+    token rows (clipped document tokens plus summary tokens), or one pair."""
+
+    @pytest.mark.parametrize("embed_rows", [1, 12, 30, 10 ** 9])
+    def test_embed_requests_follow_the_row_groups(self, embed_rows):
+        limit, rng = 6, random.Random(27)
+        texts = [(" ".join([f"d{k}", *["alpha"] * rng.randint(0, 9)]),
+                  " ".join([f"s{k}", *["beta"] * rng.randint(0, 5)])) for k in range(24)]
+        texts[7] = ("d7 EMBFAIL alpha", "s7 beta")  # its summary is not asked for
+        rows = [min(len(doc.split()), limit) + len(summary.split()) for doc, summary in texts]
+        corpus = make_corpus("c", *(make_pair(f"p{k}", *pair) for k, pair in enumerate(texts)))
+        backend, oracle = RequestLog(max_tokens=limit), FaultBackend(max_tokens=limit)
+        with mock.patch.object(scorers, "_EMBED_ROWS", embed_rows), \
+                mock.patch.object(scorers, "_CHUNK_CHARS", 10 ** 9):
+            cells = score_corpus(corpus, ["greedy"], backend)
+        assert reference.as_cells(cells) == reference.score_corpus(corpus, ["greedy"], oracle)
+        assert Counter(backend.calls) == Counter(oracle.calls)
+        # A group's document request, then the summaries of its live pairs.
+        groups = [[int(text.split()[0][1:]) for text in request]
+                  for request in backend.embed_requests[::2]]
+        assert [k for group in groups for k in group] == list(range(len(texts)))
+        assert backend.embed_requests[1::2] == [[texts[k][1] for k in group if k != 7]
+                                                for group in groups]
+        for group, after in zip(groups, [*groups[1:], None]):
+            size = sum(rows[k] for k in group)
+            assert size <= embed_rows or len(group) == 1
+            # No group ends while the next pair would still fit.
+            assert after is None or size + rows[after[0]] > embed_rows
+        if embed_rows == 10 ** 9:
+            assert len(groups) == 1
 
 
 class TableFaultBackend(FaultBackend):
@@ -664,7 +752,8 @@ def _bits(cells):
 
 
 class TestChunkComposition:
-    """However pairs share a chunk, each cell is its one-pair outcome, bit for bit."""
+    """However pairs share a chunk or a greedy group, each cell is its one-pair
+    outcome, bit for bit."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_score_and_evaluate_give_the_one_pair_outcomes_at_any_chunk_size(self):
@@ -682,14 +771,16 @@ class TestChunkComposition:
             blocks.append([(len(summ), len(doc)) for doc, summ in zip(docs, sums)])
             return means(docs, sums)
 
-        for chunk_chars in (1, scorers._CHUNK_CHARS, 10 ** 9):
+        for bounds in itertools.product((1, scorers._CHUNK_CHARS, 10 ** 9),
+                                        (1, scorers._EMBED_ROWS, 10 ** 9)):
             backend = TableFaultBackend(table)
-            with mock.patch.object(scorers, "_CHUNK_CHARS", chunk_chars), \
+            with mock.patch.object(scorers, "_CHUNK_CHARS", bounds[0]), \
+                    mock.patch.object(scorers, "_EMBED_ROWS", bounds[1]), \
                     mock.patch.object(chunkmath, "greedy_means", recorded):
                 assert _bits(reference.as_cells(
-                    score_corpus(corpus, ALL_SCORERS, backend))) == expected, chunk_chars
+                    score_corpus(corpus, ALL_SCORERS, backend))) == expected, bounds
                 report = evaluate_outputs(generated, corpus, backend, metrics=ALL_SCORERS)
-            assert (report.per_pair, report.failures) == expected_report, chunk_chars
+            assert (report.per_pair, report.failures) == expected_report, bounds
         # The three edge pairs (one summary row, two document rows) were
         # screened next to longer documents, so with padding.
         assert any(lengths.count((1, 2)) == 3 and max(d for _, d in lengths) > 2

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factfilter import partial_pearson, pearson, wilcoxon_signed_rank
 from factfilter.errors import DegenerateInputError, DomainError
-from factfilter.stats import EXACT_ENUMERATION_CUTOFF, _average_ranks, partial_pearsons
+from factfilter.stats import (EXACT_ENUMERATION_CUTOFF, _average_ranks, _normal_two_sided_p,
+                              partial_pearsons)
 
 from test_acceptance import oracle_partial_pearson
 
@@ -276,3 +278,34 @@ _RANKED = st.one_of(
 def test_average_ranks_equal_the_loop(values):
     values = np.asarray(values, dtype=np.float64)
     assert np.array_equal(_average_ranks(values), loop_average_ranks(values))
+
+
+def loop_normal_two_sided_p(ranks: np.ndarray, abs_diffs: np.ndarray, w_plus: float) -> float:
+    """The tie-corrected normal p, its tie sum taken one tie count at a time
+    (the reference form)."""
+    n = ranks.shape[0]
+    tie_sum = 0.0
+    for t in np.unique(abs_diffs, return_counts=True)[1]:
+        tie_sum += float(t) ** 3 - float(t)
+    variance = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum / 48.0
+    z = max((abs(w_plus - n * (n + 1) / 4.0) - 0.5) / math.sqrt(variance), 0.0)
+    return min(max(math.erfc(z / math.sqrt(2.0)), 5e-324), 1.0)
+
+
+# Tie counts from many short runs to a few long ones, at most 208 000 values
+# in all: every partial tie sum is then an exact integer below 2**53.
+_TIE_COUNTS = st.one_of(st.lists(st.integers(1, 60), min_size=1, max_size=80),
+                        st.lists(st.integers(1, 52_000), min_size=1, max_size=4))
+
+
+@given(_TIE_COUNTS, st.floats(0.0, 1.0))
+@example([208_000], 0.5)
+@example([103_999, 1, 104_000], 0.1)
+@settings(max_examples=150, deadline=None)
+def test_normal_p_equals_the_loop_while_the_tie_sum_is_exact(counts, share):
+    abs_diffs = np.repeat(np.arange(1.0, len(counts) + 1.0), counts)
+    ranks = _average_ranks(abs_diffs)
+    n = len(abs_diffs)
+    w_plus = round(share * n * (n + 1)) / 2.0  # W+ is a multiple of 1/2
+    assert _normal_two_sided_p(ranks, abs_diffs, w_plus) == \
+        loop_normal_two_sided_p(ranks, abs_diffs, w_plus)
