@@ -80,6 +80,7 @@ LONG_DOCS = "Long documents without repeated per-call work"
 LINEAR_CUTS = "Filter and compare without per-value Python loops"
 SHARED_INDEX = "One id index per score table"
 ROW_GROUPS = "Score in larger chunks; greedy's embeddings bounded by token rows"
+RECORDS = "Every file goes through `records`"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -209,15 +210,15 @@ CATALOGUE: list[Mutant] = [
        '        raise ConfigurationError(f"metrics repeat: {metric_list}")\n',
        ""),
     _m("report-second-row-accepted", "metrics", "records", CHUNKS,
-       "if pair_id in per_pair.get(metric, ()) or pair_id in failures.get(metric, ()):",
-       "if False:"),
+       "if pair_id in values or pair_id in reasons:", "if False:"),
     _m("report-non-finite-accepted", "metrics", "records", CHUNKS,
-       "                if not math.isfinite(number):", "                if False:"),
+       "            if not math.isfinite(number):", "            if False:"),
     _m("report-failure-then-pair-accepted", "metrics", "records", CHUNKS,
-       " or pair_id in failures.get(metric, ()):", ":"),
+       " or pair_id in reasons:", ":"),
     _m("report-non-finite-as-parse-error", "metrics", "records", CHUNKS,
-       'raise DomainError(f"{p}:{reader.line_num}: value',
-       'raise ParseError(f"{p}:{reader.line_num}: value'),
+       'raise DomainError(f"value {value!r}', 'raise ValueError(f"value {value!r}'),
+    _m("report-unknown-record-accepted", "metrics", "records", RECORDS,
+       'raise ValueError(f"unknown record kind {record!r}")', "return"),
     # The sweep hook and the distributions (`experiments`).
     _m("hook-memo-always", "experiments", "experiments", ARRAYS,
        "{metric: {} for metric in metrics} if backend.descriptor.deterministic else None",
@@ -312,7 +313,7 @@ CATALOGUE: list[Mutant] = [
     _m("score-row-string-fields-unchecked", "scorers", "scorers", COLUMNS,
        "if not (type(pair_id) is type(scorer)", "if False and (type(pair_id) is type(scorer)"),
     _m("score-row-truncated-type-unchecked", "scorers", "scorers", TABLE_READS,
-       "        if not isinstance(truncated, bool):\n", "        if False:\n"),
+       "is type(reason) is str and type(truncated) is bool):", "is type(reason) is str):"),
     _m("score-row-value-type-unchecked", "scorers", "records", READERS,
        "                if type(value) is not int:  # rejects bool, an int subclass\n",
        "                if False:\n"),
@@ -341,6 +342,20 @@ CATALOGUE: list[Mutant] = [
     _m("jsonl-floats-rounded", "records", "scorers", MUTANTS,
        "_decode_json = json.JSONDecoder().raw_decode",
        "_decode_json = json.JSONDecoder(parse_float=lambda s: round(float(s), 12)).raw_decode"),
+    _m("csv-header-unchecked", "records", "records", RECORDS,
+       "if next(rows, None) != list(header):", "if next(rows, None) is None:"),
+    _m("csv-row-length-unchecked", "records", "records", RECORDS,
+       "                if len(row) != width:\n", "                if False:\n"),
+    _m("csv-error-unlocated", "records", "records", RECORDS,
+       "except (*_LOCATED, csv.Error) as exc:", "except _LOCATED as exc:"),
+    _m("csv-float-written-with-str", "records", "records", RECORDS,
+       "repr(float(cell)) if isinstance(cell, float) else cell",
+       "str(cell) if isinstance(cell, float) else cell"),
+    _m("json-fields-skips-its-last-key", "records", "records", RECORDS,
+       "if not kinds.issuperset(map(type, values)):",
+       "if not kinds.issuperset(map(type, values[:-1])):"),
+    _m("jsonl-append-ignored", "records", "records", RECORDS,
+       'open("a" if append else "w",', 'open("w",'),
     _m("missing-error-default-changed", "scorers", "scorers", MUTANTS,
        '_NO_REASON = "unknown failure"', '_NO_REASON = ""'),
     _m("sentinel-written-as-zero", "scorers", "scorers", MUTANTS,
@@ -476,10 +491,10 @@ CATALOGUE: list[Mutant] = [
     _m("generated-duplicate-accepted", "cli", "records", READERS,
        "        if pair_id in generated:\n", "        if False:\n"),
     _m("annotation-flag-type-unchecked", "validation", "records", READERS,
-       "            if not isinstance(flag, bool):\n", "            if False:\n"),
+       "and JSON_BOOLS.issuperset(map(type, flags.values()))):", "and True):"),
     _m("annotation-factuality-type-unchecked", "validation", "records", READERS,
-       "        if type(factuality) not in (float, int):  # rejects bool, an int subclass\n",
-       "        if False:\n"),
+       "                and type(factuality) in JSON_NUMBERS  # rejects bool, an int subclass\n",
+       ""),
     _m("corpus-stats-mean-over-n-plus-one", "corpus", "corpus", MUTANTS,
        "    n = len(corpus)\n", "    n = len(corpus) + 1\n"),
     _m("corpus-stats-from-the-last-pair", "corpus", "corpus", MUTANTS,
@@ -606,12 +621,15 @@ CATALOGUE: list[Mutant] = [
        "if not isinstance(items, list) or len(items) != len(calls):",
        "if len(items) != len(calls):"),
     _m("descriptor-non-object-accepted", "remote", "remote", MEMO,
-       "    if not isinstance(info, dict):\n", "    if False:\n"),
+       '    json_value(info, "result", JSON_OBJECTS)\n', ""),
     _m("handshake-protocol-unchecked", "remote", "remote", CHUNKS,
-       'if type(info.get("protocol")) is not int or info["protocol"] != PROTOCOL:', "if False:"),
+       "if type(protocol) is not int or protocol != PROTOCOL:", "if False:"),
     _m("handshake-types-unchecked", "remote", "remote", MEMO,
-       "        if type(info.get(name)) is not kind:  # a bool is no max_tokens\n",
-       "        if name not in info:\n"),
+       '    name, version = json_fields(info, ("name", "version"), JSON_STRINGS)\n'
+       '    deterministic = json_field(info, "deterministic", JSON_BOOLS)\n'
+       '    max_tokens = json_field(info, "max_tokens", JSON_INTEGERS)\n',
+       '    name, version, deterministic, max_tokens = (\n'
+       '        info["name"], info["version"], info["deterministic"], info["max_tokens"])\n'),
     _m("failed-handshake-leaves-the-server", "remote", "remote", MEMO,
        "            self._proc.kill()\n            self.close()\n            raise\n",
        "            raise\n"),
@@ -644,7 +662,7 @@ CATALOGUE: list[Mutant] = [
        '    exc_type = _ERROR_TYPES.get(err.get("type", ""), errors.BackendError)\n'
        '    message = str(err.get("message", "remote backend error"))\n'),
     _m("error-limit-unchecked", "remote", "remote", PROTOCOL_3,
-       'limit = json_field(err, "limit", frozenset({int}))', 'limit = int(err.get("limit", 0))'),
+       'limit = json_field(err, "limit", JSON_INTEGERS)', 'limit = int(err.get("limit", 0))'),
     _m("error-object-with-other-keys-accepted", "remote", "remote", PROTOCOL_3,
        "    if len(reply) != 1:\n", "    if False:\n"),
     _m("server-strips-unicode-space", "remote", "remote", PROTOCOL_3,

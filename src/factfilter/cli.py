@@ -44,7 +44,7 @@ from .experiments import (
 )
 from .filtration import FilterManifest, apply_manifest, intersect_filter
 from .metrics import ALL_METRICS, EvalReport, evaluate_outputs
-from .records import read_jsonl, write_csv
+from .records import JSON_STRINGS, json_fields, read_jsonl, write_csv
 from .scorers import SCORERS, load_scores, score_corpus_to_file
 from .validation import flip_analysis, load_annotations, validate_slices
 
@@ -155,10 +155,7 @@ def _load_generated(path: str | Path) -> dict[str, str]:
     generated: dict[str, str] = {}
 
     def consume(row: dict[str, Any]) -> None:
-        pair_id, summary = row["id"], row["summary"]
-        for name, value in (("id", pair_id), ("summary", summary)):
-            if not isinstance(value, str):
-                raise TypeError(f"field {name!r} must be a string")
+        pair_id, summary = json_fields(row, ("id", "summary"), JSON_STRINGS)
         if pair_id in generated:
             raise IntegrityError(f"duplicate generated summary for id {pair_id!r}")
         generated[pair_id] = summary
@@ -192,12 +189,11 @@ def _cmd_filter(args: argparse.Namespace) -> None:
                 manifest.selection_ratio, manifest.content_hash())
 
 
-def _stats_row(label: str, corpus: Corpus, ratio: float | None) -> list[str]:
+def _stats_row(label: str, corpus: Corpus, ratio: float | None) -> list:
     stats = corpus_stats(corpus)
-    return [label, corpus.name, str(stats.n_pairs),
-            *(str(stats.per_split_counts.get(split, 0)) for split in SPLITS),
-            repr(float(stats.mean_doc_words)), repr(float(stats.mean_sum_words)),
-            "" if ratio is None else repr(float(ratio))]
+    return [label, corpus.name, stats.n_pairs,
+            *(stats.per_split_counts.get(split, 0) for split in SPLITS),
+            stats.mean_doc_words, stats.mean_sum_words, ratio]
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
@@ -227,8 +223,8 @@ def _cmd_validate_frank(args: argparse.Namespace) -> None:
     results = validate_slices(((name, table.values(name))
                                for name in args.scorers or table.scorers), annotations)
     write_csv(args.out, ["scorer", "dataset", "r", "n", "n_covariates"],
-              ([scorer, dataset or "all", repr(float(result.r)), str(result.n),
-                str(result.n_covariates)] for scorer, dataset, result in results))
+              ([scorer, dataset or "all", result.r, result.n, result.n_covariates]
+               for scorer, dataset, result in results))
     logger.info("wrote scorer validation to %s", args.out)
 
 

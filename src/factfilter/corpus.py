@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DomainError, IntegrityError
-from .records import encode_json, read_jsonl
+from .records import JSON_OBJECTS, JSON_STRINGS, json_fields, json_value, read_jsonl, write_jsonl
 
 SPLITS = ("train", "validation", "test")
 
@@ -106,15 +106,15 @@ def toy_corpus_path() -> Path:
 
 
 def _pair_from_record(record: Mapping[str, Any]) -> Pair:
-    for f in _REQUIRED_FIELDS:
-        if not isinstance(record[f], str):
-            raise TypeError(f"field {f!r} must be a string")
+    pair_id, document, summary, split = (record["id"], record["document"], record["summary"],
+                                         record["split"])
     meta = record.get("meta", {})
-    if not isinstance(meta, dict):
-        raise TypeError("meta must be an object")
+    if not (type(pair_id) is type(document) is type(summary) is type(split) is str
+            and type(meta) is dict):
+        json_fields(record, _REQUIRED_FIELDS, JSON_STRINGS)
+        json_value(meta, "meta", JSON_OBJECTS)
     try:
-        return Pair(id=record["id"], document=record["document"], summary=record["summary"],
-                    split=record["split"], meta=meta)
+        return Pair(id=pair_id, document=document, summary=summary, split=split, meta=meta)
     except DomainError as exc:  # a bad record, so a parse error, not a bad argument
         raise ValueError(str(exc)) from exc
 
@@ -142,17 +142,8 @@ def load_corpus(path: str | Path, name: str | None = None) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as JSONL with canonical field ordering."""
-    p = Path(path)
-    with p.open("w", encoding="utf-8", newline="\n") as handle:
-        for pair in corpus:
-            record = {
-                "id": pair.id,
-                "document": pair.document,
-                "summary": pair.summary,
-                "split": pair.split,
-                "meta": dict(pair.meta),
-            }
-            handle.write(encode_json(record) + "\n")
+    write_jsonl(path, ({"id": pair.id, "document": pair.document, "summary": pair.summary,
+                        "split": pair.split, "meta": dict(pair.meta)} for pair in corpus))
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -118,14 +118,14 @@ def distribution_report(table: ScoreTable) -> list[DistributionSummary]:
 
 def write_distribution_csv(summaries: Sequence[DistributionSummary],
                            path: str | Path) -> None:
-    def rows() -> Iterator[list[str]]:
+    def rows() -> Iterator[list]:
         for summary in summaries:
             for stat, value in (("min", summary.minimum), ("q1", summary.q1),
                                 ("median", summary.median), ("q3", summary.q3),
                                 ("max", summary.maximum)):
-                yield [summary.scorer, stat, "", "", repr(float(value))]
+                yield [summary.scorer, stat, "", "", value]
             for left, right, count in summary.bins:
-                yield [summary.scorer, "bin", repr(float(left)), repr(float(right)), str(count)]
+                yield [summary.scorer, "bin", left, right, count]
 
     write_csv(path, ["scorer", "stat", "bin_left", "bin_right", "value"], rows())
 
@@ -295,14 +295,10 @@ def run_sweep(corpus: Corpus, table: ScoreTable, spec: SweepSpec,
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     metric_names = sorted({name for row in rows for name in row.metrics})
 
-    def cells(row: SweepRow) -> list[str]:
-        values = [repr(float(row.metrics[name])) if name in row.metrics else ""
-                  for name in metric_names]
-        return ([row.strategy, repr(float(row.threshold)), str(row.n_selected),
-                 repr(float(row.ratio)), row.status] + values + [row.note])
-
     write_csv(path, ["strategy", "threshold", "n_selected", "ratio", "status"]
-              + metric_names + ["note"], map(cells, rows))
+              + metric_names + ["note"],
+              ([row.strategy, row.threshold, row.n_selected, row.ratio, row.status,
+                *map(row.metrics.get, metric_names), row.note] for row in rows))
 
 
 @dataclass(frozen=True)
@@ -323,11 +319,10 @@ class ComparisonReport:
         self.rows = list(rows)
 
     def to_csv(self, path: str | Path) -> None:
-        def cells(row: ComparisonRow) -> list[str]:
-            w = repr(float(row.wilcoxon.w_statistic)) if row.wilcoxon else ""
-            p = repr(float(row.wilcoxon.p_value)) if row.wilcoxon else ""
-            return [row.metric, repr(float(row.mean_a)), repr(float(row.mean_b)),
-                    str(row.n), w, p, row.winner, row.note]
+        def cells(row: ComparisonRow) -> list:
+            test = row.wilcoxon  # None leaves its two cells empty
+            return [row.metric, row.mean_a, row.mean_b, row.n, test and test.w_statistic,
+                    test and test.p_value, row.winner, row.note]
 
         write_csv(path, ["metric", "mean_a", "mean_b", "n", "w_statistic", "p_value",
                          "winner", "note"], map(cells, self.rows))

@@ -21,11 +21,13 @@ import numpy as np
 from .corpus import Corpus
 from .errors import ConfigurationError, DomainError, IntegrityError, ParseError
 from .records import (
+    JSON_INTEGERS,
     JSON_NUMBERS,
     JSON_OBJECTS,
     JSON_STRINGS,
     json_field,
-    json_list,
+    json_fields,
+    json_items,
     json_value,
 )
 from .scorers import ScoreTable
@@ -112,18 +114,16 @@ class FilterManifest:
             obj = json.loads(p.read_text(encoding="utf-8"))
             thresholds = json_field(obj, "per_scorer_thresholds", JSON_OBJECTS)
             created_with = json_value(obj.get("created_with", {}), "created_with", JSON_OBJECTS)
-            for scorer in created_with:
-                descriptor = json_field(created_with, scorer, JSON_OBJECTS)
-                for key in descriptor:
-                    json_field(descriptor, key, JSON_STRINGS)
+            for descriptor in json_fields(created_with, list(created_with), JSON_OBJECTS):
+                json_fields(descriptor, list(descriptor), JSON_STRINGS)
             return cls(
                 corpus_name=json_field(obj, "corpus_name", JSON_STRINGS),
-                scorer_names=tuple(json_list(obj, "scorer_names", JSON_STRINGS)),
+                scorer_names=tuple(json_items(obj["scorer_names"], "scorer_names", JSON_STRINGS)),
                 q=float(json_field(obj, "q", JSON_NUMBERS)),
                 per_scorer_thresholds={k: float(json_field(thresholds, k, JSON_NUMBERS))
                                        for k in thresholds},
-                kept_ids=tuple(json_list(obj, "kept_ids", JSON_STRINGS)),
-                n_pairs=json_field(obj, "n_pairs", frozenset({int})),
+                kept_ids=tuple(json_items(obj["kept_ids"], "kept_ids", JSON_STRINGS)),
+                n_pairs=json_field(obj, "n_pairs", JSON_INTEGERS),
                 selection_ratio=float(json_field(obj, "selection_ratio", JSON_NUMBERS)),
                 created_with=created_with,
             )

@@ -9,7 +9,6 @@ deterministic so regression tests are byte-stable.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from collections import Counter
@@ -27,11 +26,10 @@ from .errors import (
     CoverageError,
     DomainError,
     IntegrityError,
-    ParseError,
     failure_reason,
 )
 from .filtration import FilterManifest
-from .records import utf8_lines, write_csv
+from .records import read_csv, write_csv
 from .scorers import SCORERS, score_texts
 
 # Mask token positions 0, 4, 8, ... but only tokens long enough to carry
@@ -190,69 +188,59 @@ class EvalReport:
         return mean * 100.0 if metric == "rouge2" else mean
 
     def to_csv(self, path: str | Path) -> None:
-        def rows() -> Iterator[list[str]]:
+        def rows() -> Iterator[list]:
             yield ["meta", "", "corpus_name", "", "", "", self.corpus_name]
             for metric in self.metrics:
                 for pair_id in sorted(self.per_pair[metric]):
-                    yield ["pair", pair_id, metric,
-                           repr(float(self.per_pair[metric][pair_id])), "", "", ""]
+                    yield ["pair", pair_id, metric, self.per_pair[metric][pair_id], "", "", ""]
                 for pair_id in sorted(self.failures[metric]):
                     yield ["failure", pair_id, metric, "", "", "",
                            self.failures[metric][pair_id]]
             for metric in self.metrics:
                 if self.per_pair[metric]:
-                    yield ["aggregate", "", metric, repr(float(self.mean(metric))),
-                           str(self.n(metric)), repr(float(self.headline(metric))), ""]
+                    yield ["aggregate", "", metric, self.mean(metric), self.n(metric),
+                           self.headline(metric), ""]
                 else:
-                    yield ["aggregate", "", metric, "", "0", "", "no values"]
+                    yield ["aggregate", "", metric, "", 0, "", "no values"]
 
         write_csv(path, _REPORT_COLUMNS, rows())
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EvalReport":
-        """Read a report `to_csv` wrote. A malformed row is a `ParseError`, a
-        second pair or failure row for a (metric, pair id) an `IntegrityError`,
-        and a value that is not finite a `DomainError`; each names `path:line`."""
-        p = Path(path)
-        corpus_name = ""
+        """Read a report `to_csv` wrote, header and all (`records.read_csv`). A
+        malformed row or an unknown record kind is a `ParseError`, a second pair
+        or failure row for a (metric, pair id) an `IntegrityError`, and a value
+        that is not finite a `DomainError`; each names `path:line`."""
+        meta: dict[str, str] = {}
         per_pair: dict[str, dict[str, float]] = {}
         failures: dict[str, dict[str, str]] = {}
-        metric_order: list[str] = []
-        reader = csv.reader(utf8_lines(p, newline=""))
-        header = next(reader, None)
-        if not header or header[0] != "record":
-            raise ParseError("not an evaluation report CSV", path=str(p))
-        for row in reader:
-            if len(row) != len(_REPORT_COLUMNS):
-                raise ParseError(f"expected {len(_REPORT_COLUMNS)} fields, got {len(row)}",
-                                 path=str(p), line=reader.line_num)
+
+        def consume(row: list[str]) -> None:
             record, pair_id, metric, value, _, _, note = row
-            if record == "meta" and metric == "corpus_name":
-                corpus_name = note
-            elif record in ("pair", "failure"):
-                if metric not in metric_order:
-                    metric_order.append(metric)
-                if pair_id in per_pair.get(metric, ()) or pair_id in failures.get(metric, ()):
-                    raise IntegrityError(f"{p}:{reader.line_num}: a second row for pair "
-                                         f"{pair_id!r}, metric {metric!r}")
-            if record == "pair":
-                try:
-                    number = float(value)
-                except ValueError:
-                    raise ParseError(f"non-numeric value {value!r}",
-                                     path=str(p), line=reader.line_num) from None
-                if not math.isfinite(number):
-                    raise DomainError(f"{p}:{reader.line_num}: value {value!r} for pair "
-                                      f"{pair_id!r}, metric {metric!r} is not finite")
-                per_pair.setdefault(metric, {})[pair_id] = number
-            elif record == "failure":
-                failures.setdefault(metric, {})[pair_id] = note
-            elif record == "aggregate" and metric not in metric_order:
-                metric_order.append(metric)
-        report = cls(corpus_name, metric_order)
-        for metric in metric_order:
-            report.per_pair[metric] = per_pair.get(metric, {})
-            report.failures[metric] = failures.get(metric, {})
+            if record == "meta":
+                meta[metric] = note
+                return
+            if record not in ("pair", "failure", "aggregate"):
+                raise ValueError(f"unknown record kind {record!r}")
+            if metric not in per_pair:
+                per_pair[metric], failures[metric] = {}, {}
+            values, reasons = per_pair[metric], failures[metric]
+            if record == "aggregate":
+                return
+            if pair_id in values or pair_id in reasons:
+                raise IntegrityError(f"a second row for pair {pair_id!r}, metric {metric!r}")
+            if record == "failure":
+                reasons[pair_id] = note
+                return
+            number = float(value)
+            if not math.isfinite(number):
+                raise DomainError(f"value {value!r} for pair {pair_id!r}, metric {metric!r} "
+                                  f"is not finite")
+            values[pair_id] = number
+
+        read_csv(path, _REPORT_COLUMNS, consume)
+        report = cls(meta.get("corpus_name", ""), list(per_pair))
+        report.per_pair, report.failures = per_pair, failures
         return report
 
 

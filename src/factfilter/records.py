@@ -5,16 +5,16 @@ one JSON object per line, with only JSON whitespace around it; lines of JSON
 whitespace are ignored. `read_jsonl` reads such a file a block of lines at a
 time, with one JSON decode for a block that is provably one object per line
 and line by line otherwise, and names the `path:line` of any record that does
-not load; `json_field` and `json_list` check a decoded field's JSON type
-exactly, `json_value` and `json_items` a decoded value's. `encode_json`
-encodes a record for its line. Result tables are CSV, written by `write_csv`
-as UTF-8 with LF line ends.
+not load; `write_jsonl` writes one. The `json_*` helpers check a decoded
+value's JSON type exactly and word a mistyped one alike for every file.
+Result tables are CSV, written by `write_csv` and read back by `read_csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import closing
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -50,10 +50,10 @@ def _check_utf8(line: str, path: Path, lineno: int) -> None:
                          line=lineno) from exc
 
 
-def utf8_lines(path: Path, newline: str | None = None) -> Iterator[str]:
-    """Yield a UTF-8 text file's lines; a byte that is not UTF-8 is a `ParseError`
-    naming its line. The file closes when the generator finishes or is discarded."""
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
+def utf8_lines(path: Path) -> Iterator[str]:
+    """Yield a UTF-8 text file's lines, line ends untranslated (as `csv` reads
+    them); a byte that is not UTF-8 is a `ParseError` naming its line."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.isascii():
                 _check_utf8(line, path, lineno)
@@ -171,11 +171,37 @@ def read_jsonl(path: str | Path, consume: Callable[[dict[str, Any]], None],
             first += len(lines)
 
 
+def read_csv(path: str | Path, header: Sequence[str],
+             consume: Callable[[list[str]], None]) -> None:
+    """Pass each row after the header of a CSV file to `consume`, as a list of
+    strings. A first row other than `header` is a `ParseError` naming the path;
+    a row `csv` cannot read (a field over its size limit), a row of another
+    width, and what `consume` raises are reported as `read_jsonl` reports
+    them, naming the row's last line."""
+    p = Path(path)
+    with closing(utf8_lines(p)) as lines:
+        rows = csv.reader(lines)
+        if next(rows, None) != list(header):
+            raise ParseError(f"the header is not {','.join(header)}", path=str(p))
+        width = len(header)
+        try:
+            for row in rows:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                consume(row)
+        except (*_LOCATED, csv.Error) as exc:
+            raise _located(exc, p, rows.line_num) from exc
+
+
 # JSON types compared exactly, `type(value) in kinds`: a bool is an int
-# subclass but no JSON number.
+# subclass but no JSON number. `_JSON_NAMES` words each kind.
 JSON_STRINGS = frozenset({str})
 JSON_NUMBERS = frozenset({int, float})
+JSON_INTEGERS = frozenset({int})
+JSON_BOOLS = frozenset({bool})
 JSON_OBJECTS = frozenset({dict})
+_JSON_NAMES = {JSON_STRINGS: "a string", JSON_NUMBERS: "a number", JSON_INTEGERS: "an integer",
+               JSON_BOOLS: "true or false", JSON_OBJECTS: "an object"}
 
 
 def json_field(obj: dict[str, Any], key: str, kinds: frozenset[type]) -> Any:
@@ -183,17 +209,22 @@ def json_field(obj: dict[str, Any], key: str, kinds: frozenset[type]) -> Any:
     return json_value(obj[key], key, kinds)
 
 
+def json_fields(obj: dict[str, Any], keys: Sequence[str], kinds: frozenset[type]) -> list:
+    """`obj[key]` for each of `keys`, in order, checked by `json_value` with one
+    type test for all of them."""
+    values = [obj[key] for key in keys]
+    if not kinds.issuperset(map(type, values)):
+        for key, value in zip(keys, values):
+            json_value(value, key, kinds)
+    return values
+
+
 def json_value(value: Any, name: str, kinds: frozenset[type]) -> Any:
-    """`value`, whose type must be one of `kinds`; else a `TypeError` naming `name`."""
+    """`value`, whose type must be one of `kinds`; else a `TypeError` naming
+    `name`, such as `'document' must be a string, got 5`."""
     if type(value) not in kinds:
-        names = " or ".join(sorted(kind.__name__ for kind in kinds))
-        raise TypeError(f"{name!r} must be of type {names}, got {value!r}")
+        raise TypeError(f"{name!r} must be {_JSON_NAMES[kinds]}, got {value!r}")
     return value
-
-
-def json_list(obj: dict[str, Any], key: str, kinds: frozenset[type]) -> list:
-    """`obj[key]`, checked by `json_items`."""
-    return json_items(obj[key], key, kinds)
 
 
 def json_items(items: Any, name: str, kinds: frozenset[type]) -> list:
@@ -207,10 +238,21 @@ def json_items(items: Any, name: str, kinds: frozenset[type]) -> list:
     return items
 
 
+def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]], append: bool = False) -> None:
+    """Write each record as one JSON line (`encode_json`): UTF-8, LF line
+    ends, after the file's existing lines if `append`."""
+    with Path(path).open("a" if append else "w", encoding="utf-8", newline="\n") as handle:
+        for record in records:
+            handle.write(encode_json(record) + "\n")
+
+
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence[Any]]) -> None:
-    """Write `header` then `rows` as CSV: UTF-8, LF line ends."""
+    """Write `header` then `rows` as CSV: UTF-8, LF line ends, a float cell
+    (numpy's `float64` too) as `repr(float(cell))` whatever numpy's print
+    options, `None` as an empty cell and any other cell as `str(cell)`."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([repr(float(cell)) if isinstance(cell, float) else cell
+                          for cell in row] for row in rows)

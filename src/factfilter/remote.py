@@ -48,8 +48,8 @@ from .backend import (
     load_extra_backends,
     register_backend,
 )
-from .records import (JSON_NUMBERS, JSON_STRINGS, JSON_WHITESPACE, json_field, json_items,
-                      json_value)
+from .records import (JSON_BOOLS, JSON_INTEGERS, JSON_NUMBERS, JSON_OBJECTS, JSON_STRINGS,
+                      JSON_WHITESPACE, json_field, json_fields, json_items, json_value)
 
 PROTOCOL = 3
 # Seconds `RemoteBackend.close` waits for the server to exit once its input closes.
@@ -160,22 +160,19 @@ def serve(backend: Backend, in_stream: TextIO, out_stream: TextIO) -> None:
         out_stream.flush()
 
 
-_DESCRIPTOR_FIELDS = {"name": str, "version": str, "deterministic": bool, "max_tokens": int}
-
-
 def _descriptor_from_reply(info: Any) -> BackendDescriptor:
-    """The handshake reply as a descriptor; a malformed one is a `TransportError`."""
-    if not isinstance(info, dict):
-        raise errors.TransportError(f"descriptor reply is not an object: {info!r}")
-    for name, kind in _DESCRIPTOR_FIELDS.items():
-        if type(info.get(name)) is not kind:  # a bool is no max_tokens
-            raise errors.TransportError(
-                f"descriptor reply needs {name!r} of type {kind.__name__}, "
-                f"got {info.get(name)!r}")
-    if type(info.get("protocol")) is not int or info["protocol"] != PROTOCOL:
+    """The handshake reply as a descriptor. A missing or mistyped field raises
+    the `KeyError` or `TypeError` that `_decode` reports; a server of another
+    protocol, or of protocol 1, which sends none, is a `TransportError`."""
+    json_value(info, "result", JSON_OBJECTS)
+    name, version = json_fields(info, ("name", "version"), JSON_STRINGS)
+    deterministic = json_field(info, "deterministic", JSON_BOOLS)
+    max_tokens = json_field(info, "max_tokens", JSON_INTEGERS)
+    protocol = info.get("protocol")
+    if type(protocol) is not int or protocol != PROTOCOL:
         raise errors.TransportError(f"descriptor reply needs 'protocol' {PROTOCOL}, "
-                                    f"got {info.get('protocol')!r}")
-    return BackendDescriptor(**{name: info[name] for name in _DESCRIPTOR_FIELDS})
+                                    f"got {protocol!r}")
+    return BackendDescriptor(name, version, deterministic, max_tokens)
 
 
 def _failure(reply: dict[str, Any]) -> errors.FactFilterError:
@@ -191,7 +188,7 @@ def _failure(reply: dict[str, Any]) -> errors.FactFilterError:
         return exc_type(message)
     # The message is the server's str(exc), which already ends in the limit
     # suffix that SequenceLengthError appends.
-    limit = json_field(err, "limit", frozenset({int}))
+    limit = json_field(err, "limit", JSON_INTEGERS)
     return errors.SequenceLengthError(message.removesuffix(f" (limit: {limit} tokens)"), limit)
 
 

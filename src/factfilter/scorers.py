@@ -42,7 +42,7 @@ from .errors import (
     NoArcsError,
     failure_reason,
 )
-from .records import encode_json, read_jsonl
+from .records import JSON_BOOLS, JSON_STRINGS, json_fields, json_value, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -370,14 +370,12 @@ class ScoreTable:
         scorer = row["scorer"]
         provenance = (row["backend_name"], row["backend_version"])
         reason = row.get("error", _NO_REASON)
-        if not (type(pair_id) is type(scorer) is type(provenance[0])
-                is type(provenance[1]) is type(reason) is str):
-            key = next(k for k in _TEXT_FIELDS if not isinstance(row.get(k, ""), str))
-            raise TypeError(f"{key!r} must be a string, got {row[key]!r}")
-        value = row.get("value")
         truncated = row.get("truncated", False)
-        if not isinstance(truncated, bool):
-            raise TypeError(f"'truncated' must be true or false, got {truncated!r}")
+        if not (type(pair_id) is type(scorer) is type(provenance[0])
+                is type(provenance[1]) is type(reason) is str and type(truncated) is bool):
+            json_fields({"error": reason, **row}, _TEXT_FIELDS, JSON_STRINGS)
+            json_value(truncated, "truncated", JSON_BOOLS)
+        value = row.get("value")
         if value is not None:
             if type(value) is not float:
                 if type(value) is not int:  # rejects bool, an int subclass
@@ -555,10 +553,7 @@ def _cell_to_row(cell: ScoreCell) -> dict:
 
 def write_scores(cells: Iterable[ScoreCell], path: str | Path, append: bool = False) -> None:
     """Append-only JSONL score rows; see the scores-file schema in the README."""
-    mode = "a" if append else "w"
-    with Path(path).open(mode, encoding="utf-8", newline="\n") as handle:
-        for cell in cells:
-            handle.write(encode_json(_cell_to_row(cell)) + "\n")
+    write_jsonl(path, map(_cell_to_row, cells), append)
 
 
 def load_scores(path: str | Path, corpus_name: str) -> ScoreTable:

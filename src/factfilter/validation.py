@@ -24,7 +24,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CoverageError, DomainError, IntegrityError
-from .records import read_jsonl, write_csv
+from .records import (JSON_BOOLS, JSON_NUMBERS, JSON_OBJECTS, JSON_STRINGS, json_fields,
+                      json_value, read_jsonl, write_csv)
 from .stats import PartialCorrelationResult, partial_pearson, partial_pearsons
 
 CATEGORIES = ("semantic_frame", "discourse", "content_verifiability")
@@ -79,29 +80,24 @@ def load_annotations(path: str | Path) -> list[FactualityAnnotation]:
 
     def consume(record: Mapping[str, Any]) -> None:
         flags_raw = record["errors"]
+        if type(flags_raw) is not dict:
+            json_value(flags_raw, "errors", JSON_OBJECTS)
         flags = {cat: flags_raw[cat] for cat in CATEGORIES}
-        for cat, flag in flags.items():
-            if not isinstance(flag, bool):
-                raise TypeError(f"flag {cat!r} must be true or false, got {flag!r}")
         factuality = record["factuality"]
-        if type(factuality) not in (float, int):  # rejects bool, an int subclass
-            raise TypeError(f"factuality must be a number, got {factuality!r}")
-        texts = {key: record[key] for key in ("summary_id", "dataset", "system")}
-        for key, value in texts.items():
-            if not isinstance(value, str):
-                raise TypeError(f"{key!r} must be a string, got {value!r}")
-        summary_id, dataset, system = texts.values()
+        summary_id, dataset, system = record["summary_id"], record["dataset"], record["system"]
+        if not (type(summary_id) is type(dataset) is type(system) is str
+                and type(factuality) in JSON_NUMBERS  # rejects bool, an int subclass
+                and JSON_BOOLS.issuperset(map(type, flags.values()))):
+            json_fields(flags_raw, CATEGORIES, JSON_BOOLS)
+            json_value(factuality, "factuality", JSON_NUMBERS)
+            json_fields(record, ("summary_id", "dataset", "system"), JSON_STRINGS)
         if summary_id in seen:
             raise IntegrityError(f"duplicate annotation for summary {summary_id!r}")
         seen.add(summary_id)
         try:
             annotations.append(FactualityAnnotation(
-                summary_id=summary_id,
-                source_dataset=dataset,
-                system_id=system,
-                factuality=float(factuality),
-                category_flags=flags,
-            ))
+                summary_id=summary_id, source_dataset=dataset, system_id=system,
+                factuality=float(factuality), category_flags=flags))
         except IntegrityError:
             bad_ids.append(summary_id)
 
@@ -247,9 +243,8 @@ class FlipReport:
 
     def to_csv(self, path: str | Path) -> None:
         write_csv(path, ["scorer", "dataset", "category", "r_original", "r_flipped", "delta"],
-                  ([row.scorer, row.dataset, row.category, repr(float(row.r_original)),
-                    repr(float(row.r_flipped)), repr(float(row.delta))]
-                   for row in self.rows))
+                  ([row.scorer, row.dataset, row.category, row.r_original, row.r_flipped,
+                    row.delta] for row in self.rows))
 
 
 def flip_analysis(scores_by_scorer: Mapping[str, Mapping[str, float]],

@@ -438,14 +438,16 @@ class TestEvaluateAndCompare:
         assert main(["evaluate", "--in", str(toy), "--generated", str(gen),
                      "--out", str(tmp_path / "r.csv"), "--backend", "mock"]) == 2
 
-    @pytest.mark.parametrize("row", [{"id": 41, "summary": "a summary"},
-                                     {"id": "toy-0041", "summary": 7}])
-    def test_non_string_generated_field_exits_two(self, tmp_path, toy, capsys, row):
+    @pytest.mark.parametrize("row, message", [
+        ({"id": 41, "summary": "a summary"}, "'id' must be a string, got 41"),
+        ({"id": "toy-0041", "summary": 7}, "'summary' must be a string, got 7")],
+        ids=["row0", "row1"])
+    def test_non_string_generated_field_exits_two(self, tmp_path, toy, capsys, row, message):
         gen = tmp_path / "gen.jsonl"
         gen.write_text(json.dumps(row) + "\n")
         assert main(["evaluate", "--in", str(toy), "--generated", str(gen),
                      "--out", str(tmp_path / "r.csv"), "--backend", "mock"]) == 2
-        assert f"{gen}:1: field" in capsys.readouterr().err
+        assert f"data error: {gen}:1: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_row", ["pair,t1,rouge2", "pair,t1,rouge2,high,,,"])
     def test_malformed_report_row_exits_two(self, tmp_path, capsys, bad_row):

@@ -1,8 +1,9 @@
-"""One JSONL reader and one CSV writer (`factfilter.records`) behind every stage.
+"""One module (`factfilter.records`) reads and writes every file format.
 
 Each JSONL loader, and the evaluation report's CSV reader, reports each kind
 of bad record with one exception class, names its `path:line`, and maps to
-exit code 2 on the command line.
+exit code 2 on the command line; every loader words a mistyped field the same
+way, and every CSV writer writes a number the same way.
 """
 
 from __future__ import annotations
@@ -11,14 +12,19 @@ import ast
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from factfilter import load_annotations, load_corpus, load_scores
 from factfilter.cli import _load_generated, main
-from factfilter.corpus import toy_corpus_path
-from factfilter.errors import DomainError, IntegrityError, ParseError
+from factfilter.corpus import Corpus, Pair, save_corpus, toy_corpus_path
+from factfilter.errors import DomainError, IntegrityError, ParseError, TransportError
+from factfilter.filtration import FilterManifest
 from factfilter.metrics import EvalReport
-from factfilter.records import read_jsonl, write_csv
+from factfilter.records import (JSON_STRINGS, json_fields, read_csv, read_jsonl, write_csv,
+                                write_jsonl)
+from factfilter.remote import PROTOCOL, _decode
+from factfilter.scorers import FactualityScore, ScoreFailure, write_scores
 from factfilter.validation import CATEGORIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factfilter"
@@ -125,6 +131,11 @@ CASES = [
     ("report", "nan", lambda row: row.replace("0.5", "nan"), DomainError, "is not finite"),
     ("report", "infinite", lambda row: row.replace("0.5", "inf"), DomainError,
      "is not finite"),
+    ("report", "unknown-kind", lambda row: row.replace("pair", "pairs", 1), ParseError,
+     "unknown record kind 'pairs'"),
+    ("report", "capitalised-kind", lambda row: row.replace("pair", "Pair", 1), ParseError,
+     "unknown record kind 'Pair'"),
+    ("report", "short-row", lambda row: "pair,b,rouge2", ParseError, "expected 7 fields, got 3"),
 ]
 # A generated summary has no domain of its own: an empty one or an id outside
 # the corpus is judged later, by `evaluate`, so that loader has no such case.
@@ -172,6 +183,108 @@ def test_report_row_after_a_failure_row_is_a_second_row(tmp_path, second):
     path.write_text(f"{REPORT_HEADER}\nfailure,a,rouge2,,,,boom\n{second}\n", encoding="utf-8")
     with pytest.raises(IntegrityError, match=f"^{path}:3: a second row for pair 'a'"):
         EvalReport.from_csv(path)
+
+
+@pytest.mark.parametrize("header", ["record,x", REPORT_HEADER.removesuffix(",note"),
+                                    REPORT_HEADER + ",extra", REPORT_HEADER.upper(), ""],
+                         ids=["two-columns", "six-columns", "eight-columns", "upper-case",
+                              "empty-file"])
+def test_report_header_must_be_the_seven_columns(tmp_path, capsys, header):
+    path = tmp_path / "report.csv"
+    path.write_text(f"{header}\n{_report_row('a')}\n" if header else "", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        EvalReport.from_csv(path)
+    assert str(excinfo.value) == f"{path}: the header is not {REPORT_HEADER}"
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), None)
+    assert main(_cli_argv("report", path, tmp_path)) == 2
+    assert f"data error: {path}: the header is not" in capsys.readouterr().err
+
+
+def _manifest_error(tmp_path: Path, **change) -> str:
+    path = tmp_path / "manifest.json"
+    FilterManifest(corpus_name="c", scorer_names=(), q=0.25, per_scorer_thresholds={},
+                   kept_ids=("a",), n_pairs=1, selection_ratio=1.0, created_with={}).save(path)
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), **change}),
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        FilterManifest.load(path)
+    return str(excinfo.value).removeprefix(f"{path}: ")
+
+
+def _handshake_error(**change) -> str:
+    info = {"name": "mock", "version": "1", "deterministic": True, "max_tokens": 512,
+            "protocol": PROTOCOL, **change}
+    with pytest.raises(TransportError) as excinfo:
+        _decode("descriptor", {"result": info})
+    return str(excinfo.value)
+
+
+def _load_error(tmp_path: Path, loader: str, make_bad) -> str:
+    path = _bad_file(tmp_path, loader, make_bad)
+    with pytest.raises(ParseError) as excinfo:
+        LOADERS[loader](path)
+    return str(excinfo.value).removeprefix(f"{path}:3: ")
+
+
+# (file, what goes wrong, the error's text, its expected text)
+WORDING = [
+    ("corpus", "document", lambda tmp: _load_error(tmp, "corpus", _with(document=5)),
+     "'document' must be a string, got 5"),
+    ("corpus", "split", lambda tmp: _load_error(tmp, "corpus", _with(split=None)),
+     "'split' must be a string, got None"),
+    ("corpus", "meta", lambda tmp: _load_error(tmp, "corpus", _with(meta=[])),
+     "'meta' must be an object, got []"),
+    ("scores", "pair_id", lambda tmp: _load_error(tmp, "scores", _with(pair_id=7)),
+     "'pair_id' must be a string, got 7"),
+    ("scores", "error", lambda tmp: _load_error(tmp, "scores", _with(error=3)),
+     "'error' must be a string, got 3"),
+    ("scores", "truncated", lambda tmp: _load_error(tmp, "scores", _with(truncated=1)),
+     "'truncated' must be true or false, got 1"),
+    ("annotations", "flag",
+     lambda tmp: _load_error(tmp, "annotations", _flag("discourse", "false")),
+     "'discourse' must be true or false, got 'false'"),
+    ("annotations", "errors",
+     lambda tmp: _load_error(tmp, "annotations", _with(errors=["discourse"])),
+     "'errors' must be an object, got ['discourse']"),
+    ("annotations", "factuality",
+     lambda tmp: _load_error(tmp, "annotations", _with(factuality=True)),
+     "'factuality' must be a number, got True"),
+    ("annotations", "system", lambda tmp: _load_error(tmp, "annotations", _with(system=7)),
+     "'system' must be a string, got 7"),
+    ("generated", "summary", lambda tmp: _load_error(tmp, "generated", _with(summary=7)),
+     "'summary' must be a string, got 7"),
+    ("manifest", "n_pairs", lambda tmp: _manifest_error(tmp, n_pairs="1"),
+     "malformed manifest: 'n_pairs' must be an integer, got '1'"),
+    ("manifest", "created_with", lambda tmp: _manifest_error(tmp, created_with={"g": []}),
+     "malformed manifest: 'g' must be an object, got []"),
+    ("handshake", "max_tokens", lambda tmp: _handshake_error(max_tokens="512"),
+     "reply to 'descriptor' has a missing or mistyped field: "
+     "TypeError: 'max_tokens' must be an integer, got '512'"),
+]
+
+
+@pytest.mark.parametrize("error, expected", [(case[2], case[3]) for case in WORDING],
+                         ids=[f"{case[0]}-{case[1]}" for case in WORDING])
+def test_one_wording_for_a_mistyped_field(tmp_path, error, expected):
+    assert error(tmp_path) == expected
+
+
+class TestJsonFields:
+    def test_returns_the_values_in_key_order(self):
+        assert json_fields({"b": "y", "a": "x"}, ("a", "b"), JSON_STRINGS) == ["x", "y"]
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"a": 1, "b": 2}, "'a' must be a string, got 1"),
+        ({"a": "x", "b": 2}, "'b' must be a string, got 2"),
+    ], ids=["first", "last"])
+    def test_names_the_first_mistyped_key(self, obj, message):
+        with pytest.raises(TypeError) as excinfo:
+            json_fields(obj, ("a", "b"), JSON_STRINGS)
+        assert str(excinfo.value) == message
+
+    def test_a_missing_key_is_a_key_error(self):
+        with pytest.raises(KeyError, match="'b'"):
+            json_fields({"a": 1}, ("a", "b"), JSON_STRINGS)
 
 
 class TestAnnotationTypes:
@@ -329,20 +442,145 @@ class TestReadJsonl:
             read_jsonl(path, consume)
 
 
+class TestReadCsv:
+    def test_passes_each_row_after_the_header_in_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes('a,b\r\n1,"x\ny"\n"é",\n'.encode())
+        rows = []
+        read_csv(path, ("a", "b"), rows.append)
+        assert rows == [["1", "x\ny"], ["é", ""]]
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("a,b\n1,2\n1,2,3\n", 3, "expected 2 fields, got 3"),
+        ("a,b\n1,2\n\n", 3, "expected 2 fields, got 0"),
+        ('a,b\n"1\n2",3\n4\n', 4, "expected 2 fields, got 1"),
+    ], ids=["long-row", "blank-line", "after-a-two-line-row"])
+    def test_a_row_of_another_width_names_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            read_csv(path, ("a", "b"), lambda row: None)
+        assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+    def test_a_field_over_the_csv_size_limit_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        path.write_text(f"{REPORT_HEADER}\n{_report_row('a')}\nfailure,b,rouge2,,,,"
+                        f"{'x' * (2 ** 17 + 1)}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            EvalReport.from_csv(path)
+        assert str(excinfo.value) == f"{path}:3: field larger than field limit (131072)"
+        assert main(_cli_argv("report", path, tmp_path)) == 2
+        assert f"data error: {path}:3: field larger" in capsys.readouterr().err
+
+    def test_the_header_must_match_exactly(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,B\n1,2\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            read_csv(path, ("a", "b"), lambda row: None)
+        assert str(excinfo.value) == f"{path}: the header is not a,b"
+
+    @pytest.mark.parametrize("error", [DomainError, IntegrityError, ValueError])
+    def test_consume_errors_are_located_as_in_read_jsonl(self, tmp_path, error):
+        """A `DomainError` or `IntegrityError` keeps its class, a `ValueError`
+        is a `ParseError`; each names the row's line."""
+        path = tmp_path / "t.csv"
+        path.write_text("a\n1\n2\n", encoding="utf-8")
+
+        def consume(row):
+            if row == ["2"]:
+                raise error("boom")
+
+        reported = ParseError if error is ValueError else error
+        with pytest.raises(reported) as excinfo:
+            read_csv(path, ("a",), consume)
+        assert type(excinfo.value) is reported and str(excinfo.value) == f"{path}:3: boom"
+
+
 def test_write_csv_is_utf8_with_lf_line_ends(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [["x,y", "é"], ["line\nbreak", ""]])
     assert path.read_bytes() == 'a,b\n"x,y",é\n"line\nbreak",\n'.encode("utf-8")
 
 
+class TestWriters:
+    def test_write_csv_writes_each_number_one_way(self, tmp_path):
+        """A float as `repr(float(x))`, numpy's float64 too; an int as
+        `str(n)`; None as an empty cell."""
+        row = [0.1, np.float64(1e-05), -0.0, 1e16, 5, None, "x,y"]
+        written, expected = tmp_path / "written.csv", tmp_path / "expected.csv"
+        write_csv(written, list("abcdefg"), [row])
+        write_csv(expected, list("abcdefg"), [[repr(float(row[0])), repr(float(row[1])),
+                                              repr(float(row[2])), repr(float(row[3])),
+                                              str(row[4]), "", row[6]]])
+        assert written.read_bytes() == expected.read_bytes()
+        assert written.read_bytes() == b'a,b,c,d,e,f,g\n0.1,1e-05,-0.0,1e+16,5,,"x,y"\n'
+
+    def test_write_csv_ignores_numpy_print_options(self, tmp_path):
+        """Under numpy's 1.13 print options, `str` of a float64 keeps 12 digits."""
+        path = tmp_path / "t.csv"
+        with np.printoptions(legacy="1.13"):
+            write_csv(path, ["x"], [[np.float64(0.1) + np.float64(0.2)]])
+        assert path.read_bytes() == b"x\n0.30000000000000004\n"
+
+    @staticmethod
+    def _old_loop(path: Path, records, mode: str) -> None:
+        """How `save_corpus` and `write_scores` each wrote their lines."""
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+        with path.open(mode, encoding="utf-8", newline="\n") as handle:
+            for record in records:
+                handle.write(encode(record) + "\n")
+
+    @pytest.mark.parametrize("append", [False, True], ids=["write", "append"])
+    def test_write_jsonl_writes_what_the_old_loops_wrote(self, tmp_path, append):
+        corpus = Corpus(name="c", pairs=(
+            Pair(id="pé-1 ✓", document="a\u2028b", summary="s\r\n", split="test"),
+            Pair(id="p2", document="d", summary="s", split="train", meta={"k": [1, None]})))
+        cells = [FactualityScore("pé-1 ✓", "greedy", "mock", "v1", 0.1, True),
+                 ScoreFailure("p2\u2028", "dae", "mock", "v1", "NoArcsError: é")]
+        rows = [{"pair_id": "pé-1 ✓", "scorer": "greedy", "backend_name": "mock",
+                 "backend_version": "v1", "value": 0.1, "truncated": True},
+                {"pair_id": "p2\u2028", "scorer": "dae", "backend_name": "mock",
+                 "backend_version": "v1", "value": None, "truncated": False,
+                 "error": "NoArcsError: é"}]
+        records = [{"id": p.id, "document": p.document, "summary": p.summary,
+                    "split": p.split, "meta": dict(p.meta)} for p in corpus]
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        for path in (old, new):
+            path.write_bytes(b'{"first": "line"}\n')
+        self._old_loop(old, rows + records, "a" if append else "w")
+        write_jsonl(new, rows, append)
+        write_jsonl(new, records, append=True)
+        assert new.read_bytes() == old.read_bytes()
+        assert "\u2028".encode() in new.read_bytes()
+        for path in (old, new):
+            path.write_bytes(b'{"first": "line"}\n')
+        self._old_loop(old, rows, "a" if append else "w")
+        write_scores(cells, new, append)
+        assert new.read_bytes() == old.read_bytes()
+        self._old_loop(old, records, "w")
+        save_corpus(corpus, new)
+        assert new.read_bytes() == old.read_bytes()
+
+
 def _format_sites() -> dict[str, set[str]]:
-    """Modules of src/factfilter that name each JSONL-decoding or CSV-writing API."""
+    """Modules of src/factfilter that name each file-format API, import
+    `csv`, or call `repr(float(...))`."""
     sites: dict[str, set[str]] = {api: set() for api in
-                                  ("writer", "DictWriter", "JSONDecoder", "raw_decode")}
+                                  ("writer", "DictWriter", "JSONDecoder", "raw_decode",
+                                   "JSONEncoder", "encode_json", "import csv",
+                                   "repr(float(...))")}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
                 sites.setdefault(f"from {node.module} import", set()).add(path.stem)
+            if isinstance(node, ast.Import) and "csv" in (alias.name for alias in node.names):
+                sites["import csv"].add(path.stem)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "repr" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and isinstance(node.args[0].func, ast.Name)
+                    and node.args[0].func.id == "float"):
+                sites["repr(float(...))"].add(path.stem)
             name = node.attr if isinstance(node, ast.Attribute) \
                 else node.id if isinstance(node, ast.Name) else None
             if name in sites:
@@ -350,6 +588,11 @@ def _format_sites() -> dict[str, set[str]]:
     return sites
 
 
-def test_one_jsonl_decoder_and_one_csv_writer():
+def test_only_records_knows_a_file_format():
+    """`records` alone reads and writes CSV, decodes and encodes JSONL, and
+    formats a number cell; `remote` has its own encoder for the wire."""
     assert _format_sites() == {"writer": {"records"}, "DictWriter": set(),
-                               "JSONDecoder": {"records"}, "raw_decode": {"records"}}
+                               "JSONDecoder": {"records"}, "raw_decode": {"records"},
+                               "JSONEncoder": {"records", "remote"},
+                               "encode_json": {"records"}, "import csv": {"records"},
+                               "repr(float(...))": {"records"}}

@@ -244,6 +244,11 @@ def _handshake(**changes) -> str:
     return json.dumps({"result": {k: v for k, v in info.items() if v is not None}})
 
 
+# What a malformed handshake reply reads as: a missing or mistyped field, or a
+# server of another protocol.
+_MISTYPED = "reply to 'descriptor' has a missing or mistyped field: "
+_NEEDS_PROTOCOL = f"descriptor reply needs 'protocol' {PROTOCOL}, got "
+
 # The mock backend's handshake reply, which the stub server below sends
 # without importing `factfilter` (`test_handshake_reply_is_the_mock_descriptor`).
 _HANDSHAKE_REPLY = _handshake()
@@ -388,24 +393,27 @@ class TestTransportFailures:
         partial.write_bytes(b"".join(full.read_bytes().splitlines(keepends=True)[:25]))
         return full, partial
 
-    @pytest.mark.parametrize("reply", [
-        '{"result": {}}',
-        '{"result": [1]}',
-        _handshake(name=None),
-        _handshake(version=1),
-        _handshake(deterministic=1),
-        _handshake(max_tokens="512"),
-        _handshake(max_tokens=True),
-        _handshake(protocol=None),
-        _handshake(protocol=1),
-        _handshake(protocol=PROTOCOL - 1),
-        _handshake(protocol=PROTOCOL + 1),
-        _handshake(protocol=float(PROTOCOL)),
+    @pytest.mark.parametrize("reply, message", [
+        ('{"result": {}}', f"{_MISTYPED}KeyError: 'name'"),
+        ('{"result": [1]}', f"{_MISTYPED}TypeError: 'result' must be an object, got [1]"),
+        (_handshake(name=None), f"{_MISTYPED}KeyError: 'name'"),
+        (_handshake(version=1), f"{_MISTYPED}TypeError: 'version' must be a string, got 1"),
+        (_handshake(deterministic=1),
+         f"{_MISTYPED}TypeError: 'deterministic' must be true or false, got 1"),
+        (_handshake(max_tokens="512"),
+         f"{_MISTYPED}TypeError: 'max_tokens' must be an integer, got '512'"),
+        (_handshake(max_tokens=True),
+         f"{_MISTYPED}TypeError: 'max_tokens' must be an integer, got True"),
+        (_handshake(protocol=None), f"{_NEEDS_PROTOCOL}None"),
+        (_handshake(protocol=1), f"{_NEEDS_PROTOCOL}1"),
+        (_handshake(protocol=PROTOCOL - 1), f"{_NEEDS_PROTOCOL}{PROTOCOL - 1}"),
+        (_handshake(protocol=PROTOCOL + 1), f"{_NEEDS_PROTOCOL}{PROTOCOL + 1}"),
+        (_handshake(protocol=float(PROTOCOL)), f"{_NEEDS_PROTOCOL}{float(PROTOCOL)}"),
     ], ids=["empty", "non-object", "no-name", "int-version", "int-deterministic",
             "string-max-tokens", "bool-max-tokens", "no-protocol", "protocol-1",
             "older-protocol", "newer-protocol", "float-protocol"])
     def test_malformed_handshake_exits_three(self, toy, tmp_path, capsys, monkeypatch,
-                                             server, reply):
+                                             server, reply, message):
         from factfilter import remote
         from factfilter.errors import TransportError
 
@@ -414,8 +422,9 @@ class TestTransportFailures:
         monkeypatch.setattr(remote.subprocess, "Popen",
                             lambda *args, **kwargs: spawned.append(popen(*args, **kwargs))
                             or spawned[-1])
-        with pytest.raises(TransportError, match="descriptor reply"):
+        with pytest.raises(TransportError) as excinfo:
             remote.RemoteBackend([sys.executable, str(server), "0", reply])
+        assert str(excinfo.value) == message
         assert spawned[0].poll() is not None  # the server was stopped
         monkeypatch.undo()
         out = tmp_path / "scores.jsonl"
@@ -423,7 +432,7 @@ class TestTransportFailures:
                      "--backend", "remote", "--remote-command",
                      f"{sys.executable} {server} 0 '{reply}'"])
         assert code == 3
-        assert "backend error: descriptor reply" in capsys.readouterr().err
+        assert f"backend error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_request_to_an_exited_server_is_a_transport_error(self, server):
