@@ -81,6 +81,7 @@ LINEAR_CUTS = "Filter and compare without per-value Python loops"
 SHARED_INDEX = "One id index per score table"
 ROW_GROUPS = "Score in larger chunks; greedy's embeddings bounded by token rows"
 RECORDS = "Every file goes through `records`"
+BOUNDED_TABLES = "One bounded token table and prefix vocabulary per mock backend"
 
 CATALOGUE: list[Mutant] = [
     # Scoring: preparation, the chunk scorers, the loop and its failure policy.
@@ -354,6 +355,9 @@ CATALOGUE: list[Mutant] = [
     _m("json-fields-skips-its-last-key", "records", "records", RECORDS,
        "if not kinds.issuperset(map(type, values)):",
        "if not kinds.issuperset(map(type, values[:-1])):"),
+    _m("json-items-keeps-its-old-wording", "records", "records", BOUNDED_TABLES,
+       'raise TypeError(f"{name!r} item must be {_JSON_NAMES[kinds]}, got {bad!r}")',
+       'raise TypeError(f"{name!r} has an item of the wrong type: {bad!r}")'),
     _m("jsonl-append-ignored", "records", "records", RECORDS,
        'open("a" if append else "w",', 'open("w",'),
     _m("missing-error-default-changed", "scorers", "scorers", MUTANTS,
@@ -571,17 +575,24 @@ CATALOGUE: list[Mutant] = [
     _m("zero-norm-check-casts-every-dtype", "backend", "backend", TOKEN_TABLE,
        'v = self.vectors if self.vectors.dtype.kind in "fc" else self.vectors.astype(float)',
        "v = self.vectors.astype(float)"),
-    _m("token-table-kept-after-a-request", "backend", "backend", TOKEN_TABLE,
-       "        finally:\n            del self._request_rows\n",
-       "        finally:\n            pass\n"),
-    _m("fill-vocabularies-kept-after-a-request", "backend", "backend", LONG_DOCS,
-       "            del self._request_vocabularies\n", ""),
+    _m("token-table-never-starts-over", "backend", "backend", TOKEN_TABLE,
+       "            if len(row_of) >= _TABLE_TOKENS:  # start over before taking the text\n"
+       "                row_of.clear()\n", ""),
+    _m("token-table-starts-over-one-token-late", "backend", "backend", BOUNDED_TABLES,
+       "if len(row_of) >= _TABLE_TOKENS:", "if len(row_of) > _TABLE_TOKENS:"),
+    _m("fill-vocabularies-never-start-over", "backend", "backend", LONG_DOCS,
+       "            if len(vocabularies) >= _FILL_PREFIXES:\n"
+       "                vocabularies.clear()\n", ""),
     _m("fill-vocabulary-keyed-on-the-sentence", "backend", "backend", LONG_DOCS,
        "        if prefix not in vocabularies:\n"
+       "            if len(vocabularies) >= _FILL_PREFIXES:\n"
+       "                vocabularies.clear()\n"
        "            prefix_tokens = self.tokenize(prefix)\n"
        "            vocabularies[prefix] = len(prefix_tokens), set(prefix_tokens)\n"
        "        n_prefix, known = vocabularies[prefix]\n",
        "        if sentence not in vocabularies:\n"
+       "            if len(vocabularies) >= _FILL_PREFIXES:\n"
+       "                vocabularies.clear()\n"
        "            prefix_tokens = self.tokenize(prefix)\n"
        "            vocabularies[sentence] = len(prefix_tokens), set(prefix_tokens)\n"
        "        n_prefix, known = vocabularies[sentence]\n"),
@@ -676,6 +687,9 @@ CATALOGUE: list[Mutant] = [
        "class TransportError(FactFilterError):", "class TransportError(BackendError):"),
     _m("transport-error-exits-two", "cli", "cli", READERS,
        "    except (BackendError, TransportError) as exc:", "    except BackendError as exc:"),
+    _m("cli-imports-remote-eagerly", "cli", "package", BOUNDED_TABLES,
+       "from .backend import Backend, create_backend,",
+       "from . import remote  # noqa: F401\nfrom .backend import Backend, create_backend,"),
     _m("configuration-error-exits-two", "cli", "cli", MUTANTS,
        '        print(f"configuration error: {exc}", file=sys.stderr)\n        return EXIT_USAGE',
        '        print(f"configuration error: {exc}", file=sys.stderr)\n        return EXIT_DATA'),

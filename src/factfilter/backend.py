@@ -139,6 +139,12 @@ class Backend(ABC):
         self.close()
 
 
+# A mock's token table starts over at this many tokens, the most rows one greedy
+# `embed_tokens` request asks for (`scorers._EMBED_ROWS`); its fill vocabularies
+# start over at this many prefixes.
+_TABLE_TOKENS, _FILL_PREFIXES = 2 ** 12, 2 ** 6
+
+
 class MockBackend(Backend):
     """Deterministic token-identity backend for model-free testing.
 
@@ -146,25 +152,25 @@ class MockBackend(Backend):
       * tokens are whitespace-split, case-sensitive;
       * each token embeds to a unit vector derived from a seeded hash of the
         token string (context-free), so identical tokens embed identically;
-        an `embed_tokens` request (one `map`, or a lone call) hashes each
-        distinct token once into a table that lives only for the request,
+        the backend hashes each distinct token once into one token table,
         normalising rows bit-equal to normalising each alone;
       * a target token gets log(0.9) if its string occurs among the source
         tokens, else log(0.1);
       * an arc is entailed (prob 1.0) iff both its head and child token
         strings occur among the document tokens, else 0.0;
       * a masked token is reconstructed iff it occurs among the prefix tokens;
-        a `masked_fill_accuracy` request tokenizes each distinct prefix once
-        into a vocabulary that lives only for the request, as the token
-        table does, so no state outlives a request;
+        the backend tokenizes each distinct fill prefix once into a
+        vocabulary of its token count and token set;
       * the parser attaches every token to the middle token of the sentence.
+
+    The table and the vocabularies live as long as the backend and start
+    over (drop everything) at their bounds, so memory does not grow with the
+    vocabulary seen. Both assume `tokenize` is a pure function of its text.
+    A backend is not safe to share across threads, as `RemoteBackend` is not.
     """
 
     LOGPROB_PRESENT = math.log(0.9)
     LOGPROB_ABSENT = math.log(0.1)
-    _request_rows: _TokenRows | None = None  # the current `map` request's token table
-    # The current request's prefix vocabularies: text -> (token count, token set).
-    _request_vocabularies: dict[str, tuple[int, set[str]]] | None = None
 
     def __init__(self, dim: int = 16, max_tokens: int = 512):
         if dim < 2 or dim > 16:
@@ -177,6 +183,8 @@ class MockBackend(Backend):
             deterministic=True,
             max_tokens=max_tokens,
         )
+        self._table = _TokenRows(dim)
+        self._vocabularies: dict[str, tuple[int, set[str]]] = {}  # prefix -> (count, set)
 
     @property
     def descriptor(self) -> BackendDescriptor:
@@ -189,24 +197,12 @@ class MockBackend(Backend):
         if n_tokens > self._max_tokens:
             raise SequenceLengthError(f"{what} has {n_tokens} tokens", self._max_tokens)
 
-    def map(self, op: str, calls: Sequence[tuple]) -> list:
-        """`Backend.map`; the `embed_tokens` calls of a request share a token
-        table, and its `masked_fill_accuracy` calls their prefix vocabularies."""
-        self._request_rows = _TokenRows(self._dim)
-        self._request_vocabularies = {}
-        try:
-            return super().map(op, calls)
-        finally:
-            del self._request_rows
-            del self._request_vocabularies
-
     def embed_tokens(self, text: str) -> TokenEmbeddings:
         tokens = self.tokenize(text)
         if not tokens:
             raise DomainError("cannot embed empty text")
         self._check_length(len(tokens), "text")
-        rows = self._request_rows or _TokenRows(self._dim)
-        return TokenEmbeddings(tokens=tuple(tokens), vectors=rows.gather(tokens))
+        return TokenEmbeddings(tokens=tuple(tokens), vectors=self._table.gather(tokens))
 
     def conditional_token_logprobs(self, source: str, target: str) -> list[float]:
         source_tokens = self.tokenize(source)
@@ -236,10 +232,10 @@ class MockBackend(Backend):
         if not positions:
             raise DomainError("mask position set must be non-empty")
         sentence_tokens = self.tokenize(sentence)
-        vocabularies = self._request_vocabularies
-        if vocabularies is None:  # a lone call is a request of its own
-            vocabularies = {}
+        vocabularies = self._vocabularies
         if prefix not in vocabularies:
+            if len(vocabularies) >= _FILL_PREFIXES:
+                vocabularies.clear()
             prefix_tokens = self.tokenize(prefix)
             vocabularies[prefix] = len(prefix_tokens), set(prefix_tokens)
         n_prefix, known = vocabularies[prefix]
@@ -286,7 +282,8 @@ def _digest_rows(digest: bytes, dim: int) -> np.ndarray:
 
 
 class _TokenRows:
-    """The unit rows of the distinct tokens one request has seen, each hashed once."""
+    """The unit rows of the distinct tokens seen since the table last started
+    over, each hashed once; it holds at most `_TABLE_TOKENS` plus one text."""
 
     def __init__(self, dim: int):
         self._dim = dim
@@ -302,6 +299,8 @@ class _TokenRows:
         try:
             return self._rows[np.fromiter(map(row_of.__getitem__, tokens), np.intp, len(tokens))]
         except KeyError:
+            if len(row_of) >= _TABLE_TOKENS:  # start over before taking the text
+                row_of.clear()
             new = [t for t in dict.fromkeys(tokens) if t not in row_of]
         start, stop = len(row_of), len(row_of) + len(new)
         if stop > len(self._rows):  # amortised growth: the table at least doubles
@@ -366,4 +365,12 @@ def load_extra_backends() -> Path | None:
     return path
 
 
+def _remote_backend(command: Sequence[str]) -> Backend:
+    """A `RemoteBackend`: its module, and `subprocess`, load on first use."""
+    from .remote import RemoteBackend
+
+    return RemoteBackend(command)
+
+
 register_backend("mock", MockBackend)
+register_backend("remote", _remote_backend)

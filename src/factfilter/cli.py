@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from . import remote  # noqa: F401  (registers the remote backend)
 from .backend import Backend, create_backend, load_extra_backends, registered_backend
 from .corpus import SPLITS, Corpus, corpus_stats, load_corpus, save_corpus
 from .errors import (

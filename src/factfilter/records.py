@@ -234,7 +234,7 @@ def json_items(items: Any, name: str, kinds: frozenset[type]) -> list:
         raise TypeError(f"{name!r} must be a list, got {items!r}")
     if not kinds.issuperset(map(type, items)):
         bad = next(item for item in items if type(item) not in kinds)
-        raise TypeError(f"{name!r} has an item of the wrong type: {bad!r}")
+        raise TypeError(f"{name!r} item must be {_JSON_NAMES[kinds]}, got {bad!r}")
     return items
 
 

@@ -46,7 +46,6 @@ from .backend import (
     TokenEmbeddings,
     create_backend,
     load_extra_backends,
-    register_backend,
 )
 from .records import (JSON_BOOLS, JSON_INTEGERS, JSON_NUMBERS, JSON_OBJECTS, JSON_STRINGS,
                       JSON_WHITESPACE, json_field, json_fields, json_items, json_value)
@@ -339,9 +338,6 @@ class RemoteBackend(Backend):
 
     def parse_dependencies(self, summary: str) -> list[DependencyArc]:
         return self._call("parse_dependencies", summary)
-
-
-register_backend("remote", lambda command: RemoteBackend(command))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -235,12 +235,6 @@ class FlipReport:
     def __init__(self, rows: Sequence[FlipRow]):
         self.rows = list(rows)
 
-    def delta(self, scorer: str, dataset: str, category: str) -> float:
-        for row in self.rows:
-            if (row.scorer, row.dataset, row.category) == (scorer, dataset, category):
-                return row.delta
-        raise KeyError((scorer, dataset, category))
-
     def to_csv(self, path: str | Path) -> None:
         write_csv(path, ["scorer", "dataset", "category", "r_original", "r_flipped", "delta"],
                   ([row.scorer, row.dataset, row.category, row.r_original, row.r_flipped,

